@@ -13,6 +13,8 @@ from .fim_crb import (
     ParameterIndex,
     SelectionMatrices,
     crb_from_fim,
+    crb_totals,
+    fim_batch,
     fim_closed_form,
     fim_for_scenario,
     fim_generic,

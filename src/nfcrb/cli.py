@@ -47,7 +47,7 @@ from .scenario_io import (
     runtime_scenario,
     write_reports,
 )
-from .signal_model import covariances, received_power, steering_matrix
+from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
 def _load_runtime(args):
@@ -60,7 +60,7 @@ def _load_runtime(args):
 
 def _native_steering(scn):
     tau = pairwise_delay_matrix(scn) if isinstance(scn, PairwiseScenario) else delay_matrix(scn)
-    freqs = np.array([sig.freq_hz for sig in scn.signals])
+    freqs = frequency_vector(scn.signals)
     return steering_matrix(tau, freqs)
 
 

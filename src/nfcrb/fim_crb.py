@@ -14,6 +14,11 @@ is the authoritative path, and a closed-form block assembly built from
 index-selection matrices, kept as a cross-check that reports its per-block
 deviation from the generic path.  Finite-difference oracles for the steering
 and covariance derivatives back both.
+
+The trace form runs on a leading batch axis: ``fim_batch`` scores K sensor
+layouts around one set of sources in one array pass (steering, rank-two
+covariance derivatives, and all traces as one matmul), and
+``fim_for_scenario`` is the same pipeline at K = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularCovarianceError, SingularGeometryError, ValidationError
-from .geometry import Scenario, delay_matrix, sensor_positions, source_positions
+from .geometry import Scenario, delay_matrix, source_positions
 from .signal_model import CovarianceSet, covariances, steering_matrix
 
 
@@ -134,40 +139,68 @@ class CrbReport:
     rank_deficient: bool
 
 
-def _pair_distances(scenario: Scenario) -> np.ndarray:
-    d = np.linalg.norm(
-        source_positions(scenario)[None, :, :] - sensor_positions(scenario)[:, None, :], axis=2
-    )
+DR_CHUNK_VALUES = 8192
+"""Most complex values one batched (K, P, M, M) dR stack may hold: 128 KB."""
+
+
+def batch_chunk(num_sensors: int, num_sources: int) -> int:
+    """Sensor layouts per batched call whose dR stack stays within DR_CHUNK_VALUES."""
+    per_layout = ParameterIndex(num_sources).size * num_sensors * num_sensors
+    return max(1, DR_CHUNK_VALUES // per_layout)
+
+
+def _layout_delays(
+    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances and delay gradients of the scenario's sources seen from K sensor layouts.
+
+    ``radii`` and ``azimuths`` are (K, M) polar sensor coordinates.  Returns
+    (K, M, N) sensor-to-source distances d and the partial derivatives of the
+    delays w.r.t. each source's bearing and range: differentiating the
+    law-of-cosines distance gives d tau / d bearing = rho r sin(bearing -
+    azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) / (c d).
+    """
+    sensors = np.stack([radii * np.cos(azimuths), radii * np.sin(azimuths)], axis=-1)
+    d = np.linalg.norm(source_positions(scenario)[None, None] - sensors[:, :, None], axis=3)
     if np.any(d <= 0):
-        k, n = np.argwhere(d <= 0)[0]
+        _, k, n = np.argwhere(d <= 0)[0]
         raise SingularGeometryError(f"sensor {k + 1} coincides with source {n + 1}")
-    return d
+    rho = radii[:, :, None]
+    r = scenario.source_ranges()
+    diff = scenario.source_bearings() - azimuths[:, :, None]
+    c = scenario.velocity_mps
+    return d, rho * r * np.sin(diff) / (c * d), (r - rho * np.cos(diff)) / (c * d)
+
+
+def _own_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The scenario's own sensor layout as a batch of one."""
+    return scenario.sensor_radii()[None], scenario.sensor_azimuths()[None]
 
 
 def delay_gradients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) partial derivatives of the delays w.r.t. each source's bearing and range.
+    """(M, N) partial derivatives of the delays w.r.t. each source's bearing and range."""
+    _, dtau_bearing, dtau_range = _layout_delays(scenario, *_own_layout(scenario))
+    return dtau_bearing[0], dtau_range[0]
 
-    Differentiating the law-of-cosines distance gives
-    d tau / d bearing = rho r sin(bearing - azimuth) / (c d) and
-    d tau / d range = (r - rho cos(bearing - azimuth)) / (c d), with d the
-    sensor-to-source distance.
+
+def _steering_columns(
+    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, M, N) steering matrices and bearing/range derivative columns of K layouts.
+
+    Column n of a derivative matrix is -j 2 pi f_n (d tau / d axis) A[:, n].
     """
-    rho = scenario.sensor_radii()[:, None]
-    r = scenario.source_ranges()[None, :]
-    diff = scenario.source_bearings()[None, :] - scenario.sensor_azimuths()[:, None]
-    d = _pair_distances(scenario)
-    c = scenario.velocity_mps
-    dtau_bearing = rho * r * np.sin(diff) / (c * d)
-    dtau_range = (r - rho * np.cos(diff)) / (c * d)
-    return dtau_bearing, dtau_range
+    d, dtau_b, dtau_r = _layout_delays(scenario, radii, azimuths)
+    freqs = scenario.frequencies()
+    A = steering_matrix(d / scenario.velocity_mps, freqs)
+    w = 2.0 * np.pi * freqs
+    return A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
 
 
 def _derivative_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steering matrix plus per-source derivative columns stacked as (M, N) matrices."""
-    A = steering_matrix(delay_matrix(scenario), scenario.frequencies())
-    dtau_b, dtau_r = delay_gradients(scenario)
-    w = 2.0 * np.pi * scenario.frequencies()[None, :]
-    return A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
+    A, cols_b, cols_r = _steering_columns(scenario, *_own_layout(scenario))
+    return A[0], cols_b[0], cols_r[0]
 
 
 def steering_derivatives(scenario: Scenario, axis: str) -> list[np.ndarray]:
@@ -188,19 +221,44 @@ def steering_derivatives(scenario: Scenario, axis: str) -> list[np.ndarray]:
     return out
 
 
+def _covariance_derivatives(
+    A: np.ndarray, cols_b: np.ndarray, cols_r: np.ndarray, source_cov: np.ndarray
+) -> np.ndarray:
+    """(K, P, M, M) stack of array-covariance derivatives, ordered per ParameterIndex.
+
+    With b_n the n-th column of A Rs, the bearing or range derivative of
+    source n is the rank-two col_n b_n^H + b_n col_n^H; for Rs = s s^H that is
+    u a^H + a u^H with a = A s and u = s_n col_n.  The covariance-entry
+    derivatives are A E A^H for the basis matrices E, and the noise
+    derivative is the identity.
+    """
+    K, M, N = A.shape
+    index = ParameterIndex(N)
+    dR = np.empty((K, index.size, M, M), dtype=complex)
+    b_conj = (A @ source_cov).conj()
+    for block, cols in ((index.bearing, cols_b), (index.range, cols_r)):
+        half = cols.swapaxes(1, 2)[:, :, :, None] * b_conj.swapaxes(1, 2)[:, :, None, :]
+        dR[:, block] = half + half.conj().swapaxes(2, 3)
+    At = A.swapaxes(1, 2)
+    dR[:, index.cov_entries.start : index.cov_entries.start + N] = (
+        At[:, :, :, None] * At.conj()[:, :, None, :]
+    )
+    pairs = index.upper_pairs()
+    if pairs:
+        p, q = np.array(pairs).T
+        G = At[:, p, :, None] * At[:, q].conj()[:, :, None, :]
+        Gh = G.conj().swapaxes(2, 3)
+        first = index.cov_entries.start + N
+        dR[:, first : index.noise : 2] = G + Gh
+        dR[:, first + 1 : index.noise : 2] = 1j * (G - Gh)
+    dR[:, index.noise] = np.eye(M)
+    return dR
+
+
 def rx_derivatives(scenario: Scenario, A: np.ndarray, covset: CovarianceSet) -> list[np.ndarray]:
     """Hermitian derivatives of the array covariance, ordered per ParameterIndex."""
-    index = ParameterIndex(scenario.num_sources)
-    Rs = covset.source_cov
-    Ah = A.conj().T
-    out = []
-    for axis in ("bearing", "range"):
-        for D in steering_derivatives(scenario, axis):
-            out.append(D @ Rs @ Ah + A @ Rs @ D.conj().T)
-    for E in index.cov_entry_bases():
-        out.append(A @ E @ Ah)
-    out.append(np.eye(A.shape[0], dtype=complex))
-    return out
+    _, cols_b, cols_r = _derivative_columns(scenario)
+    return list(_covariance_derivatives(A[None], cols_b[None], cols_r[None], covset.source_cov)[0])
 
 
 def _index_for(derivs_len: int) -> ParameterIndex | None:
@@ -208,6 +266,29 @@ def _index_for(derivs_len: int) -> ParameterIndex | None:
     if n >= 0 and (n + 1) ** 2 == derivs_len:
         return ParameterIndex(n)
     return None
+
+
+def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re tr(R^-1 dR_a R^-1 dR_b) for (K, M, M) covariances and (K, P, M, M) derivatives.
+
+    tr(X_a X_b) is the dot product of X_a's rows with X_b's columns, so with
+    X = R^-1 dR every table is one matmul of the flattened X against the
+    flattened transposes.  Returns the (K, P, P) tables, symmetrized, and the
+    (K,) condition numbers of the covariances.
+    """
+    w = np.linalg.eigvalsh(array_cov)
+    singular = (w[:, 0] <= 0) | (w[:, 0] < 1e-15 * w[:, -1])
+    if np.any(singular):
+        raise SingularCovarianceError(
+            "array covariance is numerically singular; smallest eigenvalue "
+            f"{w[np.argmax(singular), 0]:.6e}"
+        )
+    X = np.linalg.inv(array_cov)[:, None] @ derivs
+    K, P, M, _ = X.shape
+    rows = X.reshape(K, P, M * M)
+    cols = X.swapaxes(2, 3).reshape(K, P, M * M)
+    F = (rows @ cols.swapaxes(1, 2)).real
+    return 0.5 * (F + F.swapaxes(1, 2)), w[:, -1] / w[:, 0]
 
 
 def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
@@ -219,27 +300,40 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
     if snapshots < 1:
         raise ValidationError(f"snapshot count must be >= 1, got {snapshots}")
     R = np.asarray(array_cov, dtype=complex)
-    w = np.linalg.eigvalsh(R)
-    if w[0] <= 0 or w[0] < 1e-15 * w[-1]:
-        raise SingularCovarianceError(
-            f"array covariance is numerically singular; smallest eigenvalue {w[0]:.6e}"
-        )
-    cond = float(w[-1] / w[0])
-    Rinv = np.linalg.inv(R)
-    half = [Rinv @ np.asarray(D, dtype=complex) for D in derivs]
-    P = len(half)
-    F = np.zeros((P, P))
-    for a in range(P):
-        for b in range(a, P):
-            F[a, b] = F[b, a] = float(np.real(np.trace(half[a] @ half[b])))
-    return FimMatrix(snapshots * F, int(snapshots), _index_for(P), cond)
+    D = np.asarray(derivs, dtype=complex).reshape(-1, *R.shape)
+    F, cond = _trace_form(R[None], D[None])
+    return FimMatrix(snapshots * F[0], int(snapshots), _index_for(len(D)), float(cond[0]))
+
+
+def _covariance_stack(
+    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K, M, M) array covariances and (K, P, M, M) derivative stacks of K layouts."""
+    A, cols_b, cols_r = _steering_columns(scenario, radii, azimuths)
+    covset = covariances(A, scenario.signals, scenario.noise_variance)
+    return covset.array_cov, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
+
+
+def fim_batch(
+    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Information matrices of the scenario's sources seen from K sensor layouts.
+
+    ``radii`` and ``azimuths`` are (K, M) polar sensor coordinates that take
+    the place of the scenario's own sensors; sources, signals, noise and
+    snapshots come from the scenario.  Returns the (K, P, P) matrices and the
+    (K,) array-covariance condition numbers.  Any failing layout fails the
+    whole call; keep K within ``batch_chunk`` to bound memory.
+    """
+    R, dR = _covariance_stack(scenario, np.asarray(radii, float), np.asarray(azimuths, float))
+    F, cond = _trace_form(R, dR)
+    return scenario.snapshots * F, cond
 
 
 def fim_for_scenario(scenario: Scenario) -> FimMatrix:
-    """Convenience: steering, covariances, derivatives, and the generic information matrix."""
-    A = steering_matrix(delay_matrix(scenario), scenario.frequencies())
-    covset = covariances(A, scenario.signals, scenario.noise_variance)
-    return fim_generic(covset.array_cov, rx_derivatives(scenario, A, covset), scenario.snapshots)
+    """The information matrix of one scenario: the batched pipeline at K = 1."""
+    R, dR = _covariance_stack(scenario, *_own_layout(scenario))
+    return fim_generic(R[0], dR[0], scenario.snapshots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,12 +562,43 @@ def fim_closed_form(
     return FimMatrix(F, int(snapshots), index, generic.array_cov_condition), deviations
 
 
+PINV_RTOL = 1e-12
+"""Singular values at or below this fraction of the largest are treated as zero."""
+
+
+def _pinv_diagonals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pseudo-inverse diagonals, ranks and condition numbers of a (K, P, P) stack.
+
+    One SVD per matrix serves all three.  As in np.linalg.pinv, a singular
+    value counts (toward the rank, and inverted in the pseudo-inverse) only if
+    it is strictly greater than PINV_RTOL times the largest; diag(V S^+ U^T)
+    is the row sum of U * V weighted by the inverted singular values.
+    Rank-deficient and empty matrices get an infinite condition number.
+    """
+    u, s, vt = np.linalg.svd(F)
+    kept = s > PINV_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    diag = ((u * vt.swapaxes(-1, -2)) @ inv[..., None])[..., 0]
+    rank = kept.sum(axis=-1)
+    cond = np.full(s.shape[:-1], np.inf)
+    if F.shape[-1]:
+        full = rank == F.shape[-1]
+        cond[full] = s[full, 0] / s[full, -1]
+    return diag, rank, cond
+
+
+def crb_totals(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bearing and range bound totals of a (K, P, P) stack of information matrices."""
+    diag, _, _ = _pinv_diagonals(np.asarray(entries, dtype=float))
+    return diag[:, :n_sources].sum(axis=1), diag[:, n_sources : 2 * n_sources].sum(axis=1)
+
+
 def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
     """Diagonal bounds from the pseudo-inverse of the information matrix.
 
-    Rank deficiency (singular values below 1e-12 of the largest) is flagged,
-    not raised; the pseudo-inverse is used either way.  Totals are the sums of
-    the per-source diagonal entries of each block.
+    Rank deficiency (singular values at or below PINV_RTOL of the largest) is
+    flagged, not raised; the pseudo-inverse is used either way.  Totals are
+    the sums of the per-source diagonal entries of each block.
     """
     F = np.asarray(fim.entries, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -486,23 +611,18 @@ def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
         raise ValidationError("source count is needed to split the diagonal into blocks")
     if 2 * n > F.shape[0]:
         raise ValidationError(f"{n} sources do not fit a {F.shape[0]}-parameter matrix")
-    sv = np.linalg.svd(F, compute_uv=False)
-    tol = 1e-12 * sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > tol))
-    deficient = rank < F.shape[0]
-    cond = float(sv[0] / sv[-1]) if not deficient and sv.size else float("inf")
-    diag = np.diag(np.linalg.pinv(F, rtol=1e-12))
-    crb_theta = diag[:n].copy()
-    crb_r = diag[n : 2 * n].copy()
+    diag, rank, cond = _pinv_diagonals(F[None])
+    crb_theta = diag[0, :n].copy()
+    crb_r = diag[0, n : 2 * n].copy()
     return CrbReport(
         crb_theta=crb_theta,
         crb_r=crb_r,
         crb_theta_total=float(crb_theta.sum()),
         crb_r_total=float(crb_r.sum()),
-        condition_number=cond,
-        rank=rank,
+        condition_number=float(cond[0]),
+        rank=int(rank[0]),
         size=int(F.shape[0]),
-        rank_deficient=deficient,
+        rank_deficient=bool(rank[0] < F.shape[0]),
     )
 
 

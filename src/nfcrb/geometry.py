@@ -20,7 +20,7 @@ inconsistency (meters) is always reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -391,16 +391,6 @@ def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
     if isinstance(scn, PairwiseScenario):
         return reconstruct_positions(scn.geometry)
     raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
-
-
-def replace_noise_and_snapshots(scn, noise_variance=None, snapshots=None):
-    """Copy of a (polar or pairwise) scenario with overridden noise/snapshot values."""
-    kwargs = {}
-    if noise_variance is not None:
-        kwargs["noise_variance"] = float(noise_variance)
-    if snapshots is not None:
-        kwargs["snapshots"] = int(snapshots)
-    return replace(scn, **kwargs) if kwargs else scn
 
 
 def far_field_radius(aperture_wavelengths: float, departure_wavelengths: float) -> float:

@@ -31,7 +31,7 @@ from .reposition import (
     evaluate_objective,
     scan_displacements,
 )
-from .signal_model import covariances, received_power, steering_matrix
+from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def constellation_metrics(scn) -> tuple[ConstellationMetrics, tuple[str, ...]]:
         tau = delay_matrix(scn)
     else:
         raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
-    freqs = np.array([sig.freq_hz for sig in scn.signals])
+    freqs = frequency_vector(scn.signals)
     A = steering_matrix(tau, freqs)
     covset = covariances(A, scn.signals, scn.noise_variance)
     det = float(abs(np.linalg.det(covset.array_cov)))
@@ -248,7 +248,7 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
                     tau = pairwise_delay_matrix(scn_pt)
                 else:
                     tau = delay_matrix(scn_pt)
-                freqs = np.array([sig.freq_hz for sig in scn_pt.signals])
+                freqs = frequency_vector(scn_pt.signals)
                 A = steering_matrix(tau, freqs)
                 _, strongest = received_power(A, scn_pt.signals)
                 notes.append(f"strongest element {strongest + 1}")

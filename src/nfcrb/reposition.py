@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError
-from .fim_crb import crb_from_fim, fim_for_scenario
+from .fim_crb import batch_chunk, crb_from_fim, crb_totals, fim_batch, fim_for_scenario
 from .geometry import (
+    TWO_PI,
     PairwiseGeometry,
     PairwiseScenario,
     Scenario,
@@ -37,9 +38,10 @@ from .geometry import (
     scenario_positions,
     to_pairwise,
 )
-from .signal_model import covariances, received_power, steering_matrix
+from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 OBJECTIVES = ("gf", "power", "det", "crb_theta", "crb_r")
+BOUND_OBJECTIVES = ("crb_theta", "crb_r")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +123,7 @@ def phase_terms(pws: PairwiseScenario, element: int) -> PhaseTerms:
     s = np.sin(arrival)
     if np.any(s <= 0):
         raise SingularGeometryError("arrival angle at 0 or pi has no finite phase term")
-    freqs = np.array([sig.freq_hz for sig in pws.signals])
-    scale = 2.0 * np.pi * freqs * H / pws.velocity_mps
+    scale = 2.0 * np.pi * frequency_vector(pws.signals) * H / pws.velocity_mps
     return PhaseTerms(values=scale / s, element=element, scale=scale)
 
 
@@ -173,7 +174,7 @@ def analytic_reposition(
 
     H = pws.geometry.vertical_m[element]
     arrival = pws.geometry.arrival_rad[element].copy()
-    freqs = np.array([sig.freq_hz for sig in pws.signals])
+    freqs = frequency_vector(pws.signals)
     c = pws.velocity_mps
 
     before = gf_objective(phase_terms(pws, element))
@@ -244,7 +245,7 @@ def evaluate_objective(
     if np.any(d <= 0):
         raise SingularGeometryError("a sensor coincides with a source")
     tau = d / velocity_mps
-    freqs = np.array([sig.freq_hz for sig in signals])
+    freqs = frequency_vector(signals)
     if objective == "gf":
         return gf_objective(2.0 * np.pi * freqs * tau[element])
     A = steering_matrix(tau, freqs)
@@ -261,6 +262,60 @@ def evaluate_objective(
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 
+def _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps) -> list:
+    """The objective at each displacement of the element, or the ValidationError that rejected it.
+
+    Bound totals are scored a chunk of sensor layouts per ``fim_batch`` call.
+    Each candidate layout goes to polar form exactly as
+    ``scenario_from_positions`` would build it, without building a Scenario
+    per candidate.  A chunk in which any candidate fails is rescored one
+    candidate at a time, so only the failing candidates are rejected, each
+    with its own reason.  The other objectives are scored one candidate at a
+    time.
+    """
+
+    def one(disp: float):
+        moved = sensors_xy.copy()
+        moved[element, 0] += disp
+        try:
+            return evaluate_objective(
+                objective, element, moved, sources_xy, scn.signals,
+                scn.velocity_mps, scn.noise_variance, scn.snapshots,
+            )
+        except ValidationError as exc:
+            return exc
+
+    if objective not in BOUND_OBJECTIVES:
+        return [one(disp) for disp in disps]
+    try:
+        polar = scenario_from_positions(
+            sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+        )
+    except ValidationError:
+        return [one(disp) for disp in disps]
+    y = sensors_xy[element, 1]
+    step = batch_chunk(polar.num_sensors, polar.num_sources)
+    values: list = []
+    for lo in range(0, len(disps), step):
+        chunk = disps[lo : lo + step]
+        moved = np.repeat(sensors_xy[None], len(chunk), axis=0)
+        moved[:, element, 0] += chunk
+        xs = moved[:, element, 0]
+        radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
+        azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
+        radii[:, element] = [math.hypot(x, y) for x in xs]
+        azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x in xs]
+        try:
+            if np.any(np.linalg.norm(sources_xy[None, None] - moved[:, :, None], axis=3) <= 0):
+                raise SingularGeometryError("a sensor coincides with a source")
+            totals = crb_totals(fim_batch(polar, radii, azimuths)[0], polar.num_sources)
+        except ValidationError:
+            values.extend(one(disp) for disp in chunk)
+            continue
+        values.extend(totals[BOUND_OBJECTIVES.index(objective)].tolist())
+    return values
+
+
 def scan_displacements(
     scn, element: int, objective: str, displacements, mode: str, include_origin: bool = True
 ) -> RepositionPlan:
@@ -274,15 +329,9 @@ def scan_displacements(
     """
     sensors_xy, sources_xy, _ = scenario_positions(scn)
     _check_element(element, len(sensors_xy))
-    signals, velocity = scn.signals, scn.velocity_mps
-    eta, ns = scn.noise_variance, scn.snapshots
 
-    def value_at(disp: float) -> float:
-        moved = sensors_xy.copy()
-        moved[element, 0] += disp
-        return evaluate_objective(
-            objective, element, moved, sources_xy, signals, velocity, eta, ns
-        )
+    def values_at(disps: np.ndarray) -> list:
+        return _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps)
 
     cand = np.asarray(displacements, dtype=float)
     if include_origin:
@@ -292,11 +341,9 @@ def scan_displacements(
     best_val = None
     best_disp = None
     base_val = None
-    for disp in cand:
-        try:
-            val = value_at(float(disp))
-        except ValidationError as exc:
-            notes.append(f"displacement {disp:+.6g} m skipped: {exc}")
+    for disp, val in zip(cand, values_at(cand)):
+        if isinstance(val, ValidationError):
+            notes.append(f"displacement {disp:+.6g} m skipped: {val}")
             continue
         if disp == 0.0:
             base_val = val
@@ -306,9 +353,8 @@ def scan_displacements(
     if best_val is None:
         raise ValidationError("objective evaluation failed at every grid point")
     if base_val is None:
-        try:
-            base_val = value_at(0.0)
-        except ValidationError:
+        base_val = values_at(np.zeros(1))[0]
+        if isinstance(base_val, ValidationError):
             notes.append("original position not evaluable; improvement not comparable")
             base_val = float("inf")
     if best_val > base_val:

@@ -37,7 +37,13 @@ from .geometry import (
     to_polar,
 )
 from .optimizer import SweepRow
-from .signal_model import SourceSignal, covariances, received_power, steering_matrix
+from .signal_model import (
+    SourceSignal,
+    covariances,
+    frequency_vector,
+    received_power,
+    steering_matrix,
+)
 
 DEFAULT_NOISE_VARIANCE = 1.0
 DEFAULT_SNAPSHOTS = 1
@@ -317,7 +323,7 @@ def run_report(scn, name: str, defaults: tuple[str, ...]) -> RunReport:
     else:
         polar = scn
         tau = delay_matrix(scn)
-    freqs = np.array([sig.freq_hz for sig in scn.signals])
+    freqs = frequency_vector(scn.signals)
     A = steering_matrix(tau, freqs)
     covset = covariances(A, scn.signals, scn.noise_variance)
     powers, strongest = received_power(A, scn.signals)

@@ -43,12 +43,13 @@ def frequency_vector(signals) -> np.ndarray:
 def steering_matrix(delays, freqs) -> np.ndarray:
     """Unit-modulus phase matrix exp(-j 2 pi f_n tau_mn), shape (M, N).
 
-    ``delays`` is the (M, N) propagation-delay matrix in seconds and ``freqs``
-    the length-N vector of source frequencies in Hz.
+    ``delays`` is the (M, N) propagation-delay matrix in seconds, or a
+    (K, M, N) stack of them, and ``freqs`` the length-N vector of source
+    frequencies in Hz.
     """
     delays = np.asarray(delays, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
-    if delays.ndim != 2 or freqs.ndim != 1 or delays.shape[1] != freqs.shape[0]:
+    if delays.ndim not in (2, 3) or freqs.ndim != 1 or delays.shape[-1] != freqs.shape[0]:
         raise ValidationError(
             f"delay matrix {delays.shape} does not match {freqs.shape[0]} frequencies"
         )
@@ -57,7 +58,7 @@ def steering_matrix(delays, freqs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSet:
-    """Source covariance (N x N), noise variance, and array covariance (M x M)."""
+    """Source covariance (N x N), noise variance, and array covariance (M x M, or K x M x M)."""
 
     source_cov: np.ndarray
     noise_variance: float
@@ -68,16 +69,17 @@ def covariances(A: np.ndarray, signals, noise_variance: float) -> CovarianceSet:
     """Covariance structure for deterministic amplitudes and white noise.
 
     The source covariance is s s^H (rank one); the array covariance is
-    A s s^H A^H + noise_variance * I.
+    A s s^H A^H + noise_variance * I, one per steering matrix when ``A`` is a
+    (K, M, N) stack.
     """
     if not noise_variance > 0:
         raise ValidationError(f"noise variance must be positive, got {noise_variance}")
     A = np.asarray(A, dtype=complex)
     s = amplitude_vector(signals)
-    if A.ndim != 2 or A.shape[1] != s.shape[0]:
+    if A.ndim not in (2, 3) or A.shape[-1] != s.shape[0]:
         raise ValidationError(f"steering matrix {A.shape} does not match {s.shape[0]} signals")
     source_cov = np.outer(s, s.conj())
-    array_cov = A @ source_cov @ A.conj().T + noise_variance * np.eye(A.shape[0])
+    array_cov = A @ source_cov @ A.conj().swapaxes(-1, -2) + noise_variance * np.eye(A.shape[-2])
     return CovarianceSet(source_cov, float(noise_variance), array_cov)
 
 

@@ -8,12 +8,17 @@ import pytest
 from nfcrb import (
     PairwiseGeometry,
     PairwiseScenario,
+    ParameterIndex,
     Scenario,
     SensorGeom,
     SourceGeom,
     SourceSignal,
+    covariances,
+    delay_matrix,
     load_scenario,
     runtime_scenario,
+    steering_derivatives,
+    steering_matrix,
 )
 
 
@@ -82,6 +87,30 @@ def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0,
         eta,
         snapshots,
     )
+
+
+def trace_loop_fim(scn: Scenario) -> np.ndarray:
+    """Reference information matrix: dense derivative products and one trace per entry."""
+    A = steering_matrix(delay_matrix(scn), scn.frequencies())
+    covset = covariances(A, scn.signals, scn.noise_variance)
+    Rs, Ah = covset.source_cov, A.conj().T
+    derivs = [
+        D @ Rs @ Ah + A @ Rs @ D.conj().T
+        for axis in ("bearing", "range")
+        for D in steering_derivatives(scn, axis)
+    ]
+    derivs += [A @ E @ Ah for E in ParameterIndex(scn.num_sources).cov_entry_bases()]
+    derivs.append(np.eye(scn.num_sensors, dtype=complex))
+    Rinv = np.linalg.inv(covset.array_cov)
+    half = [Rinv @ D for D in derivs]
+    F = np.array([[np.real(np.trace(a @ b)) for b in half] for a in half])
+    return scn.snapshots * F
+
+
+def pinv_totals(F: np.ndarray, n_sources: int) -> tuple[float, float]:
+    """Reference bearing and range bound totals from np.linalg.pinv."""
+    diag = np.diag(np.linalg.pinv(F, rtol=1e-12))
+    return float(diag[:n_sources].sum()), float(diag[n_sources : 2 * n_sources].sum())
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfcrb import (
     FimMatrix,
@@ -7,6 +11,7 @@ from nfcrb import (
     Scenario,
     SensorGeom,
     SingularCovarianceError,
+    SingularGeometryError,
     SourceGeom,
     SourceSignal,
     ValidationError,
@@ -24,13 +29,30 @@ from nfcrb import (
     steering_matrix,
     to_polar,
 )
-from conftest import random_scenario
+from nfcrb.fim_crb import DR_CHUNK_VALUES, batch_chunk, crb_totals, fim_batch
+from conftest import pinv_totals, random_scenario, trace_loop_fim
 
 
 def _prep(scn):
     A = steering_matrix(delay_matrix(scn), scn.frequencies())
     covset = covariances(A, scn.signals, scn.noise_variance)
     return A, covset
+
+
+def _own_layout(scn):
+    return scn.sensor_radii()[None], scn.sensor_azimuths()[None]
+
+
+def _with_layout(scn, radii, azimuths):
+    return replace(scn, sensors=tuple(SensorGeom(r, a) for r, a in zip(radii, azimuths)))
+
+
+def _layouts(rng, scn, k):
+    """The scenario's own sensor layout followed by k - 1 perturbed copies."""
+    m = scn.num_sensors
+    radii = scn.sensor_radii() + np.vstack([np.zeros(m), rng.uniform(0, 5, (k - 1, m))])
+    turns = np.vstack([np.zeros(m), rng.uniform(-0.3, 0.3, (k - 1, m))])
+    return radii, (scn.sensor_azimuths() + turns) % (2 * np.pi)
 
 
 def _max_rel(analytic, numeric):
@@ -169,6 +191,108 @@ class TestFimGeneric:
             fim_generic(R, [np.eye(3, dtype=complex)], 1)
 
 
+class TestFimBatch:
+    def _check_stack(self, rng, scn, k=4):
+        radii, azimuths = _layouts(rng, scn, k)
+        F, _ = fim_batch(scn, radii, azimuths)
+        size = ParameterIndex(scn.num_sources).size
+        assert F.shape == (k, size, size)
+        for i in range(k):
+            ref = trace_loop_fim(_with_layout(scn, radii[i], azimuths[i]))
+            assert np.abs(F[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
+    def test_matches_trace_loop_on_bundled(self, fixture, request):
+        polar, _ = to_polar(request.getfixturevalue(fixture))
+        self._check_stack(np.random.default_rng(51), polar)
+
+    def test_matches_trace_loop_on_random_scenarios(self):
+        rng = np.random.default_rng(52)
+        for _ in range(50):
+            self._check_stack(rng, random_scenario(rng))
+
+    def test_single_layout_equals_fim_for_scenario(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            scn = random_scenario(rng)
+            F, cond = fim_batch(scn, *_own_layout(scn))
+            fim = fim_for_scenario(scn)
+            assert np.array_equal(F[0], fim.entries)
+            assert cond[0] == fim.array_cov_condition
+
+    def test_chunk_bound(self):
+        for m in range(2, 12):
+            for n in range(1, m):
+                k = batch_chunk(m, n)
+                per_layout = (n + 1) ** 2 * m * m
+                assert k >= 1
+                assert k * per_layout <= DR_CHUNK_VALUES or k == 1
+                assert (k + 1) * per_layout > DR_CHUNK_VALUES
+
+    def test_failing_layout_fails_the_call(self):
+        scn = Scenario(
+            sources=(SourceGeom(100.0, 0.0),),
+            sensors=(SensorGeom(10.0, 0.0), SensorGeom(20.0, 1.0)),
+            velocity_mps=3e8,
+            signals=(SourceSignal(1e6, 1 + 1j),),
+            noise_variance=1.0,
+            snapshots=1,
+        )
+        radii = np.array([[10.0, 20.0], [100.0, 20.0]])
+        azimuths = np.array([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(SingularGeometryError, match="sensor 1 coincides with source 1"):
+            fim_batch(scn, radii, azimuths)
+
+
+class TestKernelProperties:
+    """Invariants of the batched information matrix over random scenarios."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_and_psd(self, seed):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        F, _ = fim_batch(scn, *_layouts(rng, scn, 3))
+        assert np.array_equal(F, F.swapaxes(1, 2))
+        for Fk in F:
+            assert np.linalg.eigvalsh(Fk).min() >= -1e-9 * np.abs(Fk).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), snapshots=st.integers(1, 64))
+    def test_linear_in_snapshots(self, seed, snapshots):
+        rng = np.random.default_rng(seed)
+        scn = replace(random_scenario(rng), snapshots=1)
+        layouts = _layouts(rng, scn, 3)
+        F1, _ = fim_batch(scn, *layouts)
+        Fk, _ = fim_batch(replace(scn, snapshots=snapshots), *layouts)
+        assert np.array_equal(Fk, snapshots * F1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), angle=st.floats(-2 * np.pi, 2 * np.pi))
+    def test_rotation_invariant(self, seed, angle):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        turned = replace(
+            scn,
+            sensors=tuple(SensorGeom(s.radius_m, s.azimuth_rad + angle) for s in scn.sensors),
+            sources=tuple(SourceGeom(s.range_m, s.bearing_rad + angle) for s in scn.sources),
+        )
+        F = fim_batch(scn, *_own_layout(scn))[0][0]
+        G = fim_batch(turned, *_own_layout(turned))[0][0]
+        assert np.abs(F - G).max() <= 1e-9 * np.abs(F).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_independent_of_chunk_size(self, seed, k):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        radii, azimuths = _layouts(rng, scn, k)
+        F, cond = fim_batch(scn, radii, azimuths)
+        singles = [fim_batch(scn, radii[i : i + 1], azimuths[i : i + 1]) for i in range(k)]
+        assert np.array_equal(F, np.concatenate([f for f, _ in singles]))
+        assert np.array_equal(cond, np.concatenate([c for _, c in singles]))
+
+
 class TestSelectionMatrices:
     def test_two_source_index_vectors(self):
         sel = selection_matrices(2)
@@ -277,6 +401,43 @@ class TestCrbFromFim:
         assert report.rank == 12 and report.size == 16
         assert report.crb_theta_total == pytest.approx(1372.1902563655324, rel=1e-6)
         assert report.crb_r_total == pytest.approx(11864.617489266817, rel=1e-6)
+
+    def test_cutoff_is_strict_like_pinv(self):
+        # a singular value exactly at 1e-12 of the largest is dropped, as in pinv
+        at = crb_from_fim(FimMatrix(np.diag([1.0, 1e-12]), snapshots=1, index=None), n_sources=1)
+        assert at.rank == 1 and at.rank_deficient
+        assert at.crb_r[0] == 0.0
+        above = crb_from_fim(FimMatrix(np.diag([1.0, 1.5e-12]), snapshots=1, index=None), n_sources=1)
+        assert above.rank == 2 and not above.rank_deficient
+        assert above.condition_number == pytest.approx(1 / 1.5e-12, rel=1e-12)
+
+    def test_matches_pinv_and_singular_values(self):
+        rng = np.random.default_rng(54)
+        for _ in range(50):
+            scn = random_scenario(rng)
+            fim = fim_for_scenario(scn)
+            report = crb_from_fim(fim)
+            sv = np.linalg.svd(fim.entries, compute_uv=False)
+            assert report.rank == int(np.sum(sv > 1e-12 * sv[0]))
+            theta, r = pinv_totals(fim.entries, scn.num_sources)
+            assert report.crb_theta_total == pytest.approx(theta, rel=1e-9)
+            assert report.crb_r_total == pytest.approx(r, rel=1e-9)
+
+    def test_batched_totals_equal_single_reports(self):
+        rng = np.random.default_rng(55)
+        scn = random_scenario(rng, m=5, n=3)
+        radii, azimuths = _layouts(rng, scn, 6)
+        F, _ = fim_batch(scn, radii, azimuths)
+        theta, r = crb_totals(F, 3)
+        for k in range(6):
+            report = crb_from_fim(FimMatrix(F[k], scn.snapshots, ParameterIndex(3)))
+            assert theta[k] == report.crb_theta_total
+            assert r[k] == report.crb_r_total
+
+    def test_empty_matrix(self):
+        report = crb_from_fim(fim_generic(np.eye(3, dtype=complex), [], 1), n_sources=0)
+        assert report.size == 0 and report.rank == 0 and not report.rank_deficient
+        assert report.crb_theta_total == 0.0 and report.condition_number == np.inf
 
     def test_needs_source_count(self):
         with pytest.raises(ValidationError):

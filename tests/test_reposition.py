@@ -6,19 +6,27 @@ import pytest
 from nfcrb import (
     DisplacementGrid,
     RepositionPlan,
+    Scenario,
+    SensorGeom,
+    SourceGeom,
+    SourceSignal,
     ValidationError,
     analytic_reposition,
     apply_reposition,
     gf_objective,
+    grid_search,
     hadamard_bound,
     line_search_reposition,
     pairwise_delay_matrix,
     phase_terms,
     received_power,
+    scenario_from_positions,
+    scenario_positions,
     steering_matrix,
     to_pairwise,
 )
-from conftest import pairwise_scenario, random_upper_half_scenario
+from nfcrb.reposition import _displacement_values
+from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
 
 
 def reference_plan_a():
@@ -194,6 +202,63 @@ class TestLineSearch:
         plan = line_search_reposition(scenario_a, 2, "det", DisplacementGrid(-200, 200, 401))
         assert plan.objective_after < plan.objective_before
         assert plan.mode == "linesearch"
+
+
+def per_candidate_bounds(scn, element, displacements) -> dict[float, tuple[float, float]]:
+    """Bearing and range bound totals at each displacement, one rebuilt scenario per candidate."""
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    out = {}
+    for disp in displacements:
+        moved = sensors_xy.copy()
+        moved[element, 0] += disp
+        polar = scenario_from_positions(
+            moved, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+        )
+        out[float(disp)] = pinv_totals(trace_loop_fim(polar), scn.num_sources)
+    return out
+
+
+class TestBatchedBoundSearch:
+    GRID = DisplacementGrid(-200.0, 200.0, 201)
+
+    @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
+    def test_matches_per_candidate_loop(self, fixture, request):
+        scn = request.getfixturevalue(fixture)
+        grid_points = np.unique(self.GRID.values())
+        line_points = np.unique(np.concatenate([grid_points, [0.0]]))
+        reference = per_candidate_bounds(scn, 2, line_points)
+        for which, objective in enumerate(("crb_theta", "crb_r")):
+            for points, plan in (
+                (grid_points, grid_search(scn, 2, objective, self.GRID)),
+                (line_points, line_search_reposition(scn, 2, objective, self.GRID)),
+            ):
+                values = [reference[float(d)][which] for d in points]
+                best = int(np.argmin(values))  # first minimum, ascending displacements
+                assert plan.displacement_m == points[best]
+                assert plan.objective_after == pytest.approx(values[best], rel=1e-9)
+                assert plan.objective_before == pytest.approx(reference[0.0][which], rel=1e-9)
+
+    def test_coinciding_candidate_alone_is_skipped(self):
+        # the element sits at (10, 0) and source 1 at (110, 0): the +100 m
+        # candidate puts them on top of each other
+        scn = Scenario(
+            sources=(SourceGeom(110.0, 0.0), SourceGeom(150.0, 1.2)),
+            sensors=(SensorGeom(0.0, 0.0), SensorGeom(10.0, 0.0), SensorGeom(30.0, 2.0)),
+            velocity_mps=3e8,
+            signals=(SourceSignal(1e6, 1 + 1j), SourceSignal(2e6, 0.5 - 1j)),
+            noise_variance=1.0,
+            snapshots=1,
+        )
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        disps = np.linspace(60.0, 140.0, 81)
+        values = _displacement_values("crb_r", 1, sensors_xy, sources_xy, scn, disps)
+        failed = [d for d, v in zip(disps, values) if isinstance(v, ValidationError)]
+        assert failed == [100.0]
+        assert str(values[40]) == "a sensor coincides with a source"
+        reference = per_candidate_bounds(scn, 1, np.delete(disps, 40))
+        for disp, value in zip(disps, values):
+            if disp != 100.0:
+                assert value == pytest.approx(reference[float(disp)][1], rel=1e-9)
 
 
 class TestApplyReposition:
