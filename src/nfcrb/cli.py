@@ -23,12 +23,13 @@ import numpy as np
 from .errors import ValidationError
 from .fim_crb import (
     fim_closed_form,
+    fim_generic,
     rx_derivatives,
     rx_derivatives_fd,
     steering_derivatives,
     steering_derivatives_fd,
 )
-from .geometry import PairwiseScenario, delay_matrix, pairwise_delay_matrix, to_polar
+from .geometry import PairwiseScenario, delay_matrix, native_delays, polar_form
 from .optimizer import ConstellationMetrics, SweepSpec, compare_report, grid_search, sweep
 from .reposition import (
     DisplacementGrid,
@@ -42,6 +43,7 @@ from .reposition import (
 from .scenario_io import (
     format_run_report,
     load_scenario,
+    parse_number,
     run_report,
     run_report_to_csv,
     runtime_scenario,
@@ -52,33 +54,42 @@ from .signal_model import covariances, frequency_vector, received_power, steerin
 
 def _load_runtime(args):
     sf = load_scenario(args.scenario)
-    eta = getattr(args, "eta", None)
-    snaps = getattr(args, "snapshots", None)
+    eta = None if args.eta is None else parse_number(args.eta, "--eta")
+    snaps = None if args.snapshots is None else parse_number(args.snapshots, "--snapshots", int)
     scn, defaults = runtime_scenario(sf, eta, snaps)
     return sf, scn, defaults
 
 
-def _native_steering(scn):
-    tau = pairwise_delay_matrix(scn) if isinstance(scn, PairwiseScenario) else delay_matrix(scn)
-    freqs = frequency_vector(scn.signals)
-    return steering_matrix(tau, freqs)
+def _native_powers(scn) -> tuple[np.ndarray, int]:
+    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+    return received_power(A, scn.signals)
 
 
 def _resolve_element(scn, spec: str) -> int:
     if spec == "auto":
-        _, strongest = received_power(_native_steering(scn), scn.signals)
-        return strongest
-    k = int(spec) - 1
+        return _native_powers(scn)[1]
+    k = parse_number(spec, "--element", int) - 1
     if not 0 <= k < scn.num_sensors:
         raise ValidationError(f"element {spec} outside 1..{scn.num_sensors}")
     return k
+
+
+def _max_rel_err(analytic, finite_diff) -> float:
+    return max(
+        float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
+        for a, f in zip(analytic, finite_diff)
+    )
 
 
 def _parse_grid(text: str) -> DisplacementGrid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be min:max:steps, got {text!r}")
-    return DisplacementGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+    return DisplacementGrid(
+        parse_number(parts[0], "--grid min"),
+        parse_number(parts[1], "--grid max"),
+        parse_number(parts[2], "--grid steps", int),
+    )
 
 
 def cmd_compute(args) -> int:
@@ -100,7 +111,7 @@ def cmd_reposition(args) -> int:
     sf, scn, defaults = _load_runtime(args)
     element = _resolve_element(scn, args.element)
     if args.mode == "analytic":
-        m = args.m if args.m == "auto" else int(args.m)
+        m = args.m if args.m == "auto" else parse_number(args.m, "--m", int)
         plan = analytic_reposition(scn, element, m)
     else:
         grid = _parse_grid(args.grid)
@@ -143,28 +154,25 @@ def cmd_sweep(args) -> int:
     if parts[0] == "frequency":
         if len(parts) != 5:
             raise ValidationError("frequency sweep must be frequency:<source>:<start>:<stop>:<steps>")
-        spec = SweepSpec(
-            vary="frequency",
-            source=int(parts[1]) - 1,
-            start=float(parts[2]),
-            stop=float(parts[3]),
-            steps=int(parts[4]),
-            modes=tuple(args.modes.split(",")),
-        )
+        source = parse_number(parts[1], "--vary source", int) - 1
+        bounds = parts[2:]
     elif parts[0] == "velocity":
         if len(parts) != 4:
             raise ValidationError("velocity sweep must be velocity:<start>:<stop>:<steps>")
-        spec = SweepSpec(
-            vary="velocity",
-            start=float(parts[1]),
-            stop=float(parts[2]),
-            steps=int(parts[3]),
-            modes=tuple(args.modes.split(",")),
-        )
+        source = None
+        bounds = parts[1:]
     else:
         raise ValidationError(f"unknown sweep kind {parts[0]!r}")
+    spec = SweepSpec(
+        vary=parts[0],
+        source=source,
+        start=parse_number(bounds[0], "--vary start"),
+        stop=parse_number(bounds[1], "--vary stop"),
+        steps=parse_number(bounds[2], "--vary steps", int),
+        modes=tuple(args.modes.split(",")),
+    )
     rows = sweep(scn, spec)
-    write_reports(rows, "csv", args.out)
+    write_reports(rows, args.out)
     print(f"swept {spec.vary} over [{spec.start:g}, {spec.stop:g}] in {spec.steps} steps; "
           f"{len(rows)} rows -> {args.out}")
     return 0
@@ -172,7 +180,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     sf, scn, defaults = _load_runtime(args)
-    polar = to_polar(scn)[0] if isinstance(scn, PairwiseScenario) else scn
+    polar, _ = polar_form(scn)
     failures = 0
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -181,25 +189,17 @@ def cmd_validate(args) -> int:
         failures += 0 if ok else 1
 
     for axis in ("bearing", "range"):
-        ana = steering_derivatives(polar, axis)
-        fd = steering_derivatives_fd(polar, axis)
-        err = max(
-            float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
-            for a, f in zip(ana, fd)
-        )
+        err = _max_rel_err(steering_derivatives(polar, axis), steering_derivatives_fd(polar, axis))
         check(f"steering derivatives ({axis})", err <= 1e-6, f"max rel err {err:.3e} (tol 1e-06)")
 
     A = steering_matrix(delay_matrix(polar), polar.frequencies())
     covset = covariances(A, polar.signals, polar.noise_variance)
     ana_rx = rx_derivatives(polar, A, covset)
-    fd_rx = rx_derivatives_fd(polar)
-    err = max(
-        float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
-        for a, f in zip(ana_rx, fd_rx)
-    )
+    err = _max_rel_err(ana_rx, rx_derivatives_fd(polar))
     check("array covariance derivatives", err <= 1e-5, f"max rel err {err:.3e} (tol 1e-05)")
 
-    _, deviations = fim_closed_form(polar, A, covset, polar.snapshots)
+    generic = fim_generic(covset.array_cov, ana_rx, polar.snapshots)
+    _, deviations = fim_closed_form(polar, A, covset, generic)
     gated = ("bearing-bearing", "bearing-range", "range-range", "noise-noise")
     worst_gated = max(deviations[k] for k in gated)
     check(
@@ -225,13 +225,12 @@ def cmd_validate(args) -> int:
         ok &= bound >= det
     check("determinant bound on random matrices", ok, f"min (bound - |det|) = {worst_margin:.3e}")
 
-    pws = scn if isinstance(scn, PairwiseScenario) else None
-    if pws is not None:
-        powers, _ = received_power(_native_steering(pws), pws.signals)
-        smax2 = max(abs(sig.amplitude) ** 2 for sig in pws.signals)
+    if isinstance(scn, PairwiseScenario):
+        powers, _ = _native_powers(scn)
+        smax2 = max(abs(sig.amplitude) ** 2 for sig in scn.signals)
         ok = True
-        for k in range(pws.num_sensors):
-            bound = smax2 * gf_objective(phase_terms(pws, k))
+        for k in range(scn.num_sensors):
+            bound = smax2 * gf_objective(phase_terms(scn, k))
             ok &= powers[k] <= bound * (1 + 1e-12)
         check("per-element power bound", ok, "power_k <= max|amp|^2 * phase objective, all elements")
 
@@ -248,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="bound report for a scenario")
     p.add_argument("--scenario", required=True, help="path or bundled name (scenario_a, scenario_b)")
-    p.add_argument("--eta", type=float, default=None, help="override noise variance")
-    p.add_argument("--snapshots", type=int, default=None, help="override snapshot count")
+    p.add_argument("--eta", default=None, help="override noise variance")
+    p.add_argument("--snapshots", default=None, help="override snapshot count")
     p.add_argument("--out", default=None, help="optional CSV destination")
     p.set_defaults(func=cmd_compute)
 
@@ -260,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="gf", choices=["gf", "det", "crb_theta", "crb_r"])
     p.add_argument("--m", default="auto", help="phase divisor for the analytic mode ('auto' or integer)")
     p.add_argument("--grid", default="-200:200:401", help="displacement grid min:max:steps (meters)")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--snapshots", type=int, default=None)
+    p.add_argument("--eta", default=None)
+    p.add_argument("--snapshots", default=None)
     p.set_defaults(func=cmd_reposition)
 
     p = sub.add_parser("sweep", help="frequency or velocity sweep to CSV")
@@ -273,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--modes", default="primary", help="comma-separated: primary,reposition")
     p.add_argument("--out", required=True, help="CSV destination")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--snapshots", type=int, default=None)
+    p.add_argument("--eta", default=None)
+    p.add_argument("--snapshots", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run self-checks; nonzero exit on failure")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--snapshots", type=int, default=None)
+    p.add_argument("--eta", default=None)
+    p.add_argument("--snapshots", default=None)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -11,9 +11,10 @@ the real part then the imaginary part.
 Two routes to the information matrix are provided: the generic trace form
 (one trace of R^-1 dR R^-1 dR per entry, scaled by the snapshot count), which
 is the authoritative path, and a closed-form block assembly built from
-index-selection matrices, kept as a cross-check that reports its per-block
-deviation from the generic path.  Finite-difference oracles for the steering
-and covariance derivatives back both.
+index-selection matrices, kept as a cross-check of a given generic matrix
+(run by ``validate`` and the tests, not by reports) that reports its
+per-block deviation.  Finite-difference oracles for the steering and
+covariance derivatives back both.
 
 The trace form runs on a leading batch axis: ``fim_batch`` scores K sensor
 layouts around one set of sources in one array pass (steering, rank-two
@@ -345,34 +346,32 @@ class SelectionMatrices:
 
     * ``strict_lower_idx`` / ``mirror_upper_idx``: strictly-lower entries in
       column-major order and, pairwise, their mirrored upper entries;
-    * ``lower_diag_idx``: lower-triangle-with-diagonal entries, column-major;
-    * ``diag_idx``: the diagonal entries;
-    * ``*_rows``: the matching output row numbers (1..count).
+    * ``lower_diag_idx``: lower-triangle-with-diagonal entries, column-major,
+      and ``lower_diag_rows`` their output row numbers (1..count);
+    * ``diag_idx``: the diagonal entries.
 
     ``fold_add`` / ``fold_sub`` write the sum / difference of mirrored entries
     into the lower slots; ``lower_selector`` / ``strict_lower_selector`` keep
-    only those slots.  ``sym_fold`` and ``skew_fold`` compose them (the skew
-    fold carries a -j factor, making it complex), and ``hermitian_to_real``
-    stacks both so a vectorized Hermitian matrix maps to the real listing
-    [diagonals and doubled real parts; doubled negated imaginary parts].
-    ``diag_selector`` extracts the diagonal of a vectorized matrix.
+    only those slots.  The symmetric fold (lower selector after fold_add) and
+    ``skew_fold`` compose them (the skew fold carries a -j factor, making it
+    complex), and ``hermitian_to_real`` stacks both so a vectorized Hermitian
+    matrix maps to the real listing [diagonals and doubled real parts; doubled
+    negated imaginary parts].  ``diag_selector`` extracts the diagonal of a
+    vectorized matrix.
     """
 
     hermitian_to_real: np.ndarray
     diag_selector: np.ndarray
-    sym_fold: np.ndarray
     skew_fold: np.ndarray
     fold_add: np.ndarray
     fold_sub: np.ndarray
     lower_selector: np.ndarray
     strict_lower_selector: np.ndarray
     strict_lower_idx: np.ndarray
-    strict_lower_rows: np.ndarray
     mirror_upper_idx: np.ndarray
     lower_diag_idx: np.ndarray
     lower_diag_rows: np.ndarray
     diag_idx: np.ndarray
-    diag_rows: np.ndarray
 
 
 def _ones_at(rows, cols, shape) -> np.ndarray:
@@ -410,19 +409,16 @@ def selection_matrices(n_sources: int) -> SelectionMatrices:
     return SelectionMatrices(
         hermitian_to_real=hermitian_to_real,
         diag_selector=diag_selector,
-        sym_fold=sym_fold,
         skew_fold=skew_fold,
         fold_add=fold_add,
         fold_sub=fold_sub,
         lower_selector=lower_selector,
         strict_lower_selector=strict_lower_selector,
         strict_lower_idx=one_based(strict_lower),
-        strict_lower_rows=one_based(range(len(strict_lower))),
         mirror_upper_idx=one_based(mirror_upper),
         lower_diag_idx=one_based(lower_diag),
         lower_diag_rows=one_based(range(len(lower_diag))),
         diag_idx=one_based(diag),
-        diag_rows=one_based(range(N)),
     )
 
 
@@ -462,19 +458,22 @@ def _vec(M: np.ndarray) -> np.ndarray:
 
 
 def fim_closed_form(
-    scenario: Scenario, A: np.ndarray, covset: CovarianceSet, snapshots: int
+    scenario: Scenario, A: np.ndarray, covset: CovarianceSet, generic: FimMatrix
 ) -> tuple[FimMatrix, dict[str, float]]:
-    """Block-assembled information matrix plus per-block deviation from the generic path.
+    """Block-assembled information matrix plus per-block deviation from ``generic``.
 
-    The bearing/range blocks combine Hadamard products of source-covariance
-    and derivative cross terms; blocks coupled to the covariance-entry
-    parameters go through the selection matrices and are then realigned to the
+    ``generic`` is the trace-form matrix of the same scenario, steering and
+    covariances; its snapshot count scales the closed form too.  The
+    bearing/range blocks combine Hadamard products of source-covariance and
+    derivative cross terms; blocks coupled to the covariance-entry parameters
+    go through the selection matrices and are then realigned to the
     ParameterIndex ordering.  The generic trace form remains authoritative:
     the returned dict reports max |closed - generic| per block, relative to
     the block magnitude floored at 1e-6 of the whole matrix so that blocks
     that are numerically zero report their absolute noise instead of 0/0.
     """
     N = scenario.num_sources
+    snapshots = generic.snapshots
     index = ParameterIndex(N)
     Rs = covset.source_cov
     R = covset.array_cov
@@ -537,7 +536,6 @@ def fim_closed_form(
     F[iv, iv] = noise_noise
     F = 0.5 * (F + F.T)
 
-    generic = fim_generic(R, rx_derivatives(scenario, A, covset), snapshots)
     G = generic.entries
     blocks = {
         "bearing-bearing": (sb, sb),
@@ -626,6 +624,29 @@ def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
     )
 
 
+def _source_steps(
+    scenario: Scenario, axis: str, rel_step: float
+) -> list[tuple[Scenario, Scenario, float]]:
+    """Per source, copies of the scenario with that source stepped up and down, plus the step.
+
+    Steps are ``rel_step`` radians for bearings and ``rel_step`` of each range
+    for ranges.
+    """
+    if axis not in ("bearing", "range"):
+        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
+    field = "bearing_rad" if axis == "bearing" else "range_m"
+    out = []
+    for n, src in enumerate(scenario.sources):
+        h = rel_step if axis == "bearing" else rel_step * src.range_m
+        hi_lo = []
+        for step in (h, -h):
+            sources = list(scenario.sources)
+            sources[n] = replace(src, **{field: getattr(src, field) + step})
+            hi_lo.append(replace(scenario, sources=tuple(sources)))
+        out.append((*hi_lo, h))
+    return out
+
+
 def steering_derivatives_fd(
     scenario: Scenario, axis: str, rel_step: float = 1e-6
 ) -> list[np.ndarray]:
@@ -633,30 +654,11 @@ def steering_derivatives_fd(
 
     Steps are 1e-6 radians for bearings and 1e-6 of each range for ranges.
     """
-    if axis not in ("bearing", "range"):
-        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
     freqs = scenario.frequencies()
-
-    def steering_at(sources) -> np.ndarray:
-        scn = replace(scenario, sources=tuple(sources))
-        return steering_matrix(delay_matrix(scn), freqs)
-
-    out = []
-    for n, src in enumerate(scenario.sources):
-        if axis == "bearing":
-            h = rel_step
-            hi = replace(src, bearing_rad=src.bearing_rad + h)
-            lo = replace(src, bearing_rad=src.bearing_rad - h)
-        else:
-            h = rel_step * src.range_m
-            hi = replace(src, range_m=src.range_m + h)
-            lo = replace(src, range_m=src.range_m - h)
-        sources_hi = list(scenario.sources)
-        sources_lo = list(scenario.sources)
-        sources_hi[n] = hi
-        sources_lo[n] = lo
-        out.append((steering_at(sources_hi) - steering_at(sources_lo)) / (2.0 * h))
-    return out
+    return [
+        (steering_matrix(delay_matrix(hi), freqs) - steering_matrix(delay_matrix(lo), freqs)) / (2.0 * h)
+        for hi, lo, h in _source_steps(scenario, axis, rel_step)
+    ]
 
 
 def rx_derivatives_fd(scenario: Scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
@@ -666,41 +668,21 @@ def rx_derivatives_fd(scenario: Scenario, rel_step: float = 1e-6) -> list[np.nda
     s = scenario.amplitudes()
     base_rs = np.outer(s, s.conj())
 
-    def rx_at(sources, rs_shift, eta) -> np.ndarray:
-        scn = replace(scenario, sources=tuple(sources))
+    def rx_at(scn, rs_shift, eta) -> np.ndarray:
         A = steering_matrix(delay_matrix(scn), freqs)
         return A @ (base_rs + rs_shift) @ A.conj().T + eta * np.eye(scenario.num_sensors)
 
     eta0 = scenario.noise_variance
     zero = np.zeros_like(base_rs)
-    out = []
-    for axis in ("bearing", "range"):
-        for n, src in enumerate(scenario.sources):
-            if axis == "bearing":
-                h = rel_step
-                hi = replace(src, bearing_rad=src.bearing_rad + h)
-                lo = replace(src, bearing_rad=src.bearing_rad - h)
-            else:
-                h = rel_step * src.range_m
-                hi = replace(src, range_m=src.range_m + h)
-                lo = replace(src, range_m=src.range_m - h)
-            sources_hi = list(scenario.sources)
-            sources_lo = list(scenario.sources)
-            sources_hi[n] = hi
-            sources_lo[n] = lo
-            out.append(
-                (rx_at(sources_hi, zero, eta0) - rx_at(sources_lo, zero, eta0)) / (2.0 * h)
-            )
+    out = [
+        (rx_at(hi, zero, eta0) - rx_at(lo, zero, eta0)) / (2.0 * h)
+        for axis in ("bearing", "range")
+        for hi, lo, h in _source_steps(scenario, axis, rel_step)
+    ]
     scale = max(float(np.abs(s).max()) ** 2, 1.0)
     for E in index.cov_entry_bases():
         h = rel_step * scale
-        out.append(
-            (rx_at(scenario.sources, h * E, eta0) - rx_at(scenario.sources, -h * E, eta0))
-            / (2.0 * h)
-        )
+        out.append((rx_at(scenario, h * E, eta0) - rx_at(scenario, -h * E, eta0)) / (2.0 * h))
     h = rel_step * eta0
-    out.append(
-        (rx_at(scenario.sources, zero, eta0 + h) - rx_at(scenario.sources, zero, eta0 - h))
-        / (2.0 * h)
-    )
+    out.append((rx_at(scenario, zero, eta0 + h) - rx_at(scenario, zero, eta0 - h)) / (2.0 * h))
     return out

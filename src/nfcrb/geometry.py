@@ -380,6 +380,24 @@ def to_polar(pws: PairwiseScenario) -> tuple[Scenario, float]:
     )
 
 
+def native_delays(scn) -> np.ndarray:
+    """(M, N) delays in the scenario's own encoding: pairwise tables or polar coordinates."""
+    if isinstance(scn, PairwiseScenario):
+        return pairwise_delay_matrix(scn)
+    if isinstance(scn, Scenario):
+        return delay_matrix(scn)
+    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
+
+
+def polar_form(scn) -> tuple[Scenario, float | None]:
+    """Polar form of a scenario and its reconstruction residual in meters (None for polar input)."""
+    if isinstance(scn, PairwiseScenario):
+        return to_polar(scn)
+    if isinstance(scn, Scenario):
+        return scn, None
+    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
+
+
 def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
     """Cartesian sensors/sources of a polar or pairwise scenario.
 

@@ -14,22 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fim_crb import crb_from_fim, fim_for_scenario
-from .geometry import (
-    PairwiseScenario,
-    Scenario,
-    delay_matrix,
-    pairwise_delay_matrix,
-    scenario_positions,
-    to_polar,
-)
+from .fim_crb import CrbReport, FimMatrix, crb_from_fim, fim_for_scenario
+from .geometry import native_delays, polar_form, scenario_positions
 from .reposition import (
     DisplacementGrid,
     RepositionPlan,
     analytic_reposition,
     apply_reposition,
-    evaluate_objective,
     scan_displacements,
+    score_candidates,
 )
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
@@ -52,16 +45,9 @@ class BoxGrid:
             raise ValidationError("box grid bounds reversed")
 
     def points(self) -> np.ndarray:
-        xs = (
-            np.array([0.5 * (self.x_start + self.x_stop)])
-            if self.x_steps == 1
-            else np.linspace(self.x_start, self.x_stop, self.x_steps)
-        )
-        ys = (
-            np.array([0.5 * (self.y_start + self.y_stop)])
-            if self.y_steps == 1
-            else np.linspace(self.y_start, self.y_stop, self.y_steps)
-        )
+        """(K, 2) candidate positions, x-major; one step on an axis sits at its midpoint."""
+        xs = DisplacementGrid(self.x_start, self.x_stop, self.x_steps).values()
+        ys = DisplacementGrid(self.y_start, self.y_stop, self.y_steps).values()
         return np.array([(x, y) for x in xs for y in ys])
 
 
@@ -126,32 +112,46 @@ class ComparisonReport:
     worsened: tuple[str, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class ConstellationEvaluation:
+    """One constellation's det, received powers, information matrix and bounds.
+
+    det and powers use the scenario's native delays, the bounds its polar form;
+    ``residual`` is the reconstruction residual in meters, None for polar input.
+    """
+
+    det: float
+    received_powers: np.ndarray
+    strongest_element: int
+    residual: float | None
+    fim: FimMatrix
+    crb: CrbReport
+
+
+def evaluate_constellation(scn) -> ConstellationEvaluation:
+    """|det R_x|, per-element received powers, information matrix and bounds of a scenario."""
+    polar, residual = polar_form(scn)
+    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+    powers, strongest = received_power(A, scn.signals)
+    det = float(abs(np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)))
+    fim = fim_for_scenario(polar)
+    return ConstellationEvaluation(det, powers, strongest, residual, fim, crb_from_fim(fim))
+
+
 def constellation_metrics(scn) -> tuple[ConstellationMetrics, tuple[str, ...]]:
     """|det R_x| plus CRB totals for a polar or pairwise scenario.
 
-    The determinant uses the scenario's native delays; the bounds need polar
-    coordinates, so pairwise input is least-squares reconstructed first and
-    the residual reported in the notes.
+    The notes give the reconstruction residual of pairwise input and flag a
+    rank-deficient information matrix.
     """
+    ev = evaluate_constellation(scn)
     notes: list[str] = []
-    if isinstance(scn, PairwiseScenario):
-        tau = pairwise_delay_matrix(scn)
-        polar, residual = to_polar(scn)
-        notes.append(f"reconstruction residual {residual:.6e} m")
-    elif isinstance(scn, Scenario):
-        polar = scn
-        tau = delay_matrix(scn)
-    else:
-        raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
-    freqs = frequency_vector(scn.signals)
-    A = steering_matrix(tau, freqs)
-    covset = covariances(A, scn.signals, scn.noise_variance)
-    det = float(abs(np.linalg.det(covset.array_cov)))
-    report = crb_from_fim(fim_for_scenario(polar))
-    if report.rank_deficient:
-        notes.append(f"information matrix rank deficient ({report.rank}/{report.size})")
+    if ev.residual is not None:
+        notes.append(f"reconstruction residual {ev.residual:.6e} m")
+    if ev.crb.rank_deficient:
+        notes.append(f"information matrix rank deficient ({ev.crb.rank}/{ev.crb.size})")
     return (
-        ConstellationMetrics(det, report.crb_theta_total, report.crb_r_total),
+        ConstellationMetrics(ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total),
         tuple(notes),
     )
 
@@ -173,27 +173,18 @@ def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
     sensors_xy, sources_xy, _ = scenario_positions(scn)
     if not 0 <= element < len(sensors_xy):
         raise ValidationError(f"element {element} outside 0..{len(sensors_xy) - 1}")
-    base_val = None
+    points = region.points()
+    positions = np.vstack([sensors_xy[element], points])
+    base_val, *values = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    notes: list[str] = []
+    if isinstance(base_val, ValidationError):
+        notes.append(f"original position not evaluable: {base_val}")
+        base_val = None
     best_val = None
     best_pos = None
-    notes: list[str] = []
-    try:
-        base_val = evaluate_objective(
-            objective, element, sensors_xy, sources_xy, scn.signals,
-            scn.velocity_mps, scn.noise_variance, scn.snapshots,
-        )
-    except ValidationError as exc:
-        notes.append(f"original position not evaluable: {exc}")
-    for x, y in region.points():
-        moved = sensors_xy.copy()
-        moved[element] = (x, y)
-        try:
-            val = evaluate_objective(
-                objective, element, moved, sources_xy, scn.signals,
-                scn.velocity_mps, scn.noise_variance, scn.snapshots,
-            )
-        except ValidationError as exc:
-            notes.append(f"position ({x:.6g}, {y:.6g}) skipped: {exc}")
+    for (x, y), val in zip(points, values):
+        if isinstance(val, ValidationError):
+            notes.append(f"position ({x:.6g}, {y:.6g}) skipped: {val}")
             continue
         if best_val is None or val < best_val:
             best_val = val
@@ -244,12 +235,7 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
             notes: list[str] = []
             target = scn_pt
             if mode == "reposition":
-                if isinstance(scn_pt, PairwiseScenario):
-                    tau = pairwise_delay_matrix(scn_pt)
-                else:
-                    tau = delay_matrix(scn_pt)
-                freqs = frequency_vector(scn_pt.signals)
-                A = steering_matrix(tau, freqs)
+                A = steering_matrix(native_delays(scn_pt), frequency_vector(scn_pt.signals))
                 _, strongest = received_power(A, scn_pt.signals)
                 notes.append(f"strongest element {strongest + 1}")
                 try:
@@ -263,28 +249,19 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
             try:
                 metrics, extra = constellation_metrics(target)
                 notes.extend(extra)
-                rows.append(
-                    SweepRow(
-                        point=float(point),
-                        mode=mode,
-                        det=metrics.det,
-                        crb_theta_total=metrics.crb_theta_total,
-                        crb_r_total=metrics.crb_r_total,
-                        diagnostics="; ".join(notes),
-                    )
-                )
             except ValidationError as exc:
                 notes.append(f"evaluation failed: {exc}")
-                rows.append(
-                    SweepRow(
-                        point=float(point),
-                        mode=mode,
-                        det=float("nan"),
-                        crb_theta_total=float("nan"),
-                        crb_r_total=float("nan"),
-                        diagnostics="; ".join(notes),
-                    )
+                metrics = ConstellationMetrics(float("nan"), float("nan"), float("nan"))
+            rows.append(
+                SweepRow(
+                    point=float(point),
+                    mode=mode,
+                    det=metrics.det,
+                    crb_theta_total=metrics.crb_theta_total,
+                    crb_r_total=metrics.crb_r_total,
+                    diagnostics="; ".join(notes),
                 )
+            )
     return rows
 
 

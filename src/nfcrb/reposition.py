@@ -262,10 +262,11 @@ def evaluate_objective(
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 
-def _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps) -> list:
-    """The objective at each displacement of the element, or the ValidationError that rejected it.
+def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions) -> list:
+    """The objective with the element at each (x, y) row of ``positions``.
 
-    Bound totals are scored a chunk of sensor layouts per ``fim_batch`` call.
+    Each entry is the value or the ValidationError that rejected the
+    candidate.  Bound totals are scored a chunk of sensor layouts per ``fim_batch`` call.
     Each candidate layout goes to polar form exactly as
     ``scenario_from_positions`` would build it, without building a Scenario
     per candidate.  A chunk in which any candidate fails is rescored one
@@ -274,9 +275,9 @@ def _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps)
     time.
     """
 
-    def one(disp: float):
+    def one(position):
         moved = sensors_xy.copy()
-        moved[element, 0] += disp
+        moved[element] = position
         try:
             return evaluate_objective(
                 objective, element, moved, sources_xy, scn.signals,
@@ -286,31 +287,29 @@ def _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps)
             return exc
 
     if objective not in BOUND_OBJECTIVES:
-        return [one(disp) for disp in disps]
+        return [one(position) for position in positions]
     try:
         polar = scenario_from_positions(
             sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
         )
     except ValidationError:
-        return [one(disp) for disp in disps]
-    y = sensors_xy[element, 1]
+        return [one(position) for position in positions]
     step = batch_chunk(polar.num_sensors, polar.num_sources)
     values: list = []
-    for lo in range(0, len(disps), step):
-        chunk = disps[lo : lo + step]
+    for lo in range(0, len(positions), step):
+        chunk = positions[lo : lo + step]
         moved = np.repeat(sensors_xy[None], len(chunk), axis=0)
-        moved[:, element, 0] += chunk
-        xs = moved[:, element, 0]
+        moved[:, element] = chunk
         radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
         azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
-        radii[:, element] = [math.hypot(x, y) for x in xs]
-        azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x in xs]
+        radii[:, element] = [math.hypot(x, y) for x, y in chunk]
+        azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x, y in chunk]
         try:
             if np.any(np.linalg.norm(sources_xy[None, None] - moved[:, :, None], axis=3) <= 0):
                 raise SingularGeometryError("a sensor coincides with a source")
             totals = crb_totals(fim_batch(polar, radii, azimuths)[0], polar.num_sources)
         except ValidationError:
-            values.extend(one(disp) for disp in chunk)
+            values.extend(one(position) for position in chunk)
             continue
         values.extend(totals[BOUND_OBJECTIVES.index(objective)].tolist())
     return values
@@ -329,9 +328,11 @@ def scan_displacements(
     """
     sensors_xy, sources_xy, _ = scenario_positions(scn)
     _check_element(element, len(sensors_xy))
+    x0, y0 = sensors_xy[element]
 
     def values_at(disps: np.ndarray) -> list:
-        return _displacement_values(objective, element, sensors_xy, sources_xy, scn, disps)
+        positions = np.column_stack([x0 + disps, np.full_like(disps, y0)])
+        return score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
 
     cand = np.asarray(displacements, dtype=float)
     if include_origin:

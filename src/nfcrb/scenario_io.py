@@ -25,25 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fim_crb import crb_from_fim, fim_closed_form, fim_for_scenario
-from .geometry import (
-    PairwiseGeometry,
-    PairwiseScenario,
-    Scenario,
-    SensorGeom,
-    SourceGeom,
-    delay_matrix,
-    pairwise_delay_matrix,
-    to_polar,
-)
-from .optimizer import SweepRow
-from .signal_model import (
-    SourceSignal,
-    covariances,
-    frequency_vector,
-    received_power,
-    steering_matrix,
-)
+from .geometry import PairwiseGeometry, PairwiseScenario, Scenario, SensorGeom, SourceGeom
+from .optimizer import SweepRow, evaluate_constellation
+from .signal_model import SourceSignal
 
 DEFAULT_NOISE_VARIANCE = 1.0
 DEFAULT_SNAPSHOTS = 1
@@ -79,20 +63,59 @@ class ScenarioFile:
         return "pairwise" if self.pairwise is not None else "polar"
 
 
-def _need(obj: dict, key: str, path: str):
+def parse_number(value, path: str, kind: type = float):
+    """A finite number from a scenario-file field or a command-line string.
+
+    With ``kind=int`` the number must also be whole.  Errors name ``path``,
+    the offending field or option.
+    """
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{path}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ValidationError(f"{path}: expected a finite number, got {value!r}")
+    if kind is int:
+        if not out.is_integer():
+            raise ValidationError(f"{path}: expected an integer, got {value!r}")
+        return int(out)
+    return out
+
+
+def _need(obj, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: must be an object")
     if key not in obj:
         raise ValidationError(f"{path}.{key}: missing required field")
     return obj[key]
 
 
-def _positive(value, path: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: expected a number, got {value!r}") from None
-    if not out > 0:
-        raise ValidationError(f"{path}: must be positive, got {out}")
+def _list(obj, key: str, path: str) -> list:
+    out = _need(obj, key, path)
+    if not isinstance(out, list):
+        raise ValidationError(f"{path}.{key}: must be a list")
     return out
+
+
+def _number(obj, key: str, path: str) -> float:
+    return parse_number(_need(obj, key, path), f"{path}.{key}")
+
+
+def _positive(obj, key: str, path: str) -> float:
+    out = _number(obj, key, path)
+    if not out > 0:
+        raise ValidationError(f"{path}.{key}: must be positive, got {out}")
+    return out
+
+
+def _matrix(obj, key: str, path: str) -> np.ndarray:
+    rows = _list(obj, key, path)
+    path = f"{path}.{key}"
+    if not all(isinstance(row, list) for row in rows) or len({len(row) for row in rows}) > 1:
+        raise ValidationError(f"{path}: must be a list of equal-length rows")
+    return np.array(
+        [[parse_number(v, f"{path}[{k}][{n}]") for n, v in enumerate(row)] for k, row in enumerate(rows)]
+    )
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -106,31 +129,30 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     name = str(raw.get("name", "unnamed"))
     description = str(raw.get("description", ""))
-    velocity = _positive(_need(raw, "velocity_mps", "scenario"), "scenario.velocity_mps")
+    velocity = _positive(raw, "velocity_mps", "scenario")
 
-    sig_raw = _need(raw, "signals", "scenario")
-    if not isinstance(sig_raw, list) or not sig_raw:
+    sig_raw = _list(raw, "signals", "scenario")
+    if not sig_raw:
         raise ValidationError("scenario.signals: must be a nonempty list")
     signals = []
     for i, entry in enumerate(sig_raw):
         path = f"scenario.signals[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{path}: must be an object")
-        freq = _positive(_need(entry, "freq_hz", path), f"{path}.freq_hz")
+        freq = _positive(entry, "freq_hz", path)
         amp = _need(entry, "amplitude", path)
         if not (isinstance(amp, list) and len(amp) == 2):
             raise ValidationError(f"{path}.amplitude: expected [re, im]")
-        signals.append(SourceSignal(freq, complex(float(amp[0]), float(amp[1]))))
+        real, imag = (parse_number(v, f"{path}.amplitude[{k}]") for k, v in enumerate(amp))
+        signals.append(SourceSignal(freq, complex(real, imag)))
     signals = tuple(signals)
 
     defaults = []
     if "noise_variance" in raw:
-        noise = _positive(raw["noise_variance"], "scenario.noise_variance")
+        noise = _positive(raw, "noise_variance", "scenario")
     else:
         noise = DEFAULT_NOISE_VARIANCE
         defaults.append(f"noise_variance={DEFAULT_NOISE_VARIANCE}")
     if "snapshots" in raw:
-        snapshots = int(raw["snapshots"])
+        snapshots = parse_number(raw["snapshots"], "scenario.snapshots", int)
         if snapshots < 1:
             raise ValidationError(f"scenario.snapshots: must be >= 1, got {snapshots}")
     else:
@@ -151,25 +173,22 @@ def parse_scenario(text: str) -> ScenarioFile:
     polar = None
     pairwise = None
     if has_polar:
-        p = geom["polar"]
-        src_raw = _need(p, "sources", "scenario.geometry.polar")
-        sen_raw = _need(p, "sensors", "scenario.geometry.polar")
+        path = "scenario.geometry.polar"
+        src_raw = _list(geom["polar"], "sources", path)
+        sen_raw = _list(geom["polar"], "sensors", path)
         if len(src_raw) != N:
-            raise ValidationError(
-                f"scenario.geometry.polar.sources: {len(src_raw)} entries for {N} signals"
-            )
+            raise ValidationError(f"{path}.sources: {len(src_raw)} entries for {N} signals")
         sources = tuple(
             SourceGeom(
-                _positive(_need(e, "range_m", f"scenario.geometry.polar.sources[{i}]"),
-                          f"scenario.geometry.polar.sources[{i}].range_m"),
-                math.radians(float(_need(e, "bearing_deg", f"scenario.geometry.polar.sources[{i}]"))),
+                _positive(e, "range_m", f"{path}.sources[{i}]"),
+                math.radians(_number(e, "bearing_deg", f"{path}.sources[{i}]")),
             )
             for i, e in enumerate(src_raw)
         )
         sensors = tuple(
             SensorGeom(
-                float(_need(e, "radius_m", f"scenario.geometry.polar.sensors[{i}]")),
-                math.radians(float(_need(e, "azimuth_deg", f"scenario.geometry.polar.sensors[{i}]"))),
+                _number(e, "radius_m", f"{path}.sensors[{i}]"),
+                math.radians(_number(e, "azimuth_deg", f"{path}.sensors[{i}]")),
             )
             for i, e in enumerate(sen_raw)
         )
@@ -180,9 +199,8 @@ def parse_scenario(text: str) -> ScenarioFile:
             )
         polar = (sources, sensors)
     else:
-        p = geom["pairwise"]
-        vert = np.array(_need(p, "vertical_m", "scenario.geometry.pairwise"), dtype=float)
-        adeg = np.array(_need(p, "arrival_deg", "scenario.geometry.pairwise"), dtype=float)
+        vert = _matrix(geom["pairwise"], "vertical_m", "scenario.geometry.pairwise")
+        adeg = _matrix(geom["pairwise"], "arrival_deg", "scenario.geometry.pairwise")
         if vert.ndim != 2 or vert.shape != adeg.shape:
             raise ValidationError(
                 "scenario.geometry.pairwise: vertical_m and arrival_deg must be equal-shape matrices"
@@ -311,52 +329,33 @@ class RunReport:
     fim_size: int
     rank_deficient: bool
     array_cov_condition: float
-    closed_form_deviations: dict[str, float]
 
 
 def run_report(scn, name: str, defaults: tuple[str, ...]) -> RunReport:
     """Compute the full report for a polar or pairwise scenario."""
-    residual = None
-    if isinstance(scn, PairwiseScenario):
-        tau = pairwise_delay_matrix(scn)
-        polar, residual = to_polar(scn)
-    else:
-        polar = scn
-        tau = delay_matrix(scn)
-    freqs = frequency_vector(scn.signals)
-    A = steering_matrix(tau, freqs)
-    covset = covariances(A, scn.signals, scn.noise_variance)
-    powers, strongest = received_power(A, scn.signals)
-    det = float(abs(np.linalg.det(covset.array_cov)))
-
-    fim = fim_for_scenario(polar)
-    crb = crb_from_fim(fim)
-    A_polar = steering_matrix(delay_matrix(polar), freqs)
-    covset_polar = covariances(A_polar, polar.signals, polar.noise_variance)
-    _, deviations = fim_closed_form(polar, A_polar, covset_polar, polar.snapshots)
-
+    ev = evaluate_constellation(scn)
+    crb = ev.crb
     return RunReport(
         scenario_name=name,
-        encoding="pairwise" if isinstance(scn, PairwiseScenario) else "polar",
+        encoding="polar" if ev.residual is None else "pairwise",
         num_sensors=scn.num_sensors,
         num_sources=scn.num_sources,
         velocity_mps=scn.velocity_mps,
         noise_variance=scn.noise_variance,
         snapshots=scn.snapshots,
         defaults_applied=defaults,
-        det=det,
+        det=ev.det,
         crb_theta=crb.crb_theta,
         crb_r=crb.crb_r,
         crb_theta_total=crb.crb_theta_total,
         crb_r_total=crb.crb_r_total,
-        strongest_element=strongest,
-        received_powers=powers,
-        reconstruction_residual=residual,
+        strongest_element=ev.strongest_element,
+        received_powers=ev.received_powers,
+        reconstruction_residual=ev.residual,
         fim_rank=crb.rank,
         fim_size=crb.size,
         rank_deficient=crb.rank_deficient,
-        array_cov_condition=fim.array_cov_condition,
-        closed_form_deviations=deviations,
+        array_cov_condition=ev.fim.array_cov_condition,
     )
 
 
@@ -388,8 +387,6 @@ def format_run_report(report: RunReport) -> str:
         f"FIM rank: {report.fim_rank}/{report.fim_size}"
         + (" (rank deficient, pseudo-inverse used)" if report.rank_deficient else ""),
         f"cond(R_x): {_sci(report.array_cov_condition)}",
-        "closed-form vs generic max block deviation: "
-        + _sci(max(report.closed_form_deviations.values())),
     ]
     return "\n".join(lines)
 
@@ -446,55 +443,17 @@ def run_report_to_csv(report: RunReport) -> str:
     flags = list(report.defaults_applied)
     if report.rank_deficient:
         flags.append("rank_deficient")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerow(
-        [
-            _sci(0.0),
-            "primary",
-            _sci(report.det),
-            _sci(report.crb_theta_total),
-            _sci(report.crb_r_total),
-            "; ".join(flags).replace(",", ";"),
-        ]
-    )
-    return buf.getvalue()
+    row = SweepRow(0.0, "primary", report.det, report.crb_theta_total, report.crb_r_total, "; ".join(flags))
+    return sweep_rows_to_csv([row])
 
 
-def write_reports(rows, fmt: str, destination: str | Path) -> Path:
-    """Write sweep rows as 'csv' or aligned 'text' to the destination path."""
+def write_reports(rows, destination: str | Path) -> Path:
+    """Write sweep rows as CSV to the destination path."""
     if not rows:
         raise ValidationError("no results to write")
-    if fmt not in ("csv", "text"):
-        raise ValidationError(f"format must be 'csv' or 'text', got {fmt!r}")
     dest = Path(destination)
-    if fmt == "csv":
-        payload = sweep_rows_to_csv(list(rows))
-    else:
-        widths = [14, 12, 12, 16, 16]
-        header = "".join(h.ljust(w) for h, w in zip(CSV_HEADER[:5], widths)) + "flags"
-        lines = [header]
-        for row in rows:
-            lines.append(
-                "".join(
-                    v.ljust(w)
-                    for v, w in zip(
-                        [
-                            _sci(row.point),
-                            row.mode,
-                            _sci(row.det),
-                            _sci(row.crb_theta_total),
-                            _sci(row.crb_r_total),
-                        ],
-                        widths,
-                    )
-                )
-                + row.diagnostics
-            )
-        payload = "\n".join(lines) + "\n"
     try:
-        dest.write_text(payload)
+        dest.write_text(sweep_rows_to_csv(list(rows)))
     except OSError as exc:
         raise OSError(f"cannot write report to {dest}: {exc}") from exc
     return dest

@@ -130,7 +130,8 @@ def test_criterion_3_closed_form_blocks():
         scn = random_scenario(rng)
         A = steering_matrix(delay_matrix(scn), scn.frequencies())
         covset = covariances(A, scn.signals, scn.noise_variance)
-        _, dev = fim_closed_form(scn, A, covset, scn.snapshots)
+        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
+        _, dev = fim_closed_form(scn, A, covset, generic)
         worst_gated = max(worst_gated, max(dev[k] for k in gated))
         worst_cov = max(worst_cov, max(v for k, v in dev.items() if "cov" in k))
     ok = worst_gated <= 1e-8

@@ -337,7 +337,8 @@ class TestFimClosedForm:
         rng = np.random.default_rng(22)
         scn = random_scenario(rng, m=4, n=2)
         A, covset = _prep(scn)
-        F, _ = fim_closed_form(scn, A, covset, scn.snapshots)
+        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
+        F, _ = fim_closed_form(scn, A, covset, generic)
         Rinv = np.linalg.inv(covset.array_cov)
         expected = scn.snapshots * np.real(np.trace(Rinv @ Rinv))
         assert F.entries[-1, -1] == pytest.approx(expected, rel=1e-12)
@@ -354,7 +355,8 @@ class TestFimClosedForm:
             snapshots=1,
         )
         A, covset = _prep(scn)
-        F, _ = fim_closed_form(scn, A, covset, 1)
+        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), 1)
+        F, _ = fim_closed_form(scn, A, covset, generic)
         idx = ParameterIndex(1)
         assert np.allclose(F.entries[idx.bearing, idx.noise], 0.0, atol=1e-20)
 
@@ -363,7 +365,8 @@ class TestFimClosedForm:
         for _ in range(5):
             scn = random_scenario(rng, n=2)
             A, covset = _prep(scn)
-            F, dev = fim_closed_form(scn, A, covset, scn.snapshots)
+            generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
+            F, dev = fim_closed_form(scn, A, covset, generic)
             for block in ("bearing-bearing", "bearing-range", "range-range", "noise-noise"):
                 assert dev[block] < 1e-8
             # entry-parameter blocks reconcile too; pinned well below the gate
@@ -373,7 +376,8 @@ class TestFimClosedForm:
     def test_scenario_a_deviations_pinned(self, scenario_a):
         polar, _ = to_polar(scenario_a)
         A, covset = _prep(polar)
-        _, dev = fim_closed_form(polar, A, covset, 1)
+        generic = fim_generic(covset.array_cov, rx_derivatives(polar, A, covset), 1)
+        _, dev = fim_closed_form(polar, A, covset, generic)
         assert max(dev.values()) < 1e-9
 
 

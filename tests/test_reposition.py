@@ -25,7 +25,8 @@ from nfcrb import (
     steering_matrix,
     to_pairwise,
 )
-from nfcrb.reposition import _displacement_values
+from nfcrb.optimizer import BoxGrid
+from nfcrb.reposition import evaluate_objective, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
 
 
@@ -238,10 +239,11 @@ class TestBatchedBoundSearch:
                 assert plan.objective_after == pytest.approx(values[best], rel=1e-9)
                 assert plan.objective_before == pytest.approx(reference[0.0][which], rel=1e-9)
 
-    def test_coinciding_candidate_alone_is_skipped(self):
-        # the element sits at (10, 0) and source 1 at (110, 0): the +100 m
-        # candidate puts them on top of each other
-        scn = Scenario(
+    @staticmethod
+    def _coinciding_scenario() -> Scenario:
+        # the element sits at (10, 0) and source 1 at (110, 0): a candidate
+        # at (110, 0) puts them on top of each other
+        return Scenario(
             sources=(SourceGeom(110.0, 0.0), SourceGeom(150.0, 1.2)),
             sensors=(SensorGeom(0.0, 0.0), SensorGeom(10.0, 0.0), SensorGeom(30.0, 2.0)),
             velocity_mps=3e8,
@@ -249,9 +251,13 @@ class TestBatchedBoundSearch:
             noise_variance=1.0,
             snapshots=1,
         )
+
+    def test_coinciding_candidate_alone_is_skipped(self):
+        scn = self._coinciding_scenario()
         sensors_xy, sources_xy, _ = scenario_positions(scn)
         disps = np.linspace(60.0, 140.0, 81)
-        values = _displacement_values("crb_r", 1, sensors_xy, sources_xy, scn, disps)
+        positions = np.column_stack([sensors_xy[1, 0] + disps, np.full_like(disps, sensors_xy[1, 1])])
+        values = score_candidates("crb_r", 1, sensors_xy, sources_xy, scn, positions)
         failed = [d for d, v in zip(disps, values) if isinstance(v, ValidationError)]
         assert failed == [100.0]
         assert str(values[40]) == "a sensor coincides with a source"
@@ -259,6 +265,30 @@ class TestBatchedBoundSearch:
         for disp, value in zip(disps, values):
             if disp != 100.0:
                 assert value == pytest.approx(reference[float(disp)][1], rel=1e-9)
+
+    def test_box_search_skips_only_the_coinciding_candidate(self):
+        scn = self._coinciding_scenario()
+        box = BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3)
+        plan = grid_search(scn, 1, "crb_r", box)
+        assert [n for n in plan.source_notes if "skipped" in n] == [
+            "position (110, 0) skipped: a sensor coincides with a source"
+        ]
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+
+        def objective_at(x, y):
+            moved = sensors_xy.copy()
+            moved[1] = (x, y)
+            return evaluate_objective(
+                "crb_r", 1, moved, sources_xy, scn.signals,
+                scn.velocity_mps, scn.noise_variance, scn.snapshots,
+            )
+
+        points = [(x, y) for x, y in box.points() if (x, y) != (110.0, 0.0)]
+        values = [objective_at(x, y) for x, y in points]
+        best = int(np.argmin(values))  # first minimum in scan order
+        assert plan.new_position_m == points[best]
+        assert plan.objective_after == values[best]
+        assert plan.objective_before == objective_at(*sensors_xy[1])
 
 
 class TestApplyReposition:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from nfcrb import (
     Scenario,
     SweepRow,
     ValidationError,
+    constellation_metrics,
     load_scenario,
     parse_scenario,
     parse_sweep_csv,
@@ -121,7 +123,16 @@ class TestRunReport:
         scn, defaults = runtime_scenario(sf)
         report = run_report(scn, sf.name, defaults)
         assert report.reconstruction_residual is None
-        assert max(report.closed_form_deviations.values()) < 1e-8
+        assert report.encoding == "polar"
+
+    @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
+    def test_same_numbers_as_constellation_metrics(self, fixture, request):
+        scn = request.getfixturevalue(fixture)
+        report = run_report(scn, fixture, ())
+        metrics, _ = constellation_metrics(scn)
+        assert report.det == metrics.det
+        assert report.crb_theta_total == metrics.crb_theta_total
+        assert report.crb_r_total == metrics.crb_r_total
 
 
 class TestCsv:
@@ -144,7 +155,7 @@ class TestCsv:
     def test_header_and_row_count(self, tmp_path):
         rows = self._rows()
         out = tmp_path / "sweep.csv"
-        write_reports(rows, "csv", out)
+        write_reports(rows, out)
         lines = out.read_text().split("\n")
         assert lines[0] == "point,mode,det,crb_theta_total,crb_r_total,flags"
         assert len([ln for ln in lines if ln]) == 21  # header + 10 points x 2 modes
@@ -152,7 +163,7 @@ class TestCsv:
 
     def test_empty_rows_error(self, tmp_path):
         with pytest.raises(ValidationError):
-            write_reports([], "csv", tmp_path / "x.csv")
+            write_reports([], tmp_path / "x.csv")
 
     def test_round_trip_five_significant_digits(self):
         rows = self._rows(3)
@@ -165,13 +176,6 @@ class TestCsv:
             assert b.crb_theta_total == pytest.approx(a.crb_theta_total, rel=1e-4)
             assert b.crb_r_total == pytest.approx(a.crb_r_total, rel=1e-4)
 
-    def test_text_format(self, tmp_path):
-        out = tmp_path / "sweep.txt"
-        write_reports(self._rows(2), "text", out)
-        text = out.read_text()
-        assert text.startswith("point")
-        assert len(text.strip().split("\n")) == 5
-
 
 class TestCli:
     def test_compute_runs(self, capsys):
@@ -179,6 +183,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "defaults applied: noise_variance=1.0, snapshots=1" in out
         assert "det(R_x)" in out
+        assert "closed-form" not in out
 
     def test_compute_csv_out(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -232,8 +237,82 @@ class TestCli:
         assert main(["validate", "--scenario", "scenario_a"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        assert "PASS  closed-form information matrix (bearing/range/noise blocks)" in out
+        assert "INFO  covariance-entry block deviations: " in out
         assert main(["validate", "--scenario", "scenario_b"]) == 0
 
     def test_unknown_scenario_exits_nonzero(self, capsys):
         assert main(["compute", "--scenario", "no_such_file.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _pairwise_doc():
+    return json.loads(serialize_scenario(load_scenario("scenario_a")))
+
+
+SOURCES = ["geometry", "polar", "sources"]
+MALFORMED_FILES = {
+    "snapshots not a number": (polar_doc, ["snapshots"], "many", "scenario.snapshots: expected a number"),
+    "snapshots fractional": (polar_doc, ["snapshots"], 2.5, "scenario.snapshots: expected an integer"),
+    "amplitude not a number": (
+        polar_doc, ["signals", 0, "amplitude", 1], "i", r"scenario.signals\[0\].amplitude\[1\]: expected a number"
+    ),
+    "radius not a number": (
+        polar_doc, ["geometry", "polar", "sensors", 1, "radius_m"], "far",
+        r"scenario.geometry.polar.sensors\[1\].radius_m: expected a number",
+    ),
+    "pairwise entry not a number": (
+        _pairwise_doc, ["geometry", "pairwise", "vertical_m", 1, 2], "high",
+        r"scenario.geometry.pairwise.vertical_m\[1\]\[2\]: expected a number",
+    ),
+    "null bearing": (
+        polar_doc, [*SOURCES, 0, "bearing_deg"], None, r"polar.sources\[0\].bearing_deg: expected a number"
+    ),
+    "NaN bearing": (
+        polar_doc, [*SOURCES, 0, "bearing_deg"], float("nan"),
+        r"polar.sources\[0\].bearing_deg: expected a finite number",
+    ),
+    "source entry not an object": (polar_doc, [*SOURCES, 1], 5, r"polar.sources\[1\]: must be an object"),
+}
+MALFORMED_ARGS = {
+    "grid not numeric": (
+        ["reposition", "--scenario", "scenario_a", "--mode", "grid", "--grid", "a:b:c"],
+        "--grid min: expected a number",
+    ),
+    "element not numeric": (
+        ["reposition", "--scenario", "scenario_a", "--mode", "linesearch", "--element", "x"],
+        "--element: expected a number",
+    ),
+    "noise override not finite": (
+        ["compute", "--scenario", "scenario_a", "--eta", "inf"], "--eta: expected a finite number"
+    ),
+    "sweep bound not numeric": (
+        ["sweep", "--scenario", "scenario_a", "--vary", "velocity:1:x:3", "--out", "{tmp}/out.csv"],
+        "--vary stop: expected a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_FILES, *MALFORMED_ARGS])
+def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
+    if case in MALFORMED_FILES:
+        make_doc, path, value, message = MALFORMED_FILES[case]
+        doc = make_doc()
+        _set(doc, path, value)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        argv = ["compute", "--scenario", str(scenario)]
+    else:
+        args, message = MALFORMED_ARGS[case]
+        argv = [a.format(tmp=tmp_path) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message, err), err
