@@ -15,6 +15,7 @@ scenario-file row/column order.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -250,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default=None, help="override noise variance")
     p.add_argument("--snapshots", default=None, help="override snapshot count")
     p.add_argument("--out", default=None, help="optional CSV destination")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("reposition", help="move one element and compare bounds")
     p.add_argument("--scenario", required=True)
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="-200:200:401", help="displacement grid min:max:steps (meters)")
     p.add_argument("--eta", default=None)
     p.add_argument("--snapshots", default=None)
-    p.set_defaults(func=cmd_reposition)
 
     p = sub.add_parser("sweep", help="frequency or velocity sweep to CSV")
     p.add_argument("--scenario", required=True)
@@ -274,21 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV destination")
     p.add_argument("--eta", default=None)
     p.add_argument("--snapshots", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run self-checks; nonzero exit on failure")
     p.add_argument("--scenario", required=True)
     p.add_argument("--eta", default=None)
     p.add_argument("--snapshots", default=None)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError
-from .fim_crb import batch_chunk, crb_from_fim, crb_totals, fim_batch, fim_for_scenario
+from .fim_crb import (
+    PHASE_CHUNK_VALUES,
+    batch_chunk,
+    crb_from_fim,
+    crb_totals,
+    fim_batch,
+    fim_for_scenario,
+)
 from .geometry import (
     TWO_PI,
     PairwiseGeometry,
@@ -228,6 +235,19 @@ def analytic_reposition(
     )
 
 
+def _check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+
+
+def _delays(sensors_xy: np.ndarray, sources_xy: np.ndarray, velocity_mps: float) -> np.ndarray:
+    """(..., M, N) sensor-to-source delays of (..., M, 2) sensor positions."""
+    d = np.linalg.norm(sources_xy[None, :, :] - sensors_xy[..., :, None, :], axis=-1)
+    if np.any(d <= 0):
+        raise SingularGeometryError("a sensor coincides with a source")
+    return d / velocity_mps
+
+
 def evaluate_objective(
     objective: str,
     element: int,
@@ -239,12 +259,8 @@ def evaluate_objective(
     snapshots: int,
 ) -> float:
     """Objective value of one candidate constellation given in Cartesian form."""
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    d = np.linalg.norm(sources_xy[None, :, :] - sensors_xy[:, None, :], axis=2)
-    if np.any(d <= 0):
-        raise SingularGeometryError("a sensor coincides with a source")
-    tau = d / velocity_mps
+    _check_objective(objective)
+    tau = _delays(sensors_xy, sources_xy, velocity_mps)
     freqs = frequency_vector(signals)
     if objective == "gf":
         return gf_objective(2.0 * np.pi * freqs * tau[element])
@@ -262,18 +278,82 @@ def evaluate_objective(
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 
+def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
+    """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
+
+    The function gives the values ``evaluate_objective`` gives (gf, power
+    and det bit for bit) or raises ValidationError if any position of the
+    chunk fails.  Building the scorer raises when a failure that no position
+    of the element can mend (a fixed sensor on a source, a layout with no
+    polar form) rules batching out.
+    """
+    num_sensors, num_sources = len(sensors_xy), len(sources_xy)
+    freqs = frequency_vector(scn.signals)
+
+    def layouts(chunk: np.ndarray) -> np.ndarray:
+        moved = np.repeat(sensors_xy[None], len(chunk), axis=0)
+        moved[:, element] = chunk
+        return moved
+
+    if objective in BOUND_OBJECTIVES:
+        polar = scenario_from_positions(
+            sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+        )
+
+        def bound_totals(chunk):
+            _delays(layouts(chunk), sources_xy, scn.velocity_mps)  # rejects a sensor on a source
+            radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
+            azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
+            radii[:, element] = [math.hypot(x, y) for x, y in chunk]
+            azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x, y in chunk]
+            totals = crb_totals(fim_batch(polar, radii, azimuths)[0], num_sources)
+            return totals[BOUND_OBJECTIVES.index(objective)].tolist()
+
+        return bound_totals, batch_chunk(num_sensors, num_sources)
+
+    if objective == "det":
+
+        def determinants(chunk):
+            A = steering_matrix(_delays(layouts(chunk), sources_xy, scn.velocity_mps), freqs)
+            det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
+            return [abs(v) for v in det.tolist()]
+
+        per_candidate = num_sensors * max(num_sensors, num_sources)
+        return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
+
+    # gf and power see only the moved element's delays once no fixed sensor sits on a source
+    _delays(np.delete(sensors_xy, element, axis=0), sources_xy, scn.velocity_mps)
+
+    def element_values(chunk):
+        tau = _delays(chunk, sources_xy, scn.velocity_mps)
+        if objective == "power":
+            # numpy would take a one-row product through its dot kernel, which
+            # rounds differently from the matrix kernel of an (M, N) product
+            A = steering_matrix(np.repeat(tau, 2, axis=0) if len(tau) == 1 else tau, freqs)
+            return received_power(A, scn.signals)[0][: len(tau)].tolist()
+        T = 2.0 * np.pi * freqs * tau
+        # squared as Python floats, as gf_objective squares numpy scalars;
+        # an array's ** 2 rounds differently in the last bit
+        cos_sums, sin_sums = np.cos(T).sum(axis=1).tolist(), np.sin(T).sum(axis=1).tolist()
+        return [c**2 + s**2 for c, s in zip(cos_sums, sin_sums)]
+
+    return element_values, max(1, PHASE_CHUNK_VALUES // num_sources)
+
+
 def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions) -> list:
     """The objective with the element at each (x, y) row of ``positions``.
 
     Each entry is the value or the ValidationError that rejected the
-    candidate.  Bound totals are scored a chunk of sensor layouts per ``fim_batch`` call.
-    Each candidate layout goes to polar form exactly as
-    ``scenario_from_positions`` would build it, without building a Scenario
-    per candidate.  A chunk in which any candidate fails is rescored one
-    candidate at a time, so only the failing candidates are rejected, each
-    with its own reason.  The other objectives are scored one candidate at a
-    time.
+    candidate.  Candidates are scored a chunk per array pass: bound totals
+    through ``fim_batch`` (each layout in the polar form
+    ``scenario_from_positions`` would build, without a Scenario per
+    candidate); gf and power from the moved element's delays alone and det
+    from a stack of covariance matrices, bit for bit what
+    ``evaluate_objective`` gives.  A chunk in which any candidate fails is
+    rescored one candidate at a time through ``evaluate_objective``, so only
+    the failing candidates are rejected, each with its own reason.
     """
+    _check_objective(objective)
 
     def one(position):
         moved = sensors_xy.copy()
@@ -286,32 +366,17 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
         except ValidationError as exc:
             return exc
 
-    if objective not in BOUND_OBJECTIVES:
-        return [one(position) for position in positions]
     try:
-        polar = scenario_from_positions(
-            sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
-        )
+        score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
     except ValidationError:
         return [one(position) for position in positions]
-    step = batch_chunk(polar.num_sensors, polar.num_sources)
     values: list = []
     for lo in range(0, len(positions), step):
         chunk = positions[lo : lo + step]
-        moved = np.repeat(sensors_xy[None], len(chunk), axis=0)
-        moved[:, element] = chunk
-        radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
-        azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
-        radii[:, element] = [math.hypot(x, y) for x, y in chunk]
-        azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x, y in chunk]
         try:
-            if np.any(np.linalg.norm(sources_xy[None, None] - moved[:, :, None], axis=3) <= 0):
-                raise SingularGeometryError("a sensor coincides with a source")
-            totals = crb_totals(fim_batch(polar, radii, azimuths)[0], polar.num_sources)
+            values.extend(score(chunk))
         except ValidationError:
             values.extend(one(position) for position in chunk)
-            continue
-        values.extend(totals[BOUND_OBJECTIVES.index(objective)].tolist())
     return values
 
 

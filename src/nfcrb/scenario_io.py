@@ -108,6 +108,21 @@ def _positive(obj, key: str, path: str) -> float:
     return out
 
 
+def _nonnegative(obj, key: str, path: str) -> float:
+    out = _number(obj, key, path)
+    if out < 0:
+        raise ValidationError(f"{path}.{key}: must be nonnegative, got {out}")
+    return out
+
+
+def _check_entries(values: np.ndarray, ok: np.ndarray, path: str, rule: str) -> None:
+    """Reject the first table entry where ``ok`` is False, naming its [row][column]."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        k, n = bad[0]
+        raise ValidationError(f"{path}[{k}][{n}]: {rule}, got {values[k, n]}")
+
+
 def _matrix(obj, key: str, path: str) -> np.ndarray:
     rows = _list(obj, key, path)
     path = f"{path}.{key}"
@@ -187,7 +202,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         )
         sensors = tuple(
             SensorGeom(
-                _number(e, "radius_m", f"{path}.sensors[{i}]"),
+                _nonnegative(e, "radius_m", f"{path}.sensors[{i}]"),
                 math.radians(_number(e, "azimuth_deg", f"{path}.sensors[{i}]")),
             )
             for i, e in enumerate(sen_raw)
@@ -214,10 +229,14 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"scenario.geometry: {vert.shape[0]} sensors can separate at most "
                 f"{vert.shape[0] - 1} sources; got {N}"
             )
-        try:
-            pairwise = PairwiseGeometry(vert, np.radians(adeg))
-        except ValidationError as exc:
-            raise ValidationError(f"scenario.geometry.pairwise: {exc}") from None
+        path = "scenario.geometry.pairwise"
+        arrival = np.radians(adeg)
+        _check_entries(vert, vert > 0, f"{path}.vertical_m", "must be positive")
+        _check_entries(
+            adeg, (arrival > 0) & (arrival < math.pi), f"{path}.arrival_deg",
+            "must lie strictly inside (0, 180) degrees",
+        )
+        pairwise = PairwiseGeometry(vert, arrival)
 
     return ScenarioFile(
         name=name,

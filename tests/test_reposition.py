@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfcrb import (
     DisplacementGrid,
@@ -25,8 +28,9 @@ from nfcrb import (
     steering_matrix,
     to_pairwise,
 )
+from nfcrb import reposition
 from nfcrb.optimizer import BoxGrid
-from nfcrb.reposition import evaluate_objective, score_candidates
+from nfcrb.reposition import OBJECTIVES, evaluate_objective, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
 
 
@@ -289,6 +293,149 @@ class TestBatchedBoundSearch:
         assert plan.new_position_m == points[best]
         assert plan.objective_after == values[best]
         assert plan.objective_before == objective_at(*sensors_xy[1])
+
+
+PHASE_OBJECTIVES = ("gf", "power", "det")
+
+
+def per_candidate_values(objective, scn, element, positions) -> list:
+    """The objective at each position, one ``evaluate_objective`` call per candidate."""
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    out = []
+    for position in positions:
+        moved = sensors_xy.copy()
+        moved[element] = position
+        try:
+            out.append(
+                evaluate_objective(
+                    objective, element, moved, sources_xy, scn.signals,
+                    scn.velocity_mps, scn.noise_variance, scn.snapshots,
+                )
+            )
+        except ValidationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def candidate_positions(scn, element, grid: DisplacementGrid, box_half: float, box_steps: int):
+    """Line positions of a displacement grid (plus the origin) and a box around the element."""
+    sensors_xy, _, _ = scenario_positions(scn)
+    x0, y0 = sensors_xy[element]
+    disps = np.unique(np.concatenate([grid.values(), [0.0]]))
+    line = np.column_stack([x0 + disps, np.full_like(disps, y0)])
+    box = BoxGrid(x0 - box_half, x0 + box_half, box_steps, y0 - box_half, y0 + box_half, box_steps)
+    return line, np.vstack([sensors_xy[element], box.points()])
+
+
+def batched_values(objective, scn, element, positions) -> list:
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    values = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    return [str(v) if isinstance(v, ValidationError) else v for v in values]
+
+
+class TestBatchedPhaseSearch:
+    @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
+    def test_bundled_equal_per_candidate_loop(self, fixture, request):
+        scn = request.getfixturevalue(fixture)
+        for element in range(scn.num_sensors):
+            for positions in candidate_positions(scn, element, DisplacementGrid(-200, 200, 401), 100.0, 21):
+                for objective in PHASE_OBJECTIVES:
+                    assert batched_values(objective, scn, element, positions) == per_candidate_values(
+                        objective, scn, element, positions
+                    )
+
+    def test_random_equal_per_candidate_loop(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            scn = random_upper_half_scenario(rng)
+            element = int(rng.integers(scn.num_sensors))
+            for positions in candidate_positions(scn, element, DisplacementGrid(-80, 80, 41), 60.0, 7):
+                for objective in PHASE_OBJECTIVES:
+                    assert batched_values(objective, scn, element, positions) == per_candidate_values(
+                        objective, scn, element, positions
+                    )
+
+    @pytest.mark.parametrize("objective", PHASE_OBJECTIVES)
+    def test_coinciding_candidate_alone_is_skipped(self, objective):
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        line, _ = candidate_positions(scn, 1, DisplacementGrid(60.0, 140.0, 81), 0.0, 1)
+        values = batched_values(objective, scn, 1, line)
+        assert values == per_candidate_values(objective, scn, 1, line)
+        assert [v for v in values if isinstance(v, str)] == ["a sensor coincides with a source"]
+        plan = grid_search(scn, 1, objective, BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3))
+        assert [n for n in plan.source_notes if "skipped" in n] == [
+            "position (110, 0) skipped: a sensor coincides with a source"
+        ]
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_fixed_sensor_on_a_source_fails_every_candidate(self, objective):
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy[0] = sources_xy[0]
+        positions = np.column_stack([np.linspace(5.0, 15.0, 11), np.ones(11)])
+        values = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+        assert [str(v) for v in values] == ["a sensor coincides with a source"] * 11
+
+    @pytest.mark.parametrize("fixture, displacement", [("scenario_a", 155.4), ("scenario_b", -194.0)])
+    def test_det_and_power_pick_the_same_move(self, fixture, displacement, request):
+        # with a rank-one source covariance det R grows with the moved element's power
+        scn = request.getfixturevalue(fixture)
+        grid = DisplacementGrid(-200, 200, 2001)
+        det, power = (grid_search(scn, 2, objective, grid) for objective in ("det", "power"))
+        assert det.displacement_m == power.displacement_m == pytest.approx(displacement)
+        x0, y0 = scenario_positions(scn)[0][2]
+        box = BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41)
+        det, power = (grid_search(scn, 2, objective, box) for objective in ("det", "power"))
+        assert det.new_position_m == power.new_position_m
+
+    def test_clean_searches_make_no_per_candidate_call(self, scenario_a):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate_objective(*args)
+
+        grid = DisplacementGrid(-200, 200, 2001)
+        x0, y0 = scenario_positions(scenario_a)[0][2]
+        with mock.patch.object(reposition, "evaluate_objective", counting):
+            for objective in ("gf", "det"):
+                line_search_reposition(scenario_a, 2, objective, grid)
+                grid_search(scenario_a, 2, objective, grid)
+            grid_search(scenario_a, 2, "power", BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41))
+        assert calls == []
+
+    @pytest.mark.parametrize("search", ["linesearch", "grid", "box"])
+    def test_unknown_objective_fails_before_scoring(self, search, scenario_a):
+        calls = []
+        with mock.patch.object(reposition, "evaluate_objective", lambda *a: calls.append(a)):
+            with pytest.raises(ValidationError, match=r"objective must be one of \(.*\), got 'crb'"):
+                if search == "linesearch":
+                    line_search_reposition(scenario_a, 0, "crb", DisplacementGrid(-10, 10, 5))
+                elif search == "grid":
+                    grid_search(scenario_a, 0, "crb", DisplacementGrid(-10, 10, 5))
+                else:
+                    grid_search(scenario_a, 0, "crb", BoxGrid(0, 10, 3, 0, 10, 3))
+        assert calls == []
+
+
+class TestBatchedScorerProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_values_independent_of_chunk_size(self, seed, k):
+        rng = np.random.default_rng(seed)
+        scn = random_upper_half_scenario(rng)
+        element = int(rng.integers(scn.num_sensors))
+        line, box = candidate_positions(scn, element, DisplacementGrid(-60, 60, 13), 40.0, 4)
+        real = reposition._chunk_scorer
+
+        def with_chunk(*args):
+            return real(*args)[0], k
+
+        for objective in OBJECTIVES:
+            for positions in (line, box):
+                default = batched_values(objective, scn, element, positions)
+                with mock.patch.object(reposition, "_chunk_scorer", with_chunk):
+                    assert batched_values(objective, scn, element, positions) == default
 
 
 class TestApplyReposition:

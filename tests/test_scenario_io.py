@@ -185,6 +185,14 @@ class TestCli:
         assert "det(R_x)" in out
         assert "closed-form" not in out
 
+    def test_runs_the_command_bound_at_call_time(self, monkeypatch, capsys):
+        # the parser is built once; a rebound cmd_* function must still be the one that runs
+        from nfcrb import cli
+
+        assert main(["compute", "--scenario", "scenario_a"]) == 0
+        monkeypatch.setattr(cli, "cmd_compute", lambda args: 7)
+        assert main(["compute", "--scenario", "scenario_a"]) == 7
+
     def test_compute_csv_out(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["compute", "--scenario", "scenario_b", "--out", str(out)]) == 0
@@ -280,6 +288,18 @@ MALFORMED_FILES = {
         r"polar.sources\[0\].bearing_deg: expected a finite number",
     ),
     "source entry not an object": (polar_doc, [*SOURCES, 1], 5, r"polar.sources\[1\]: must be an object"),
+    "arrival angle out of range": (
+        _pairwise_doc, ["geometry", "pairwise", "arrival_deg", 1, 2], 190,
+        r"scenario.geometry.pairwise.arrival_deg\[1\]\[2\]: must lie strictly inside \(0, 180\) degrees, got 190.0",
+    ),
+    "vertical distance not positive": (
+        _pairwise_doc, ["geometry", "pairwise", "vertical_m", 1, 0], -3,
+        r"scenario.geometry.pairwise.vertical_m\[1\]\[0\]: must be positive, got -3.0",
+    ),
+    "negative sensor radius": (
+        polar_doc, ["geometry", "polar", "sensors", 1, "radius_m"], -3,
+        r"scenario.geometry.polar.sensors\[1\].radius_m: must be nonnegative, got -3.0",
+    ),
 }
 MALFORMED_ARGS = {
     "grid not numeric": (
