@@ -30,20 +30,16 @@ from .geometry import (
     Scenario,
     SensorGeom,
     SourceGeom,
-    delay,
-    delay_from_pairwise,
-    delay_matrix,
+    distances,
     far_field_radius,
-    pairwise_delay_matrix,
-    pairwise_from_polar,
-    reconstruct_polar,
+    native_delays,
+    pairwise_form,
+    polar_form,
     reconstruct_positions,
     scenario_from_positions,
     scenario_positions,
     sensor_positions,
     source_positions,
-    to_pairwise,
-    to_polar,
 )
 from .optimizer import (
     BoxGrid,

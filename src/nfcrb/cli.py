@@ -30,7 +30,7 @@ from .fim_crb import (
     steering_derivatives,
     steering_derivatives_fd,
 )
-from .geometry import PairwiseScenario, delay_matrix, native_delays, polar_form
+from .geometry import native_delays, polar_form
 from .optimizer import ConstellationMetrics, SweepSpec, compare_report, grid_search, sweep
 from .reposition import (
     DisplacementGrid,
@@ -156,6 +156,8 @@ def cmd_sweep(args) -> int:
         if len(parts) != 5:
             raise ValidationError("frequency sweep must be frequency:<source>:<start>:<stop>:<steps>")
         source = parse_number(parts[1], "--vary source", int) - 1
+        if not 0 <= source < scn.num_sources:
+            raise ValidationError(f"--vary source: {source + 1} outside 1..{scn.num_sources}")
         bounds = parts[2:]
     elif parts[0] == "velocity":
         if len(parts) != 4:
@@ -181,7 +183,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     sf, scn, defaults = _load_runtime(args)
-    polar, _ = polar_form(scn)
+    polar, residual = polar_form(scn)
     failures = 0
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -193,7 +195,7 @@ def cmd_validate(args) -> int:
         err = _max_rel_err(steering_derivatives(polar, axis), steering_derivatives_fd(polar, axis))
         check(f"steering derivatives ({axis})", err <= 1e-6, f"max rel err {err:.3e} (tol 1e-06)")
 
-    A = steering_matrix(delay_matrix(polar), polar.frequencies())
+    A = steering_matrix(native_delays(polar), polar.frequencies())
     covset = covariances(A, polar.signals, polar.noise_variance)
     ana_rx = rx_derivatives(polar, A, covset)
     err = _max_rel_err(ana_rx, rx_derivatives_fd(polar))
@@ -226,7 +228,7 @@ def cmd_validate(args) -> int:
         ok &= bound >= det
     check("determinant bound on random matrices", ok, f"min (bound - |det|) = {worst_margin:.3e}")
 
-    if isinstance(scn, PairwiseScenario):
+    if residual is not None:  # pairwise input
         powers, _ = _native_powers(scn)
         smax2 = max(abs(sig.amplitude) ** 2 for sig in scn.signals)
         ok = True

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularCovarianceError, SingularGeometryError, ValidationError
-from .geometry import Scenario, delay_matrix, source_positions
+from .errors import SingularCovarianceError, ValidationError
+from .geometry import Scenario, distances, native_delays, source_positions
 from .signal_model import CovarianceSet, covariances, steering_matrix
 
 
@@ -168,10 +168,7 @@ def _layout_delays(
     azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) / (c d).
     """
     sensors = np.stack([radii * np.cos(azimuths), radii * np.sin(azimuths)], axis=-1)
-    d = np.linalg.norm(source_positions(scenario)[None, None] - sensors[:, :, None], axis=3)
-    if np.any(d <= 0):
-        _, k, n = np.argwhere(d <= 0)[0]
-        raise SingularGeometryError(f"sensor {k + 1} coincides with source {n + 1}")
+    d = distances(sensors, source_positions(scenario))
     rho = radii[:, :, None]
     r = scenario.source_ranges()
     diff = scenario.source_bearings() - azimuths[:, :, None]
@@ -347,37 +344,17 @@ def fim_for_scenario(scenario: Scenario) -> FimMatrix:
 class SelectionMatrices:
     """Index-built selection machinery for the closed-form blocks.
 
-    All matrices act on column-major vectorizations of N x N matrices.  Index
-    vectors are one-based positions into such vectorizations:
-
-    * ``strict_lower_idx`` / ``mirror_upper_idx``: strictly-lower entries in
-      column-major order and, pairwise, their mirrored upper entries;
-    * ``lower_diag_idx``: lower-triangle-with-diagonal entries, column-major,
-      and ``lower_diag_rows`` their output row numbers (1..count);
-    * ``diag_idx``: the diagonal entries.
-
-    ``fold_add`` / ``fold_sub`` write the sum / difference of mirrored entries
-    into the lower slots; ``lower_selector`` / ``strict_lower_selector`` keep
-    only those slots.  The symmetric fold (lower selector after fold_add) and
-    ``skew_fold`` compose them (the skew fold carries a -j factor, making it
-    complex), and ``hermitian_to_real`` stacks both so a vectorized Hermitian
-    matrix maps to the real listing [diagonals and doubled real parts; doubled
-    negated imaginary parts].  ``diag_selector`` extracts the diagonal of a
-    vectorized matrix.
+    Both matrices act on column-major vectorizations of N x N matrices.
+    ``hermitian_to_real`` maps a vectorized Hermitian matrix to the real
+    listing [diagonals and doubled real parts of the lower triangle,
+    column-major; doubled negated imaginary parts of the strictly-lower
+    entries]: a symmetric fold (sum of mirrored entries) stacked on a skew
+    fold (their difference times -j).  ``diag_selector`` extracts the
+    diagonal of a vectorized matrix.
     """
 
     hermitian_to_real: np.ndarray
     diag_selector: np.ndarray
-    skew_fold: np.ndarray
-    fold_add: np.ndarray
-    fold_sub: np.ndarray
-    lower_selector: np.ndarray
-    strict_lower_selector: np.ndarray
-    strict_lower_idx: np.ndarray
-    mirror_upper_idx: np.ndarray
-    lower_diag_idx: np.ndarray
-    lower_diag_rows: np.ndarray
-    diag_idx: np.ndarray
 
 
 def _ones_at(rows, cols, shape) -> np.ndarray:
@@ -387,7 +364,7 @@ def _ones_at(rows, cols, shape) -> np.ndarray:
 
 
 def selection_matrices(n_sources: int) -> SelectionMatrices:
-    """Build the selection matrices and index vectors for N sources."""
+    """Build the selection matrices for N sources."""
     N = n_sources
     if N < 1:
         raise ValidationError(f"source count must be >= 1, got {N}")
@@ -408,24 +385,7 @@ def selection_matrices(n_sources: int) -> SelectionMatrices:
     skew_fold = -1j * (strict_lower_selector @ fold_sub)
     hermitian_to_real = np.vstack([sym_fold.astype(complex), skew_fold])
     diag_selector = _ones_at(range(N), diag, (N, n2))
-
-    def one_based(seq) -> np.ndarray:
-        return np.asarray(seq, dtype=int) + 1
-
-    return SelectionMatrices(
-        hermitian_to_real=hermitian_to_real,
-        diag_selector=diag_selector,
-        skew_fold=skew_fold,
-        fold_add=fold_add,
-        fold_sub=fold_sub,
-        lower_selector=lower_selector,
-        strict_lower_selector=strict_lower_selector,
-        strict_lower_idx=one_based(strict_lower),
-        mirror_upper_idx=one_based(mirror_upper),
-        lower_diag_idx=one_based(lower_diag),
-        lower_diag_rows=one_based(range(len(lower_diag))),
-        diag_idx=one_based(diag),
-    )
+    return SelectionMatrices(hermitian_to_real=hermitian_to_real, diag_selector=diag_selector)
 
 
 def _folded_basis_alignment(n_sources: int) -> np.ndarray:
@@ -662,7 +622,7 @@ def steering_derivatives_fd(
     """
     freqs = scenario.frequencies()
     return [
-        (steering_matrix(delay_matrix(hi), freqs) - steering_matrix(delay_matrix(lo), freqs)) / (2.0 * h)
+        (steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
         for hi, lo, h in _source_steps(scenario, axis, rel_step)
     ]
 
@@ -675,7 +635,7 @@ def rx_derivatives_fd(scenario: Scenario, rel_step: float = 1e-6) -> list[np.nda
     base_rs = np.outer(s, s.conj())
 
     def rx_at(scn, rs_shift, eta) -> np.ndarray:
-        A = steering_matrix(delay_matrix(scn), freqs)
+        A = steering_matrix(native_delays(scn), freqs)
         return A @ (base_rs + rs_shift) @ A.conj().T + eta * np.eye(scenario.num_sensors)
 
     eta0 = scenario.noise_variance

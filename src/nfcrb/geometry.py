@@ -15,6 +15,10 @@ therefore requires every source to lie strictly above every sensor's
 horizontal line.  Pairwise tables over-determine a planar layout, so
 recovering positions is a least-squares fit whose root-mean-square
 inconsistency (meters) is always reported.
+
+This module is the only one that branches on the encoding: ``polar_form``,
+``pairwise_form``, ``native_delays`` and ``scenario_positions`` take either,
+and ``distances`` is the one sensor-to-source distance kernel.
 """
 
 from __future__ import annotations
@@ -58,6 +62,21 @@ class SensorGeom:
         object.__setattr__(self, "azimuth_rad", float(self.azimuth_rad) % TWO_PI)
 
 
+def _check_instance(scn) -> None:
+    """Checks both encodings share: N < M, one signal per source, positive c and eta, K >= 1."""
+    M, N = scn.num_sensors, scn.num_sources
+    if N >= M:
+        raise ValidationError(f"{M} sensors can separate at most {M - 1} sources; got {N}")
+    if len(scn.signals) != N:
+        raise ValidationError(f"{len(scn.signals)} signals for {N} sources")
+    if not scn.velocity_mps > 0:
+        raise ValidationError(f"propagation velocity must be positive, got {scn.velocity_mps}")
+    if not scn.noise_variance > 0:
+        raise ValidationError(f"noise variance must be positive, got {scn.noise_variance}")
+    if scn.snapshots < 1:
+        raise ValidationError(f"snapshot count must be >= 1, got {scn.snapshots}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete polar-form problem instance.
@@ -79,21 +98,7 @@ class Scenario:
         object.__setattr__(self, "signals", tuple(self.signals))
         if not self.sources:
             raise ValidationError("scenario needs at least one source")
-        if len(self.sources) >= len(self.sensors):
-            raise ValidationError(
-                f"{len(self.sensors)} sensors can separate at most "
-                f"{len(self.sensors) - 1} sources; got {len(self.sources)}"
-            )
-        if len(self.signals) != len(self.sources):
-            raise ValidationError(
-                f"{len(self.signals)} signals for {len(self.sources)} sources"
-            )
-        if not self.velocity_mps > 0:
-            raise ValidationError(f"propagation velocity must be positive, got {self.velocity_mps}")
-        if not self.noise_variance > 0:
-            raise ValidationError(f"noise variance must be positive, got {self.noise_variance}")
-        if self.snapshots < 1:
-            raise ValidationError(f"snapshot count must be >= 1, got {self.snapshots}")
+        _check_instance(self)
 
     @property
     def num_sensors(self) -> int:
@@ -171,21 +176,7 @@ class PairwiseScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signals", tuple(self.signals))
-        if self.geometry.num_sources >= self.geometry.num_sensors:
-            raise ValidationError(
-                f"{self.geometry.num_sensors} sensors can separate at most "
-                f"{self.geometry.num_sensors - 1} sources; got {self.geometry.num_sources}"
-            )
-        if len(self.signals) != self.geometry.num_sources:
-            raise ValidationError(
-                f"{len(self.signals)} signals for {self.geometry.num_sources} sources"
-            )
-        if not self.velocity_mps > 0:
-            raise ValidationError(f"propagation velocity must be positive, got {self.velocity_mps}")
-        if not self.noise_variance > 0:
-            raise ValidationError(f"noise variance must be positive, got {self.noise_variance}")
-        if self.snapshots < 1:
-            raise ValidationError(f"snapshot count must be >= 1, got {self.snapshots}")
+        _check_instance(self)
 
     @property
     def num_sensors(self) -> int:
@@ -233,83 +224,17 @@ def scenario_from_positions(
     return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
 
 
-def delay(sensor: SensorGeom, source: SourceGeom, velocity_mps: float) -> float:
-    """Propagation delay in seconds between one sensor and one source.
+def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
+    """(..., M, N) sensor-to-source distances of (..., M, 2) sensors and (..., N, 2) sources.
 
-    Law of cosines on the polar coordinates; always between |r - rho| / c
-    and (r + rho) / c.
+    Raises SingularGeometryError naming the first (1-based) sensor that
+    coincides with a source.
     """
-    if not velocity_mps > 0:
-        raise ValidationError(f"propagation velocity must be positive, got {velocity_mps}")
-    if not source.range_m > 0:
-        raise ValidationError(f"source range must be positive, got {source.range_m}")
-    r = source.range_m
-    rho = sensor.radius_m
-    d2 = r * r + rho * rho - 2.0 * rho * r * math.cos(source.bearing_rad - sensor.azimuth_rad)
-    return math.sqrt(max(d2, 0.0)) / velocity_mps
-
-
-def delay_matrix(scenario: Scenario) -> np.ndarray:
-    """(M, N) delay matrix from the polar form."""
-    d = np.linalg.norm(
-        source_positions(scenario)[None, :, :] - sensor_positions(scenario)[:, None, :], axis=2
-    )
-    return d / scenario.velocity_mps
-
-
-def delay_from_pairwise(vertical_m, arrival_rad, velocity_mps: float):
-    """Delay H / (c sin(arrival)); accepts scalars or matching arrays."""
-    if not velocity_mps > 0:
-        raise ValidationError(f"propagation velocity must be positive, got {velocity_mps}")
-    vertical = np.asarray(vertical_m, dtype=float)
-    arrival = np.asarray(arrival_rad, dtype=float)
-    if np.any(vertical <= 0):
-        raise ValidationError("vertical distances must be positive")
-    s = np.sin(arrival)
-    if np.any((arrival <= 0) | (arrival >= math.pi)) or np.any(s <= 0):
-        raise SingularGeometryError(
-            "arrival angle at 0 or pi has no line-of-sight delay (sin is zero)"
-        )
-    out = vertical / (velocity_mps * s)
-    return float(out) if out.ndim == 0 else out
-
-
-def pairwise_delay_matrix(pws: PairwiseScenario) -> np.ndarray:
-    """(M, N) delay matrix straight from the pairwise tables."""
-    return delay_from_pairwise(
-        pws.geometry.vertical_m, pws.geometry.arrival_rad, pws.velocity_mps
-    )
-
-
-def pairwise_from_polar(scenario: Scenario) -> PairwiseGeometry:
-    """Pairwise (vertical, arrival) form of a polar scenario.
-
-    Requires every source strictly above every sensor's horizontal line;
-    otherwise the positive-vertical representation does not exist.
-    """
-    sx = sensor_positions(scenario)
-    px = source_positions(scenario)
-    vertical = px[None, :, 1] - sx[:, None, 1]
-    horizontal = px[None, :, 0] - sx[:, None, 0]
-    if np.any(vertical <= 0):
-        k, n = np.argwhere(vertical <= 0)[0]
-        raise SingularGeometryError(
-            f"source {n + 1} is not strictly above the horizontal line through sensor "
-            f"{k + 1}; the pairwise form requires positive vertical offsets"
-        )
-    arrival = np.arctan2(vertical, horizontal)
-    return PairwiseGeometry(vertical, arrival)
-
-
-def to_pairwise(scenario: Scenario) -> PairwiseScenario:
-    """Repackage a polar scenario with pairwise geometry."""
-    return PairwiseScenario(
-        pairwise_from_polar(scenario),
-        scenario.velocity_mps,
-        scenario.signals,
-        scenario.noise_variance,
-        scenario.snapshots,
-    )
+    d = np.linalg.norm(sources_xy[..., None, :, :] - sensors_xy[..., :, None, :], axis=-1)
+    if not d.all():  # a zero distance; NaN entries count as nonzero
+        *_, k, n = np.argwhere(d == 0)[0]
+        raise SingularGeometryError(f"sensor {k + 1} coincides with source {n + 1}")
+    return d
 
 
 def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.ndarray, float]:
@@ -358,44 +283,58 @@ def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.nd
     return sensors, sources, residual
 
 
-def reconstruct_polar(
-    pairwise: PairwiseGeometry,
-    velocity_mps: float,
-    signals,
-    noise_variance: float,
-    snapshots: int,
-) -> tuple[Scenario, float]:
-    """Polar scenario recovered from pairwise data plus the fit residual."""
-    sensors_xy, sources_xy, residual = reconstruct_positions(pairwise)
-    scenario = scenario_from_positions(
-        sensors_xy, sources_xy, velocity_mps, signals, noise_variance, snapshots
-    )
-    return scenario, residual
-
-
-def to_polar(pws: PairwiseScenario) -> tuple[Scenario, float]:
-    """Reconstruct the polar form of a pairwise scenario; returns (scenario, residual)."""
-    return reconstruct_polar(
-        pws.geometry, pws.velocity_mps, pws.signals, pws.noise_variance, pws.snapshots
-    )
-
-
-def native_delays(scn) -> np.ndarray:
-    """(M, N) delays in the scenario's own encoding: pairwise tables or polar coordinates."""
-    if isinstance(scn, PairwiseScenario):
-        return pairwise_delay_matrix(scn)
-    if isinstance(scn, Scenario):
-        return delay_matrix(scn)
-    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
+def _require_scenario(scn) -> None:
+    if not isinstance(scn, (Scenario, PairwiseScenario)):
+        raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
 
 
 def polar_form(scn) -> tuple[Scenario, float | None]:
     """Polar form of a scenario and its reconstruction residual in meters (None for polar input)."""
-    if isinstance(scn, PairwiseScenario):
-        return to_polar(scn)
+    _require_scenario(scn)
     if isinstance(scn, Scenario):
         return scn, None
-    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
+    sensors_xy, sources_xy, residual = reconstruct_positions(scn.geometry)
+    polar = scenario_from_positions(
+        sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+    )
+    return polar, residual
+
+
+def pairwise_form(scn) -> PairwiseScenario:
+    """Pairwise form of a scenario; polar input converts exactly.
+
+    Requires every source strictly above every sensor's horizontal line;
+    otherwise the positive-vertical representation does not exist.
+    """
+    _require_scenario(scn)
+    if isinstance(scn, PairwiseScenario):
+        return scn
+    sx = sensor_positions(scn)
+    px = source_positions(scn)
+    vertical = px[None, :, 1] - sx[:, None, 1]
+    horizontal = px[None, :, 0] - sx[:, None, 0]
+    if np.any(vertical <= 0):
+        k, n = np.argwhere(vertical <= 0)[0]
+        raise SingularGeometryError(
+            f"source {n + 1} is not strictly above the horizontal line through sensor "
+            f"{k + 1}; the pairwise form requires positive vertical offsets"
+        )
+    geometry = PairwiseGeometry(vertical, np.arctan2(vertical, horizontal))
+    return PairwiseScenario(
+        geometry, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+    )
+
+
+def native_delays(scn) -> np.ndarray:
+    """(M, N) delays in the scenario's own encoding.
+
+    Pairwise tables give H / (c sin(arrival)); polar coordinates give the
+    sensor-to-source distance over c.
+    """
+    _require_scenario(scn)
+    if isinstance(scn, PairwiseScenario):
+        return scn.geometry.vertical_m / (scn.velocity_mps * np.sin(scn.geometry.arrival_rad))
+    return distances(sensor_positions(scn), source_positions(scn)) / scn.velocity_mps
 
 
 def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
@@ -404,11 +343,10 @@ def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
     Polar input converts exactly (residual 0); pairwise input goes through the
     least-squares reconstruction and reports its residual.
     """
+    _require_scenario(scn)
     if isinstance(scn, Scenario):
         return sensor_positions(scn), source_positions(scn), 0.0
-    if isinstance(scn, PairwiseScenario):
-        return reconstruct_positions(scn.geometry)
-    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
+    return reconstruct_positions(scn.geometry)
 
 
 def far_field_radius(aperture_wavelengths: float, departure_wavelengths: float) -> float:

@@ -76,6 +76,8 @@ class SweepSpec:
         for mode in self.modes:
             if mode not in ("primary", "reposition"):
                 raise ValidationError(f"unknown sweep mode {mode!r}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ValidationError(f"sweep modes repeat: {','.join(self.modes)}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

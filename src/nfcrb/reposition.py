@@ -40,10 +40,10 @@ from .geometry import (
     TWO_PI,
     PairwiseGeometry,
     PairwiseScenario,
-    Scenario,
+    distances,
+    pairwise_form,
     scenario_from_positions,
     scenario_positions,
-    to_pairwise,
 )
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
@@ -146,14 +146,6 @@ def gf_objective(terms) -> float:
     return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)
 
 
-def _as_pairwise(scn) -> PairwiseScenario:
-    if isinstance(scn, PairwiseScenario):
-        return scn
-    if isinstance(scn, Scenario):
-        return to_pairwise(scn)
-    raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
-
-
 def analytic_reposition(
     scn, element: int, m: int | str = "auto", branches=None
 ) -> RepositionPlan:
@@ -167,7 +159,7 @@ def analytic_reposition(
     arrival angle.  ``branches`` may force 'acute' or 'obtuse' per source;
     both give the same phase objective, so the default is acute.
     """
-    pws = _as_pairwise(scn)
+    pws = pairwise_form(scn)
     _check_element(element, pws.num_sensors)
     N = pws.num_sources
     if branches is None:
@@ -240,14 +232,6 @@ def _check_objective(objective: str) -> None:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-def _delays(sensors_xy: np.ndarray, sources_xy: np.ndarray, velocity_mps: float) -> np.ndarray:
-    """(..., M, N) sensor-to-source delays of (..., M, 2) sensor positions."""
-    d = np.linalg.norm(sources_xy[None, :, :] - sensors_xy[..., :, None, :], axis=-1)
-    if np.any(d <= 0):
-        raise SingularGeometryError("a sensor coincides with a source")
-    return d / velocity_mps
-
-
 def evaluate_objective(
     objective: str,
     element: int,
@@ -260,7 +244,7 @@ def evaluate_objective(
 ) -> float:
     """Objective value of one candidate constellation given in Cartesian form."""
     _check_objective(objective)
-    tau = _delays(sensors_xy, sources_xy, velocity_mps)
+    tau = distances(sensors_xy, sources_xy) / velocity_mps
     freqs = frequency_vector(signals)
     if objective == "gf":
         return gf_objective(2.0 * np.pi * freqs * tau[element])
@@ -301,7 +285,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         )
 
         def bound_totals(chunk):
-            _delays(layouts(chunk), sources_xy, scn.velocity_mps)  # rejects a sensor on a source
+            distances(layouts(chunk), sources_xy)  # rejects a sensor on a source
             radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
             azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
             radii[:, element] = [math.hypot(x, y) for x, y in chunk]
@@ -314,18 +298,21 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     if objective == "det":
 
         def determinants(chunk):
-            A = steering_matrix(_delays(layouts(chunk), sources_xy, scn.velocity_mps), freqs)
+            A = steering_matrix(distances(layouts(chunk), sources_xy) / scn.velocity_mps, freqs)
             det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
             return [abs(v) for v in det.tolist()]
 
         per_candidate = num_sensors * max(num_sensors, num_sources)
         return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
 
-    # gf and power see only the moved element's delays once no fixed sensor sits on a source
-    _delays(np.delete(sensors_xy, element, axis=0), sources_xy, scn.velocity_mps)
+    # gf and power see only the moved element's delays once no fixed sensor sits on a
+    # source; a NaN row never compares <= 0, so fixed sensors keep their own numbers
+    fixed = sensors_xy.copy()
+    fixed[element] = np.nan
+    distances(fixed, sources_xy)
 
     def element_values(chunk):
-        tau = _delays(chunk, sources_xy, scn.velocity_mps)
+        tau = distances(chunk, sources_xy) / scn.velocity_mps
         if objective == "power":
             # numpy would take a one-row product through its dot kernel, which
             # rounds differently from the matrix kernel of an (M, N) product
@@ -465,7 +452,7 @@ def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     arrival angles.  Two-dimensional plans (with ``new_position_m``) recompute
     the row's vertical distances as well, from reconstructed positions.
     """
-    pws = _as_pairwise(scn)
+    pws = pairwise_form(scn)
     _check_element(plan.element, pws.num_sensors)
     vertical = pws.geometry.vertical_m.copy()
     arrival = pws.geometry.arrival_rad.copy()

@@ -434,6 +434,15 @@ def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
     return buf.getvalue()
 
 
+def _csv_number(rec: list[str], col: int, line: int) -> float:
+    try:
+        return float(rec[col])
+    except ValueError:
+        raise ValidationError(
+            f"line {line}, column {CSV_HEADER[col]}: expected a number, got {rec[col]!r}"
+        ) from None
+
+
 def parse_sweep_csv(text: str) -> list[SweepRow]:
     """Read back a sweep CSV produced by sweep_rows_to_csv."""
     reader = csv.reader(io.StringIO(text))
@@ -444,13 +453,16 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
     for rec in reader:
         if not rec:
             continue
+        line = reader.line_num
+        if len(rec) != len(CSV_HEADER):
+            raise ValidationError(f"line {line}: {len(rec)} columns, expected {len(CSV_HEADER)}")
         rows.append(
             SweepRow(
-                point=float(rec[0]),
+                point=_csv_number(rec, 0, line),
                 mode=rec[1],
-                det=float(rec[2]),
-                crb_theta_total=float(rec[3]),
-                crb_r_total=float(rec[4]),
+                det=_csv_number(rec, 2, line),
+                crb_theta_total=_csv_number(rec, 3, line),
+                crb_r_total=_csv_number(rec, 4, line),
                 diagnostics=rec[5],
             )
         )

@@ -14,8 +14,8 @@ from nfcrb import (
     SourceGeom,
     SourceSignal,
     covariances,
-    delay_matrix,
     load_scenario,
+    native_delays,
     runtime_scenario,
     steering_derivatives,
     steering_matrix,
@@ -91,7 +91,7 @@ def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0,
 
 def trace_loop_fim(scn: Scenario) -> np.ndarray:
     """Reference information matrix: dense derivative products and one trace per entry."""
-    A = steering_matrix(delay_matrix(scn), scn.frequencies())
+    A = steering_matrix(native_delays(scn), scn.frequencies())
     covset = covariances(A, scn.signals, scn.noise_variance)
     Rs, Ah = covset.source_cov, A.conj().T
     derivs = [

@@ -23,14 +23,14 @@ from nfcrb import (
     constellation_metrics,
     covariances,
     crb_from_fim,
-    delay_matrix,
     fim_closed_form,
     fim_generic,
     gf_objective,
     grid_search,
     hadamard_bound,
-    pairwise_delay_matrix,
+    native_delays,
     phase_terms,
+    polar_form,
     received_power,
     rx_derivatives,
     rx_derivatives_fd,
@@ -40,7 +40,6 @@ from nfcrb import (
     steering_matrix,
     sweep,
     synthesize_snapshots,
-    to_polar,
 )
 from nfcrb.cli import main as cli_main
 from nfcrb.fim_crb import delay_gradients
@@ -74,7 +73,7 @@ def test_criterion_1_steering_derivative_oracle():
             source_positions(scn)[None, :, :] - sensor_positions(scn)[:, None, :], axis=2
         )
         dtau_b, _ = delay_gradients(scn)
-        A = steering_matrix(delay_matrix(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), scn.frequencies())
         w = 2 * np.pi * scn.frequencies()[None, :]
         variant_cols = -1j * w * (dtau_b / d**2) * A
         fd_b = steering_derivatives_fd(scn, "bearing")
@@ -101,11 +100,11 @@ def test_criterion_1_steering_derivative_oracle():
 def test_criterion_2_fim_oracle(scenario_a, scenario_b):
     rng = np.random.default_rng(202)
     t0 = time.monotonic()
-    cases = [to_polar(scenario_a)[0], to_polar(scenario_b)[0]]
+    cases = [polar_form(scenario_a)[0], polar_form(scenario_b)[0]]
     cases += [random_scenario(rng) for _ in range(20)]
     worst = 0.0
     for scn in cases:
-        A = steering_matrix(delay_matrix(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), scn.frequencies())
         covset = covariances(A, scn.signals, scn.noise_variance)
         F_ana = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
         F_fd = fim_generic(covset.array_cov, rx_derivatives_fd(scn), scn.snapshots)
@@ -128,7 +127,7 @@ def test_criterion_3_closed_form_blocks():
     worst_cov = 0.0
     for _ in range(20):
         scn = random_scenario(rng)
-        A = steering_matrix(delay_matrix(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), scn.frequencies())
         covset = covariances(A, scn.signals, scn.noise_variance)
         generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
         _, dev = fim_closed_form(scn, A, covset, generic)
@@ -146,7 +145,7 @@ def test_criterion_4_crb_snapshot_scaling():
     worst = 0.0
     for _ in range(5):
         scn = random_scenario(rng)
-        A = steering_matrix(delay_matrix(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), scn.frequencies())
         covset = covariances(A, scn.signals, scn.noise_variance)
         derivs = rx_derivatives(scn, A, covset)
         r1 = crb_from_fim(fim_generic(covset.array_cov, derivs, 7))
@@ -170,7 +169,7 @@ def test_criterion_5_determinant_and_power_bounds(scenario_a, scenario_b):
     margins = []
     for pws in (scenario_a, scenario_b):
         freqs = np.array([s.freq_hz for s in pws.signals])
-        A = steering_matrix(pairwise_delay_matrix(pws), freqs)
+        A = steering_matrix(native_delays(pws), freqs)
         powers, _ = received_power(A, pws.signals)
         smax2 = max(abs(s.amplitude) ** 2 for s in pws.signals)
         for k in range(pws.num_sensors):
@@ -277,7 +276,7 @@ def test_criterion_8_grid_oracle_dominates_analytic(scenario_a, scenario_b):
 
 def test_criterion_9_sample_covariance_convergence(scenario_a):
     freqs = np.array([s.freq_hz for s in scenario_a.signals])
-    A = steering_matrix(pairwise_delay_matrix(scenario_a), freqs)
+    A = steering_matrix(native_delays(scenario_a), freqs)
     covset = covariances(A, scenario_a.signals, 1.0)
     ratios = []
     for seed in range(20):

@@ -17,24 +17,24 @@ from nfcrb import (
     ValidationError,
     covariances,
     crb_from_fim,
-    delay_matrix,
     fim_closed_form,
     fim_for_scenario,
     fim_generic,
+    native_delays,
+    polar_form,
     rx_derivatives,
     rx_derivatives_fd,
     selection_matrices,
     steering_derivatives,
     steering_derivatives_fd,
     steering_matrix,
-    to_polar,
 )
 from nfcrb.fim_crb import DR_CHUNK_VALUES, batch_chunk, crb_totals, fim_batch
 from conftest import pinv_totals, random_scenario, trace_loop_fim
 
 
 def _prep(scn):
-    A = steering_matrix(delay_matrix(scn), scn.frequencies())
+    A = steering_matrix(native_delays(scn), scn.frequencies())
     covset = covariances(A, scn.signals, scn.noise_variance)
     return A, covset
 
@@ -203,7 +203,7 @@ class TestFimBatch:
 
     @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
     def test_matches_trace_loop_on_bundled(self, fixture, request):
-        polar, _ = to_polar(request.getfixturevalue(fixture))
+        polar, _ = polar_form(request.getfixturevalue(fixture))
         self._check_stack(np.random.default_rng(51), polar)
 
     def test_matches_trace_loop_on_random_scenarios(self):
@@ -294,30 +294,6 @@ class TestKernelProperties:
 
 
 class TestSelectionMatrices:
-    def test_two_source_index_vectors(self):
-        sel = selection_matrices(2)
-        assert sel.diag_idx.tolist() == [1, 4]
-        assert sel.lower_diag_rows.tolist() == [1, 2, 3]
-        assert sel.lower_diag_idx.tolist() == [1, 2, 4]
-        assert sel.strict_lower_idx.tolist() == [2]
-        assert sel.mirror_upper_idx.tolist() == [3]
-
-    def test_three_source_index_vectors(self):
-        sel = selection_matrices(3)
-        assert sel.diag_idx.tolist() == [1, 5, 9]
-        assert sel.strict_lower_idx.tolist() == [2, 3, 6]
-        assert sel.mirror_upper_idx.tolist() == [4, 7, 8]
-        assert sel.lower_diag_idx.tolist() == [1, 2, 3, 5, 6, 9]
-        for vec in (sel.strict_lower_idx, sel.mirror_upper_idx, sel.lower_diag_idx, sel.diag_idx):
-            assert np.all(np.diff(vec) > 0)
-
-    def test_entry_structure(self):
-        sel = selection_matrices(3)
-        for mat in (sel.fold_add, sel.fold_sub, sel.lower_selector, sel.strict_lower_selector, sel.diag_selector):
-            assert set(np.unique(mat)).issubset({-1.0, 0.0, 1.0})
-        # the skew fold is the only complex piece (a -j factor)
-        assert np.allclose(sel.skew_fold.real, 0.0)
-
     def test_hermitian_maps_to_real(self):
         rng = np.random.default_rng(19)
         for n in (1, 2, 3, 4):
@@ -374,7 +350,7 @@ class TestFimClosedForm:
                 assert value < 1e-9, f"{block} deviated by {value}"
 
     def test_scenario_a_deviations_pinned(self, scenario_a):
-        polar, _ = to_polar(scenario_a)
+        polar, _ = polar_form(scenario_a)
         A, covset = _prep(polar)
         generic = fim_generic(covset.array_cov, rx_derivatives(polar, A, covset), 1)
         _, dev = fim_closed_form(polar, A, covset, generic)
@@ -399,7 +375,7 @@ class TestCrbFromFim:
     def test_scenario_a_headline_pinned(self, scenario_a):
         # coherent (rank-one) sources leave the information matrix rank
         # deficient; the pseudo-inverse totals are pinned as regression values
-        polar, _ = to_polar(scenario_a)
+        polar, _ = polar_form(scenario_a)
         report = crb_from_fim(fim_for_scenario(polar))
         assert report.rank_deficient
         assert report.rank == 12 and report.size == 16

@@ -137,6 +137,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             SweepSpec(vary="frequency", start=1e6, stop=2e6, steps=5)
 
+    def test_rejects_repeated_modes(self):
+        with pytest.raises(ValidationError, match="sweep modes repeat: primary,reposition,primary"):
+            SweepSpec(vary="velocity", start=1e6, stop=2e6, steps=2,
+                      modes=("primary", "reposition", "primary"))
+
 
 class TestCompareReport:
     def test_identical_inputs(self):

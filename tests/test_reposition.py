@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -20,15 +21,16 @@ from nfcrb import (
     grid_search,
     hadamard_bound,
     line_search_reposition,
-    pairwise_delay_matrix,
+    native_delays,
+    pairwise_form,
     phase_terms,
     received_power,
     scenario_from_positions,
     scenario_positions,
     steering_matrix,
-    to_pairwise,
 )
 from nfcrb import reposition
+from nfcrb.cli import main as cli_main
 from nfcrb.optimizer import BoxGrid
 from nfcrb.reposition import OBJECTIVES, evaluate_objective, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
@@ -85,8 +87,8 @@ class TestPhaseTerms:
     def test_equals_frequency_times_delay(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            pws = to_pairwise(random_upper_half_scenario(rng))
-            tau = pairwise_delay_matrix(pws)
+            pws = pairwise_form(random_upper_half_scenario(rng))
+            tau = native_delays(pws)
             freqs = np.array([s.freq_hz for s in pws.signals])
             for k in range(pws.num_sensors):
                 terms = phase_terms(pws, k)
@@ -264,7 +266,7 @@ class TestBatchedBoundSearch:
         values = score_candidates("crb_r", 1, sensors_xy, sources_xy, scn, positions)
         failed = [d for d, v in zip(disps, values) if isinstance(v, ValidationError)]
         assert failed == [100.0]
-        assert str(values[40]) == "a sensor coincides with a source"
+        assert str(values[40]) == "sensor 2 coincides with source 1"
         reference = per_candidate_bounds(scn, 1, np.delete(disps, 40))
         for disp, value in zip(disps, values):
             if disp != 100.0:
@@ -275,7 +277,7 @@ class TestBatchedBoundSearch:
         box = BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3)
         plan = grid_search(scn, 1, "crb_r", box)
         assert [n for n in plan.source_notes if "skipped" in n] == [
-            "position (110, 0) skipped: a sensor coincides with a source"
+            "position (110, 0) skipped: sensor 2 coincides with source 1"
         ]
         sensors_xy, sources_xy, _ = scenario_positions(scn)
 
@@ -361,10 +363,10 @@ class TestBatchedPhaseSearch:
         line, _ = candidate_positions(scn, 1, DisplacementGrid(60.0, 140.0, 81), 0.0, 1)
         values = batched_values(objective, scn, 1, line)
         assert values == per_candidate_values(objective, scn, 1, line)
-        assert [v for v in values if isinstance(v, str)] == ["a sensor coincides with a source"]
+        assert [v for v in values if isinstance(v, str)] == ["sensor 2 coincides with source 1"]
         plan = grid_search(scn, 1, objective, BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3))
         assert [n for n in plan.source_notes if "skipped" in n] == [
-            "position (110, 0) skipped: a sensor coincides with a source"
+            "position (110, 0) skipped: sensor 2 coincides with source 1"
         ]
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -374,7 +376,7 @@ class TestBatchedPhaseSearch:
         sensors_xy[0] = sources_xy[0]
         positions = np.column_stack([np.linspace(5.0, 15.0, 11), np.ones(11)])
         values = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
-        assert [str(v) for v in values] == ["a sensor coincides with a source"] * 11
+        assert [str(v) for v in values] == ["sensor 1 coincides with source 1"] * 11
 
     @pytest.mark.parametrize("fixture, displacement", [("scenario_a", 155.4), ("scenario_b", -194.0)])
     def test_det_and_power_pick_the_same_move(self, fixture, displacement, request):
@@ -416,6 +418,47 @@ class TestBatchedPhaseSearch:
                 else:
                     grid_search(scenario_a, 0, "crb", BoxGrid(0, 10, 3, 0, 10, 3))
         assert calls == []
+
+
+def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
+    # one distance kernel names the 1-based sensor and source on every route
+    doc = {
+        "velocity_mps": 3e8,
+        "signals": [{"freq_hz": 1e6, "amplitude": [1.0, 1.0]}, {"freq_hz": 2e6, "amplitude": [0.5, -1.0]}],
+        "noise_variance": 1.0,
+        "snapshots": 1,
+        "geometry": {"polar": {
+            "sources": [{"range_m": 110.0, "bearing_deg": 0.0}, {"range_m": 150.0, "bearing_deg": 70.0}],
+            "sensors": [
+                {"radius_m": 0.0, "azimuth_deg": 0.0},
+                {"radius_m": 10.0, "azimuth_deg": 0.0},
+                {"radius_m": 150.0, "azimuth_deg": 70.0},
+            ],
+        }},
+    }
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["compute", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sensor 3 coincides with source 2\n"
+
+    scn = TestBatchedBoundSearch._coinciding_scenario()
+    sensors_xy = np.array([[0.0, 0.0], [10.0, -5.0], [30.0, 50.0]])
+    sources_xy = np.array([[40.0, 100.0], [90.0, 50.0]])
+    # a line candidate of element 3 lands on source 2
+    line = np.column_stack([30.0 + DisplacementGrid(0.0, 80.0, 81).values(), np.full(81, 50.0)])
+    for objective in OBJECTIVES:
+        values = score_candidates(objective, 2, sensors_xy, sources_xy, scn, line)
+        assert [(i, str(v)) for i, v in enumerate(values) if isinstance(v, ValidationError)] == [
+            (60, "sensor 3 coincides with source 2")
+        ]
+    # sensor 3 sits on source 2 while element 1 moves: the gf/power pre-check
+    # and every candidate name sensor 3, not its row among the fixed sensors
+    fixed_on_source = np.array([[0.0, 0.0], [10.0, -5.0], [90.0, 50.0]])
+    for objective in ("gf", "power"):
+        with pytest.raises(ValidationError, match="^sensor 3 coincides with source 2$"):
+            reposition._chunk_scorer(objective, 0, fixed_on_source, sources_xy, scn)
+        values = score_candidates(objective, 0, fixed_on_source, sources_xy, scn, line[:5] - 100.0)
+        assert [str(v) for v in values] == ["sensor 3 coincides with source 2"] * 5
 
 
 class TestBatchedScorerProperties:
@@ -462,8 +505,8 @@ class TestApplyReposition:
         assert np.array_equal(after.geometry.vertical_m, scenario_a.geometry.vertical_m)
 
     def test_other_rows_delays_bit_identical(self, scenario_a):
-        tau0 = pairwise_delay_matrix(scenario_a)
-        tau1 = pairwise_delay_matrix(apply_reposition(scenario_a, reference_plan_a()))
+        tau0 = native_delays(scenario_a)
+        tau1 = native_delays(apply_reposition(scenario_a, reference_plan_a()))
         assert np.array_equal(tau0[[0, 1, 3]], tau1[[0, 1, 3]])
         assert not np.array_equal(tau0[2], tau1[2])
 
@@ -487,7 +530,7 @@ class TestPowerBound:
     def test_power_bounded_by_phase_objective(self, fixture, request):
         pws = request.getfixturevalue(fixture)
         freqs = np.array([s.freq_hz for s in pws.signals])
-        A = steering_matrix(pairwise_delay_matrix(pws), freqs)
+        A = steering_matrix(native_delays(pws), freqs)
         powers, _ = received_power(A, pws.signals)
         smax2 = max(abs(s.amplitude) ** 2 for s in pws.signals)
         for k in range(pws.num_sensors):

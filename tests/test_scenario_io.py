@@ -317,6 +317,19 @@ MALFORMED_ARGS = {
         ["sweep", "--scenario", "scenario_a", "--vary", "velocity:1:x:3", "--out", "{tmp}/out.csv"],
         "--vary stop: expected a number",
     ),
+    "sweep source 0": (
+        ["sweep", "--scenario", "scenario_a", "--vary", "frequency:0:1e5:2e5:3", "--out", "{tmp}/out.csv"],
+        r"^error: --vary source: 0 outside 1\.\.3$",
+    ),
+    "sweep source past the last": (
+        ["sweep", "--scenario", "scenario_a", "--vary", "frequency:4:1e5:2e5:3", "--out", "{tmp}/out.csv"],
+        r"^error: --vary source: 4 outside 1\.\.3$",
+    ),
+    "sweep mode repeated": (
+        ["sweep", "--scenario", "scenario_a", "--vary", "velocity:1e3:2e3:3",
+         "--modes", "primary,primary", "--out", "{tmp}/out.csv"],
+        "sweep modes repeat: primary,primary",
+    ),
 }
 
 
@@ -336,3 +349,17 @@ def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1.0,primary,x,3.0,4.0,", r"^line 3, column det: expected a number, got 'x'$"),
+        ("1.0,primary,2.0", r"^line 3: 3 columns, expected 6$"),
+    ],
+)
+def test_malformed_sweep_csv_is_a_typed_error(line, message):
+    good = "1.0,primary,2.0,3.0,4.0,"
+    text = "\n".join(["point,mode,det,crb_theta_total,crb_r_total,flags", good, line, good])
+    with pytest.raises(ValidationError, match=message):
+        parse_sweep_csv(text)

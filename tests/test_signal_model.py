@@ -5,8 +5,7 @@ from nfcrb import (
     SourceSignal,
     ValidationError,
     covariances,
-    delay_matrix,
-    pairwise_delay_matrix,
+    native_delays,
     received_power,
     sample_covariance,
     steering_matrix,
@@ -17,7 +16,7 @@ from conftest import random_scenario
 
 def _steering_for(pws):
     freqs = np.array([s.freq_hz for s in pws.signals])
-    return steering_matrix(pairwise_delay_matrix(pws), freqs)
+    return steering_matrix(native_delays(pws), freqs)
 
 
 class TestSteeringMatrix:
@@ -65,7 +64,7 @@ class TestCovariances:
         rng = np.random.default_rng(17)
         for _ in range(20):
             scn = random_scenario(rng)
-            A = steering_matrix(delay_matrix(scn), scn.frequencies())
+            A = steering_matrix(native_delays(scn), scn.frequencies())
             cs = covariances(A, scn.signals, scn.noise_variance)
             w = np.linalg.eigvalsh(cs.array_cov)
             assert w.min() >= scn.noise_variance - 1e-10
@@ -147,7 +146,7 @@ class TestReceivedPower:
     def test_power_equals_quadratic_form(self):
         rng = np.random.default_rng(9)
         scn = random_scenario(rng, m=5, n=3)
-        A = steering_matrix(delay_matrix(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), scn.frequencies())
         powers, _ = received_power(A, scn.signals)
         s = scn.amplitudes()
         manual = np.array([abs(np.dot(A[m], s)) ** 2 for m in range(5)])
