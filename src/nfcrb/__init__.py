@@ -42,7 +42,6 @@ from .geometry import (
     source_positions,
 )
 from .optimizer import (
-    BoxGrid,
     ComparisonReport,
     ConstellationMetrics,
     SweepRow,
@@ -53,6 +52,7 @@ from .optimizer import (
     sweep,
 )
 from .reposition import (
+    BoxGrid,
     DisplacementGrid,
     PhaseTerms,
     RepositionPlan,

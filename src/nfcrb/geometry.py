@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,7 @@ class PairwiseGeometry:
             raise ValidationError("vertical distances must be positive")
         if np.any(a <= 0) or np.any(a >= math.pi):
             raise ValidationError("arrival angles must lie strictly inside (0, pi)")
+        v.flags.writeable = a.flags.writeable = False  # so the cached fit cannot go stale
         object.__setattr__(self, "vertical_m", v)
         object.__setattr__(self, "arrival_rad", a)
 
@@ -162,6 +164,13 @@ class PairwiseGeometry:
     @property
     def num_sources(self) -> int:
         return self.vertical_m.shape[1]
+
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``reconstruct_positions`` of this table, fitted once; the arrays are read-only."""
+        sensors, sources, residual = reconstruct_positions(self)
+        sensors.flags.writeable = sources.flags.writeable = False
+        return sensors, sources, residual
 
 
 @dataclass(frozen=True)
@@ -293,7 +302,7 @@ def polar_form(scn) -> tuple[Scenario, float | None]:
     _require_scenario(scn)
     if isinstance(scn, Scenario):
         return scn, None
-    sensors_xy, sources_xy, residual = reconstruct_positions(scn.geometry)
+    sensors_xy, sources_xy, residual = scn.geometry.positions
     polar = scenario_from_positions(
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
@@ -341,12 +350,13 @@ def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
     """Cartesian sensors/sources of a polar or pairwise scenario.
 
     Polar input converts exactly (residual 0); pairwise input goes through the
-    least-squares reconstruction and reports its residual.
+    least-squares reconstruction, fitted once per table, and reports its
+    residual (its arrays are then read-only).
     """
     _require_scenario(scn)
     if isinstance(scn, Scenario):
         return sensor_positions(scn), source_positions(scn), 0.0
-    return reconstruct_positions(scn.geometry)
+    return scn.geometry.positions
 
 
 def far_field_radius(aperture_wavelengths: float, departure_wavelengths: float) -> float:

@@ -15,40 +15,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .fim_crb import CrbReport, FimMatrix, crb_from_fim, fim_for_scenario
-from .geometry import native_delays, polar_form, scenario_positions
-from .reposition import (
-    DisplacementGrid,
-    RepositionPlan,
-    analytic_reposition,
-    apply_reposition,
-    scan_displacements,
-    score_candidates,
-)
+from .geometry import native_delays, polar_form
+# BoxGrid is re-exported, so nfcrb.optimizer.BoxGrid keeps working
+from .reposition import BoxGrid, RepositionPlan, _scan, analytic_reposition, apply_reposition
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
-
-
-@dataclass(frozen=True)
-class BoxGrid:
-    """Rectangular grid of candidate element positions (x, y)."""
-
-    x_start: float
-    x_stop: float
-    x_steps: int
-    y_start: float
-    y_stop: float
-    y_steps: int
-
-    def __post_init__(self) -> None:
-        if self.x_steps < 1 or self.y_steps < 1:
-            raise ValidationError("box grid needs at least one step per axis")
-        if self.x_stop < self.x_start or self.y_stop < self.y_start:
-            raise ValidationError("box grid bounds reversed")
-
-    def points(self) -> np.ndarray:
-        """(K, 2) candidate positions, x-major; one step on an axis sits at its midpoint."""
-        xs = DisplacementGrid(self.x_start, self.x_stop, self.x_steps).values()
-        ys = DisplacementGrid(self.y_start, self.y_stop, self.y_steps).values()
-        return np.array([(x, y) for x in xs for y in ys])
 
 
 @dataclass(frozen=True)
@@ -165,50 +135,7 @@ def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
     order).  Unlike the line search, the original position competes only if
     the region contains it, so a single-point grid returns that point.
     """
-    if isinstance(region, DisplacementGrid):
-        return scan_displacements(
-            scn, element, objective, region.values(), mode="grid", include_origin=False
-        )
-    if not isinstance(region, BoxGrid):
-        raise ValidationError(f"region must be a DisplacementGrid or BoxGrid, got {type(region).__name__}")
-
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
-    if not 0 <= element < len(sensors_xy):
-        raise ValidationError(f"element {element} outside 0..{len(sensors_xy) - 1}")
-    points = region.points()
-    positions = np.vstack([sensors_xy[element], points])
-    base_val, *values = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
-    notes: list[str] = []
-    if isinstance(base_val, ValidationError):
-        notes.append(f"original position not evaluable: {base_val}")
-        base_val = None
-    best_val = None
-    best_pos = None
-    for (x, y), val in zip(points, values):
-        if isinstance(val, ValidationError):
-            notes.append(f"position ({x:.6g}, {y:.6g}) skipped: {val}")
-            continue
-        if best_val is None or val < best_val:
-            best_val = val
-            best_pos = (float(x), float(y))
-    if best_val is None:
-        raise ValidationError("objective evaluation failed at every grid point")
-    x, y = best_pos
-    vertical = sources_xy[:, 1] - y
-    arrival = np.arctan2(vertical, sources_xy[:, 0] - x)
-    if base_val is not None and best_val > base_val:
-        notes.append("grid minimizer is worse than the original position")
-    return RepositionPlan(
-        element=element,
-        mode="grid",
-        new_arrival_rad=arrival,
-        displacement_m=None,
-        objective=objective,
-        objective_before=float(base_val) if base_val is not None else float("nan"),
-        objective_after=float(best_val),
-        source_notes=tuple(notes),
-        new_position_m=best_pos,
-    )
+    return _scan(scn, element, objective, region, "grid")
 
 
 def _with_point(scn, spec: SweepSpec, point: float):

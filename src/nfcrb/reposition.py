@@ -7,9 +7,10 @@ realizations are provided:
 * an analytic mode that assigns per-source phase targets alternating between
   a small value (pi / m) and a right angle, solving each target back to an
   arrival angle when the resulting sine stays within [0, 1];
-* a line-search mode that scans displacements along the axis and keeps the
-  best value of a chosen objective (the current position always competes, so
-  the plan never loses to standing still);
+* one search scan behind the line search and ``optimizer.grid_search``: it
+  scores the element at every position of a ``DisplacementGrid`` or
+  ``BoxGrid`` in one batch with its current position and keeps the first
+  minimum (a line search always includes the current position);
 * plan application, which rewrites the chosen element's pairwise row.
 
 The analytic targets set each phase term independently, so the N solved
@@ -23,6 +24,7 @@ asks for the obtuse one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,18 @@ class RepositionPlan:
     new_position_m: tuple[float, float] | None = None
 
 
+def _check_axis(label: str, grid, prefix: str = "") -> None:
+    """Reject non-finite bounds, a step count that is not a positive integer and reversed bounds."""
+    start, stop, steps = (getattr(grid, prefix + name) for name in ("start", "stop", "steps"))
+    for name, value in (("start", start), ("stop", stop)):
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValidationError(f"{label} {prefix}{name} must be a finite number, got {value!r}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValidationError(f"{label} {prefix}steps must be a positive integer, got {steps!r}")
+    if stop < start:
+        raise ValidationError(f"{label} bounds reversed: [{start}, {stop}]")
+
+
 @dataclass(frozen=True)
 class DisplacementGrid:
     """Evenly spaced displacements along the reference axis."""
@@ -91,15 +105,34 @@ class DisplacementGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValidationError(f"grid needs at least one step, got {self.steps}")
-        if self.stop < self.start:
-            raise ValidationError(f"grid bounds reversed: [{self.start}, {self.stop}]")
+        _check_axis("grid", self)
 
     def values(self) -> np.ndarray:
         if self.steps == 1:
             return np.array([0.5 * (self.start + self.stop)])
         return np.linspace(self.start, self.stop, self.steps)
+
+
+@dataclass(frozen=True)
+class BoxGrid:
+    """Rectangular grid of candidate element positions (x, y)."""
+
+    x_start: float
+    x_stop: float
+    x_steps: int
+    y_start: float
+    y_stop: float
+    y_steps: int
+
+    def __post_init__(self) -> None:
+        _check_axis("box grid", self, "x_")
+        _check_axis("box grid", self, "y_")
+
+    def points(self) -> np.ndarray:
+        """(K, 2) candidate positions, x-major; one step on an axis sits at its midpoint."""
+        xs = DisplacementGrid(self.x_start, self.x_stop, self.x_steps).values()
+        ys = DisplacementGrid(self.y_start, self.y_stop, self.y_steps).values()
+        return np.array([(x, y) for x in xs for y in ys])
 
 
 def hadamard_bound(matrix) -> float:
@@ -367,82 +400,70 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     return values
 
 
-def scan_displacements(
-    scn, element: int, objective: str, displacements, mode: str, include_origin: bool = True
-) -> RepositionPlan:
-    """Evaluate the objective at each displacement of the element along the axis.
+def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPlan:
+    """Score the element at each candidate position of the region; the first minimum wins.
 
-    Candidates are scanned in ascending order and the first minimum wins, so
-    ties resolve to the lowest displacement.  With ``include_origin`` the
-    current position competes even when the grid omits it; without it the
-    origin is evaluated only for the before/after report.  Failing grid points
-    are skipped and noted; the scan errors out only if every point fails.
+    A DisplacementGrid slides it along the axis over its ascending distinct displacements
+    (a line search adds zero), a BoxGrid moves it to its points in scan order.  The current
+    position, scored in the same batch, is the baseline (NaN, with a note, if unscorable).
+    Failing candidates are skipped and noted; the scan fails only if all of them do.
     """
     sensors_xy, sources_xy, _ = scenario_positions(scn)
     _check_element(element, len(sensors_xy))
     x0, y0 = sensors_xy[element]
-
-    def values_at(disps: np.ndarray) -> list:
+    if isinstance(region, DisplacementGrid):
+        disps = np.unique(np.append(region.values(), 0.0) if mode == "linesearch" else region.values())
         positions = np.column_stack([x0 + disps, np.full_like(disps, y0)])
-        return score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    elif isinstance(region, BoxGrid) and mode == "grid":
+        positions, disps = region.points(), None
+    else:
+        raise ValidationError(f"mode {mode!r} cannot search a {type(region).__name__}")
 
-    cand = np.asarray(displacements, dtype=float)
-    if include_origin:
-        cand = np.concatenate([cand, [0.0]])
-    cand = np.unique(cand)
+    candidates = np.vstack([sensors_xy[element], positions])
+    before, *values = score_candidates(objective, element, sensors_xy, sources_xy, scn, candidates)
     notes = []
-    best_val = None
-    best_disp = None
-    base_val = None
-    for disp, val in zip(cand, values_at(cand)):
-        if isinstance(val, ValidationError):
-            notes.append(f"displacement {disp:+.6g} m skipped: {val}")
-            continue
-        if disp == 0.0:
-            base_val = val
-        if best_val is None or val < best_val:
-            best_val = val
-            best_disp = float(disp)
-    if best_val is None:
+    if isinstance(before, ValidationError):
+        notes.append(f"original position not evaluable: {before}")
+        before = float("nan")
+    best = None
+    for i, value in enumerate(values):
+        if isinstance(value, ValidationError):
+            x, y = positions[i]
+            where = f"position ({x:.6g}, {y:.6g})" if disps is None else f"displacement {disps[i]:+.6g} m"
+            notes.append(f"{where} skipped: {value}")
+        elif best is None or value < values[best]:
+            best = i
+    if best is None:
         raise ValidationError("objective evaluation failed at every grid point")
-    if base_val is None:
-        base_val = values_at(np.zeros(1))[0]
-        if isinstance(base_val, ValidationError):
-            notes.append("original position not evaluable; improvement not comparable")
-            base_val = float("inf")
-    if best_val > base_val:
+    if values[best] > before:
         notes.append("grid minimizer is worse than the original position")
 
-    moved = sensors_xy.copy()
-    moved[element, 0] += best_disp
-    vertical = sources_xy[:, 1] - moved[element, 1]
-    horizontal = sources_xy[:, 0] - moved[element, 0]
-    if np.any(vertical <= 0):
+    x, y = positions[best]
+    vertical = sources_xy[:, 1] - y
+    if disps is not None and np.any(vertical <= 0):
         raise SingularGeometryError(
             "chosen displacement puts a source on or below the element's horizontal line"
         )
-    new_arrival = np.arctan2(vertical, horizontal)
     return RepositionPlan(
         element=element,
         mode=mode,
-        new_arrival_rad=new_arrival,
-        displacement_m=best_disp,
+        new_arrival_rad=np.arctan2(vertical, sources_xy[:, 0] - x),
+        displacement_m=None if disps is None else float(disps[best]),
         objective=objective,
-        objective_before=float(base_val),
-        objective_after=float(best_val),
+        objective_before=float(before),
+        objective_after=float(values[best]),
         source_notes=tuple(notes),
+        new_position_m=(float(x), float(y)) if disps is None else None,
     )
 
 
-def line_search_reposition(
-    scn, element: int, objective: str, grid: DisplacementGrid
-) -> RepositionPlan:
+def line_search_reposition(scn, element: int, objective: str, grid: DisplacementGrid) -> RepositionPlan:
     """Slide the element along the reference axis and keep the best objective.
 
     Vertical distances are invariant under the slide.  Displacement zero is
     always a candidate, so objective_after <= objective_before.
     """
-    return scan_displacements(scn, element, objective, grid.values(), mode="linesearch")
+    return _scan(scn, element, objective, grid, "linesearch")
 
 
 def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nfcrb import geometry
 from nfcrb import (
     DegenerateGeometryError,
     PairwiseGeometry,
@@ -225,6 +228,24 @@ class TestReconstruct:
     def test_scenario_b_residual_pinned(self, scenario_b):
         _, _, residual = reconstruct_positions(scenario_b.geometry)
         assert residual == pytest.approx(0.3400631190147472, rel=1e-9)
+
+    def test_pairwise_table_is_fitted_once(self):
+        pws = pairwise_form(random_upper_half_scenario(np.random.default_rng(35)))
+        with mock.patch.object(geometry, "reconstruct_positions", wraps=reconstruct_positions) as fit:
+            _, residual = polar_form(pws)
+            sens, srcs, residual_again = scenario_positions(pws)
+            polar_form(replace(pws, velocity_mps=2e8))  # same table, other speed
+            assert fit.call_count == 1
+        ref_sens, ref_srcs, ref_residual = reconstruct_positions(pws.geometry)
+        assert np.array_equal(sens, ref_sens) and np.array_equal(srcs, ref_srcs)
+        assert residual == residual_again == ref_residual
+        assert not sens.flags.writeable and not srcs.flags.writeable
+        # the table itself is read-only too, so the cached fit cannot go stale
+        assert not pws.geometry.vertical_m.flags.writeable and not pws.geometry.arrival_rad.flags.writeable
+        with pytest.raises(ValueError):
+            sens[0, 0] = 1.0
+        # the public fit stays uncached and returns fresh, writable arrays
+        assert ref_sens.flags.writeable and reconstruct_positions(pws.geometry)[0] is not ref_sens
 
     def test_polar_form_rebuilds_scenario(self, scenario_a):
         rec, residual = polar_form(scenario_a)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import (
+    BoxGrid,
     DisplacementGrid,
     RepositionPlan,
     Scenario,
     SensorGeom,
+    SingularGeometryError,
     SourceGeom,
     SourceSignal,
     ValidationError,
@@ -31,7 +33,6 @@ from nfcrb import (
 )
 from nfcrb import reposition
 from nfcrb.cli import main as cli_main
-from nfcrb.optimizer import BoxGrid
 from nfcrb.reposition import OBJECTIVES, evaluate_objective, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
 
@@ -479,6 +480,102 @@ class TestBatchedScorerProperties:
                 default = batched_values(objective, scn, element, positions)
                 with mock.patch.object(reposition, "_chunk_scorer", with_chunk):
                     assert batched_values(objective, scn, element, positions) == default
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DisplacementGrid(math.nan, 1.0, 3), "grid start must be a finite number, got nan"),
+            (lambda: DisplacementGrid(0.0, math.inf, 3), "grid stop must be a finite number, got inf"),
+            (lambda: DisplacementGrid("0", 1.0, 3), "grid start must be a finite number, got '0'"),
+            (lambda: DisplacementGrid(0.0, 1.0, 2.5), "grid steps must be a positive integer, got 2.5"),
+            (lambda: DisplacementGrid(0.0, 1.0, 0), "grid steps must be a positive integer, got 0"),
+            (lambda: DisplacementGrid(1.0, 0.0, 3), r"grid bounds reversed: \[1.0, 0.0\]"),
+            (lambda: BoxGrid(math.nan, 1.0, 3, 0.0, 1.0, 3), "box grid x_start must be a finite number, got nan"),
+            (lambda: BoxGrid(0.0, 1.0, 3, 0.0, -math.inf, 3), "box grid y_stop must be a finite number, got -inf"),
+            (lambda: BoxGrid(0.0, 1.0, 3, 0.0, 1.0, 2.5), "box grid y_steps must be a positive integer, got 2.5"),
+        ],
+    )
+    def test_rejects_naming_the_field(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make()
+
+    def test_nan_bound_stops_every_search(self, scenario_a):
+        # a NaN bound used to reach the scorers: a raw LinAlgError for crb_theta,
+        # displacement 0 for det and position (nan, 0) for a box
+        with pytest.raises(ValidationError, match="^grid start must be a finite number"):
+            grid_search(scenario_a, 2, "crb_theta", DisplacementGrid(math.nan, 1.0, 3))
+        with pytest.raises(ValidationError, match="^grid start must be a finite number"):
+            line_search_reposition(scenario_a, 2, "det", DisplacementGrid(math.nan, 1.0, 3))
+        with pytest.raises(ValidationError, match="^box grid x_start must be a finite number"):
+            grid_search(scenario_a, 2, "power", BoxGrid(math.nan, 1.0, 3, -1.0, 1.0, 3))
+
+
+def origin_at_element(scn: Scenario, element: int) -> Scenario:
+    """The same constellation in a frame whose origin is the element, so its position is exactly (0, 0)."""
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    origin = sensors_xy[element].copy()
+    return scenario_from_positions(
+        sensors_xy - origin, sources_xy - origin, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+    )
+
+
+class TestOneScan:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start=st.floats(-80.0, 80.0),
+        span=st.floats(0.0, 80.0),
+        steps=st.integers(1, 30),
+    )
+    def test_displacement_grid_and_one_row_box_agree(self, seed, start, span, steps):
+        rng = np.random.default_rng(seed)
+        scn = random_upper_half_scenario(rng)
+        element = int(rng.integers(scn.num_sensors))
+        moved_frame = origin_at_element(scn, element)
+        # with the element at (0, 0) both regions hold bit-identical positions
+        line_grid = DisplacementGrid(start, start + span, steps)
+        row = BoxGrid(start, start + span, steps, 0.0, 0.0, 1)
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        for objective in OBJECTIVES:
+            along = grid_search(moved_frame, element, objective, line_grid)
+            box = grid_search(moved_frame, element, objective, row)
+            assert (along.displacement_m, 0.0) == box.new_position_m
+            assert np.array_equal(along.new_arrival_rad, box.new_arrival_rad)
+            assert along.objective_before == box.objective_before
+            assert along.objective_after == box.objective_after
+            # the baseline is the value evaluate_objective gives at the origin
+            before = line_search_reposition(scn, element, objective, line_grid).objective_before
+            assert before == evaluate_objective(
+                objective, element, sensors_xy, sources_xy, scn.signals,
+                scn.velocity_mps, scn.noise_variance, scn.snapshots,
+            )
+
+    def test_region_must_suit_the_mode(self, scenario_a):
+        with pytest.raises(ValidationError, match="^mode 'linesearch' cannot search a BoxGrid$"):
+            line_search_reposition(scenario_a, 2, "det", BoxGrid(-1.0, 1.0, 3, -1.0, 1.0, 3))
+        with pytest.raises(ValidationError, match="^mode 'grid' cannot search a list$"):
+            grid_search(scenario_a, 2, "det", [0.0, 1.0])
+
+    def test_unscorable_origin(self):
+        # element 2 sits on source 1: a box gives NaN before and a note, while a
+        # slide keeps that source on the element's own line and raises
+        scn = Scenario(
+            sources=(SourceGeom(110.0, 0.0), SourceGeom(150.0, 1.2)),
+            sensors=(SensorGeom(0.0, 0.0), SensorGeom(110.0, 0.0), SensorGeom(30.0, 2.0)),
+            velocity_mps=3e8,
+            signals=(SourceSignal(1e6, 1 + 1j), SourceSignal(2e6, 0.5 - 1j)),
+            noise_variance=1.0,
+            snapshots=1,
+        )
+        for objective in OBJECTIVES:
+            plan = grid_search(scn, 1, objective, BoxGrid(90.0, 100.0, 3, 10.0, 20.0, 3))
+            assert math.isnan(plan.objective_before)
+            assert plan.source_notes == ("original position not evaluable: sensor 2 coincides with source 1",)
+            for search in (line_search_reposition, grid_search):
+                with pytest.raises(SingularGeometryError, match="on or below the element's horizontal line"):
+                    search(scn, 1, objective, DisplacementGrid(5.0, 15.0, 3))
 
 
 class TestApplyReposition:
