@@ -43,7 +43,6 @@ from .geometry import (
 )
 from .optimizer import (
     ComparisonReport,
-    ConstellationMetrics,
     SweepRow,
     SweepSpec,
     compare_report,
@@ -54,7 +53,6 @@ from .optimizer import (
 from .reposition import (
     BoxGrid,
     DisplacementGrid,
-    PhaseTerms,
     RepositionPlan,
     analytic_reposition,
     apply_reposition,

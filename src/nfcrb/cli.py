@@ -31,7 +31,7 @@ from .fim_crb import (
     steering_derivatives_fd,
 )
 from .geometry import native_delays, polar_form
-from .optimizer import ConstellationMetrics, SweepSpec, compare_report, grid_search, sweep
+from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
 from .reposition import (
     DisplacementGrid,
     analytic_reposition,
@@ -50,7 +50,7 @@ from .scenario_io import (
     runtime_scenario,
     write_reports,
 )
-from .signal_model import covariances, frequency_vector, received_power, steering_matrix
+from .signal_model import covariances, steering_matrix
 
 
 def _load_runtime(args):
@@ -59,11 +59,6 @@ def _load_runtime(args):
     snaps = None if args.snapshots is None else parse_number(args.snapshots, "--snapshots", int)
     scn, defaults = runtime_scenario(sf, eta, snaps)
     return sf, scn, defaults
-
-
-def _native_powers(scn) -> tuple[np.ndarray, int]:
-    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
-    return received_power(A, scn.signals)
 
 
 def _resolve_element(scn, spec: str) -> int:
@@ -104,10 +99,6 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _metrics_from_report(report) -> ConstellationMetrics:
-    return ConstellationMetrics(report.det, report.crb_theta_total, report.crb_r_total)
-
-
 def cmd_reposition(args) -> int:
     sf, scn, defaults = _load_runtime(args)
     element = _resolve_element(scn, args.element)
@@ -139,7 +130,7 @@ def cmd_reposition(args) -> int:
     print(format_run_report(before))
     print("\n--- after ---")
     print(format_run_report(after))
-    cmp = compare_report(_metrics_from_report(before), _metrics_from_report(after))
+    cmp = compare_report(before.evaluation, after.evaluation)
     print("\n--- comparison (ratios before/after; >1 means improvement) ---")
     print(f"det ratio: {cmp.det_ratio:.4f}")
     print(f"crb_theta ratio: {cmp.crb_theta_ratio:.4f}")

@@ -1,10 +1,13 @@
-"""Brute-force search oracle and sweep harness.
+"""Constellation evaluation, sweeps and before/after comparison.
 
-``grid_search`` exhaustively evaluates a displacement grid (or a full 2-D box,
-which gives up vertical-distance invariance) and returns the grid minimizer,
-serving as the independent check on the repositioning modes.  ``sweep``
+``evaluate_constellation`` computes one constellation's det(R_x), received
+powers, information matrix and bounds; run reports, CSV rows, sweep rows and
+comparisons all read that one ``ConstellationEvaluation``.  ``sweep``
 re-evaluates a scenario over a frequency or velocity grid, optionally
-repositioning per point, and produces rows ready for CSV reporting.
+repositioning per point, and produces rows ready for CSV reporting;
+``compare_report`` gives the before/after ratios of two evaluations.
+``grid_search`` runs the exhaustive scan of ``reposition`` over a
+displacement grid or a 2-D box.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import ValidationError
 from .fim_crb import CrbReport, FimMatrix, crb_from_fim, fim_for_scenario
 from .geometry import native_delays, polar_form
 # BoxGrid is re-exported, so nfcrb.optimizer.BoxGrid keeps working
-from .reposition import BoxGrid, RepositionPlan, _scan, analytic_reposition, apply_reposition
+from .reposition import BoxGrid, RepositionPlan, _check_axis, _scan, analytic_reposition, apply_reposition
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
@@ -37,6 +40,7 @@ class SweepSpec:
             raise ValidationError(f"vary must be 'frequency' or 'velocity', got {self.vary!r}")
         if self.vary == "frequency" and self.source is None:
             raise ValidationError("frequency sweeps need a source index")
+        _check_axis("sweep", self)
         if not (0 < self.start < self.stop):
             raise ValidationError(f"sweep bounds must satisfy 0 < start < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
@@ -66,15 +70,6 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class ConstellationMetrics:
-    """Headline quantities of one constellation."""
-
-    det: float
-    crb_theta_total: float
-    crb_r_total: float
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Before/after ratios; a ratio below 1 means the quantity got worse."""
 
@@ -100,6 +95,12 @@ class ConstellationEvaluation:
     crb: CrbReport
 
 
+def _native_powers(scn) -> tuple[np.ndarray, int]:
+    """Per-element received powers at the scenario's native delays, and the strongest element."""
+    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+    return received_power(A, scn.signals)
+
+
 def evaluate_constellation(scn) -> ConstellationEvaluation:
     """|det R_x|, per-element received powers, information matrix and bounds of a scenario."""
     polar, residual = polar_form(scn)
@@ -110,8 +111,8 @@ def evaluate_constellation(scn) -> ConstellationEvaluation:
     return ConstellationEvaluation(det, powers, strongest, residual, fim, crb_from_fim(fim))
 
 
-def constellation_metrics(scn) -> tuple[ConstellationMetrics, tuple[str, ...]]:
-    """|det R_x| plus CRB totals for a polar or pairwise scenario.
+def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]]:
+    """The evaluation of a polar or pairwise scenario, with notes for a sweep row.
 
     The notes give the reconstruction residual of pairwise input and flag a
     rank-deficient information matrix.
@@ -122,10 +123,7 @@ def constellation_metrics(scn) -> tuple[ConstellationMetrics, tuple[str, ...]]:
         notes.append(f"reconstruction residual {ev.residual:.6e} m")
     if ev.crb.rank_deficient:
         notes.append(f"information matrix rank deficient ({ev.crb.rank}/{ev.crb.size})")
-    return (
-        ConstellationMetrics(ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total),
-        tuple(notes),
-    )
+    return ev, tuple(notes)
 
 
 def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
@@ -164,8 +162,7 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
             notes: list[str] = []
             target = scn_pt
             if mode == "reposition":
-                A = steering_matrix(native_delays(scn_pt), frequency_vector(scn_pt.signals))
-                _, strongest = received_power(A, scn_pt.signals)
+                _, strongest = _native_powers(scn_pt)
                 notes.append(f"strongest element {strongest + 1}")
                 try:
                     plan = analytic_reposition(scn_pt, strongest)
@@ -176,29 +173,21 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
                 except ValidationError as exc:
                     notes.append(f"reposition skipped: {exc}")
             try:
-                metrics, extra = constellation_metrics(target)
+                ev, extra = constellation_metrics(target)
                 notes.extend(extra)
+                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
             except ValidationError as exc:
                 notes.append(f"evaluation failed: {exc}")
-                metrics = ConstellationMetrics(float("nan"), float("nan"), float("nan"))
-            rows.append(
-                SweepRow(
-                    point=float(point),
-                    mode=mode,
-                    det=metrics.det,
-                    crb_theta_total=metrics.crb_theta_total,
-                    crb_r_total=metrics.crb_r_total,
-                    diagnostics="; ".join(notes),
-                )
-            )
+                values = (float("nan"),) * 3
+            rows.append(SweepRow(float(point), mode, *values, "; ".join(notes)))
     return rows
 
 
-def compare_report(before: ConstellationMetrics, after: ConstellationMetrics) -> ComparisonReport:
+def compare_report(before: ConstellationEvaluation, after: ConstellationEvaluation) -> ComparisonReport:
     """Ratios before/after for the headline quantities; ratios < 1 are flagged."""
     det_ratio = before.det / after.det
-    crb_theta_ratio = before.crb_theta_total / after.crb_theta_total
-    crb_r_ratio = before.crb_r_total / after.crb_r_total
+    crb_theta_ratio = before.crb.crb_theta_total / after.crb.crb_theta_total
+    crb_r_ratio = before.crb.crb_r_total / after.crb.crb_r_total
     worsened = tuple(
         name
         for name, ratio in (

@@ -54,15 +54,6 @@ BOUND_OBJECTIVES = ("crb_theta", "crb_r")
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseTerms:
-    """Per-source steering phases of one element: term = scale / sin(arrival)."""
-
-    values: np.ndarray
-    element: int
-    scale: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RepositionPlan:
     """Outcome of a reposition computation for one element.
 
@@ -151,8 +142,8 @@ def _check_element(element: int, num_sensors: int) -> None:
         raise ValidationError(f"element {element} outside 0..{num_sensors - 1}")
 
 
-def phase_terms(pws: PairwiseScenario, element: int) -> PhaseTerms:
-    """Steering phase of the given element toward each source.
+def phase_terms(pws: PairwiseScenario, element: int) -> np.ndarray:
+    """(N,) steering phases of the given element toward each source.
 
     term_n = 2 pi f_n H_n / (c sin(arrival_n)), which equals 2 pi f_n times
     the propagation delay of that pair.
@@ -164,16 +155,16 @@ def phase_terms(pws: PairwiseScenario, element: int) -> PhaseTerms:
     if np.any(s <= 0):
         raise SingularGeometryError("arrival angle at 0 or pi has no finite phase term")
     scale = 2.0 * np.pi * frequency_vector(pws.signals) * H / pws.velocity_mps
-    return PhaseTerms(values=scale / s, element=element, scale=scale)
+    return scale / s
 
 
 def gf_objective(terms) -> float:
     """Squared coherent sum of unit phasors: (sum cos T)^2 + (sum sin T)^2.
 
-    Accepts PhaseTerms or a bare array of angles.  Equals |sum_n exp(j T_n)|^2
-    and is bounded by N^2.
+    ``terms`` is an array of angles T.  Equals |sum_n exp(j T_n)|^2 and is
+    bounded by N^2.
     """
-    T = np.asarray(getattr(terms, "values", terms), dtype=float)
+    T = np.asarray(terms, dtype=float)
     if T.size < 1:
         raise ValidationError("at least one phase term is required")
     return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)

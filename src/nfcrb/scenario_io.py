@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import PairwiseGeometry, PairwiseScenario, Scenario, SensorGeom, SourceGeom
-from .optimizer import SweepRow, evaluate_constellation
+from .optimizer import ConstellationEvaluation, SweepRow, evaluate_constellation
 from .signal_model import SourceSignal
 
 DEFAULT_NOISE_VARIANCE = 1.0
@@ -314,7 +314,7 @@ def runtime_scenario(
         eta = float(noise_variance)
         defaults = [d for d in defaults if not d.startswith("noise_variance")]
     if snapshots is not None:
-        ns = int(snapshots)
+        ns = parse_number(snapshots, "snapshots", int)
         defaults = [d for d in defaults if not d.startswith("snapshots")]
     if sf.pairwise is not None:
         scn = PairwiseScenario(sf.pairwise, sf.velocity_mps, sf.signals, eta, ns)
@@ -326,56 +326,17 @@ def runtime_scenario(
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Everything a single bound computation produced, defaults included."""
+    """A named constellation's evaluation, with the defaults its scenario left in force."""
 
     scenario_name: str
-    encoding: str
-    num_sensors: int
-    num_sources: int
-    velocity_mps: float
-    noise_variance: float
-    snapshots: int
+    scenario: Scenario | PairwiseScenario
     defaults_applied: tuple[str, ...]
-    det: float
-    crb_theta: np.ndarray
-    crb_r: np.ndarray
-    crb_theta_total: float
-    crb_r_total: float
-    strongest_element: int
-    received_powers: np.ndarray
-    reconstruction_residual: float | None
-    fim_rank: int
-    fim_size: int
-    rank_deficient: bool
-    array_cov_condition: float
+    evaluation: ConstellationEvaluation
 
 
 def run_report(scn, name: str, defaults: tuple[str, ...]) -> RunReport:
     """Compute the full report for a polar or pairwise scenario."""
-    ev = evaluate_constellation(scn)
-    crb = ev.crb
-    return RunReport(
-        scenario_name=name,
-        encoding="polar" if ev.residual is None else "pairwise",
-        num_sensors=scn.num_sensors,
-        num_sources=scn.num_sources,
-        velocity_mps=scn.velocity_mps,
-        noise_variance=scn.noise_variance,
-        snapshots=scn.snapshots,
-        defaults_applied=defaults,
-        det=ev.det,
-        crb_theta=crb.crb_theta,
-        crb_r=crb.crb_r,
-        crb_theta_total=crb.crb_theta_total,
-        crb_r_total=crb.crb_r_total,
-        strongest_element=ev.strongest_element,
-        received_powers=ev.received_powers,
-        reconstruction_residual=ev.residual,
-        fim_rank=crb.rank,
-        fim_size=crb.size,
-        rank_deficient=crb.rank_deficient,
-        array_cov_condition=ev.fim.array_cov_condition,
-    )
+    return RunReport(name, scn, defaults, evaluate_constellation(scn))
 
 
 def _sci(x: float) -> str:
@@ -384,28 +345,31 @@ def _sci(x: float) -> str:
 
 def format_run_report(report: RunReport) -> str:
     """Human-readable report text; every applied default is listed."""
+    scn, ev = report.scenario, report.evaluation
+    crb = ev.crb
+    encoding = "polar" if ev.residual is None else "pairwise"
     lines = [
-        f"scenario: {report.scenario_name} ({report.encoding} geometry, "
-        f"M={report.num_sensors} sensors, N={report.num_sources} sources)",
-        f"velocity: {_sci(report.velocity_mps)} m/s",
-        f"noise variance: {_sci(report.noise_variance)}   snapshots: {report.snapshots}",
+        f"scenario: {report.scenario_name} ({encoding} geometry, "
+        f"M={scn.num_sensors} sensors, N={scn.num_sources} sources)",
+        f"velocity: {_sci(scn.velocity_mps)} m/s",
+        f"noise variance: {_sci(scn.noise_variance)}   snapshots: {scn.snapshots}",
         "defaults applied: " + (", ".join(report.defaults_applied) if report.defaults_applied else "none"),
     ]
-    if report.reconstruction_residual is not None:
-        lines.append(f"reconstruction residual: {_sci(report.reconstruction_residual)} m")
+    if ev.residual is not None:
+        lines.append(f"reconstruction residual: {_sci(ev.residual)} m")
     lines += [
-        "received powers: [" + ", ".join(_sci(p) for p in report.received_powers) + "]",
-        f"strongest element: {report.strongest_element + 1} (1-based)",
-        f"det(R_x): {_sci(report.det)}",
+        "received powers: [" + ", ".join(_sci(p) for p in ev.received_powers) + "]",
+        f"strongest element: {ev.strongest_element + 1} (1-based)",
+        f"det(R_x): {_sci(ev.det)}",
         "CRB bearing (rad^2): ["
-        + ", ".join(_sci(v) for v in report.crb_theta)
-        + f"], total {_sci(report.crb_theta_total)}",
+        + ", ".join(_sci(v) for v in crb.crb_theta)
+        + f"], total {_sci(crb.crb_theta_total)}",
         "CRB range (m^2): ["
-        + ", ".join(_sci(v) for v in report.crb_r)
-        + f"], total {_sci(report.crb_r_total)}",
-        f"FIM rank: {report.fim_rank}/{report.fim_size}"
-        + (" (rank deficient, pseudo-inverse used)" if report.rank_deficient else ""),
-        f"cond(R_x): {_sci(report.array_cov_condition)}",
+        + ", ".join(_sci(v) for v in crb.crb_r)
+        + f"], total {_sci(crb.crb_r_total)}",
+        f"FIM rank: {crb.rank}/{crb.size}"
+        + (" (rank deficient, pseudo-inverse used)" if crb.rank_deficient else ""),
+        f"cond(R_x): {_sci(ev.fim.array_cov_condition)}",
     ]
     return "\n".join(lines)
 
@@ -471,10 +435,11 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
 
 def run_report_to_csv(report: RunReport) -> str:
     """Single-constellation report in the sweep CSV layout (point = 0)."""
+    ev = report.evaluation
     flags = list(report.defaults_applied)
-    if report.rank_deficient:
+    if ev.crb.rank_deficient:
         flags.append("rank_deficient")
-    row = SweepRow(0.0, "primary", report.det, report.crb_theta_total, report.crb_r_total, "; ".join(flags))
+    row = SweepRow(0.0, "primary", ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total, "; ".join(flags))
     return sweep_rows_to_csv([row])
 
 

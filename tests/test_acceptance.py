@@ -231,11 +231,13 @@ def test_criterion_7_improvement_direction(scenario_a, scenario_b):
         results[tag] = (before_m, after_m)
         print(
             f"criterion  7: scenario {tag}: det {before_m.det:.6e} -> {after_m.det:.6e}, "
-            f"crb_theta {before_m.crb_theta_total:.6e} -> {after_m.crb_theta_total:.6e}, "
-            f"crb_r {before_m.crb_r_total:.6e} -> {after_m.crb_r_total:.6e}"
+            f"crb_theta {before_m.crb.crb_theta_total:.6e} -> {after_m.crb.crb_theta_total:.6e}, "
+            f"crb_r {before_m.crb.crb_r_total:.6e} -> {after_m.crb.crb_r_total:.6e}"
         )
     ok = all(
-        a.det < b.det and a.crb_theta_total < b.crb_theta_total and a.crb_r_total < b.crb_r_total
+        a.det < b.det
+        and a.crb.crb_theta_total < b.crb.crb_theta_total
+        and a.crb.crb_r_total < b.crb.crb_r_total
         for b, a in results.values()
     )
     report(7, ok, "reference repositioned constellations vs primary (strict decrease required "
@@ -248,8 +250,8 @@ def test_criterion_7_improvement_direction(scenario_a, scenario_b):
             f"aligned quarter-turn phases increase its received power, so the asserted "
             f"direction cannot hold under these conventions"
         )
-        assert after_m.crb_theta_total < before_m.crb_theta_total, f"scenario {tag}: crb_theta rose"
-        assert after_m.crb_r_total < before_m.crb_r_total, f"scenario {tag}: crb_r rose"
+        assert after_m.crb.crb_theta_total < before_m.crb.crb_theta_total, f"scenario {tag}: crb_theta rose"
+        assert after_m.crb.crb_r_total < before_m.crb.crb_r_total, f"scenario {tag}: crb_r rose"
 
 
 def test_criterion_8_grid_oracle_dominates_analytic(scenario_a, scenario_b):
@@ -260,7 +262,7 @@ def test_criterion_8_grid_oracle_dominates_analytic(scenario_a, scenario_b):
     for tag, pws in (("A", scenario_a), ("B", scenario_b)):
         analytic_after = apply_reposition(pws, analytic_reposition(pws, 2))
         metrics_after, _ = constellation_metrics(analytic_after)
-        targets = {"det": metrics_after.det, "crb_theta": metrics_after.crb_theta_total}
+        targets = {"det": metrics_after.det, "crb_theta": metrics_after.crb.crb_theta_total}
         for objective, analytic_value in targets.items():
             plan = grid_search(pws, 2, objective, grid)
             ok &= plan.objective_after <= analytic_value + 1e-12

@@ -1,11 +1,11 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nfcrb import (
     BoxGrid,
-    ConstellationMetrics,
     DisplacementGrid,
     SourceSignal,
     SweepSpec,
@@ -137,22 +137,36 @@ class TestSweep:
         with pytest.raises(ValidationError):
             SweepSpec(vary="frequency", start=1e6, stop=2e6, steps=5)
 
+    def test_rejects_fractional_steps(self):
+        with pytest.raises(ValidationError, match="sweep steps must be a positive integer, got 2.5"):
+            SweepSpec("velocity", 1e8, 2e8, 2.5)
+
+    def test_rejects_infinite_bound(self):
+        with pytest.raises(ValidationError, match="sweep stop must be a finite number, got inf"):
+            SweepSpec("velocity", 1e8, float("inf"), 3)
+
     def test_rejects_repeated_modes(self):
         with pytest.raises(ValidationError, match="sweep modes repeat: primary,reposition,primary"):
             SweepSpec(vary="velocity", start=1e6, stop=2e6, steps=2,
                       modes=("primary", "reposition", "primary"))
 
 
+def evaluation(det, crb_theta_total, crb_r_total):
+    """Stand-in for a ConstellationEvaluation holding only what compare_report reads."""
+    crb = SimpleNamespace(crb_theta_total=crb_theta_total, crb_r_total=crb_r_total)
+    return SimpleNamespace(det=det, crb=crb)
+
+
 class TestCompareReport:
     def test_identical_inputs(self):
-        m = ConstellationMetrics(3.0, 2.0, 1.0)
+        m = evaluation(3.0, 2.0, 1.0)
         cmp = compare_report(m, m)
         assert cmp.det_ratio == cmp.crb_theta_ratio == cmp.crb_r_ratio == 1.0
         assert cmp.worsened == ()
 
     def test_reference_value_pairs(self):
-        before = ConstellationMetrics(1.8112e-42, 1.0308e-29, 8.8505e-26)
-        after = ConstellationMetrics(3.4102e-44, 6.0716e-31, 6.1691e-27)
+        before = evaluation(1.8112e-42, 1.0308e-29, 8.8505e-26)
+        after = evaluation(3.4102e-44, 6.0716e-31, 6.1691e-27)
         cmp = compare_report(before, after)
         assert cmp.det_ratio == pytest.approx(53.11, rel=1e-3)
         assert cmp.crb_theta_ratio == pytest.approx(16.98, rel=1e-3)
@@ -160,8 +174,8 @@ class TestCompareReport:
         assert cmp.worsened == ()
 
     def test_doubling_flags_everything(self):
-        before = ConstellationMetrics(3.0, 2.0, 1.0)
-        after = ConstellationMetrics(6.0, 4.0, 2.0)
+        before = evaluation(3.0, 2.0, 1.0)
+        after = evaluation(6.0, 4.0, 2.0)
         cmp = compare_report(before, after)
         assert cmp.det_ratio == 0.5
         assert cmp.worsened == ("det", "crb_theta", "crb_r")

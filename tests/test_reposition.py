@@ -77,13 +77,13 @@ class TestPhaseTerms:
             [[7500.0], [7500.0]], [[math.pi / 2], [math.pi / 2]], [1e4], [1 + 0j]
         )
         terms = phase_terms(pws, 0)
-        assert terms.values[0] == pytest.approx(math.pi / 2, rel=1e-12)
+        assert terms[0] == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_scenario_a_element3_source1(self, scenario_a):
         terms = phase_terms(scenario_a, 2)
         expected = 2 * math.pi * 1.1787e6 * (62.0 / (3e8 * math.sin(math.radians(66.0))))
-        assert terms.values[0] == pytest.approx(expected, rel=1e-12)
-        assert terms.values[0] == pytest.approx(1.6754189533249544, rel=1e-10)
+        assert terms[0] == pytest.approx(expected, rel=1e-12)
+        assert terms[0] == pytest.approx(1.6754189533249544, rel=1e-10)
 
     def test_equals_frequency_times_delay(self):
         rng = np.random.default_rng(41)
@@ -93,7 +93,7 @@ class TestPhaseTerms:
             freqs = np.array([s.freq_hz for s in pws.signals])
             for k in range(pws.num_sensors):
                 terms = phase_terms(pws, k)
-                assert np.allclose(terms.values, 2 * np.pi * freqs * tau[k], rtol=1e-12)
+                assert np.allclose(terms, 2 * np.pi * freqs * tau[k], rtol=1e-12)
 
 
 class TestGfObjective:

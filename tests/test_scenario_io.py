@@ -10,6 +10,7 @@ from nfcrb import (
     SweepRow,
     ValidationError,
     constellation_metrics,
+    format_run_report,
     load_scenario,
     parse_scenario,
     parse_sweep_csv,
@@ -100,6 +101,12 @@ class TestParseScenario:
         assert scn.noise_variance == 2.0 and scn.snapshots == 8
         assert defaults == ()
 
+    @pytest.mark.parametrize("snapshots", [2.5, 0.5])
+    def test_fractional_snapshot_override_rejected(self, snapshots):
+        sf = load_scenario("scenario_b")
+        with pytest.raises(ValidationError, match=f"snapshots: expected an integer, got {snapshots}"):
+            runtime_scenario(sf, None, snapshots)
+
     def test_round_trip_equivalence(self):
         for name in ("scenario_a", "scenario_b"):
             sf = load_scenario(name)
@@ -113,26 +120,27 @@ class TestRunReport:
     def test_defaults_listed(self, scenario_a):
         report = run_report(scenario_a, "scenario_a", ("noise_variance=1.0", "snapshots=1"))
         assert report.defaults_applied == ("noise_variance=1.0", "snapshots=1")
-        assert report.reconstruction_residual == pytest.approx(0.51165, abs=1e-4)
-        assert report.rank_deficient
-        assert report.det == pytest.approx(193.3216, rel=1e-5)
-        assert report.strongest_element == 1
+        ev = report.evaluation
+        assert ev.residual == pytest.approx(0.51165, abs=1e-4)
+        assert ev.crb.rank_deficient
+        assert ev.det == pytest.approx(193.3216, rel=1e-5)
+        assert ev.strongest_element == 1
 
     def test_polar_report_has_no_residual(self):
         sf = parse_scenario(json.dumps(polar_doc()))
         scn, defaults = runtime_scenario(sf)
         report = run_report(scn, sf.name, defaults)
-        assert report.reconstruction_residual is None
-        assert report.encoding == "polar"
+        assert report.evaluation.residual is None
+        assert "(polar geometry," in format_run_report(report)
 
     @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
     def test_same_numbers_as_constellation_metrics(self, fixture, request):
         scn = request.getfixturevalue(fixture)
         report = run_report(scn, fixture, ())
         metrics, _ = constellation_metrics(scn)
-        assert report.det == metrics.det
-        assert report.crb_theta_total == metrics.crb_theta_total
-        assert report.crb_r_total == metrics.crb_r_total
+        assert report.evaluation.det == metrics.det
+        assert report.evaluation.crb.crb_theta_total == metrics.crb.crb_theta_total
+        assert report.evaluation.crb.crb_r_total == metrics.crb.crb_r_total
 
 
 class TestCsv:

@@ -45,3 +45,13 @@ def test_one_scan_scores_candidates():
         if called == "score_candidates"
     ]
     assert callers == [("reposition.py", "_scan")]
+
+
+def test_one_evaluation_per_report_and_sweep_row():
+    callers = sorted(
+        (name, owner)
+        for name, tree in MODULES.items()
+        for owner, called in calls_by_function(tree)
+        if called == "evaluate_constellation"
+    )
+    assert callers == [("optimizer.py", "constellation_metrics"), ("scenario_io.py", "run_report")]
