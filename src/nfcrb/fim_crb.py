@@ -16,10 +16,13 @@ index-selection matrices, kept as a cross-check of a given generic matrix
 per-block deviation.  Finite-difference oracles for the steering and
 covariance derivatives back both.
 
-The trace form runs on a leading batch axis: ``fim_batch`` scores K sensor
-layouts around one set of sources in one array pass (steering, rank-two
-covariance derivatives, and all traces as one matmul), and
-``fim_for_scenario`` is the same pipeline at K = 1.
+The trace form is one kernel over a leading batch axis of K constellations:
+per-constellation sensors (K, M), sources and frequencies (K, N) and
+velocity (K,), with shared amplitudes, noise and snapshots.  One array pass
+gives the steering, the rank-two covariance derivatives and all traces as one
+matmul.  ``fim_for_scenarios`` runs it over K scenarios (a sweep's chunk),
+``fim_batch`` over K sensor layouts around one scenario's sources (a search's
+chunk), and ``fim_for_scenario`` is the kernel at K = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
-from .geometry import Scenario, distances, native_delays, source_positions
+from .geometry import Scenario, distances, native_delays, polar_to_cartesian
 from .signal_model import CovarianceSet, covariances, steering_matrix
 
 
@@ -99,20 +102,16 @@ class ParameterIndex:
     def cov_entry_bases(self) -> list[np.ndarray]:
         """Hermitian basis matrices of the source-covariance parameterization."""
         n = self.n_sources
-        bases = []
-        for d in range(n):
+
+        def basis(*entries) -> np.ndarray:
             E = np.zeros((n, n), dtype=complex)
-            E[d, d] = 1.0
-            bases.append(E)
+            for i, j, value in entries:
+                E[i, j] = value
+            return E
+
+        bases = [basis((d, d, 1.0)) for d in range(n)]
         for p, q in self.upper_pairs():
-            E = np.zeros((n, n), dtype=complex)
-            E[p, q] = 1.0
-            E[q, p] = 1.0
-            bases.append(E)
-            E = np.zeros((n, n), dtype=complex)
-            E[p, q] = 1j
-            E[q, p] = -1j
-            bases.append(E)
+            bases += [basis((p, q, 1.0), (q, p, 1.0)), basis((p, q, 1j), (q, p, -1j))]
         return bases
 
 
@@ -151,60 +150,46 @@ That is K x N steering entries for gf and power, K x M x max(M, N) for det.
 
 
 def batch_chunk(num_sensors: int, num_sources: int) -> int:
-    """Sensor layouts per batched call whose dR stack stays within DR_CHUNK_VALUES."""
+    """Constellations per batched call whose dR stack stays within DR_CHUNK_VALUES."""
     per_layout = ParameterIndex(num_sources).size * num_sensors * num_sensors
     return max(1, DR_CHUNK_VALUES // per_layout)
 
 
-def _layout_delays(
-    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances and delay gradients of the scenario's sources seen from K sensor layouts.
+def _polar_arrays(scenarios) -> list[np.ndarray]:
+    """The kernel's axes of K polar scenarios: sensor radii and azimuths (K, M), source
+    ranges, bearings and frequencies (K, N), and velocities (K,)."""
+    fields = [("sensors", "radius_m"), ("sensors", "azimuth_rad"), ("sources", "range_m"),
+              ("sources", "bearing_rad"), ("signals", "freq_hz")]
+    arrays = [[[getattr(x, name) for x in getattr(s, group)] for s in scenarios] for group, name in fields]
+    return [np.array(a, dtype=float) for a in arrays] + [np.array([s.velocity_mps for s in scenarios])]
 
-    ``radii`` and ``azimuths`` are (K, M) polar sensor coordinates.  Returns
-    (K, M, N) sensor-to-source distances d and the partial derivatives of the
-    delays w.r.t. each source's bearing and range: differentiating the
+
+def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tuple[np.ndarray, ...]:
+    """(K, M, N) distances d, delay gradients, steering matrices and derivative columns.
+
+    Takes the axes of ``_polar_arrays``; sources, frequencies and velocity may
+    instead be (N,) arrays and a scalar shared by all K constellations.  The
     law-of-cosines distance gives d tau / d bearing = rho r sin(bearing -
-    azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) / (c d).
+    azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) /
+    (c d); column n of a derivative matrix is -j 2 pi f_n (d tau / d axis) A[:, n].
     """
-    sensors = np.stack([radii * np.cos(azimuths), radii * np.sin(azimuths)], axis=-1)
-    d = distances(sensors, source_positions(scenario))
-    rho = radii[:, :, None]
-    r = scenario.source_ranges()
-    diff = scenario.source_bearings() - azimuths[:, :, None]
-    c = scenario.velocity_mps
-    return d, rho * r * np.sin(diff) / (c * d), (r - rho * np.cos(diff)) / (c * d)
+    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
+    rho, r, c = radii[..., None], ranges[..., None, :], np.asarray(velocity)[..., None, None]
+    diff = bearings[..., None, :] - azimuths[..., None]
+    dtau_b, dtau_r = rho * r * np.sin(diff) / (c * d), (r - rho * np.cos(diff)) / (c * d)
+    A = steering_matrix(d / c, freqs)
+    w = 2.0 * np.pi * freqs[..., None, :]
+    return d, dtau_b, dtau_r, A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
 
 
-def _own_layout(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The scenario's own sensor layout as a batch of one."""
-    return scenario.sensor_radii()[None], scenario.sensor_azimuths()[None]
+def _derivative_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """``_steering_columns`` of one scenario, each as an (M, N) matrix."""
+    return tuple(x[0] for x in _steering_columns(*_polar_arrays([scenario])))
 
 
 def delay_gradients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """(M, N) partial derivatives of the delays w.r.t. each source's bearing and range."""
-    _, dtau_bearing, dtau_range = _layout_delays(scenario, *_own_layout(scenario))
-    return dtau_bearing[0], dtau_range[0]
-
-
-def _steering_columns(
-    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, M, N) steering matrices and bearing/range derivative columns of K layouts.
-
-    Column n of a derivative matrix is -j 2 pi f_n (d tau / d axis) A[:, n].
-    """
-    d, dtau_b, dtau_r = _layout_delays(scenario, radii, azimuths)
-    freqs = scenario.frequencies()
-    A = steering_matrix(d / scenario.velocity_mps, freqs)
-    w = 2.0 * np.pi * freqs
-    return A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
-
-
-def _derivative_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steering matrix plus per-source derivative columns stacked as (M, N) matrices."""
-    A, cols_b, cols_r = _steering_columns(scenario, *_own_layout(scenario))
-    return A[0], cols_b[0], cols_r[0]
+    return _derivative_columns(scenario)[1:3]
 
 
 def steering_derivatives(scenario: Scenario, axis: str) -> list[np.ndarray]:
@@ -215,14 +200,12 @@ def steering_derivatives(scenario: Scenario, axis: str) -> list[np.ndarray]:
     """
     if axis not in ("bearing", "range"):
         raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    A, cols_b, cols_r = _derivative_columns(scenario)
+    *_, cols_b, cols_r = _derivative_columns(scenario)
     cols = cols_b if axis == "bearing" else cols_r
-    out = []
-    for n in range(scenario.num_sources):
-        D = np.zeros_like(A)
-        D[:, n] = cols[:, n]
-        out.append(D)
-    return out
+    n = np.arange(scenario.num_sources)
+    out = np.zeros((len(n), *cols.shape), dtype=complex)
+    out[n, :, n] = cols.T
+    return list(out)
 
 
 def _covariance_derivatives(
@@ -261,7 +244,7 @@ def _covariance_derivatives(
 
 def rx_derivatives(scenario: Scenario, A: np.ndarray, covset: CovarianceSet) -> list[np.ndarray]:
     """Hermitian derivatives of the array covariance, ordered per ParameterIndex."""
-    _, cols_b, cols_r = _derivative_columns(scenario)
+    *_, cols_b, cols_r = _derivative_columns(scenario)
     return list(_covariance_derivatives(A[None], cols_b[None], cols_r[None], covset.source_cov)[0])
 
 
@@ -309,11 +292,10 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
     return FimMatrix(snapshots * F[0], int(snapshots), _index_for(len(D)), float(cond[0]))
 
 
-def _covariance_stack(
-    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(K, M, M) array covariances and (K, P, M, M) derivative stacks of K layouts."""
-    A, cols_b, cols_r = _steering_columns(scenario, radii, azimuths)
+def _covariance_stack(scenario: Scenario, *constellations) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel: (K, M, M) array covariances and (K, P, M, M) derivative stacks of K
+    constellations, given as ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
+    *_, A, cols_b, cols_r = _steering_columns(*constellations)
     covset = covariances(A, scenario.signals, scenario.noise_variance)
     return covset.array_cov, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
 
@@ -329,15 +311,25 @@ def fim_batch(
     (K,) array-covariance condition numbers.  Any failing layout fails the
     whole call; keep K within ``batch_chunk`` to bound memory.
     """
-    R, dR = _covariance_stack(scenario, np.asarray(radii, float), np.asarray(azimuths, float))
-    F, cond = _trace_form(R, dR)
+    layouts = np.asarray(radii, float), np.asarray(azimuths, float)
+    sources = scenario.source_ranges(), scenario.source_bearings(), scenario.frequencies()
+    F, cond = _trace_form(*_covariance_stack(scenario, *layouts, *sources, scenario.velocity_mps))
     return scenario.snapshots * F, cond
 
 
 def fim_for_scenario(scenario: Scenario) -> FimMatrix:
-    """The information matrix of one scenario: the batched pipeline at K = 1."""
-    R, dR = _covariance_stack(scenario, *_own_layout(scenario))
+    """The information matrix of one scenario: the kernel at K = 1."""
+    R, dR = _covariance_stack(scenario, *_polar_arrays([scenario]))
     return fim_generic(R[0], dR[0], scenario.snapshots)
+
+
+def fim_for_scenarios(scenarios) -> list[FimMatrix]:
+    """Information matrices of K polar scenarios that share M, N, amplitudes, noise and
+    snapshots, from one kernel call; any failing scenario fails it.  Keep K within ``batch_chunk``."""
+    first = scenarios[0]
+    F, cond = _trace_form(*_covariance_stack(first, *_polar_arrays(scenarios)))
+    index = ParameterIndex(first.num_sources)
+    return [FimMatrix(f, first.snapshots, index, c) for f, c in zip(first.snapshots * F, cond.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,7 +442,7 @@ def fim_closed_form(
         )
     Rinv = np.linalg.inv(R)
     Rinv2 = Rinv @ Rinv
-    _, cols_b, cols_r = _derivative_columns(scenario)
+    *_, cols_b, cols_r = _derivative_columns(scenario)
     cols = {"bearing": cols_b, "range": cols_r}
     Ah = A.conj().T
 
@@ -557,6 +549,17 @@ def crb_totals(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndar
     return diag[:, :n_sources].sum(axis=1), diag[:, n_sources : 2 * n_sources].sum(axis=1)
 
 
+def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
+    """``crb_from_fim`` of each matrix of a (K, P, P) stack, from one batched SVD."""
+    diag, rank, cond = _pinv_diagonals(entries)
+    size = entries.shape[-1]
+    reports = []
+    for d, k, c in zip(diag, rank.tolist(), cond.tolist()):
+        theta, r = d[:n_sources].copy(), d[n_sources : 2 * n_sources].copy()
+        reports.append(CrbReport(theta, r, float(theta.sum()), float(r.sum()), c, k, size, k < size))
+    return reports
+
+
 def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
     """Diagonal bounds from the pseudo-inverse of the information matrix.
 
@@ -575,19 +578,7 @@ def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
         raise ValidationError("source count is needed to split the diagonal into blocks")
     if 2 * n > F.shape[0]:
         raise ValidationError(f"{n} sources do not fit a {F.shape[0]}-parameter matrix")
-    diag, rank, cond = _pinv_diagonals(F[None])
-    crb_theta = diag[0, :n].copy()
-    crb_r = diag[0, n : 2 * n].copy()
-    return CrbReport(
-        crb_theta=crb_theta,
-        crb_r=crb_r,
-        crb_theta_total=float(crb_theta.sum()),
-        crb_r_total=float(crb_r.sum()),
-        condition_number=float(cond[0]),
-        rank=int(rank[0]),
-        size=int(F.shape[0]),
-        rank_deficient=bool(rank[0] < F.shape[0]),
-    )
+    return crb_reports(F[None], n)[0]
 
 
 def _source_steps(

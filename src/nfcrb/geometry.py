@@ -18,7 +18,8 @@ inconsistency (meters) is always reported.
 
 This module is the only one that branches on the encoding: ``polar_form``,
 ``pairwise_form``, ``native_delays`` and ``scenario_positions`` take either,
-and ``distances`` is the one sensor-to-source distance kernel.
+``distances`` is the one sensor-to-source distance kernel and
+``polar_to_cartesian`` the one polar-to-Cartesian conversion.
 """
 
 from __future__ import annotations
@@ -196,18 +197,19 @@ class PairwiseScenario:
         return self.geometry.num_sources
 
 
+def polar_to_cartesian(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(..., 2) Cartesian coordinates of points at the given radii and angles."""
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+
+
 def sensor_positions(scenario: Scenario) -> np.ndarray:
     """Cartesian (M, 2) sensor coordinates."""
-    rho = scenario.sensor_radii()
-    az = scenario.sensor_azimuths()
-    return np.stack([rho * np.cos(az), rho * np.sin(az)], axis=1)
+    return polar_to_cartesian(scenario.sensor_radii(), scenario.sensor_azimuths())
 
 
 def source_positions(scenario: Scenario) -> np.ndarray:
     """Cartesian (N, 2) source coordinates."""
-    r = scenario.source_ranges()
-    th = scenario.source_bearings()
-    return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    return polar_to_cartesian(scenario.source_ranges(), scenario.source_bearings())
 
 
 def scenario_from_positions(

@@ -1,11 +1,14 @@
 """Constellation evaluation, sweeps and before/after comparison.
 
-``evaluate_constellation`` computes one constellation's det(R_x), received
-powers, information matrix and bounds; run reports, CSV rows, sweep rows and
-comparisons all read that one ``ConstellationEvaluation``.  ``sweep``
-re-evaluates a scenario over a frequency or velocity grid, optionally
-repositioning per point, and produces rows ready for CSV reporting;
-``compare_report`` gives the before/after ratios of two evaluations.
+``evaluate_constellations`` computes the det(R_x), received powers,
+information matrix and bounds of K constellations, one stacked pass each, and
+re-evaluates a failing batch one constellation at a time;
+``evaluate_constellation`` is its K = 1 case.  Run reports, CSV rows, sweep
+rows and comparisons all read that one ``ConstellationEvaluation``.
+``sweep`` re-evaluates a scenario over a frequency or velocity grid,
+optionally repositioning per point, one chunk of rows per batch, and produces
+rows ready for CSV reporting; ``compare_report`` gives the before/after
+ratios of two evaluations.
 ``grid_search`` runs the exhaustive scan of ``reposition`` over a
 displacement grid or a 2-D box.
 """
@@ -13,11 +16,12 @@ displacement grid or a 2-D box.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import ValidationError
-from .fim_crb import CrbReport, FimMatrix, crb_from_fim, fim_for_scenario
+from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
 from .geometry import native_delays, polar_form
 # BoxGrid is re-exported, so nfcrb.optimizer.BoxGrid keeps working
 from .reposition import BoxGrid, RepositionPlan, _check_axis, _scan, analytic_reposition, apply_reposition
@@ -101,29 +105,54 @@ def _native_powers(scn) -> tuple[np.ndarray, int]:
     return received_power(A, scn.signals)
 
 
+def _evaluate(targets) -> list[ConstellationEvaluation]:
+    """Evaluations of constellations sharing M, N, amplitudes, noise and snapshots, in one
+    stacked steering pass for powers and dets, one kernel call and one SVD call; raises if any fails."""
+    polars, residuals = zip(*map(polar_form, targets))
+    first = polars[0]
+    freqs = np.array([polar.frequencies() for polar in polars])
+    A = steering_matrix(np.array([native_delays(target) for target in targets]), freqs)
+    powers, strongest = received_power(A, first.signals)
+    det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
+    # one constellation takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
+    fims = [fim_for_scenario(first)] if len(polars) == 1 else fim_for_scenarios(polars)
+    crbs = crb_reports(np.array([fim.entries for fim in fims]), first.num_sources)
+    rows = zip(det.tolist(), powers, strongest, residuals, fims, crbs)
+    return [ConstellationEvaluation(abs(d), *row) for d, *row in rows]
+
+
+def evaluate_constellations(targets) -> list:
+    """Per target, its ConstellationEvaluation or the ValidationError that rejected it.
+
+    The targets, sharing M, N, amplitudes, noise and snapshots, are evaluated in
+    one ``_evaluate`` batch (keep it within ``batch_chunk``).  A failing batch is
+    evaluated again one target at a time, so only the failing targets are rejected.
+    """
+    try:
+        return _evaluate(targets)
+    except ValidationError as exc:
+        if len(targets) == 1:
+            return [exc]
+    return [evaluate_constellations([target])[0] for target in targets]
+
+
 def evaluate_constellation(scn) -> ConstellationEvaluation:
     """|det R_x|, per-element received powers, information matrix and bounds of a scenario."""
-    polar, residual = polar_form(scn)
-    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
-    powers, strongest = received_power(A, scn.signals)
-    det = float(abs(np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)))
-    fim = fim_for_scenario(polar)
-    return ConstellationEvaluation(det, powers, strongest, residual, fim, crb_from_fim(fim))
+    return _evaluate([scn])[0]
+
+
+def _notes(ev: ConstellationEvaluation) -> list[str]:
+    """Sweep-row notes: the reconstruction residual of pairwise input and rank deficiency."""
+    notes = [] if ev.residual is None else [f"reconstruction residual {ev.residual:.6e} m"]
+    if ev.crb.rank_deficient:
+        notes.append(f"information matrix rank deficient ({ev.crb.rank}/{ev.crb.size})")
+    return notes
 
 
 def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]]:
-    """The evaluation of a polar or pairwise scenario, with notes for a sweep row.
-
-    The notes give the reconstruction residual of pairwise input and flag a
-    rank-deficient information matrix.
-    """
+    """The evaluation of a polar or pairwise scenario, with its notes for a sweep row."""
     ev = evaluate_constellation(scn)
-    notes: list[str] = []
-    if ev.residual is not None:
-        notes.append(f"reconstruction residual {ev.residual:.6e} m")
-    if ev.crb.rank_deficient:
-        notes.append(f"information matrix rank deficient ({ev.crb.rank}/{ev.crb.size})")
-    return ev, tuple(notes)
+    return ev, tuple(_notes(ev))
 
 
 def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
@@ -147,15 +176,8 @@ def _with_point(scn, spec: SweepSpec, point: float):
     return replace(scn, signals=tuple(signals))
 
 
-def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate det and CRB totals over the grid, per requested mode.
-
-    Reposition rows re-select the strongest element at each point and apply a
-    fresh analytic plan; points where no analytic target is feasible keep the
-    primary constellation and say so in the diagnostics, so every row stays
-    finite.  Rows are ordered by grid point, then by mode name.
-    """
-    rows: list[SweepRow] = []
+def _planned_rows(scn, spec: SweepSpec):
+    """Per row in sweep order: its grid point, mode, constellation to evaluate and notes so far."""
     for point in spec.grid():
         scn_pt = _with_point(scn, spec, float(point))
         for mode in spec.modes:
@@ -172,14 +194,30 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
                         notes.append(f"{infeasible} source target(s) infeasible")
                 except ValidationError as exc:
                     notes.append(f"reposition skipped: {exc}")
-            try:
-                ev, extra = constellation_metrics(target)
-                notes.extend(extra)
-                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
-            except ValidationError as exc:
-                notes.append(f"evaluation failed: {exc}")
+            yield float(point), mode, target, notes
+
+
+def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate det and CRB totals over the grid, per requested mode.
+
+    Reposition rows re-select the strongest element at each point and apply a
+    fresh analytic plan; points where no analytic target is feasible keep the
+    primary constellation and say so in the diagnostics, so every row stays
+    finite.  Rows are ordered by grid point, then by mode name, and planned and
+    evaluated ``batch_chunk(M, N)`` at a time, so memory does not grow with the
+    grid; a row whose evaluation fails reads NaN and says why.
+    """
+    rows: list[SweepRow] = []
+    planned, step = _planned_rows(scn, spec), batch_chunk(scn.num_sensors, scn.num_sources)
+    while chunk := list(islice(planned, step)):
+        for (point, mode, _, notes), ev in zip(chunk, evaluate_constellations([row[2] for row in chunk])):
+            if isinstance(ev, ValidationError):
+                notes.append(f"evaluation failed: {ev}")
                 values = (float("nan"),) * 3
-            rows.append(SweepRow(float(point), mode, *values, "; ".join(notes)))
+            else:
+                notes.extend(_notes(ev))
+                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
+            rows.append(SweepRow(point, mode, *values, "; ".join(notes)))
     return rows
 
 

@@ -311,7 +311,7 @@ def runtime_scenario(
     eta = sf.noise_variance
     ns = sf.snapshots
     if noise_variance is not None:
-        eta = float(noise_variance)
+        eta = parse_number(noise_variance, "noise_variance")
         defaults = [d for d in defaults if not d.startswith("noise_variance")]
     if snapshots is not None:
         ns = parse_number(snapshots, "snapshots", int)
@@ -385,16 +385,8 @@ def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow(
-            [
-                _sci(row.point),
-                row.mode,
-                _sci(row.det),
-                _sci(row.crb_theta_total),
-                _sci(row.crb_r_total),
-                row.diagnostics.replace(",", ";"),
-            ]
-        )
+        values = map(_sci, (row.det, row.crb_theta_total, row.crb_r_total))
+        writer.writerow([_sci(row.point), row.mode, *values, row.diagnostics.replace(",", ";")])
     return buf.getvalue()
 
 
@@ -420,16 +412,8 @@ def parse_sweep_csv(text: str) -> list[SweepRow]:
         line = reader.line_num
         if len(rec) != len(CSV_HEADER):
             raise ValidationError(f"line {line}: {len(rec)} columns, expected {len(CSV_HEADER)}")
-        rows.append(
-            SweepRow(
-                point=_csv_number(rec, 0, line),
-                mode=rec[1],
-                det=_csv_number(rec, 2, line),
-                crb_theta_total=_csv_number(rec, 3, line),
-                crb_r_total=_csv_number(rec, 4, line),
-                diagnostics=rec[5],
-            )
-        )
+        point, det, theta, r = (_csv_number(rec, col, line) for col in (0, 2, 3, 4))
+        rows.append(SweepRow(point, rec[1], det, theta, r, rec[5]))
     return rows
 
 

@@ -45,15 +45,15 @@ def steering_matrix(delays, freqs) -> np.ndarray:
 
     ``delays`` is the (M, N) propagation-delay matrix in seconds, or a
     (K, M, N) stack of them, and ``freqs`` the length-N vector of source
-    frequencies in Hz.
+    frequencies in Hz, or for a stack a (K, N) array of them.
     """
     delays = np.asarray(delays, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
-    if delays.ndim not in (2, 3) or freqs.ndim != 1 or delays.shape[-1] != freqs.shape[0]:
+    if not 1 <= freqs.ndim < delays.ndim <= 3 or freqs.shape[-1] != delays.shape[-1]:
         raise ValidationError(
-            f"delay matrix {delays.shape} does not match {freqs.shape[0]} frequencies"
+            f"delay matrix {delays.shape} does not match {freqs.shape[-1]} frequencies"
         )
-    return np.exp(-2j * np.pi * freqs[None, :] * delays)
+    return np.exp(-2j * np.pi * freqs[..., None, :] * delays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +128,9 @@ def received_power(A, signals) -> tuple[np.ndarray, int]:
     """Noiseless per-element power |sum_n s_n A_mn|^2 and the strongest element.
 
     Returns (powers, index of the maximum); ties resolve to the lowest index.
+    A (K, M, N) stack of steering matrices gives (K, M) powers and K indices.
     """
     A = np.asarray(A, dtype=complex)
     x = A @ amplitude_vector(signals)
     powers = np.abs(x) ** 2
-    return powers, int(np.argmax(powers))
+    return powers, np.argmax(powers, axis=-1).tolist()

@@ -107,6 +107,21 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match=f"snapshots: expected an integer, got {snapshots}"):
             runtime_scenario(sf, None, snapshots)
 
+    @pytest.mark.parametrize(
+        "noise_variance, message",
+        [
+            (math.inf, "noise_variance: expected a finite number"),
+            (math.nan, "noise_variance: expected a finite number"),
+            ("abc", "noise_variance: expected a number, got 'abc'"),
+            (0, "noise variance must be positive, got 0.0"),
+            (-1, "noise variance must be positive, got -1.0"),
+        ],
+    )
+    def test_bad_noise_variance_override_rejected(self, noise_variance, message):
+        sf = load_scenario("scenario_b")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            runtime_scenario(sf, noise_variance)
+
     def test_round_trip_equivalence(self):
         for name in ("scenario_a", "scenario_b"):
             sf = load_scenario(name)

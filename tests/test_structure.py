@@ -37,21 +37,33 @@ def test_only_geometry_branches_on_the_encoding():
     assert branching == {"geometry.py"}
 
 
-def test_one_scan_scores_candidates():
-    callers = [
-        (name, owner)
-        for name, tree in MODULES.items()
+def callers_of(name):
+    """Sorted (module, innermost enclosing function) of every call of ``name``."""
+    return sorted(
+        (module, owner)
+        for module, tree in MODULES.items()
         for owner, called in calls_by_function(tree)
-        if called == "score_candidates"
-    ]
-    assert callers == [("reposition.py", "_scan")]
+        if called == name
+    )
+
+
+def test_one_scan_scores_candidates():
+    assert callers_of("score_candidates") == [("reposition.py", "_scan")]
 
 
 def test_one_evaluation_per_report_and_sweep_row():
-    callers = sorted(
-        (name, owner)
-        for name, tree in MODULES.items()
-        for owner, called in calls_by_function(tree)
-        if called == "evaluate_constellation"
-    )
-    assert callers == [("optimizer.py", "constellation_metrics"), ("scenario_io.py", "run_report")]
+    # the batched evaluator is reached by reports one constellation at a time
+    # and by sweeps one chunk at a time (a failing chunk one row at a time)
+    assert callers_of("_evaluate") == [
+        ("optimizer.py", "evaluate_constellation"),
+        ("optimizer.py", "evaluate_constellations"),
+    ]
+    assert callers_of("evaluate_constellations") == [
+        ("optimizer.py", "evaluate_constellations"),
+        ("optimizer.py", "sweep"),
+    ]
+    assert callers_of("evaluate_constellation") == [
+        ("optimizer.py", "constellation_metrics"),
+        ("scenario_io.py", "run_report"),
+    ]
+    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate")]
