@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the batch fallback that isolates a failing item."""
 
 
 class ValidationError(ValueError):
@@ -16,3 +16,14 @@ class DegenerateGeometryError(ValidationError):
 
 class SingularCovarianceError(ValidationError):
     """The array covariance is not invertible."""
+
+
+def batch_or_each(run, items) -> list:
+    """``run(items)``, a list of one result per item; if that raises ValidationError, ``run``
+    on each item alone (``items[i : i + 1]``), so only the failing items get their error."""
+    try:
+        return run(items)
+    except ValidationError as exc:
+        if len(items) == 1:
+            return [exc]
+    return [batch_or_each(run, items[i : i + 1])[0] for i in range(len(items))]

@@ -2,7 +2,8 @@
 
 ``evaluate_constellations`` computes the det(R_x), received powers,
 information matrix and bounds of K constellations, one stacked pass each, and
-re-evaluates a failing batch one constellation at a time;
+re-evaluates a failing batch one constellation at a time (``batch_or_each``,
+the fallback search scoring uses too);
 ``evaluate_constellation`` is its K = 1 case.  Run reports, CSV rows, sweep
 rows and comparisons all read that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
@@ -20,11 +21,10 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, batch_or_each
 from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
 from .geometry import native_delays, polar_form
-# BoxGrid is re-exported, so nfcrb.optimizer.BoxGrid keeps working
-from .reposition import BoxGrid, RepositionPlan, _check_axis, _scan, analytic_reposition, apply_reposition
+from .reposition import RepositionPlan, _check_axis, _scan, analytic_reposition, apply_reposition
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
@@ -122,18 +122,10 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
 
 
 def evaluate_constellations(targets) -> list:
-    """Per target, its ConstellationEvaluation or the ValidationError that rejected it.
-
-    The targets, sharing M, N, amplitudes, noise and snapshots, are evaluated in
-    one ``_evaluate`` batch (keep it within ``batch_chunk``).  A failing batch is
-    evaluated again one target at a time, so only the failing targets are rejected.
-    """
-    try:
-        return _evaluate(targets)
-    except ValidationError as exc:
-        if len(targets) == 1:
-            return [exc]
-    return [evaluate_constellations([target])[0] for target in targets]
+    """Per target, its ConstellationEvaluation or the ValidationError that rejected it, from
+    one ``_evaluate`` batch of targets sharing M, N, amplitudes, noise and snapshots (keep
+    it within ``batch_chunk``); a failing batch is evaluated again one target at a time."""
+    return batch_or_each(_evaluate, targets)
 
 
 def evaluate_constellation(scn) -> ConstellationEvaluation:

@@ -29,15 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGeometryError, ValidationError
-from .fim_crb import (
-    PHASE_CHUNK_VALUES,
-    batch_chunk,
-    crb_from_fim,
-    crb_totals,
-    fim_batch,
-    fim_for_scenario,
-)
+from .errors import SingularGeometryError, ValidationError, batch_or_each
+from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_batch
 from .geometry import (
     TWO_PI,
     PairwiseGeometry,
@@ -251,49 +244,12 @@ def analytic_reposition(
     )
 
 
-def _check_objective(objective: str) -> None:
-    if objective not in OBJECTIVES:
-        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def evaluate_objective(
-    objective: str,
-    element: int,
-    sensors_xy: np.ndarray,
-    sources_xy: np.ndarray,
-    signals,
-    velocity_mps: float,
-    noise_variance: float,
-    snapshots: int,
-) -> float:
-    """Objective value of one candidate constellation given in Cartesian form."""
-    _check_objective(objective)
-    tau = distances(sensors_xy, sources_xy) / velocity_mps
-    freqs = frequency_vector(signals)
-    if objective == "gf":
-        return gf_objective(2.0 * np.pi * freqs * tau[element])
-    A = steering_matrix(tau, freqs)
-    if objective == "power":
-        powers, _ = received_power(A, signals)
-        return float(powers[element])
-    if objective == "det":
-        covset = covariances(A, signals, noise_variance)
-        return float(abs(np.linalg.det(covset.array_cov)))
-    scn = scenario_from_positions(
-        sensors_xy, sources_xy, velocity_mps, signals, noise_variance, snapshots
-    )
-    report = crb_from_fim(fim_for_scenario(scn))
-    return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
-
-
 def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
 
-    The function gives the values ``evaluate_objective`` gives (gf, power
-    and det bit for bit) or raises ValidationError if any position of the
-    chunk fails.  Building the scorer raises when a failure that no position
-    of the element can mend (a fixed sensor on a source, a layout with no
-    polar form) rules batching out.
+    The function gives K values or raises ValidationError if any position of the chunk
+    fails.  The polar form of the layout (bounds) and the check for a fixed sensor on a
+    source (gf, power) run once here; every chunk raises a failure of either.
     """
     num_sensors, num_sources = len(sensors_xy), len(sources_xy)
     freqs = frequency_vector(scn.signals)
@@ -304,12 +260,17 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         return moved
 
     if objective in BOUND_OBJECTIVES:
-        polar = scenario_from_positions(
-            sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
-        )
+        try:
+            polar = scenario_from_positions(
+                sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+            )
+        except ValidationError as exc:
+            polar = exc
 
         def bound_totals(chunk):
             distances(layouts(chunk), sources_xy)  # rejects a sensor on a source
+            if isinstance(polar, ValidationError):
+                raise polar
             radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
             azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
             radii[:, element] = [math.hypot(x, y) for x, y in chunk]
@@ -329,14 +290,27 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         per_candidate = num_sensors * max(num_sensors, num_sources)
         return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
 
-    # gf and power see only the moved element's delays once no fixed sensor sits on a
-    # source; a NaN row never compares <= 0, so fixed sensors keep their own numbers
+    # gf and power see only the moved element's delays while no sensor sits on a
+    # source; a NaN row never reads as zero, so fixed sensors keep their own numbers
     fixed = sensors_xy.copy()
     fixed[element] = np.nan
-    distances(fixed, sources_xy)
+    try:
+        distances(fixed, sources_xy)
+        fixed_clean = True
+    except ValidationError:
+        fixed_clean = False
+
+    def element_distances(chunk):
+        try:
+            if fixed_clean:
+                return distances(chunk, sources_xy)
+        except ValidationError:
+            pass
+        # a sensor sits on a source: the whole moved layout names it
+        return distances(layouts(chunk), sources_xy)[:, element]
 
     def element_values(chunk):
-        tau = distances(chunk, sources_xy) / scn.velocity_mps
+        tau = element_distances(chunk) / scn.velocity_mps
         if objective == "power":
             # numpy would take a one-row product through its dot kernel, which
             # rounds differently from the matrix kernel of an (M, N) product
@@ -359,36 +333,14 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     through ``fim_batch`` (each layout in the polar form
     ``scenario_from_positions`` would build, without a Scenario per
     candidate); gf and power from the moved element's delays alone and det
-    from a stack of covariance matrices, bit for bit what
-    ``evaluate_objective`` gives.  A chunk in which any candidate fails is
-    rescored one candidate at a time through ``evaluate_objective``, so only
-    the failing candidates are rejected, each with its own reason.
+    from a stack of covariance matrices.  A chunk in which any candidate
+    fails is scored again one candidate at a time through the same function,
+    so only the failing candidates are rejected, each with its own reason.
     """
-    _check_objective(objective)
-
-    def one(position):
-        moved = sensors_xy.copy()
-        moved[element] = position
-        try:
-            return evaluate_objective(
-                objective, element, moved, sources_xy, scn.signals,
-                scn.velocity_mps, scn.noise_variance, scn.snapshots,
-            )
-        except ValidationError as exc:
-            return exc
-
-    try:
-        score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
-    except ValidationError:
-        return [one(position) for position in positions]
-    values: list = []
-    for lo in range(0, len(positions), step):
-        chunk = positions[lo : lo + step]
-        try:
-            values.extend(score(chunk))
-        except ValidationError:
-            values.extend(one(position) for position in chunk)
-    return values
+    if objective not in OBJECTIVES:
+        raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
+    return [v for lo in range(0, len(positions), step) for v in batch_or_each(score, positions[lo : lo + step])]
 
 
 def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPlan:

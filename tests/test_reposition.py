@@ -19,6 +19,10 @@ from nfcrb import (
     ValidationError,
     analytic_reposition,
     apply_reposition,
+    covariances,
+    crb_from_fim,
+    distances,
+    fim_for_scenario,
     gf_objective,
     grid_search,
     hadamard_bound,
@@ -33,8 +37,27 @@ from nfcrb import (
 )
 from nfcrb import reposition
 from nfcrb.cli import main as cli_main
-from nfcrb.reposition import OBJECTIVES, evaluate_objective, score_candidates
+from nfcrb.reposition import OBJECTIVES, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
+
+
+def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
+    """Reference objective of one candidate layout, from the one-constellation public pieces."""
+    tau = distances(sensors_xy, sources_xy) / scn.velocity_mps
+    freqs = np.array([signal.freq_hz for signal in scn.signals])
+    if objective == "gf":
+        return gf_objective(2.0 * np.pi * freqs * tau[element])
+    A = steering_matrix(tau, freqs)
+    if objective == "power":
+        powers, _ = received_power(A, scn.signals)
+        return float(powers[element])
+    if objective == "det":
+        return float(abs(np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)))
+    polar = scenario_from_positions(
+        sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+    )
+    report = crb_from_fim(fim_for_scenario(polar))
+    return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 
 def reference_plan_a():
@@ -285,10 +308,7 @@ class TestBatchedBoundSearch:
         def objective_at(x, y):
             moved = sensors_xy.copy()
             moved[1] = (x, y)
-            return evaluate_objective(
-                "crb_r", 1, moved, sources_xy, scn.signals,
-                scn.velocity_mps, scn.noise_variance, scn.snapshots,
-            )
+            return objective_alone("crb_r", 1, moved, sources_xy, scn)
 
         points = [(x, y) for x, y in box.points() if (x, y) != (110.0, 0.0)]
         values = [objective_at(x, y) for x, y in points]
@@ -302,19 +322,14 @@ PHASE_OBJECTIVES = ("gf", "power", "det")
 
 
 def per_candidate_values(objective, scn, element, positions) -> list:
-    """The objective at each position, one ``evaluate_objective`` call per candidate."""
+    """The objective at each position, one ``objective_alone`` call per candidate."""
     sensors_xy, sources_xy, _ = scenario_positions(scn)
     out = []
     for position in positions:
         moved = sensors_xy.copy()
         moved[element] = position
         try:
-            out.append(
-                evaluate_objective(
-                    objective, element, moved, sources_xy, scn.signals,
-                    scn.velocity_mps, scn.noise_variance, scn.snapshots,
-                )
-            )
+            out.append(objective_alone(objective, element, moved, sources_xy, scn))
         except ValidationError as exc:
             out.append(str(exc))
     return out
@@ -392,25 +407,43 @@ class TestBatchedPhaseSearch:
         assert det.new_position_m == power.new_position_m
 
     def test_clean_searches_make_no_per_candidate_call(self, scenario_a):
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return evaluate_objective(*args)
-
         grid = DisplacementGrid(-200, 200, 2001)
         x0, y0 = scenario_positions(scenario_a)[0][2]
-        with mock.patch.object(reposition, "evaluate_objective", counting):
-            for objective in ("gf", "det"):
-                line_search_reposition(scenario_a, 2, objective, grid)
-                grid_search(scenario_a, 2, objective, grid)
-            grid_search(scenario_a, 2, "power", BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41))
-        assert calls == []
+        box = BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41)
+        line_count = len(np.unique(np.append(grid.values(), 0.0)))
+        searches = [
+            (line_search_reposition, "gf", grid, line_count),
+            (grid_search, "gf", grid, 2001),
+            (line_search_reposition, "det", grid, line_count),
+            (grid_search, "det", grid, 2001),
+            (grid_search, "power", box, 41 * 41),
+        ]
+        for search, objective, region, count in searches:
+            steps, calls = [], []
+            with mock.patch.object(reposition, "_chunk_scorer", counting_scorer(steps, calls)):
+                search(scenario_a, 2, objective, region)
+            (step,) = steps
+            k = count + 1  # the current position is scored in the same batch
+            assert 1 < step < k
+            assert calls == [step] * (k // step) + [k % step] * (k % step > 0)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_failing_chunk_is_scored_again_one_row_at_a_time(self, objective):
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        steps, calls = [], []
+        # 64 candidates in chunks of 10: the current position, then 63 box points,
+        # of which (110, 0) (candidate 32, in the fourth chunk) lands on source 1
+        with mock.patch.object(reposition, "_chunk_scorer", counting_scorer(steps, calls, step=10)):
+            plan = grid_search(scn, 1, objective, BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3))
+        assert calls == [10] * 4 + [1] * 10 + [10] * 2 + [4]
+        assert [n for n in plan.source_notes if "skipped" in n] == [
+            "position (110, 0) skipped: sensor 2 coincides with source 1"
+        ]
 
     @pytest.mark.parametrize("search", ["linesearch", "grid", "box"])
     def test_unknown_objective_fails_before_scoring(self, search, scenario_a):
         calls = []
-        with mock.patch.object(reposition, "evaluate_objective", lambda *a: calls.append(a)):
+        with mock.patch.object(reposition, "_chunk_scorer", lambda *a: calls.append(a)):
             with pytest.raises(ValidationError, match=r"objective must be one of \(.*\), got 'crb'"):
                 if search == "linesearch":
                     line_search_reposition(scenario_a, 0, "crb", DisplacementGrid(-10, 10, 5))
@@ -452,14 +485,63 @@ def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
         assert [(i, str(v)) for i, v in enumerate(values) if isinstance(v, ValidationError)] == [
             (60, "sensor 3 coincides with source 2")
         ]
-    # sensor 3 sits on source 2 while element 1 moves: the gf/power pre-check
-    # and every candidate name sensor 3, not its row among the fixed sensors
+    # sensor 3 sits on source 2 while element 1 moves: every candidate names
+    # sensor 3, not its row among the fixed sensors
     fixed_on_source = np.array([[0.0, 0.0], [10.0, -5.0], [90.0, 50.0]])
     for objective in ("gf", "power"):
-        with pytest.raises(ValidationError, match="^sensor 3 coincides with source 2$"):
-            reposition._chunk_scorer(objective, 0, fixed_on_source, sources_xy, scn)
         values = score_candidates(objective, 0, fixed_on_source, sources_xy, scn, line[:5] - 100.0)
         assert [str(v) for v in values] == ["sensor 3 coincides with source 2"] * 5
+
+
+def counting_scorer(steps, calls, step=None):
+    """A stand-in for ``_chunk_scorer`` that records each built chunk size in ``steps``
+    and each scored chunk's length in ``calls``, optionally forcing the chunk size."""
+    real = reposition._chunk_scorer
+
+    def build(*args):
+        score, default = real(*args)
+        steps.append(step or default)
+
+        def counted(chunk):
+            calls.append(len(chunk))
+            return score(chunk)
+
+        return counted, step or default
+
+    return build
+
+
+class TestFailureReasonsAtTheEdges:
+    # pinned reasons: a candidate re-scored as a one-row chunk names the same
+    # sensor and source, in the same order of checks, as its whole layout does
+    SOURCES = np.array([[40.0, 100.0], [90.0, 50.0]])
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_moving_and_fixed_sensors_on_sources(self, objective):
+        # element 1 moves onto source 1 while sensor 3 sits on source 2
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        sensors_xy = np.array([[0.0, 0.0], [10.0, -5.0], [90.0, 50.0]])
+        positions = np.array([[40.0, 100.0], [5.0, 5.0], [7.0, 1.0]])
+        values = score_candidates(objective, 0, sensors_xy, self.SOURCES, scn, positions)
+        assert [str(v) for v in values] == ["sensor 1 coincides with source 1"] + [
+            "sensor 3 coincides with source 2"
+        ] * 2
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_source_at_the_frame_origin(self, objective):
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        sensors_xy = np.array([[5.0, 1.0], [10.0, -5.0], [30.0, 50.0]])
+        sources_xy = np.array([[0.0, 0.0], [90.0, 50.0]])
+        positions = np.array([[1.0, 2.0], [3.0, 4.0], [90.0, 50.0]])
+        values = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+        assert str(values[2]) == "sensor 2 coincides with source 2"
+        if objective in ("crb_theta", "crb_r"):
+            assert [str(v) for v in values[:2]] == ["a source coincides with the frame origin"] * 2
+        else:
+            for value, position in zip(values[:2], positions):
+                moved = sensors_xy.copy()
+                moved[1] = position
+                assert value == objective_alone(objective, 1, moved, sources_xy, scn)
 
 
 class TestBatchedScorerProperties:
@@ -545,12 +627,9 @@ class TestOneScan:
             assert np.array_equal(along.new_arrival_rad, box.new_arrival_rad)
             assert along.objective_before == box.objective_before
             assert along.objective_after == box.objective_after
-            # the baseline is the value evaluate_objective gives at the origin
+            # the baseline is the value objective_alone gives at the origin
             before = line_search_reposition(scn, element, objective, line_grid).objective_before
-            assert before == evaluate_objective(
-                objective, element, sensors_xy, sources_xy, scn.signals,
-                scn.velocity_mps, scn.noise_variance, scn.snapshots,
-            )
+            assert before == objective_alone(objective, element, sensors_xy, sources_xy, scn)
 
     def test_region_must_suit_the_mode(self, scenario_a):
         with pytest.raises(ValidationError, match="^mode 'linesearch' cannot search a BoxGrid$"):
