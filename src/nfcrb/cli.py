@@ -47,6 +47,7 @@ from .scenario_io import (
     parse_number,
     run_report,
     run_report_to_csv,
+    run_reports,
     runtime_scenario,
     write_reports,
 )
@@ -124,8 +125,8 @@ def cmd_reposition(args) -> int:
     for note in plan.source_notes:
         print(f"  note: {note}")
 
-    before = run_report(scn, f"{sf.name} (primary)", defaults)
-    after = run_report(apply_reposition(scn, plan), f"{sf.name} (repositioned)", defaults)
+    named = [(scn, f"{sf.name} (primary)"), (apply_reposition(scn, plan), f"{sf.name} (repositioned)")]
+    before, after = run_reports(named, defaults)
     print("\n--- before ---")
     print(format_run_report(before))
     print("\n--- after ---")

@@ -19,7 +19,7 @@ class SingularCovarianceError(ValidationError):
 
 
 def batch_or_each(run, items) -> list:
-    """``run(items)``, a list of one result per item; if that raises ValidationError, ``run``
+    """``run(items)``, one result per item; if that raises ValidationError, the list of ``run``
     on each item alone (``items[i : i + 1]``), so only the failing items get their error."""
     try:
         return run(items)

@@ -142,10 +142,10 @@ class CrbReport:
 DR_CHUNK_VALUES = 8192
 """Most complex values one batched (K, P, M, M) dR stack may hold: 128 KB."""
 
-PHASE_CHUNK_VALUES = 1024
-"""Most complex values the largest array of one batched gf/power/det pass may hold: 16 KB.
+PHASE_CHUNK_VALUES = 4096
+"""Most complex values the largest array of one batched gf/power/det pass may hold: 64 KB.
 
-That is K x N steering entries for gf and power, K x M x max(M, N) for det.
+That is K x N steering entries for gf and power, K x M x max(M, N) for det; no value depends on it.
 """
 
 

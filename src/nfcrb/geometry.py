@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -248,6 +248,22 @@ def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
     return d
 
 
+@cache
+def _incidence(M: int, N: int) -> np.ndarray:
+    """Read-only (M N, M - 1 + N) least-squares system of ``reconstruct_positions``: row
+    k N + n says source n minus sensor k (sensor 1 pinned at the origin)."""
+    rows = np.zeros((M * N, M - 1 + N))
+    k, n = np.divmod(np.arange(M * N), N)
+    rows[np.arange(M * N), M - 1 + n] = 1.0
+    rows[np.arange(N, M * N), k[N:] - 1] = -1.0
+    if (rank := np.linalg.matrix_rank(rows)) < M - 1 + N:
+        raise DegenerateGeometryError(
+            f"pairwise system is rank deficient ({rank} < {M - 1 + N}); positions undetermined"
+        )
+    rows.flags.writeable = False
+    return rows
+
+
 def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares positions consistent with pairwise data.
 
@@ -265,33 +281,13 @@ def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.nd
         raise SingularGeometryError("arrival angles at 0 or pi cannot place a source")
     horizontal = H * np.cos(ang) / s
 
-    n_unknown = (M - 1) + N
-    rows = np.zeros((M * N, n_unknown))
-    bx = np.empty(M * N)
-    by = np.empty(M * N)
-    i = 0
-    for k in range(M):
-        for n in range(N):
-            if k > 0:
-                rows[i, k - 1] = -1.0
-            rows[i, M - 1 + n] = 1.0
-            bx[i] = horizontal[k, n]
-            by[i] = H[k, n]
-            i += 1
-    solx, _, rank, _ = np.linalg.lstsq(rows, bx, rcond=None)
+    rows = _incidence(M, N)
+    bx, by = horizontal.ravel(), H.ravel()
+    solx, *_ = np.linalg.lstsq(rows, bx, rcond=None)
     soly, *_ = np.linalg.lstsq(rows, by, rcond=None)
-    if rank < n_unknown:
-        raise DegenerateGeometryError(
-            f"pairwise system is rank deficient ({rank} < {n_unknown}); positions undetermined"
-        )
-    sensors = np.zeros((M, 2))
-    sensors[1:, 0] = solx[: M - 1]
-    sensors[1:, 1] = soly[: M - 1]
-    sources = np.stack([solx[M - 1 :], soly[M - 1 :]], axis=1)
-    ex = rows @ solx - bx
-    ey = rows @ soly - by
-    residual = float(np.sqrt(np.mean(ex**2 + ey**2)))
-    return sensors, sources, residual
+    xy = np.column_stack([solx, soly])
+    residual = float(np.sqrt(np.mean((rows @ solx - bx) ** 2 + (rows @ soly - by) ** 2)))
+    return np.vstack([np.zeros((1, 2)), xy[: M - 1]]), xy[M - 1 :], residual
 
 
 def _require_scenario(scn) -> None:

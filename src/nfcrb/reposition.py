@@ -9,8 +9,9 @@ realizations are provided:
   arrival angle when the resulting sine stays within [0, 1];
 * one search scan behind the line search and ``optimizer.grid_search``: it
   scores the element at every position of a ``DisplacementGrid`` or
-  ``BoxGrid`` in one batch with its current position and keeps the first
-  minimum (a line search always includes the current position);
+  ``BoxGrid`` in one batch with its current position, in chunks of array
+  passes that give float arrays, and keeps the first minimum, found with
+  array operations (a line search always includes the current position);
 * plan application, which rewrites the chosen element's pairwise row.
 
 The analytic targets set each phase term independently, so the N solved
@@ -116,7 +117,7 @@ class BoxGrid:
         """(K, 2) candidate positions, x-major; one step on an axis sits at its midpoint."""
         xs = DisplacementGrid(self.x_start, self.x_stop, self.x_steps).values()
         ys = DisplacementGrid(self.y_start, self.y_stop, self.y_steps).values()
-        return np.array([(x, y) for x in xs for y in ys])
+        return np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
 
 
 def hadamard_bound(matrix) -> float:
@@ -247,9 +248,9 @@ def analytic_reposition(
 def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
 
-    The function gives K values or raises ValidationError if any position of the chunk
-    fails.  The polar form of the layout (bounds) and the check for a fixed sensor on a
-    source (gf, power) run once here; every chunk raises a failure of either.
+    The function gives a (K,) float array or raises ValidationError if any position of the
+    chunk fails.  The polar form of the layout (bounds) and the check for a fixed sensor on
+    a source (gf, power) run once here; every chunk raises a failure of either.
     """
     num_sensors, num_sources = len(sensors_xy), len(sources_xy)
     freqs = frequency_vector(scn.signals)
@@ -276,7 +277,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             radii[:, element] = [math.hypot(x, y) for x, y in chunk]
             azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x, y in chunk]
             totals = crb_totals(fim_batch(polar, radii, azimuths)[0], num_sources)
-            return totals[BOUND_OBJECTIVES.index(objective)].tolist()
+            return totals[BOUND_OBJECTIVES.index(objective)]
 
         return bound_totals, batch_chunk(num_sensors, num_sources)
 
@@ -285,7 +286,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         def determinants(chunk):
             A = steering_matrix(distances(layouts(chunk), sources_xy) / scn.velocity_mps, freqs)
             det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
-            return [abs(v) for v in det.tolist()]
+            return np.array([abs(v) for v in det.tolist()])  # np.abs rounds complex moduli differently
 
         per_candidate = num_sensors * max(num_sensors, num_sources)
         return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
@@ -315,32 +316,38 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             # numpy would take a one-row product through its dot kernel, which
             # rounds differently from the matrix kernel of an (M, N) product
             A = steering_matrix(np.repeat(tau, 2, axis=0) if len(tau) == 1 else tau, freqs)
-            return received_power(A, scn.signals)[0][: len(tau)].tolist()
+            return received_power(A, scn.signals)[0][: len(tau)]
         T = 2.0 * np.pi * freqs * tau
-        # squared as Python floats, as gf_objective squares numpy scalars;
-        # an array's ** 2 rounds differently in the last bit
-        cos_sums, sin_sums = np.cos(T).sum(axis=1).tolist(), np.sin(T).sum(axis=1).tolist()
-        return [c**2 + s**2 for c, s in zip(cos_sums, sin_sums)]
+        # float_power squares through libm pow, as gf_objective's scalar ** 2 does;
+        # an array's ** 2 is x * x, which rounds differently in the last bit
+        return np.float_power(np.cos(T).sum(axis=1), 2) + np.float_power(np.sin(T).sum(axis=1), 2)
 
     return element_values, max(1, PHASE_CHUNK_VALUES // num_sources)
 
 
-def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions) -> list:
+def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions) -> tuple[np.ndarray, dict]:
     """The objective with the element at each (x, y) row of ``positions``.
 
-    Each entry is the value or the ValidationError that rejected the
-    candidate.  Candidates are scored a chunk per array pass: bound totals
-    through ``fim_batch`` (each layout in the polar form
-    ``scenario_from_positions`` would build, without a Scenario per
-    candidate); gf and power from the moved element's delays alone and det
-    from a stack of covariance matrices.  A chunk in which any candidate
-    fails is scored again one candidate at a time through the same function,
-    so only the failing candidates are rejected, each with its own reason.
+    Returns the values (NaN where a candidate failed) and, by row in scan order, the
+    ValidationError that rejected each failed candidate.  Candidates are scored a chunk
+    per array pass: bound totals through ``fim_batch`` (each layout in the polar form
+    ``scenario_from_positions`` would build, without a Scenario per candidate); gf and
+    power from the moved element's delays alone and det from a stack of covariance
+    matrices.  A chunk in which any candidate fails is scored again one candidate at a
+    time through the same function, so only the failing candidates are rejected, each
+    with its own reason.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
-    return [v for lo in range(0, len(positions), step) for v in batch_or_each(score, positions[lo : lo + step])]
+    values, errors = np.empty(len(positions)), {}
+    for lo in range(0, len(positions), step):
+        chunk = batch_or_each(score, positions[lo : lo + step])
+        if isinstance(chunk, list):  # a row failed, so each row was scored alone
+            errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
+            chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
+        values[lo : lo + len(chunk)] = chunk
+    return values, errors
 
 
 def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPlan:
@@ -363,25 +370,21 @@ def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPla
         raise ValidationError(f"mode {mode!r} cannot search a {type(region).__name__}")
 
     candidates = np.vstack([sensors_xy[element], positions])
-    before, *values = score_candidates(objective, element, sensors_xy, sources_xy, scn, candidates)
-    notes = []
-    if isinstance(before, ValidationError):
-        notes.append(f"original position not evaluable: {before}")
-        before = float("nan")
-    best = None
-    for i, value in enumerate(values):
-        if isinstance(value, ValidationError):
-            x, y = positions[i]
-            where = f"position ({x:.6g}, {y:.6g})" if disps is None else f"displacement {disps[i]:+.6g} m"
-            notes.append(f"{where} skipped: {value}")
-        elif best is None or value < values[best]:
-            best = i
-    if best is None:
+    values, errors = score_candidates(objective, element, sensors_xy, sources_xy, scn, candidates)
+    notes = [f"original position not evaluable: {errors.pop(0)}"] if 0 in errors else []
+    for i, exc in errors.items():
+        x, y = candidates[i]
+        where = f"position ({x:.6g}, {y:.6g})" if disps is None else f"displacement {disps[i - 1]:+.6g} m"
+        notes.append(f"{where} skipped: {exc}")
+    first = next((i for i in range(1, len(values)) if i not in errors), None)
+    if first is None:
         raise ValidationError("objective evaluation failed at every grid point")
-    if values[best] > before:
+    # the first candidate scored, unless a later one is strictly smaller (a NaN never is)
+    best = first if math.isnan(values[first]) else first + int(np.nanargmin(values[first:]))
+    if values[best] > values[0]:
         notes.append("grid minimizer is worse than the original position")
 
-    x, y = positions[best]
+    x, y = candidates[best]
     vertical = sources_xy[:, 1] - y
     if disps is not None and np.any(vertical <= 0):
         raise SingularGeometryError(
@@ -391,9 +394,9 @@ def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPla
         element=element,
         mode=mode,
         new_arrival_rad=np.arctan2(vertical, sources_xy[:, 0] - x),
-        displacement_m=None if disps is None else float(disps[best]),
+        displacement_m=None if disps is None else float(disps[best - 1]),
         objective=objective,
-        objective_before=float(before),
+        objective_before=float(values[0]),
         objective_after=float(values[best]),
         source_notes=tuple(notes),
         new_position_m=(float(x), float(y)) if disps is None else None,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import PairwiseGeometry, PairwiseScenario, Scenario, SensorGeom, SourceGeom
-from .optimizer import ConstellationEvaluation, SweepRow, evaluate_constellation
+from .optimizer import ConstellationEvaluation, SweepRow, evaluate_constellations
 from .signal_model import SourceSignal
 
 DEFAULT_NOISE_VARIANCE = 1.0
@@ -334,9 +334,19 @@ class RunReport:
     evaluation: ConstellationEvaluation
 
 
+def run_reports(named, defaults: tuple[str, ...]) -> list[RunReport]:
+    """The reports of (scenario, name) pairs sharing M, N, amplitudes, noise and snapshots,
+    from one ``evaluate_constellations`` batch; the first failure in order is raised."""
+    scenarios, names = zip(*named)
+    evaluations = evaluate_constellations(scenarios)
+    if failed := [ev for ev in evaluations if isinstance(ev, ValidationError)]:
+        raise failed[0]
+    return [RunReport(name, scn, defaults, ev) for name, scn, ev in zip(names, scenarios, evaluations)]
+
+
 def run_report(scn, name: str, defaults: tuple[str, ...]) -> RunReport:
-    """Compute the full report for a polar or pairwise scenario."""
-    return RunReport(name, scn, defaults, evaluate_constellation(scn))
+    """Compute the full report for a polar or pairwise scenario: ``run_reports`` at K = 1."""
+    return run_reports([(scn, name)], defaults)[0]
 
 
 def _sci(x: float) -> str:

@@ -60,6 +60,12 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 
+def scored(objective, element, sensors_xy, sources_xy, scn, positions) -> list:
+    """``score_candidates`` as one entry per candidate: its value, or the ValidationError that rejected it."""
+    values, errors = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    return [errors.get(i, v) for i, v in enumerate(values.tolist())]
+
+
 def reference_plan_a():
     return RepositionPlan(
         element=2,
@@ -287,7 +293,7 @@ class TestBatchedBoundSearch:
         sensors_xy, sources_xy, _ = scenario_positions(scn)
         disps = np.linspace(60.0, 140.0, 81)
         positions = np.column_stack([sensors_xy[1, 0] + disps, np.full_like(disps, sensors_xy[1, 1])])
-        values = score_candidates("crb_r", 1, sensors_xy, sources_xy, scn, positions)
+        values = scored("crb_r", 1, sensors_xy, sources_xy, scn, positions)
         failed = [d for d, v in zip(disps, values) if isinstance(v, ValidationError)]
         assert failed == [100.0]
         assert str(values[40]) == "sensor 2 coincides with source 1"
@@ -347,7 +353,7 @@ def candidate_positions(scn, element, grid: DisplacementGrid, box_half: float, b
 
 def batched_values(objective, scn, element, positions) -> list:
     sensors_xy, sources_xy, _ = scenario_positions(scn)
-    values = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    values = scored(objective, element, sensors_xy, sources_xy, scn, positions)
     return [str(v) if isinstance(v, ValidationError) else v for v in values]
 
 
@@ -391,7 +397,7 @@ class TestBatchedPhaseSearch:
         sensors_xy, sources_xy, _ = scenario_positions(scn)
         sensors_xy[0] = sources_xy[0]
         positions = np.column_stack([np.linspace(5.0, 15.0, 11), np.ones(11)])
-        values = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+        values = scored(objective, 1, sensors_xy, sources_xy, scn, positions)
         assert [str(v) for v in values] == ["sensor 1 coincides with source 1"] * 11
 
     @pytest.mark.parametrize("fixture, displacement", [("scenario_a", 155.4), ("scenario_b", -194.0)])
@@ -481,7 +487,7 @@ def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
     # a line candidate of element 3 lands on source 2
     line = np.column_stack([30.0 + DisplacementGrid(0.0, 80.0, 81).values(), np.full(81, 50.0)])
     for objective in OBJECTIVES:
-        values = score_candidates(objective, 2, sensors_xy, sources_xy, scn, line)
+        values = scored(objective, 2, sensors_xy, sources_xy, scn, line)
         assert [(i, str(v)) for i, v in enumerate(values) if isinstance(v, ValidationError)] == [
             (60, "sensor 3 coincides with source 2")
         ]
@@ -489,7 +495,7 @@ def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
     # sensor 3, not its row among the fixed sensors
     fixed_on_source = np.array([[0.0, 0.0], [10.0, -5.0], [90.0, 50.0]])
     for objective in ("gf", "power"):
-        values = score_candidates(objective, 0, fixed_on_source, sources_xy, scn, line[:5] - 100.0)
+        values = scored(objective, 0, fixed_on_source, sources_xy, scn, line[:5] - 100.0)
         assert [str(v) for v in values] == ["sensor 3 coincides with source 2"] * 5
 
 
@@ -522,7 +528,7 @@ class TestFailureReasonsAtTheEdges:
         scn = TestBatchedBoundSearch._coinciding_scenario()
         sensors_xy = np.array([[0.0, 0.0], [10.0, -5.0], [90.0, 50.0]])
         positions = np.array([[40.0, 100.0], [5.0, 5.0], [7.0, 1.0]])
-        values = score_candidates(objective, 0, sensors_xy, self.SOURCES, scn, positions)
+        values = scored(objective, 0, sensors_xy, self.SOURCES, scn, positions)
         assert [str(v) for v in values] == ["sensor 1 coincides with source 1"] + [
             "sensor 3 coincides with source 2"
         ] * 2
@@ -533,7 +539,7 @@ class TestFailureReasonsAtTheEdges:
         sensors_xy = np.array([[5.0, 1.0], [10.0, -5.0], [30.0, 50.0]])
         sources_xy = np.array([[0.0, 0.0], [90.0, 50.0]])
         positions = np.array([[1.0, 2.0], [3.0, 4.0], [90.0, 50.0]])
-        values = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+        values = scored(objective, 1, sensors_xy, sources_xy, scn, positions)
         assert str(values[2]) == "sensor 2 coincides with source 2"
         if objective in ("crb_theta", "crb_r"):
             assert [str(v) for v in values[:2]] == ["a source coincides with the frame origin"] * 2

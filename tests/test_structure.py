@@ -84,17 +84,16 @@ def test_one_fallback_for_candidates_and_sweep_rows():
 
 
 def test_one_evaluation_per_report_and_sweep_row():
-    # the batched evaluator is reached by reports one constellation at a time
-    # and by sweeps one chunk at a time (a failing chunk one row at a time,
-    # through batch_or_each, which is handed _evaluate)
+    # the batched evaluator is reached by sweeps one chunk at a time and by
+    # reports through run_reports: a reposition's before and after in one
+    # batch, a lone report at K = 1 (a failing batch one constellation at a
+    # time, through batch_or_each, which is handed _evaluate)
     assert users_of("_evaluate") == [
         ("optimizer.py", "evaluate_constellation"),
         ("optimizer.py", "evaluate_constellations"),
     ]
     assert callers_of("_evaluate") == [("optimizer.py", "evaluate_constellation")]
-    assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep")]
-    assert callers_of("evaluate_constellation") == [
-        ("optimizer.py", "constellation_metrics"),
-        ("scenario_io.py", "run_report"),
-    ]
+    assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep"), ("scenario_io.py", "run_reports")]
+    assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
+    assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
     assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate")]
