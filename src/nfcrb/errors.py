@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the batch fallback that isolates a failing item."""
+"""Exception types shared across the package, and the batch fallback that isolates failing items."""
 
 
 class ValidationError(ValueError):
@@ -19,11 +19,12 @@ class SingularCovarianceError(ValidationError):
 
 
 def batch_or_each(run, items) -> list:
-    """``run(items)``, one result per item; if that raises ValidationError, the list of ``run``
-    on each item alone (``items[i : i + 1]``), so only the failing items get their error."""
+    """``run(items)``, one result per item; if that raises ValidationError, each half of ``items``
+    run the same way, so only failing items get their error (one in K: <= 2 ceil(log2 K) + 1 runs)."""
     try:
         return run(items)
     except ValidationError as exc:
         if len(items) == 1:
             return [exc]
-    return [batch_or_each(run, items[i : i + 1])[0] for i in range(len(items))]
+    half = (len(items) + 1) // 2
+    return [result for part in (items[:half], items[half:]) for result in batch_or_each(run, part)]

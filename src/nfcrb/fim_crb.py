@@ -20,9 +20,9 @@ The trace form is one kernel over a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
 velocity (K,), with shared amplitudes, noise and snapshots.  One array pass
 gives the steering, the rank-two covariance derivatives and all traces as one
-matmul.  ``fim_for_scenarios`` runs it over K scenarios (a sweep's chunk),
-``fim_batch`` over K sensor layouts around one scenario's sources (a search's
-chunk), and ``fim_for_scenario`` is the kernel at K = 1.
+matmul.  ``fim_for_scenarios`` runs it over K constellations' stacked axes (a
+sweep's chunk), ``fim_batch`` over K sensor layouts around one scenario's
+sources (a search's chunk), and ``fim_for_scenario`` is the kernel at K = 1.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
-from .geometry import Scenario, distances, native_delays, polar_to_cartesian
-from .signal_model import CovarianceSet, covariances, steering_matrix
+from .geometry import Scenario, distances, native_delays, polar_axes, polar_to_cartesian
+from .signal_model import CovarianceSet, covariances, frequency_vector, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -155,19 +155,18 @@ def batch_chunk(num_sensors: int, num_sources: int) -> int:
     return max(1, DR_CHUNK_VALUES // per_layout)
 
 
-def _polar_arrays(scenarios) -> list[np.ndarray]:
-    """The kernel's axes of K polar scenarios: sensor radii and azimuths (K, M), source
-    ranges, bearings and frequencies (K, N), and velocities (K,)."""
-    fields = [("sensors", "radius_m"), ("sensors", "azimuth_rad"), ("sources", "range_m"),
-              ("sources", "bearing_rad"), ("signals", "freq_hz")]
-    arrays = [[[getattr(x, name) for x in getattr(s, group)] for s in scenarios] for group, name in fields]
-    return [np.array(a, dtype=float) for a in arrays] + [np.array([s.velocity_mps for s in scenarios])]
+def _kernel_axes(scenario) -> list[np.ndarray]:
+    """The kernel's axes of one scenario's polar form, with a batch axis of one: sensor radii
+    and azimuths (1, M), source ranges, bearings and frequencies (1, N), and velocity (1,)."""
+    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
+    axes = radii, azimuths, ranges, bearings, frequency_vector(scenario.signals), scenario.velocity_mps
+    return [np.asarray(a, dtype=float)[None] for a in axes]
 
 
 def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tuple[np.ndarray, ...]:
     """(K, M, N) distances d, delay gradients, steering matrices and derivative columns.
 
-    Takes the axes of ``_polar_arrays``; sources, frequencies and velocity may
+    Takes the axes of ``_kernel_axes``, stacked over K; sources, frequencies and velocity may
     instead be (N,) arrays and a scalar shared by all K constellations.  The
     law-of-cosines distance gives d tau / d bearing = rho r sin(bearing -
     azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) /
@@ -184,7 +183,7 @@ def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tup
 
 def _derivative_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
     """``_steering_columns`` of one scenario, each as an (M, N) matrix."""
-    return tuple(x[0] for x in _steering_columns(*_polar_arrays([scenario])))
+    return tuple(x[0] for x in _steering_columns(*_kernel_axes(scenario)))
 
 
 def delay_gradients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -317,19 +316,18 @@ def fim_batch(
     return scenario.snapshots * F, cond
 
 
-def fim_for_scenario(scenario: Scenario) -> FimMatrix:
-    """The information matrix of one scenario: the kernel at K = 1."""
-    R, dR = _covariance_stack(scenario, *_polar_arrays([scenario]))
+def fim_for_scenario(scenario) -> FimMatrix:
+    """The information matrix of one polar or pairwise scenario (its polar form): the kernel at K = 1."""
+    R, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
     return fim_generic(R[0], dR[0], scenario.snapshots)
 
 
-def fim_for_scenarios(scenarios) -> list[FimMatrix]:
-    """Information matrices of K polar scenarios that share M, N, amplitudes, noise and
-    snapshots, from one kernel call; any failing scenario fails it.  Keep K within ``batch_chunk``."""
-    first = scenarios[0]
-    F, cond = _trace_form(*_covariance_stack(first, *_polar_arrays(scenarios)))
-    index = ParameterIndex(first.num_sources)
-    return [FimMatrix(f, first.snapshots, index, c) for f, c in zip(first.snapshots * F, cond.tolist())]
+def fim_for_scenarios(scenario, *axes) -> list[FimMatrix]:
+    """Information matrices of K constellations, given as ``_kernel_axes`` stacked over K, sharing the
+    scenario's M, N, amplitudes, noise and snapshots, from one kernel call that any failure fails."""
+    F, cond = _trace_form(*_covariance_stack(scenario, *axes))
+    index = ParameterIndex(scenario.num_sources)
+    return [FimMatrix(f, scenario.snapshots, index, c) for f, c in zip(scenario.snapshots * F, cond.tolist())]
 
 
 @dataclass(frozen=True, eq=False)

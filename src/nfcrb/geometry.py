@@ -16,10 +16,10 @@ horizontal line.  Pairwise tables over-determine a planar layout, so
 recovering positions is a least-squares fit whose root-mean-square
 inconsistency (meters) is always reported.
 
-This module is the only one that branches on the encoding: ``polar_form``,
-``pairwise_form``, ``native_delays`` and ``scenario_positions`` take either,
-``distances`` is the one sensor-to-source distance kernel and
-``polar_to_cartesian`` the one polar-to-Cartesian conversion.
+This module is the only one that branches on the encoding: ``polar_form``, ``polar_axes``,
+``pairwise_form``, ``delay_geometry`` and ``scenario_positions`` take either, ``distances``
+is the one sensor-to-source distance kernel and ``polar_to_cartesian`` the one
+polar-to-Cartesian conversion.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ class SensorGeom:
 
 
 def _check_instance(scn) -> None:
-    """Checks both encodings share: N < M, one signal per source, positive c and eta, K >= 1."""
+    """Checks both encodings share: 0 < N < M, one signal per source, positive c and eta, K >= 1."""
     M, N = scn.num_sensors, scn.num_sources
+    if N < 1:
+        raise ValidationError("scenario needs at least one source")
     if N >= M:
         raise ValidationError(f"{M} sensors can separate at most {M - 1} sources; got {N}")
     if len(scn.signals) != N:
@@ -98,8 +100,6 @@ class Scenario:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "signals", tuple(self.signals))
-        if not self.sources:
-            raise ValidationError("scenario needs at least one source")
         _check_instance(self)
 
     @property
@@ -221,18 +221,20 @@ def scenario_from_positions(
     snapshots: int,
 ) -> Scenario:
     """Build a polar Scenario from Cartesian coordinates."""
-    sensors_xy = np.asarray(sensors_xy, dtype=float)
-    sources_xy = np.asarray(sources_xy, dtype=float)
-    sensors = tuple(
-        SensorGeom(math.hypot(x, y), math.atan2(y, x)) for x, y in sensors_xy
-    )
-    ranges = np.hypot(sources_xy[:, 0], sources_xy[:, 1])
-    if np.any(ranges <= 0):
-        raise DegenerateGeometryError("a source coincides with the frame origin")
-    sources = tuple(
-        SourceGeom(math.hypot(x, y), math.atan2(y, x)) for x, y in sources_xy
-    )
+    sensors, sources = _polar_coordinates(sensors_xy, sources_xy)
+    sensors, sources = tuple(SensorGeom(*p) for p in sensors), tuple(SourceGeom(*p) for p in sources)
     return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
+
+
+def _polar_coordinates(sensors_xy, sources_xy) -> tuple[list, list]:
+    """(radius, angle) of each (x, y) sensor and source row from the scalar math.hypot and
+    math.atan2, the calls every polar value made from Cartesian coordinates goes through, so
+    all of them agree bit for bit; a source at the frame origin is rejected."""
+    sensors, sources = ([(math.hypot(x, y), math.atan2(y, x)) for x, y in np.asarray(xy, dtype=float).tolist()]
+                        for xy in (sensors_xy, sources_xy))
+    if any(r <= 0 for r, _ in sources):
+        raise DegenerateGeometryError("a source coincides with the frame origin")
+    return sensors, sources
 
 
 def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
@@ -307,6 +309,21 @@ def polar_form(scn) -> tuple[Scenario, float | None]:
     return polar, residual
 
 
+def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
+    """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
+    form, and its residual, as ``polar_form`` gives them bit for bit (both go through
+    ``_polar_coordinates``) but without building the Scenario."""
+    _require_scenario(scn)
+    if isinstance(scn, Scenario):
+        return (scn.sensor_radii(), scn.sensor_azimuths(), scn.source_ranges(), scn.source_bearings()), None
+    sensors_xy, sources_xy, residual = scn.geometry.positions
+    (radii, azimuths), (ranges, bearings) = (
+        np.array([(r, angle % TWO_PI) for r, angle in points]).T
+        for points in _polar_coordinates(sensors_xy, sources_xy)
+    )
+    return (radii, azimuths, ranges, bearings), residual
+
+
 def pairwise_form(scn) -> PairwiseScenario:
     """Pairwise form of a scenario; polar input converts exactly.
 
@@ -332,16 +349,20 @@ def pairwise_form(scn) -> PairwiseScenario:
     )
 
 
-def native_delays(scn) -> np.ndarray:
-    """(M, N) delays in the scenario's own encoding.
-
-    Pairwise tables give H / (c sin(arrival)); polar coordinates give the
-    sensor-to-source distance over c.
-    """
+def delay_geometry(scn):
+    """The scenario's native delays as a function of the velocity c, with the velocity-free
+    part computed once: H / (c sin(arrival)) for a pairwise table, distance / c for polar input."""
     _require_scenario(scn)
     if isinstance(scn, PairwiseScenario):
-        return scn.geometry.vertical_m / (scn.velocity_mps * np.sin(scn.geometry.arrival_rad))
-    return distances(sensor_positions(scn), source_positions(scn)) / scn.velocity_mps
+        vertical, sines = scn.geometry.vertical_m, np.sin(scn.geometry.arrival_rad)
+        return lambda c: vertical / (c * sines)
+    d = distances(sensor_positions(scn), source_positions(scn))
+    return lambda c: d / c
+
+
+def native_delays(scn) -> np.ndarray:
+    """(M, N) delays in the scenario's own encoding (see ``delay_geometry``)."""
+    return delay_geometry(scn)(scn.velocity_mps)
 
 
 def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:

@@ -2,10 +2,9 @@
 
 ``evaluate_constellations`` computes the det(R_x), received powers,
 information matrix and bounds of K constellations, one stacked pass each, and
-re-evaluates a failing batch one constellation at a time (``batch_or_each``,
-the fallback search scoring uses too);
-``evaluate_constellation`` is its K = 1 case.  Run reports, CSV rows, sweep
-rows and comparisons all read that one ``ConstellationEvaluation``.
+re-evaluates a failing batch in halves (``batch_or_each``, the fallback search
+scoring uses too); ``evaluate_constellation`` is its K = 1 case.  Run reports,
+CSV rows, sweep rows and comparisons all read that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, one chunk of rows per batch, and produces
 rows ready for CSV reporting; ``compare_report`` gives the before/after
@@ -23,8 +22,8 @@ import numpy as np
 
 from .errors import ValidationError, batch_or_each
 from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
-from .geometry import native_delays, polar_form
-from .reposition import RepositionPlan, _check_axis, _scan, analytic_reposition, apply_reposition
+from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
+from .reposition import RepositionPlan, _analytic_targets, _check_axis, _scan, _with_arrivals
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
@@ -105,17 +104,28 @@ def _native_powers(scn) -> tuple[np.ndarray, int]:
     return received_power(A, scn.signals)
 
 
+def _row(target) -> tuple:
+    """A constellation as ``_evaluate`` reads it: (a scenario with its amplitudes, noise and
+    snapshots, native delays, the (M,) radii and azimuths, (N,) ranges, bearings and frequencies
+    and velocity of its polar form, residual); sweeps hand primary rows over as such tuples."""
+    if isinstance(target := _take(target), tuple):
+        return target
+    (axes, residual), freqs = polar_axes(target), frequency_vector(target.signals)
+    return target, native_delays(target), (*axes, freqs, target.velocity_mps), residual
+
+
 def _evaluate(targets) -> list[ConstellationEvaluation]:
-    """Evaluations of constellations sharing M, N, amplitudes, noise and snapshots, in one
-    stacked steering pass for powers and dets, one kernel call and one SVD call; raises if any fails."""
-    polars, residuals = zip(*map(polar_form, targets))
-    first = polars[0]
-    freqs = np.array([polar.frequencies() for polar in polars])
-    A = steering_matrix(np.array([native_delays(target) for target in targets]), freqs)
+    """Evaluations of constellations (scenarios or ``_row`` tuples) sharing M, N, amplitudes, noise
+    and snapshots: one stacked steering pass for powers and dets, one kernel and one SVD call."""
+    scenarios, delays, axes, residuals = zip(*map(_row, targets))
+    first = scenarios[0]
+    axes = [np.array(a) for a in zip(*axes)]
+    A = steering_matrix(np.array(delays), axes[4])
     powers, strongest = received_power(A, first.signals)
     det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
-    # one constellation takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
-    fims = [fim_for_scenario(first)] if len(polars) == 1 else fim_for_scenarios(polars)
+    # a lone scenario takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
+    lone = len(targets) == 1 and not isinstance(targets[0], tuple)
+    fims = [fim_for_scenario(first)] if lone else fim_for_scenarios(first, *axes)
     crbs = crb_reports(np.array([fim.entries for fim in fims]), first.num_sources)
     rows = zip(det.tolist(), powers, strongest, residuals, fims, crbs)
     return [ConstellationEvaluation(abs(d), *row) for d, *row in rows]
@@ -124,7 +134,7 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
 def evaluate_constellations(targets) -> list:
     """Per target, its ConstellationEvaluation or the ValidationError that rejected it, from
     one ``_evaluate`` batch of targets sharing M, N, amplitudes, noise and snapshots (keep
-    it within ``batch_chunk``); a failing batch is evaluated again one target at a time."""
+    it within ``batch_chunk``); a failing batch is evaluated again in halves."""
     return batch_or_each(_evaluate, targets)
 
 
@@ -159,45 +169,66 @@ def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
 
 def _with_point(scn, spec: SweepSpec, point: float):
     if spec.vary == "velocity":
-        return replace(scn, velocity_mps=float(point))
+        return replace(scn, velocity_mps=point)
     signals = list(scn.signals)
     idx = int(spec.source)
     if not 0 <= idx < len(signals):
         raise ValidationError(f"source index {idx} outside 0..{len(signals) - 1}")
-    signals[idx] = replace(signals[idx], freq_hz=float(point))
+    signals[idx] = replace(signals[idx], freq_hz=point)
     return replace(scn, signals=tuple(signals))
 
 
+def _kept(convert, *args):
+    """``convert(*args)``, or the ValidationError it raised, which ``_take`` raises again."""
+    try:
+        return convert(*args)
+    except ValidationError as exc:
+        return exc
+
+
+def _take(kept):
+    if isinstance(kept, ValidationError):  # a held conversion error, or a sweep row it failed
+        raise kept.with_traceback(None)
+    return kept
+
+
 def _planned_rows(scn, spec: SweepSpec):
-    """Per row in sweep order: its grid point, mode, constellation to evaluate and notes so far."""
-    for point in spec.grid():
-        scn_pt = _with_point(scn, spec, float(point))
+    """Per row in sweep order: its grid point, mode, constellation to evaluate and notes so far.
+
+    One frequency or the velocity varies along a sweep, so the polar axes, pairwise form and delay
+    geometry are converted once, and a failed conversion is held to fail each row that needs it.
+    """
+    polar, pws, delays_at = (_kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
+    for point in spec.grid().tolist():
+        scn_pt = _with_point(scn, spec, point)
+        c, f = scn_pt.velocity_mps, frequency_vector(scn_pt.signals)
+        delays = _kept(lambda: _take(delays_at)(c))
+        primary = _kept(lambda: (scn, _take(delays), (*_take(polar)[0], f, c), _take(polar)[1]))
         for mode in spec.modes:
-            notes: list[str] = []
-            target = scn_pt
+            notes, target = [], primary
             if mode == "reposition":
-                _, strongest = _native_powers(scn_pt)
-                notes.append(f"strongest element {strongest + 1}")
                 try:
-                    plan = analytic_reposition(scn_pt, strongest)
-                    target = apply_reposition(scn_pt, plan)
-                    infeasible = sum("infeasible" in n for n in plan.source_notes)
-                    if infeasible:
+                    _, element = received_power(steering_matrix(_take(delays), f), scn.signals)
+                    notes.append(f"strongest element {element + 1}")
+                    pws_pt = replace(_take(pws), velocity_mps=c, signals=scn_pt.signals)
+                    angles, targets = _analytic_targets(pws_pt, element)
+                    target = _with_arrivals(pws_pt, element, angles)
+                    if infeasible := sum(arg is None or arg > 1.0 for _, arg, _ in targets):
                         notes.append(f"{infeasible} source target(s) infeasible")
                 except ValidationError as exc:
                     notes.append(f"reposition skipped: {exc}")
-            yield float(point), mode, target, notes
+            yield point, mode, target, notes
 
 
 def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate det and CRB totals over the grid, per requested mode.
 
     Reposition rows re-select the strongest element at each point and apply a
-    fresh analytic plan; points where no analytic target is feasible keep the
-    primary constellation and say so in the diagnostics, so every row stays
-    finite.  Rows are ordered by grid point, then by mode name, and planned and
-    evaluated ``batch_chunk(M, N)`` at a time, so memory does not grow with the
-    grid; a row whose evaluation fails reads NaN and says why.
+    fresh analytic plan; points where that fails keep the primary constellation
+    and say why in the diagnostics.  Rows are ordered by grid point, then in the
+    order of ``spec.modes``, and planned and evaluated ``batch_chunk(M, N)`` at
+    a time, so memory does not grow with the grid; a row whose evaluation fails
+    reads NaN and says why.
     """
     rows: list[SweepRow] = []
     planned, step = _planned_rows(scn, spec), batch_chunk(scn.num_sensors, scn.num_sources)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,6 +164,45 @@ def gf_objective(terms) -> float:
     return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)
 
 
+def _analytic_targets(pws: PairwiseScenario, element: int, m: int | str = "auto", branches=None):
+    """The core of ``analytic_reposition``, raising as it does, without its report-only work:
+    the element's new arrival angles and, per source, its target's divisor (None for the
+    right angle), argument (None without a valid divisor; infeasible if None or > 1) and branch."""
+    _check_element(element, pws.num_sensors)
+    N = pws.num_sources
+    branches = [None] * N if branches is None else branches
+    if len(branches) != N:
+        raise ValidationError(f"{len(branches)} branch choices for {N} sources")
+    if m != "auto":
+        m = int(m)
+        if m < 1:
+            raise ValidationError(f"phase divisor must be a positive integer, got {m}")
+
+    H = pws.geometry.vertical_m[element]
+    new_arrival = pws.geometry.arrival_rad[element].copy()
+    freqs = frequency_vector(pws.signals)
+    c = pws.velocity_mps
+    targets = []
+    for n in range(N):
+        if n % 2 == 0:
+            m_n = int(math.floor(c / (2.0 * freqs[n] * H[n]))) if m == "auto" else m
+            arg = 2.0 * m_n * freqs[n] * H[n] / c if m_n >= 1 else None
+        else:
+            m_n, arg = None, 4.0 * freqs[n] * H[n] / c
+        targets.append((m_n, arg, branches[n] or "acute"))
+        if arg is None or arg > 1.0:
+            continue
+        # both branches share sin(arrival), so the phase objective ties; keep
+        # the acute branch unless the caller forces the obtuse one
+        branch = targets[-1][2]
+        if branch not in ("acute", "obtuse"):
+            raise ValidationError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
+        new_arrival[n] = math.asin(arg) if branch == "acute" else math.pi - math.asin(arg)
+    if all(arg is None or arg > 1.0 for _, arg, _ in targets):
+        raise ValidationError("no source admits an analytic target here; use the line-search mode instead")
+    return new_arrival, targets
+
+
 def analytic_reposition(
     scn, element: int, m: int | str = "auto", branches=None
 ) -> RepositionPlan:
@@ -178,71 +217,22 @@ def analytic_reposition(
     both give the same phase objective, so the default is acute.
     """
     pws = pairwise_form(scn)
-    _check_element(element, pws.num_sensors)
-    N = pws.num_sources
-    if branches is None:
-        branches = [None] * N
-    if len(branches) != N:
-        raise ValidationError(f"{len(branches)} branch choices for {N} sources")
-    if m != "auto":
-        m = int(m)
-        if m < 1:
-            raise ValidationError(f"phase divisor must be a positive integer, got {m}")
-
-    H = pws.geometry.vertical_m[element]
-    arrival = pws.geometry.arrival_rad[element].copy()
-    freqs = frequency_vector(pws.signals)
-    c = pws.velocity_mps
-
-    before = gf_objective(phase_terms(pws, element))
-    new_arrival = arrival.copy()
+    new_arrival, targets = _analytic_targets(pws, element, m, branches)
     notes = []
-    any_feasible = False
-    for n in range(N):
-        near_zero = n % 2 == 0
-        if near_zero:
-            if m == "auto":
-                m_n = int(math.floor(c / (2.0 * freqs[n] * H[n])))
-            else:
-                m_n = m
-            if m_n < 1:
-                notes.append(f"source {n + 1}: small-phase target infeasible (no valid divisor); angle kept")
-                continue
-            arg = 2.0 * m_n * freqs[n] * H[n] / c
-            label = f"small-phase target (divisor {m_n})"
+    for n, (m_n, arg, branch) in enumerate(targets):
+        label = "right-angle target" if m_n is None else f"small-phase target (divisor {m_n})"
+        if arg is None:
+            note = "small-phase target infeasible (no valid divisor); angle kept"
+        elif arg > 1.0:
+            note = f"{label} infeasible (argument {arg:.4f} > 1); angle kept"
         else:
-            arg = 4.0 * freqs[n] * H[n] / c
-            label = "right-angle target"
-        if arg > 1.0:
-            notes.append(f"source {n + 1}: {label} infeasible (argument {arg:.4f} > 1); angle kept")
-            continue
-        acute = math.asin(arg)
-        # both branches share sin(arrival), so the phase objective ties; keep
-        # the acute branch unless the caller forces the obtuse one
-        branch = branches[n] or "acute"
-        if branch not in ("acute", "obtuse"):
-            raise ValidationError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
-        new_arrival[n] = acute if branch == "acute" else math.pi - acute
-        notes.append(
-            f"source {n + 1}: {label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
-        )
-        any_feasible = True
-    if not any_feasible:
-        raise ValidationError(
-            "no source admits an analytic target here; use the line-search mode instead"
-        )
+            note = f"{label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
+        notes.append(f"source {n + 1}: {note}")
 
-    after_terms = 2.0 * np.pi * freqs * H / (c * np.sin(new_arrival))
-    return RepositionPlan(
-        element=element,
-        mode="analytic",
-        new_arrival_rad=new_arrival,
-        displacement_m=None,
-        objective="gf",
-        objective_before=before,
-        objective_after=gf_objective(after_terms),
-        source_notes=tuple(notes),
-    )
+    H, c = pws.geometry.vertical_m[element], pws.velocity_mps
+    after = gf_objective(2.0 * np.pi * frequency_vector(pws.signals) * H / (c * np.sin(new_arrival)))
+    before = gf_objective(phase_terms(pws, element))
+    return RepositionPlan(element, "analytic", new_arrival, None, "gf", before, after, tuple(notes))
 
 
 def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
@@ -333,8 +323,8 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     per array pass: bound totals through ``fim_batch`` (each layout in the polar form
     ``scenario_from_positions`` would build, without a Scenario per candidate); gf and
     power from the moved element's delays alone and det from a stack of covariance
-    matrices.  A chunk in which any candidate fails is scored again one candidate at a
-    time through the same function, so only the failing candidates are rejected, each
+    matrices.  A chunk in which any candidate fails is scored again in halves, down to
+    the failing candidates, through the same function, so only they are rejected, each
     with its own reason.
     """
     if objective not in OBJECTIVES:
@@ -412,6 +402,19 @@ def line_search_reposition(scn, element: int, objective: str, grid: Displacement
     return _scan(scn, element, objective, grid, "linesearch")
 
 
+def _with_arrivals(pws: PairwiseScenario, element: int, angles) -> PairwiseScenario:
+    """The scenario with new arrival angles in the element's pairwise row; all else is kept."""
+    _check_element(element, pws.num_sensors)
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != (pws.num_sources,):
+        raise ValidationError(f"plan carries {angles.shape} arrival angles for {pws.num_sources} sources")
+    if np.any(angles <= 0) or np.any(angles >= math.pi):
+        raise ValidationError("planned arrival angles must lie strictly inside (0, pi)")
+    arrival = pws.geometry.arrival_rad.copy()
+    arrival[element] = angles
+    return replace(pws, geometry=PairwiseGeometry(pws.geometry.vertical_m, arrival))
+
+
 def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     """Rewrite the planned element's pairwise row; all other rows are untouched.
 
@@ -420,32 +423,18 @@ def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     the row's vertical distances as well, from reconstructed positions.
     """
     pws = pairwise_form(scn)
+    if plan.new_position_m is None:
+        return _with_arrivals(pws, plan.element, plan.new_arrival_rad)
     _check_element(plan.element, pws.num_sensors)
+    _, sources_xy, _ = scenario_positions(pws)
+    x, y = plan.new_position_m
+    v = sources_xy[:, 1] - y
+    if np.any(v <= 0):
+        raise SingularGeometryError(
+            "planned position puts a source on or below the element's horizontal line"
+        )
     vertical = pws.geometry.vertical_m.copy()
+    vertical[plan.element] = v
     arrival = pws.geometry.arrival_rad.copy()
-    if plan.new_position_m is not None:
-        _, sources_xy, _ = scenario_positions(pws)
-        x, y = plan.new_position_m
-        v = sources_xy[:, 1] - y
-        if np.any(v <= 0):
-            raise SingularGeometryError(
-                "planned position puts a source on or below the element's horizontal line"
-            )
-        vertical[plan.element] = v
-        arrival[plan.element] = np.arctan2(v, sources_xy[:, 0] - x)
-    else:
-        angles = np.asarray(plan.new_arrival_rad, dtype=float)
-        if angles.shape != (pws.num_sources,):
-            raise ValidationError(
-                f"plan carries {angles.shape} arrival angles for {pws.num_sources} sources"
-            )
-        if np.any(angles <= 0) or np.any(angles >= math.pi):
-            raise ValidationError("planned arrival angles must lie strictly inside (0, pi)")
-        arrival[plan.element] = angles
-    return PairwiseScenario(
-        PairwiseGeometry(vertical, arrival),
-        pws.velocity_mps,
-        pws.signals,
-        pws.noise_variance,
-        pws.snapshots,
-    )
+    arrival[plan.element] = np.arctan2(v, sources_xy[:, 0] - x)
+    return replace(pws, geometry=PairwiseGeometry(vertical, arrival))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nfcrb import geometry
+from nfcrb.geometry import delay_geometry, polar_axes
 from nfcrb import (
     DegenerateGeometryError,
     PairwiseGeometry,
@@ -254,6 +255,61 @@ class TestReconstruct:
         assert rec.sensors[0].radius_m == 0.0
 
 
+class TestPolarAxes:
+    """``polar_axes`` must give what the Scenario of ``polar_form`` holds, bit for bit."""
+
+    @staticmethod
+    def _scenario_axes(polar):
+        return polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings()
+
+    def test_pairwise_tables_match_polar_form(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            pws = pairwise_form(random_upper_half_scenario(rng, m=int(rng.integers(3, 9))))
+            axes, residual = polar_axes(pws)
+            polar, polar_residual = polar_form(pws)
+            assert residual == polar_residual
+            for got, want in zip(axes, self._scenario_axes(polar)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_sensors_on_the_reference_axis(self):
+        # a linear array along x: fitted y coordinates are rounding noise of either
+        # sign, so an azimuth just below zero maps to 2 pi once, as SensorGeom does
+        xs = np.array([0.0, 3.0, 7.5, 12.0, 20.0])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            src = np.column_stack([rng.uniform(-80, 80, 2), rng.uniform(50, 300, 2)])
+            vertical = src[None, :, 1] - np.zeros((len(xs), 1))
+            arrival = np.arctan2(vertical, src[None, :, 0] - xs[:, None])
+            pws = PairwiseScenario(PairwiseGeometry(vertical, arrival), C, (SourceSignal(1e6, 1), SourceSignal(2e6, 1j)), 1.0, 1)
+            for got, want in zip(polar_axes(pws)[0], self._scenario_axes(polar_form(pws)[0])):
+                assert got.tobytes() == want.tobytes()
+
+    def test_polar_input_is_its_own_polar_form(self, scenario_a):
+        polar = polar_form(scenario_a)[0]
+        axes, residual = polar_axes(polar)
+        assert residual is None
+        for got, want in zip(axes, self._scenario_axes(polar)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_source_at_the_origin_is_rejected_alike(self):
+        pws = pairwise_form(random_upper_half_scenario(np.random.default_rng(4), 4, 2))
+        sensors_xy, sources_xy, residual = pws.geometry.positions
+        moved = sources_xy.copy()
+        moved[1] = 0.0
+        pws.geometry.__dict__["positions"] = (sensors_xy, moved, residual)  # the cached fit
+        with pytest.raises(DegenerateGeometryError, match="a source coincides with the frame origin"):
+            polar_axes(pws)
+        with pytest.raises(DegenerateGeometryError, match="a source coincides with the frame origin"):
+            polar_form(pws)
+
+    def test_delay_geometry_finishes_as_native_delays(self, scenario_a, scenario_b):
+        for scn in (scenario_a, scenario_b, polar_form(scenario_a)[0]):
+            for c in (1e8, 3e8, 123456789.0):
+                moved = replace(scn, velocity_mps=c)
+                assert delay_geometry(scn)(c).tobytes() == native_delays(moved).tobytes()
+
+
 class TestFarFieldRadius:
     @pytest.mark.parametrize("d,l,expected", [(4, 1, 2), (8, 1, 8), (10, 0.5, 25)])
     def test_values(self, d, l, expected):
@@ -287,6 +343,12 @@ class TestScenarioValidation:
                 noise_variance=1.0,
                 snapshots=1,
             )
+
+    def test_both_encodings_need_a_source(self):
+        with pytest.raises(ValidationError, match="scenario needs at least one source"):
+            Scenario((), (SensorGeom(1, 0), SensorGeom(2, 0)), C, (), 1.0, 1)
+        with pytest.raises(ValidationError, match="scenario needs at least one source"):
+            PairwiseScenario(PairwiseGeometry(np.ones((2, 0)), np.ones((2, 0))), C, (), 1.0, 1)
 
     def test_pairwise_type_rejects_bad_angles(self):
         with pytest.raises(ValidationError):

@@ -438,10 +438,12 @@ class TestBatchedPhaseSearch:
         scn = TestBatchedBoundSearch._coinciding_scenario()
         steps, calls = [], []
         # 64 candidates in chunks of 10: the current position, then 63 box points,
-        # of which (110, 0) (candidate 32, in the fourth chunk) lands on source 1
+        # of which (110, 0) (candidate 32, in the fourth chunk) lands on source 1;
+        # the failing chunk is split in halves down to that one candidate, scored
+        # alone: 10 (fails), 5 (fails), 3 (fails), 2, 1 (fails), 2, 5
         with mock.patch.object(reposition, "_chunk_scorer", counting_scorer(steps, calls, step=10)):
             plan = grid_search(scn, 1, objective, BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3))
-        assert calls == [10] * 4 + [1] * 10 + [10] * 2 + [4]
+        assert calls == [10] * 4 + [5, 3, 2, 1, 2, 5] + [10] * 2 + [4]
         assert [n for n in plan.source_notes if "skipped" in n] == [
             "position (110, 0) skipped: sensor 2 coincides with source 1"
         ]

@@ -75,7 +75,7 @@ def test_one_chunk_scorer_per_search():
 
 
 def test_one_fallback_for_candidates_and_sweep_rows():
-    # a failing batch is run again one item at a time by one helper (which recurses)
+    # a failing batch is run again in halves by one helper (which recurses)
     assert users_of("batch_or_each") == [
         ("errors.py", "batch_or_each"),
         ("optimizer.py", "evaluate_constellations"),
@@ -86,8 +86,8 @@ def test_one_fallback_for_candidates_and_sweep_rows():
 def test_one_evaluation_per_report_and_sweep_row():
     # the batched evaluator is reached by sweeps one chunk at a time and by
     # reports through run_reports: a reposition's before and after in one
-    # batch, a lone report at K = 1 (a failing batch one constellation at a
-    # time, through batch_or_each, which is handed _evaluate)
+    # batch, a lone report at K = 1 (a failing batch in halves, through
+    # batch_or_each, which is handed _evaluate)
     assert users_of("_evaluate") == [
         ("optimizer.py", "evaluate_constellation"),
         ("optimizer.py", "evaluate_constellations"),

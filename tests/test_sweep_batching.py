@@ -1,13 +1,32 @@
 """Sweeps evaluate their rows a chunk at a time; every number must equal the
 one-constellation evaluation bit for bit, whatever the chunk size."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import random_scenario, random_upper_half_scenario
 
-from nfcrb import ParameterIndex, SweepSpec, ValidationError, fim_crb, load_scenario, runtime_scenario, sweep
-from nfcrb import optimizer
+from nfcrb import (
+    ParameterIndex,
+    SingularGeometryError,
+    SweepSpec,
+    ValidationError,
+    analytic_reposition,
+    apply_reposition,
+    fim_crb,
+    geometry,
+    load_scenario,
+    optimizer,
+    pairwise_form,
+    parse_scenario,
+    polar_form,
+    runtime_scenario,
+    sweep,
+)
+from nfcrb.cli import main as cli_main
 from nfcrb.optimizer import _planned_rows, evaluate_constellation
 
 SWEEPS = {
@@ -134,3 +153,205 @@ def test_powers_and_strongest_element_match_alone(scenario_b):
         assert np.array_equal(ev.fim.entries, one.fim.entries)
         assert ev.fim.array_cov_condition == one.fim.array_cov_condition
         assert np.array_equal(ev.crb.crb_theta, one.crb.crb_theta) and ev.crb.rank == one.crb.rank
+
+
+# Sweeps convert their geometry once per sweep.  Every row must still equal the
+# row that a scenario built at its point, planned with analytic_reposition and
+# apply_reposition and evaluated alone gives, bit for bit and note for note.
+
+
+def _with_point(scn, spec, point):
+    if spec.vary == "velocity":
+        return replace(scn, velocity_mps=point)
+    signals = list(scn.signals)
+    signals[spec.source] = replace(signals[spec.source], freq_hz=point)
+    return replace(scn, signals=tuple(signals))
+
+
+def _rows_point_by_point(scn, spec):
+    """(hexes, diagnostics) per row, from a scenario per point and a constellation per row."""
+    out = []
+    for point in spec.grid().tolist():
+        scn_pt = _with_point(scn, spec, point)
+        for mode in spec.modes:
+            notes, target = [], scn_pt
+            if mode == "reposition":
+                try:
+                    strongest = optimizer._native_powers(scn_pt)[1]
+                    notes.append(f"strongest element {strongest + 1}")
+                    plan = analytic_reposition(scn_pt, strongest)
+                    target = apply_reposition(scn_pt, plan)
+                    if infeasible := sum("infeasible" in n for n in plan.source_notes):
+                        notes.append(f"{infeasible} source target(s) infeasible")
+                except ValidationError as exc:
+                    notes.append(f"reposition skipped: {exc}")
+            try:
+                ev = evaluate_constellation(target)
+            except ValidationError as exc:
+                out.append((_hexes([math.nan] * 3), "; ".join([*notes, f"evaluation failed: {exc}"])))
+                continue
+            notes += optimizer._notes(ev)
+            out.append((_hexes((ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)), "; ".join(notes)))
+    return out
+
+
+def _polar_b():
+    return polar_form(_scenario("scenario_b"))[0]
+
+
+def _upper_half():
+    return random_upper_half_scenario(np.random.default_rng(5), 5, 3)
+
+
+POLAR_SWEEPS = {
+    "polar_b-velocity": (_polar_b, SweepSpec("velocity", 1e8, 6e8, 100, modes=("primary", "reposition"))),
+    "polar_b-frequency": (_polar_b, SweepSpec("frequency", 1e5, 4e6, 100, source=1, modes=("primary", "reposition"))),
+    "upper_half-velocity": (_upper_half, SweepSpec("velocity", 1e8, 6e8, 100, modes=("reposition", "primary"))),
+    "upper_half-frequency": (_upper_half, SweepSpec("frequency", 1e5, 4e6, 100, source=2, modes=("primary", "reposition"))),
+}
+
+# float.hex of (det, crb_theta_total, crb_r_total) of the first, middle and last
+# rows, as evaluated with a scenario per point before the conversions were hoisted
+POLAR_PINNED = {
+    "polar_b-frequency": {
+        0: ("0x1.cb118889b8712p+4", "0x1.4060f8674bd6fp+8", "0x1.56255485c41d0p+22"),
+        100: ("0x1.1d3c9bd7dab87p+7", "0x1.c026e63993240p+11", "0x1.10217fa2626a3p+27"),
+        199: ("0x1.7897b69c3ab8dp+5", "0x1.3a15f47e81062p-1", "0x1.d44281350d8a3p+17"),
+    },
+    "polar_b-velocity": {
+        0: ("0x1.93ec649ce5520p+2", "0x1.83a3584969eb4p+11", "0x1.2c438c8ce2f61p+24"),
+        100: ("0x1.9183add7a095dp+6", "0x1.078fd475ded2cp+2", "0x1.13ea7b949f3b4p+16"),
+        199: ("0x1.eb1c6c8a514a5p+6", "0x1.e01aab808decep+3", "0x1.16ea98f1e4faap+18"),
+    },
+    "upper_half-frequency": {
+        0: ("0x1.51ea0da2104f6p+4", "0x1.0419cc7ccfcf5p+11", "0x1.49714f520408fp+21"),
+        100: ("0x1.da7ef41ce3b65p+7", "0x1.22823da99264ap+9", "0x1.16882d14885c0p+25"),
+        199: ("0x1.944bb4816ab20p+8", "0x1.cfbe410eb8b54p+10", "0x1.6ab905fc98a7fp+26"),
+    },
+    "upper_half-velocity": {
+        0: ("0x1.9ec364df84c10p+7", "0x1.70054eee9c9f0p-1", "0x1.1bc73e7782f2bp+16"),
+        100: ("0x1.68c29540c6c97p+8", "0x1.3ff5d4d451f5bp+9", "0x1.366938f542ba9p+26"),
+        199: ("0x1.d396f9a285d6cp+4", "0x1.cf95ad92324aap+10", "0x1.6bd5be03bd256p+27"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLAR_SWEEPS))
+def test_polar_sweeps_equal_point_by_point_evaluation(name):
+    make, spec = POLAR_SWEEPS[name]
+    scn = make()
+    rows = sweep(scn, spec)
+    assert len(rows) == 200
+    assert [(_row_hexes(row), row.diagnostics) for row in rows] == _rows_point_by_point(scn, spec)
+    assert [row.mode for row in rows[:2]] == list(spec.modes)
+    assert sum("strongest element" in row.diagnostics for row in rows) == 100
+    for i, pinned in POLAR_PINNED[name].items():
+        assert _row_hexes(rows[i]) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_pairwise_sweeps_equal_point_by_point_evaluation(name, default_rows):
+    expected = _rows_point_by_point(_scenario(name), SWEEPS[name])
+    assert [(_row_hexes(row), row.diagnostics) for row in default_rows[name]] == expected
+
+
+@pytest.mark.parametrize("vary", ["velocity", "frequency"])
+def test_source_below_a_sensor_line_skips_every_reposition(vary):
+    scn = random_scenario(np.random.default_rng(0), 5, 2)
+    with pytest.raises(SingularGeometryError) as below:
+        pairwise_form(scn)
+    spec = SweepSpec(vary, 1e5 if vary == "frequency" else 1e8, 4e6 if vary == "frequency" else 6e8, 20,
+                     source=0 if vary == "frequency" else None, modes=("primary", "reposition"))
+    rows = sweep(scn, spec)
+    assert [(_row_hexes(row), row.diagnostics) for row in rows] == _rows_point_by_point(scn, spec)
+    for primary, moved in zip(rows[::2], rows[1::2]):
+        assert moved.diagnostics.startswith("strongest element ")
+        assert f"; reposition skipped: {below.value}" in moved.diagnostics
+        assert _row_hexes(moved) == _row_hexes(primary)
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_pairwise_sweep_fits_its_table_once(monkeypatch):
+    counts, built = {}, []
+    _counting(monkeypatch, geometry, "reconstruct_positions", counts)
+    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
+    init = geometry.Scenario.__post_init__
+    monkeypatch.setattr(geometry.Scenario, "__post_init__", lambda self: (built.append(self), init(self)))
+    rows = sweep(_scenario("scenario_b"), SweepSpec("velocity", 1e8, 6e8, 100))
+    assert len(rows) == 100 and all(row.mode == "primary" for row in rows)
+    assert counts == {"reconstruct_positions": 1} and built == []
+
+
+def _planned(rows):
+    return sum("reposition skipped" not in row.diagnostics for row in rows if row.mode == "reposition")
+
+
+def test_reposition_rows_fit_their_own_tables_and_build_no_scenario(monkeypatch):
+    counts = {}
+    _counting(monkeypatch, geometry, "reconstruct_positions", counts)
+    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
+    rows = sweep(_scenario("scenario_a"), SWEEPS["scenario_a"])
+    assert 0 < _planned(rows) <= 100
+    assert counts == {"reconstruct_positions": 1 + _planned(rows)}
+
+
+def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
+    counts = {}
+    for name in ("pairwise_form", "delay_geometry", "polar_axes"):
+        _counting(monkeypatch, optimizer, name, counts)
+    rows = sweep(_polar_b(), POLAR_SWEEPS["polar_b-velocity"][1])
+    assert len(rows) == 200 and _planned(rows) > 0
+    # polar_axes: once for the sweep, then once per reposition row's own table
+    assert counts == {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1 + _planned(rows)}
+
+
+def _on_source():
+    """Polar scenario B-like with sensor 2 on source 1 (range 100 m, bearing 60 degrees)."""
+    return {
+        "velocity_mps": 3e8,
+        "signals": [{"freq_hz": 1e6, "amplitude": [1.0, 0.5]}, {"freq_hz": 2e6, "amplitude": [0.5, -1.0]}],
+        "noise_variance": 1.0,
+        "snapshots": 1,
+        "geometry": {"polar": {
+            "sources": [{"range_m": 100.0, "bearing_deg": 60.0}, {"range_m": 150.0, "bearing_deg": 80.0}],
+            "sensors": [
+                {"radius_m": 0.0, "azimuth_deg": 0.0},
+                {"radius_m": 100.0, "azimuth_deg": 60.0},
+                {"radius_m": 20.0, "azimuth_deg": 10.0},
+                {"radius_m": 30.0, "azimuth_deg": 200.0},
+            ],
+        }},
+    }
+
+
+@pytest.mark.parametrize("modes", ["primary", "primary,reposition", "reposition,primary"])
+def test_sensor_on_a_source_fails_each_row_and_not_the_sweep(modes, tmp_path, capsys):
+    doc = _on_source()
+    path = tmp_path / "on_source.json"
+    path.write_text(json.dumps(doc))
+    scn, _ = runtime_scenario(parse_scenario(path.read_text()))
+    failed = "evaluation failed: sensor 2 coincides with source 1"
+    expected = {"primary": failed, "reposition": f"reposition skipped: sensor 2 coincides with source 1; {failed}"}
+    spec = SweepSpec("velocity", 1e8, 6e8, 3, modes=tuple(modes.split(",")))
+    rows = sweep(scn, spec)
+    assert [(row.mode, row.diagnostics) for row in rows] == [(m, expected[m]) for _ in range(3) for m in spec.modes]
+    assert all(math.isnan(v) for row in rows for v in (row.det, row.crb_theta_total, row.crb_r_total))
+
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--scenario", str(path), "--vary", "velocity:1e8:6e8:3", "--modes", modes, "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.read_text().splitlines()
+    assert lines[0] == "point,mode,det,crb_theta_total,crb_r_total,flags"
+    assert [line.split(",")[1:] for line in lines[1:]] == [
+        [row.mode, "nan", "nan", "nan", expected[row.mode]] for row in rows
+    ]
