@@ -18,11 +18,12 @@ covariance derivatives back both.
 
 The trace form is one kernel over a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
-velocity (K,), with shared amplitudes, noise and snapshots.  One array pass
-gives the steering, the rank-two covariance derivatives and all traces as one
-matmul.  ``fim_for_scenarios`` runs it over K constellations' stacked axes (a
-sweep's chunk), ``fim_batch`` over K sensor layouts around one scenario's
-sources (a search's chunk), and ``fim_for_scenario`` is the kernel at K = 1.
+velocity (K,), or sources, frequencies and velocity shared by all K, with
+shared amplitudes, noise and snapshots.  One array pass gives the steering,
+the rank-two covariance derivatives and all traces as one matmul.
+``fim_for_scenarios`` is the one batched entry (a sweep's or a report
+batch's chunk, or a search's chunk of sensor layouts around shared sources),
+and ``fim_for_scenario`` is the kernel at K = 1.
 """
 
 from __future__ import annotations
@@ -299,35 +300,19 @@ def _covariance_stack(scenario: Scenario, *constellations) -> tuple[np.ndarray, 
     return covset.array_cov, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
 
 
-def fim_batch(
-    scenario: Scenario, radii: np.ndarray, azimuths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Information matrices of the scenario's sources seen from K sensor layouts.
-
-    ``radii`` and ``azimuths`` are (K, M) polar sensor coordinates that take
-    the place of the scenario's own sensors; sources, signals, noise and
-    snapshots come from the scenario.  Returns the (K, P, P) matrices and the
-    (K,) array-covariance condition numbers.  Any failing layout fails the
-    whole call; keep K within ``batch_chunk`` to bound memory.
-    """
-    layouts = np.asarray(radii, float), np.asarray(azimuths, float)
-    sources = scenario.source_ranges(), scenario.source_bearings(), scenario.frequencies()
-    F, cond = _trace_form(*_covariance_stack(scenario, *layouts, *sources, scenario.velocity_mps))
-    return scenario.snapshots * F, cond
-
-
 def fim_for_scenario(scenario) -> FimMatrix:
     """The information matrix of one polar or pairwise scenario (its polar form): the kernel at K = 1."""
     R, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
     return fim_generic(R[0], dR[0], scenario.snapshots)
 
 
-def fim_for_scenarios(scenario, *axes) -> list[FimMatrix]:
-    """Information matrices of K constellations, given as ``_kernel_axes`` stacked over K, sharing the
-    scenario's M, N, amplitudes, noise and snapshots, from one kernel call that any failure fails."""
+def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, P, P) information matrices and (K,) array-covariance condition numbers of K
+    constellations, given as ``_steering_columns`` takes them (sources, frequencies and velocity
+    may be shared), with the scenario's amplitudes, noise and snapshots.  One kernel call, which
+    any failing constellation fails; keep K within ``batch_chunk`` to bound memory."""
     F, cond = _trace_form(*_covariance_stack(scenario, *axes))
-    index = ParameterIndex(scenario.num_sources)
-    return [FimMatrix(f, scenario.snapshots, index, c) for f, c in zip(scenario.snapshots * F, cond.tolist())]
+    return scenario.snapshots * F, cond
 
 
 @dataclass(frozen=True, eq=False)

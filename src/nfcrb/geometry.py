@@ -18,8 +18,9 @@ inconsistency (meters) is always reported.
 
 This module is the only one that branches on the encoding: ``polar_form``, ``polar_axes``,
 ``pairwise_form``, ``delay_geometry`` and ``scenario_positions`` take either, ``distances``
-is the one sensor-to-source distance kernel and ``polar_to_cartesian`` the one
-polar-to-Cartesian conversion.
+is the one sensor-to-source distance kernel, ``polar_to_cartesian`` the one
+polar-to-Cartesian conversion and ``axes_from_positions`` (behind ``polar_axes``) gives
+the kernel's polar axes of Cartesian points.
 """
 
 from __future__ import annotations
@@ -228,13 +229,25 @@ def scenario_from_positions(
 
 def _polar_coordinates(sensors_xy, sources_xy) -> tuple[list, list]:
     """(radius, angle) of each (x, y) sensor and source row from the scalar math.hypot and
-    math.atan2, the calls every polar value made from Cartesian coordinates goes through, so
-    all of them agree bit for bit; a source at the frame origin is rejected."""
+    math.atan2, the one Cartesian-to-polar conversion, so every polar value made from Cartesian
+    coordinates agrees bit for bit; a source at the frame origin is rejected.  Angles are atan2's
+    own: SensorGeom and SourceGeom, or ``axes_from_positions``, reduce each of them once."""
     sensors, sources = ([(math.hypot(x, y), math.atan2(y, x)) for x, y in np.asarray(xy, dtype=float).tolist()]
                         for xy in (sensors_xy, sources_xy))
     if any(r <= 0 for r, _ in sources):
         raise DegenerateGeometryError("a source coincides with the frame origin")
     return sensors, sources
+
+
+def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
+    """(M,) radii and azimuths of (M, 2) Cartesian sensors and (N,) ranges and bearings of (N, 2)
+    sources, as the kernel takes them: the values of ``scenario_from_positions``' Scenario bit for
+    bit, angles reduced % TWO_PI once, as SensorGeom and SourceGeom reduce them, but without
+    building it.  A source at the frame origin is rejected."""
+    (radii, azimuths), (ranges, bearings) = (
+        np.array(points).reshape(-1, 2).T for points in _polar_coordinates(sensors_xy, sources_xy)
+    )
+    return radii, azimuths % TWO_PI, ranges, bearings % TWO_PI
 
 
 def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
@@ -311,17 +324,13 @@ def polar_form(scn) -> tuple[Scenario, float | None]:
 
 def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
     """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
-    form, and its residual, as ``polar_form`` gives them bit for bit (both go through
-    ``_polar_coordinates``) but without building the Scenario."""
+    form, and its residual, as ``polar_form`` gives them bit for bit (``axes_from_positions``)
+    but without building the Scenario."""
     _require_scenario(scn)
     if isinstance(scn, Scenario):
         return (scn.sensor_radii(), scn.sensor_azimuths(), scn.source_ranges(), scn.source_bearings()), None
     sensors_xy, sources_xy, residual = scn.geometry.positions
-    (radii, azimuths), (ranges, bearings) = (
-        np.array([(r, angle % TWO_PI) for r, angle in points]).T
-        for points in _polar_coordinates(sensors_xy, sources_xy)
-    )
-    return (radii, azimuths, ranges, bearings), residual
+    return axes_from_positions(sensors_xy, sources_xy), residual
 
 
 def pairwise_form(scn) -> PairwiseScenario:
@@ -377,12 +386,3 @@ def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
         return sensor_positions(scn), source_positions(scn), 0.0
     return scn.geometry.positions
 
-
-def far_field_radius(aperture_wavelengths: float, departure_wavelengths: float) -> float:
-    """Range beyond which a wavefront departs from planar by at most the given
-    fraction, both measured in wavelengths: D^2 / (8 l)."""
-    if not aperture_wavelengths > 0:
-        raise ValidationError(f"aperture must be positive, got {aperture_wavelengths}")
-    if not departure_wavelengths > 0:
-        raise ValidationError(f"departure must be positive, got {departure_wavelengths}")
-    return aperture_wavelengths * aperture_wavelengths / (8.0 * departure_wavelengths)

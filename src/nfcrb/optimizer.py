@@ -21,7 +21,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import ValidationError, batch_or_each
-from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
+from .fim_crb import (
+    CrbReport, FimMatrix, ParameterIndex, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
+)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
 from .reposition import RepositionPlan, _analytic_targets, _check_axis, _scan, _with_arrivals
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -124,8 +126,12 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
     powers, strongest = received_power(A, first.signals)
     det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
     # a lone scenario takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
-    lone = len(targets) == 1 and not isinstance(targets[0], tuple)
-    fims = [fim_for_scenario(first)] if lone else fim_for_scenarios(first, *axes)
+    if len(targets) == 1 and not isinstance(targets[0], tuple):
+        fims = [fim_for_scenario(first)]
+    else:
+        F, cond = fim_for_scenarios(first, *axes)
+        index = ParameterIndex(first.num_sources)
+        fims = [FimMatrix(f, first.snapshots, index, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(np.array([fim.entries for fim in fims]), first.num_sources)
     rows = zip(det.tolist(), powers, strongest, residuals, fims, crbs)
     return [ConstellationEvaluation(abs(d), *row) for d, *row in rows]
@@ -167,15 +173,16 @@ def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
     return _scan(scn, element, objective, region, "grid")
 
 
-def _with_point(scn, spec: SweepSpec, point: float):
+def _at_point(scn, spec: SweepSpec, point: float) -> tuple[float, tuple]:
+    """The velocity and signals of the scenario at one grid point, without building a scenario."""
     if spec.vary == "velocity":
-        return replace(scn, velocity_mps=point)
+        return point, scn.signals
     signals = list(scn.signals)
     idx = int(spec.source)
     if not 0 <= idx < len(signals):
         raise ValidationError(f"source index {idx} outside 0..{len(signals) - 1}")
     signals[idx] = replace(signals[idx], freq_hz=point)
-    return replace(scn, signals=tuple(signals))
+    return scn.velocity_mps, tuple(signals)
 
 
 def _kept(convert, *args):
@@ -200,8 +207,8 @@ def _planned_rows(scn, spec: SweepSpec):
     """
     polar, pws, delays_at = (_kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
     for point in spec.grid().tolist():
-        scn_pt = _with_point(scn, spec, point)
-        c, f = scn_pt.velocity_mps, frequency_vector(scn_pt.signals)
+        c, signals = _at_point(scn, spec, point)
+        f = frequency_vector(signals)
         delays = _kept(lambda: _take(delays_at)(c))
         primary = _kept(lambda: (scn, _take(delays), (*_take(polar)[0], f, c), _take(polar)[1]))
         for mode in spec.modes:
@@ -210,7 +217,7 @@ def _planned_rows(scn, spec: SweepSpec):
                 try:
                     _, element = received_power(steering_matrix(_take(delays), f), scn.signals)
                     notes.append(f"strongest element {element + 1}")
-                    pws_pt = replace(_take(pws), velocity_mps=c, signals=scn_pt.signals)
+                    pws_pt = replace(_take(pws), velocity_mps=c, signals=signals)
                     angles, targets = _analytic_targets(pws_pt, element)
                     target = _with_arrivals(pws_pt, element, angles)
                     if infeasible := sum(arg is None or arg > 1.0 for _, arg, _ in targets):

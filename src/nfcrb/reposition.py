@@ -31,14 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError, batch_or_each
-from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_batch
+from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_for_scenarios
 from .geometry import (
-    TWO_PI,
     PairwiseGeometry,
     PairwiseScenario,
+    axes_from_positions,
     distances,
     pairwise_form,
-    scenario_from_positions,
     scenario_positions,
 )
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -239,7 +238,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
 
     The function gives a (K,) float array or raises ValidationError if any position of the
-    chunk fails.  The polar form of the layout (bounds) and the check for a fixed sensor on
+    chunk fails.  The polar axes of the layout (bounds) and the check for a fixed sensor on
     a source (gf, power) run once here; every chunk raises a failure of either.
     """
     num_sensors, num_sources = len(sensors_xy), len(sources_xy)
@@ -252,22 +251,19 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
 
     if objective in BOUND_OBJECTIVES:
         try:
-            polar = scenario_from_positions(
-                sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
-            )
+            axes = axes_from_positions(sensors_xy, sources_xy)
         except ValidationError as exc:
-            polar = exc
+            axes = exc
 
         def bound_totals(chunk):
             distances(layouts(chunk), sources_xy)  # rejects a sensor on a source
-            if isinstance(polar, ValidationError):
-                raise polar
-            radii = np.repeat(polar.sensor_radii()[None], len(chunk), axis=0)
-            azimuths = np.repeat(polar.sensor_azimuths()[None], len(chunk), axis=0)
-            radii[:, element] = [math.hypot(x, y) for x, y in chunk]
-            azimuths[:, element] = [math.atan2(y, x) % TWO_PI for x, y in chunk]
-            totals = crb_totals(fim_batch(polar, radii, azimuths)[0], num_sources)
-            return totals[BOUND_OBJECTIVES.index(objective)]
+            if isinstance(axes, ValidationError):
+                raise axes
+            radii, azimuths, ranges, bearings = axes
+            radii, azimuths = (np.repeat(a[None], len(chunk), axis=0) for a in (radii, azimuths))
+            radii[:, element], azimuths[:, element], *_ = axes_from_positions(chunk, sources_xy)
+            F, _ = fim_for_scenarios(scn, radii, azimuths, ranges, bearings, freqs, scn.velocity_mps)
+            return crb_totals(F, num_sources)[BOUND_OBJECTIVES.index(objective)]
 
         return bound_totals, batch_chunk(num_sensors, num_sources)
 
@@ -320,8 +316,8 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
 
     Returns the values (NaN where a candidate failed) and, by row in scan order, the
     ValidationError that rejected each failed candidate.  Candidates are scored a chunk
-    per array pass: bound totals through ``fim_batch`` (each layout in the polar form
-    ``scenario_from_positions`` would build, without a Scenario per candidate); gf and
+    per array pass: bound totals through ``fim_for_scenarios`` (each layout as the polar
+    axes ``axes_from_positions`` gives, with the sources shared, and no Scenario); gf and
     power from the moved element's delays alone and det from a stack of covariance
     matrices.  A chunk in which any candidate fails is scored again in halves, down to
     the failing candidates, through the same function, so only they are rejected, each

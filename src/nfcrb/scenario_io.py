@@ -251,43 +251,6 @@ def parse_scenario(text: str) -> ScenarioFile:
     )
 
 
-def serialize_scenario(sf: ScenarioFile) -> str:
-    """Inverse of parse_scenario (all fields written explicitly)."""
-    out: dict = {
-        "name": sf.name,
-        "description": sf.description,
-        "velocity_mps": sf.velocity_mps,
-        "signals": [
-            {"freq_hz": s.freq_hz, "amplitude": [s.amplitude.real, s.amplitude.imag]}
-            for s in sf.signals
-        ],
-        "noise_variance": sf.noise_variance,
-        "snapshots": sf.snapshots,
-    }
-    if sf.pairwise is not None:
-        out["geometry"] = {
-            "pairwise": {
-                "vertical_m": sf.pairwise.vertical_m.tolist(),
-                "arrival_deg": np.degrees(sf.pairwise.arrival_rad).tolist(),
-            }
-        }
-    else:
-        sources, sensors = sf.polar
-        out["geometry"] = {
-            "polar": {
-                "sources": [
-                    {"range_m": s.range_m, "bearing_deg": math.degrees(s.bearing_rad)}
-                    for s in sources
-                ],
-                "sensors": [
-                    {"radius_m": s.radius_m, "azimuth_deg": math.degrees(s.azimuth_rad)}
-                    for s in sensors
-                ],
-            }
-        }
-    return json.dumps(out, indent=2)
-
-
 def load_scenario(path_or_name: str) -> ScenarioFile:
     """Load a scenario from a filesystem path or a bundled name."""
     p = Path(path_or_name)
@@ -398,33 +361,6 @@ def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
         values = map(_sci, (row.det, row.crb_theta_total, row.crb_r_total))
         writer.writerow([_sci(row.point), row.mode, *values, row.diagnostics.replace(",", ";")])
     return buf.getvalue()
-
-
-def _csv_number(rec: list[str], col: int, line: int) -> float:
-    try:
-        return float(rec[col])
-    except ValueError:
-        raise ValidationError(
-            f"line {line}, column {CSV_HEADER[col]}: expected a number, got {rec[col]!r}"
-        ) from None
-
-
-def parse_sweep_csv(text: str) -> list[SweepRow]:
-    """Read back a sweep CSV produced by sweep_rows_to_csv."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValidationError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        line = reader.line_num
-        if len(rec) != len(CSV_HEADER):
-            raise ValidationError(f"line {line}: {len(rec)} columns, expected {len(CSV_HEADER)}")
-        point, det, theta, r = (_csv_number(rec, col, line) for col in (0, 2, 3, 4))
-        rows.append(SweepRow(point, rec[1], det, theta, r, rec[5]))
-    return rows
 
 
 def run_report_to_csv(report: RunReport) -> str:

@@ -5,21 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nfcrb import (
+from nfcrb import load_scenario, runtime_scenario
+from nfcrb.signal_model import SourceSignal, covariances, steering_matrix
+from nfcrb.geometry import (
     PairwiseGeometry,
     PairwiseScenario,
-    ParameterIndex,
     Scenario,
     SensorGeom,
     SourceGeom,
-    SourceSignal,
-    covariances,
-    load_scenario,
     native_delays,
-    runtime_scenario,
-    steering_derivatives,
-    steering_matrix,
 )
+from nfcrb.fim_crb import ParameterIndex, steering_derivatives
 
 
 def random_scenario(rng: np.random.Generator, m: int | None = None, n: int | None = None) -> Scenario:

@@ -16,35 +16,28 @@ from dataclasses import replace
 
 import numpy as np
 
-from nfcrb import (
-    DisplacementGrid,
-    analytic_reposition,
-    apply_reposition,
-    constellation_metrics,
+from nfcrb import DisplacementGrid, apply_reposition, constellation_metrics, grid_search
+from nfcrb.signal_model import (
     covariances,
-    crb_from_fim,
-    fim_closed_form,
-    fim_generic,
-    gf_objective,
-    grid_search,
-    hadamard_bound,
-    native_delays,
-    phase_terms,
-    polar_form,
     received_power,
-    rx_derivatives,
-    rx_derivatives_fd,
     sample_covariance,
-    steering_derivatives,
-    steering_derivatives_fd,
     steering_matrix,
-    sweep,
     synthesize_snapshots,
 )
+from nfcrb.geometry import native_delays, polar_form, sensor_positions, source_positions
+from nfcrb.fim_crb import (
+    crb_from_fim,
+    delay_gradients,
+    fim_closed_form,
+    fim_generic,
+    rx_derivatives,
+    rx_derivatives_fd,
+    steering_derivatives,
+    steering_derivatives_fd,
+)
+from nfcrb.reposition import analytic_reposition, gf_objective, hadamard_bound, phase_terms
+from nfcrb.optimizer import SweepSpec, sweep
 from nfcrb.cli import main as cli_main
-from nfcrb.fim_crb import delay_gradients
-from nfcrb.geometry import sensor_positions, source_positions
-from nfcrb.optimizer import SweepSpec
 from conftest import random_scenario
 
 

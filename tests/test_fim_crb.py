@@ -5,31 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (
+from nfcrb import SingularCovarianceError, SingularGeometryError, ValidationError
+from nfcrb.signal_model import SourceSignal, covariances, steering_matrix
+from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, native_delays, polar_form
+from nfcrb.fim_crb import (
+    DR_CHUNK_VALUES,
     FimMatrix,
     ParameterIndex,
-    Scenario,
-    SensorGeom,
-    SingularCovarianceError,
-    SingularGeometryError,
-    SourceGeom,
-    SourceSignal,
-    ValidationError,
-    covariances,
+    batch_chunk,
     crb_from_fim,
+    crb_totals,
     fim_closed_form,
     fim_for_scenario,
+    fim_for_scenarios,
     fim_generic,
-    native_delays,
-    polar_form,
     rx_derivatives,
     rx_derivatives_fd,
     selection_matrices,
     steering_derivatives,
     steering_derivatives_fd,
-    steering_matrix,
 )
-from nfcrb.fim_crb import DR_CHUNK_VALUES, batch_chunk, crb_totals, fim_batch
 from conftest import pinv_totals, random_scenario, trace_loop_fim
 
 
@@ -45,6 +40,12 @@ def _own_layout(scn):
 
 def _with_layout(scn, radii, azimuths):
     return replace(scn, sensors=tuple(SensorGeom(r, a) for r, a in zip(radii, azimuths)))
+
+
+def layout_fims(scn, radii, azimuths):
+    """``fim_for_scenarios`` of (K, M) sensor layouts around the scenario's own sources."""
+    sources = scn.source_ranges(), scn.source_bearings(), scn.frequencies(), scn.velocity_mps
+    return fim_for_scenarios(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
 
 
 def _layouts(rng, scn, k):
@@ -194,7 +195,7 @@ class TestFimGeneric:
 class TestFimBatch:
     def _check_stack(self, rng, scn, k=4):
         radii, azimuths = _layouts(rng, scn, k)
-        F, _ = fim_batch(scn, radii, azimuths)
+        F, _ = layout_fims(scn, radii, azimuths)
         size = ParameterIndex(scn.num_sources).size
         assert F.shape == (k, size, size)
         for i in range(k):
@@ -215,7 +216,7 @@ class TestFimBatch:
         rng = np.random.default_rng(53)
         for _ in range(10):
             scn = random_scenario(rng)
-            F, cond = fim_batch(scn, *_own_layout(scn))
+            F, cond = layout_fims(scn, *_own_layout(scn))
             fim = fim_for_scenario(scn)
             assert np.array_equal(F[0], fim.entries)
             assert cond[0] == fim.array_cov_condition
@@ -241,7 +242,7 @@ class TestFimBatch:
         radii = np.array([[10.0, 20.0], [100.0, 20.0]])
         azimuths = np.array([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(SingularGeometryError, match="sensor 1 coincides with source 1"):
-            fim_batch(scn, radii, azimuths)
+            layout_fims(scn, radii, azimuths)
 
 
 class TestKernelProperties:
@@ -252,7 +253,7 @@ class TestKernelProperties:
     def test_symmetric_and_psd(self, seed):
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng)
-        F, _ = fim_batch(scn, *_layouts(rng, scn, 3))
+        F, _ = layout_fims(scn, *_layouts(rng, scn, 3))
         assert np.array_equal(F, F.swapaxes(1, 2))
         for Fk in F:
             assert np.linalg.eigvalsh(Fk).min() >= -1e-9 * np.abs(Fk).max()
@@ -263,8 +264,8 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         scn = replace(random_scenario(rng), snapshots=1)
         layouts = _layouts(rng, scn, 3)
-        F1, _ = fim_batch(scn, *layouts)
-        Fk, _ = fim_batch(replace(scn, snapshots=snapshots), *layouts)
+        F1, _ = layout_fims(scn, *layouts)
+        Fk, _ = layout_fims(replace(scn, snapshots=snapshots), *layouts)
         assert np.array_equal(Fk, snapshots * F1)
 
     @settings(max_examples=40, deadline=None)
@@ -277,8 +278,8 @@ class TestKernelProperties:
             sensors=tuple(SensorGeom(s.radius_m, s.azimuth_rad + angle) for s in scn.sensors),
             sources=tuple(SourceGeom(s.range_m, s.bearing_rad + angle) for s in scn.sources),
         )
-        F = fim_batch(scn, *_own_layout(scn))[0][0]
-        G = fim_batch(turned, *_own_layout(turned))[0][0]
+        F = layout_fims(scn, *_own_layout(scn))[0][0]
+        G = layout_fims(turned, *_own_layout(turned))[0][0]
         assert np.abs(F - G).max() <= 1e-9 * np.abs(F).max()
 
     @settings(max_examples=40, deadline=None)
@@ -287,8 +288,8 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng)
         radii, azimuths = _layouts(rng, scn, k)
-        F, cond = fim_batch(scn, radii, azimuths)
-        singles = [fim_batch(scn, radii[i : i + 1], azimuths[i : i + 1]) for i in range(k)]
+        F, cond = layout_fims(scn, radii, azimuths)
+        singles = [layout_fims(scn, radii[i : i + 1], azimuths[i : i + 1]) for i in range(k)]
         assert np.array_equal(F, np.concatenate([f for f, _ in singles]))
         assert np.array_equal(cond, np.concatenate([c for _, c in singles]))
 
@@ -407,7 +408,7 @@ class TestCrbFromFim:
         rng = np.random.default_rng(55)
         scn = random_scenario(rng, m=5, n=3)
         radii, azimuths = _layouts(rng, scn, 6)
-        F, _ = fim_batch(scn, radii, azimuths)
+        F, _ = layout_fims(scn, radii, azimuths)
         theta, r = crb_totals(F, 3)
         for k in range(6):
             report = crb_from_fim(FimMatrix(F[k], scn.snapshots, ParameterIndex(3)))

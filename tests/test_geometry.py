@@ -5,22 +5,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nfcrb import geometry
-from nfcrb.geometry import delay_geometry, polar_axes
-from nfcrb import (
-    DegenerateGeometryError,
+from nfcrb import DegenerateGeometryError, SingularGeometryError, ValidationError, geometry
+from nfcrb.signal_model import SourceSignal
+from nfcrb.geometry import (
     PairwiseGeometry,
     PairwiseScenario,
     Scenario,
     SensorGeom,
-    SingularGeometryError,
     SourceGeom,
-    SourceSignal,
-    ValidationError,
+    delay_geometry,
     distances,
-    far_field_radius,
     native_delays,
     pairwise_form,
+    polar_axes,
     polar_form,
     reconstruct_positions,
     scenario_positions,
@@ -308,28 +305,6 @@ class TestPolarAxes:
             for c in (1e8, 3e8, 123456789.0):
                 moved = replace(scn, velocity_mps=c)
                 assert delay_geometry(scn)(c).tobytes() == native_delays(moved).tobytes()
-
-
-class TestFarFieldRadius:
-    @pytest.mark.parametrize("d,l,expected", [(4, 1, 2), (8, 1, 8), (10, 0.5, 25)])
-    def test_values(self, d, l, expected):
-        assert far_field_radius(d, l) == pytest.approx(expected, rel=1e-15)
-
-    def test_scaling_is_quadratic(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = rng.uniform(0.1, 50)
-            l = rng.uniform(0.05, 5)
-            s = rng.uniform(0.1, 10)
-            assert far_field_radius(s * d, l) == pytest.approx(
-                s * s * far_field_radius(d, l), rel=1e-12
-            )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            far_field_radius(0.0, 1.0)
-        with pytest.raises(ValidationError):
-            far_field_radius(1.0, -2.0)
 
 
 class TestScenarioValidation:

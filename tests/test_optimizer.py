@@ -7,18 +7,16 @@ import pytest
 from nfcrb import (
     BoxGrid,
     DisplacementGrid,
-    SourceSignal,
-    SweepSpec,
     ValidationError,
-    analytic_reposition,
     compare_report,
     constellation_metrics,
-    crb_from_fim,
-    fim_for_scenario,
     grid_search,
-    scenario_from_positions,
-    sweep,
 )
+from nfcrb.signal_model import SourceSignal
+from nfcrb.geometry import scenario_from_positions
+from nfcrb.fim_crb import crb_from_fim, fim_for_scenario
+from nfcrb.reposition import analytic_reposition
+from nfcrb.optimizer import SweepSpec, sweep
 
 
 def symmetric_toy():

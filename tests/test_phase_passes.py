@@ -14,21 +14,18 @@ from hypothesis import strategies as st
 from nfcrb import (
     BoxGrid,
     DisplacementGrid,
-    SourceSignal,
     ValidationError,
     apply_reposition,
-    fim_crb,
     grid_search,
     line_search_reposition,
-    optimizer,
     run_report,
-    scenario_from_positions,
-    scenario_positions,
 )
-from nfcrb import reposition
-from nfcrb.cli import main as cli_main
+from nfcrb import fim_crb, optimizer, reposition
+from nfcrb.signal_model import SourceSignal
+from nfcrb.geometry import scenario_from_positions, scenario_positions
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
+from nfcrb.cli import main as cli_main
 from conftest import random_upper_half_scenario
 
 PHASE_OBJECTIVES = ("gf", "power", "det")

@@ -10,34 +10,35 @@ from hypothesis import strategies as st
 from nfcrb import (
     BoxGrid,
     DisplacementGrid,
-    RepositionPlan,
+    SingularGeometryError,
+    ValidationError,
+    apply_reposition,
+    grid_search,
+    line_search_reposition,
+)
+from nfcrb.signal_model import SourceSignal, covariances, received_power, steering_matrix
+from nfcrb.geometry import (
     Scenario,
     SensorGeom,
-    SingularGeometryError,
     SourceGeom,
-    SourceSignal,
-    ValidationError,
-    analytic_reposition,
-    apply_reposition,
-    covariances,
-    crb_from_fim,
     distances,
-    fim_for_scenario,
-    gf_objective,
-    grid_search,
-    hadamard_bound,
-    line_search_reposition,
     native_delays,
     pairwise_form,
-    phase_terms,
-    received_power,
     scenario_from_positions,
     scenario_positions,
-    steering_matrix,
 )
+from nfcrb.fim_crb import crb_from_fim, fim_for_scenario
 from nfcrb import reposition
+from nfcrb.reposition import (
+    OBJECTIVES,
+    RepositionPlan,
+    analytic_reposition,
+    gf_objective,
+    hadamard_bound,
+    phase_terms,
+    score_candidates,
+)
 from nfcrb.cli import main as cli_main
-from nfcrb.reposition import OBJECTIVES, score_candidates
 from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
 
 
@@ -255,8 +256,32 @@ def per_candidate_bounds(scn, element, displacements) -> dict[float, tuple[float
     return out
 
 
+# float.hex of the first, middle and last of the 401 bound totals of element 3 on a
+# -200..200 m line, then the first minimizer's row and value, as the bound scorer gave
+# them while it still built a polar Scenario per search
+PINNED_LINE_SCANS = {
+    ("scenario_a", "crb_theta"): ("0x1.e8a6b4cddfcd7p+9", "0x1.570c2d2904cafp+10", "0x1.00719f54e0ebep+7", 298, "0x1.08c1caa4eac5dp+6"),
+    ("scenario_a", "crb_r"): ("0x1.0c360a9c84ecep+9", "0x1.72c4f09e35e8bp+13", "0x1.55108e76fc544p+10", 30, "0x1.a2631a877b0dbp+8"),
+    ("scenario_b", "crb_theta"): ("0x1.2a9f3cb6e3b00p+1", "0x1.61e2301baf4cep+1", "0x1.e011a765c7d28p+0", 152, "0x1.284ad18fe495ap-2"),
+    ("scenario_b", "crb_r"): ("0x1.4c44110886a0cp+15", "0x1.73763e8bd9490p+15", "0x1.c60cc1a092f3cp+14", 298, "0x1.224c9ce8a6840p+13"),
+}
+
+
 class TestBatchedBoundSearch:
     GRID = DisplacementGrid(-200.0, 200.0, 201)
+
+    @pytest.mark.parametrize("fixture, objective", sorted(PINNED_LINE_SCANS))
+    def test_line_scan_bits_are_pinned(self, fixture, objective, request):
+        scn = request.getfixturevalue(fixture)
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        x0, y0 = sensors_xy[2]
+        disps = DisplacementGrid(-200.0, 200.0, 401).values()
+        positions = np.column_stack([x0 + disps, np.full_like(disps, y0)])
+        values, errors = score_candidates(objective, 2, sensors_xy, sources_xy, scn, positions)
+        assert errors == {}
+        best = int(np.argmin(values))
+        got = (values[0].hex(), values[200].hex(), values[400].hex(), best, values[best].hex())
+        assert got == PINNED_LINE_SCANS[fixture, objective]
 
     @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
     def test_matches_per_candidate_loop(self, fixture, request):

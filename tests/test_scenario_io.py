@@ -1,26 +1,33 @@
+import csv
+import io
 import json
 import math
 import re
+from importlib import resources
 
 import pytest
 
 from nfcrb import (
-    PairwiseScenario,
-    Scenario,
-    SweepRow,
     ValidationError,
     constellation_metrics,
     format_run_report,
     load_scenario,
     parse_scenario,
-    parse_sweep_csv,
     run_report,
     runtime_scenario,
-    serialize_scenario,
-    sweep_rows_to_csv,
-    write_reports,
 )
+from nfcrb.geometry import PairwiseScenario, Scenario
+from nfcrb.optimizer import SweepRow
+from nfcrb.scenario_io import CSV_HEADER, sweep_rows_to_csv, write_reports
 from nfcrb.cli import main
+
+
+def read_sweep_csv(text):
+    """The rows of a sweep CSV as SweepRows; the header and every row's width are checked."""
+    header, *records = csv.reader(io.StringIO(text))
+    assert header == CSV_HEADER
+    assert all(len(rec) == len(CSV_HEADER) for rec in records)
+    return [SweepRow(float(p), mode, float(d), float(t), float(r), flags) for p, mode, d, t, r, flags in records]
 
 
 def polar_doc():
@@ -122,14 +129,6 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match=re.escape(message)):
             runtime_scenario(sf, noise_variance)
 
-    def test_round_trip_equivalence(self):
-        for name in ("scenario_a", "scenario_b"):
-            sf = load_scenario(name)
-            again = parse_scenario(serialize_scenario(sf))
-            assert again == sf
-        sf = parse_scenario(json.dumps(polar_doc()))
-        assert parse_scenario(serialize_scenario(sf)) == sf
-
 
 class TestRunReport:
     def test_defaults_listed(self, scenario_a):
@@ -190,7 +189,7 @@ class TestCsv:
 
     def test_round_trip_five_significant_digits(self):
         rows = self._rows(3)
-        parsed = parse_sweep_csv(sweep_rows_to_csv(rows))
+        parsed = read_sweep_csv(sweep_rows_to_csv(rows))
         assert len(parsed) == len(rows)
         for a, b in zip(rows, parsed):
             assert b.mode == a.mode
@@ -261,7 +260,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rows = parse_sweep_csv(out.read_text())
+        rows = read_sweep_csv(out.read_text())
         assert len(rows) == 6
 
     def test_validate_passes_on_bundled(self, capsys):
@@ -285,7 +284,7 @@ def _set(doc, path, value):
 
 
 def _pairwise_doc():
-    return json.loads(serialize_scenario(load_scenario("scenario_a")))
+    return json.loads(resources.files("nfcrb").joinpath("data", "scenario_a.json").read_text())
 
 
 SOURCES = ["geometry", "polar", "sources"]
@@ -372,17 +371,3 @@ def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert re.search(message, err), err
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("1.0,primary,x,3.0,4.0,", r"^line 3, column det: expected a number, got 'x'$"),
-        ("1.0,primary,2.0", r"^line 3: 3 columns, expected 6$"),
-    ],
-)
-def test_malformed_sweep_csv_is_a_typed_error(line, message):
-    good = "1.0,primary,2.0,3.0,4.0,"
-    text = "\n".join(["point,mode,det,crb_theta_total,crb_r_total,flags", good, line, good])
-    with pytest.raises(ValidationError, match=message):
-        parse_sweep_csv(text)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from nfcrb import (
+from nfcrb import ValidationError
+from nfcrb.signal_model import (
     SourceSignal,
-    ValidationError,
     covariances,
-    native_delays,
     received_power,
     sample_covariance,
     steering_matrix,
     synthesize_snapshots,
 )
+from nfcrb.geometry import native_delays
 from conftest import random_scenario
 
 

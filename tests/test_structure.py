@@ -1,6 +1,7 @@
 """Structural rules of the package, checked on the syntax trees of its modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import nfcrb
@@ -96,4 +97,66 @@ def test_one_evaluation_per_report_and_sweep_row():
     assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep"), ("scenario_io.py", "run_reports")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
     assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
-    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate")]
+    # the one batched FIM entry, for sweep and report batches and for the bound scorer's chunks
+    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate"), ("reposition.py", "bound_totals")]
+
+
+# what the README's library example, the benchmark harness and error handling use
+EXPORTS = [
+    "BoxGrid",
+    "DegenerateGeometryError",
+    "DisplacementGrid",
+    "SingularCovarianceError",
+    "SingularGeometryError",
+    "ValidationError",
+    "apply_reposition",
+    "compare_report",
+    "constellation_metrics",
+    "format_run_report",
+    "grid_search",
+    "line_search_reposition",
+    "load_scenario",
+    "parse_scenario",
+    "run_report",
+    "runtime_scenario",
+]
+
+
+def test_namespace_exports_the_pinned_names():
+    assert nfcrb.__all__ == EXPORTS
+    assert all(hasattr(nfcrb, name) for name in nfcrb.__all__)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("scenario: scenario_a (pairwise geometry")
+    assert "ComparisonReport(" in out
+
+
+def test_one_covariance_stack_behind_both_fim_entries():
+    assert callers_of("_covariance_stack") == [
+        ("fim_crb.py", "fim_for_scenario"),
+        ("fim_crb.py", "fim_for_scenarios"),
+    ]
+
+
+def test_polar_scenarios_from_positions_only_for_polar_form():
+    # searches and sweeps take polar axes as arrays, without a Scenario
+    assert callers_of("scenario_from_positions") == [("geometry.py", "polar_form")]
+
+
+def test_one_cartesian_to_polar_conversion():
+    atan2 = sorted(
+        (module, owner)
+        for module, tree in MODULES.items()
+        for owner, node in nodes_by_function(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "atan2"
+        and getattr(node.func.value, "id", None) == "math"
+    )
+    assert atan2 == [("geometry.py", "_polar_coordinates")]

@@ -10,24 +10,19 @@ import pytest
 from conftest import random_scenario, random_upper_half_scenario
 
 from nfcrb import (
-    ParameterIndex,
     SingularGeometryError,
-    SweepSpec,
     ValidationError,
-    analytic_reposition,
     apply_reposition,
-    fim_crb,
-    geometry,
     load_scenario,
-    optimizer,
-    pairwise_form,
     parse_scenario,
-    polar_form,
     runtime_scenario,
-    sweep,
 )
+from nfcrb import fim_crb, geometry, optimizer
+from nfcrb.geometry import pairwise_form, polar_form
+from nfcrb.fim_crb import ParameterIndex
+from nfcrb.reposition import analytic_reposition
+from nfcrb.optimizer import SweepSpec, _planned_rows, evaluate_constellation, sweep
 from nfcrb.cli import main as cli_main
-from nfcrb.optimizer import _planned_rows, evaluate_constellation
 
 SWEEPS = {
     "scenario_a": SweepSpec("frequency", 1e6, 1e7, 100, source=0, modes=("primary", "reposition")),
