@@ -25,12 +25,12 @@ from .errors import ValidationError
 from .fim_crb import (
     fim_closed_form,
     fim_generic,
-    rx_derivatives,
+    linearize,
     rx_derivatives_fd,
     steering_derivatives,
     steering_derivatives_fd,
 )
-from .geometry import native_delays, polar_form
+from .geometry import polar_form
 from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
 from .reposition import (
     DisplacementGrid,
@@ -51,7 +51,6 @@ from .scenario_io import (
     runtime_scenario,
     write_reports,
 )
-from .signal_model import covariances, steering_matrix
 
 
 def _load_runtime(args):
@@ -183,18 +182,16 @@ def cmd_validate(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
         failures += 0 if ok else 1
 
+    lin = linearize(polar)
     for axis in ("bearing", "range"):
-        err = _max_rel_err(steering_derivatives(polar, axis), steering_derivatives_fd(polar, axis))
+        err = _max_rel_err(steering_derivatives(lin, axis), steering_derivatives_fd(polar, axis))
         check(f"steering derivatives ({axis})", err <= 1e-6, f"max rel err {err:.3e} (tol 1e-06)")
 
-    A = steering_matrix(native_delays(polar), polar.frequencies())
-    covset = covariances(A, polar.signals, polar.noise_variance)
-    ana_rx = rx_derivatives(polar, A, covset)
-    err = _max_rel_err(ana_rx, rx_derivatives_fd(polar))
+    err = _max_rel_err(lin.derivs, rx_derivatives_fd(polar))
     check("array covariance derivatives", err <= 1e-5, f"max rel err {err:.3e} (tol 1e-05)")
 
-    generic = fim_generic(covset.array_cov, ana_rx, polar.snapshots)
-    _, deviations = fim_closed_form(polar, A, covset, generic)
+    generic = fim_generic(lin.array_cov, lin.derivs, polar.snapshots)
+    _, deviations = fim_closed_form(lin, generic)
     gated = ("bearing-bearing", "bearing-range", "range-range", "noise-noise")
     worst_gated = max(deviations[k] for k in gated)
     check(

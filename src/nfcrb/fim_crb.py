@@ -22,8 +22,13 @@ velocity (K,), or sources, frequencies and velocity shared by all K, with
 shared amplitudes, noise and snapshots.  One array pass gives the steering,
 the rank-two covariance derivatives and all traces as one matmul.
 ``fim_for_scenarios`` is the one batched entry (a sweep's or a report
-batch's chunk, or a search's chunk of sensor layouts around shared sources),
-and ``fim_for_scenario`` is the kernel at K = 1.
+batch's chunk, or a search's chunk of sensor layouts around shared sources).
+``linearize`` is the kernel at K = 1: one scenario's steering matrix,
+derivative columns, covariances and dR stack, from one pass.  Everything
+about a single constellation reads that pass: ``fim_for_scenario`` hands its
+covariance and dR stack to ``fim_generic``, and ``validate`` checks its
+columns and dR stack against the finite-difference oracles and hands it, with
+the generic matrix, to ``fim_closed_form``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
 from .geometry import Scenario, distances, native_delays, polar_axes, polar_to_cartesian
-from .signal_model import CovarianceSet, covariances, frequency_vector, steering_matrix
+from .signal_model import covariances, frequency_vector, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -74,32 +79,6 @@ class ParameterIndex:
         n = self.n_sources
         return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
-    def labels(self) -> list[str]:
-        n = self.n_sources
-        out = [f"bearing[{i}]" for i in range(n)]
-        out += [f"range[{i}]" for i in range(n)]
-        out += [f"cov_diag[{i}]" for i in range(n)]
-        for p, q in self.upper_pairs():
-            out += [f"cov_re[{p},{q}]", f"cov_im[{p},{q}]"]
-        out.append("noise")
-        return out
-
-    def describe(self, i: int) -> tuple[str, tuple[int, ...]]:
-        n = self.n_sources
-        if not 0 <= i < self.size:
-            raise ValidationError(f"parameter index {i} outside 0..{self.size - 1}")
-        if i < n:
-            return "bearing", (i,)
-        if i < 2 * n:
-            return "range", (i - n,)
-        if i == self.noise:
-            return "noise", ()
-        j = i - 2 * n
-        if j < n:
-            return "cov_diag", (j,)
-        p, q = self.upper_pairs()[(j - n) // 2]
-        return ("cov_re", (p, q)) if (j - n) % 2 == 0 else ("cov_im", (p, q))
-
     def cov_entry_bases(self) -> list[np.ndarray]:
         """Hermitian basis matrices of the source-covariance parameterization."""
         n = self.n_sources
@@ -122,7 +101,6 @@ class FimMatrix:
 
     entries: np.ndarray
     snapshots: int
-    index: ParameterIndex | None = None
     array_cov_condition: float = float("nan")
 
 
@@ -182,32 +160,6 @@ def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tup
     return d, dtau_b, dtau_r, A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
 
 
-def _derivative_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
-    """``_steering_columns`` of one scenario, each as an (M, N) matrix."""
-    return tuple(x[0] for x in _steering_columns(*_kernel_axes(scenario)))
-
-
-def delay_gradients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) partial derivatives of the delays w.r.t. each source's bearing and range."""
-    return _derivative_columns(scenario)[1:3]
-
-
-def steering_derivatives(scenario: Scenario, axis: str) -> list[np.ndarray]:
-    """Analytic steering derivatives, one (M, N) matrix per source.
-
-    The matrix for source n is zero except in column n, which equals
-    -j 2 pi f_n (d tau / d axis) A[:, n].
-    """
-    if axis not in ("bearing", "range"):
-        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    *_, cols_b, cols_r = _derivative_columns(scenario)
-    cols = cols_b if axis == "bearing" else cols_r
-    n = np.arange(scenario.num_sources)
-    out = np.zeros((len(n), *cols.shape), dtype=complex)
-    out[n, :, n] = cols.T
-    return list(out)
-
-
 def _covariance_derivatives(
     A: np.ndarray, cols_b: np.ndarray, cols_r: np.ndarray, source_cov: np.ndarray
 ) -> np.ndarray:
@@ -242,17 +194,17 @@ def _covariance_derivatives(
     return dR
 
 
-def rx_derivatives(scenario: Scenario, A: np.ndarray, covset: CovarianceSet) -> list[np.ndarray]:
-    """Hermitian derivatives of the array covariance, ordered per ParameterIndex."""
-    *_, cols_b, cols_r = _derivative_columns(scenario)
-    return list(_covariance_derivatives(A[None], cols_b[None], cols_r[None], covset.source_cov)[0])
-
-
-def _index_for(derivs_len: int) -> ParameterIndex | None:
-    n = int(round(np.sqrt(derivs_len))) - 1
-    if n >= 0 and (n + 1) ** 2 == derivs_len:
-        return ParameterIndex(n)
-    return None
+def _eigenvalues(array_cov: np.ndarray) -> np.ndarray:
+    """(K, M) ascending eigenvalues of (K, M, M) array covariances; raises
+    SingularCovarianceError if any covariance is numerically singular."""
+    w = np.linalg.eigvalsh(array_cov)
+    singular = (w[:, 0] <= 0) | (w[:, 0] < 1e-15 * w[:, -1])
+    if np.any(singular):
+        raise SingularCovarianceError(
+            "array covariance is numerically singular; smallest eigenvalue "
+            f"{w[np.argmax(singular), 0]:.6e}"
+        )
+    return w
 
 
 def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,13 +215,7 @@ def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, 
     flattened transposes.  Returns the (K, P, P) tables, symmetrized, and the
     (K,) condition numbers of the covariances.
     """
-    w = np.linalg.eigvalsh(array_cov)
-    singular = (w[:, 0] <= 0) | (w[:, 0] < 1e-15 * w[:, -1])
-    if np.any(singular):
-        raise SingularCovarianceError(
-            "array covariance is numerically singular; smallest eigenvalue "
-            f"{w[np.argmax(singular), 0]:.6e}"
-        )
+    w = _eigenvalues(array_cov)
     X = np.linalg.inv(array_cov)[:, None] @ derivs
     K, P, M, _ = X.shape
     rows = X.reshape(K, P, M * M)
@@ -289,21 +235,57 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
     R = np.asarray(array_cov, dtype=complex)
     D = np.asarray(derivs, dtype=complex).reshape(-1, *R.shape)
     F, cond = _trace_form(R[None], D[None])
-    return FimMatrix(snapshots * F[0], int(snapshots), _index_for(len(D)), float(cond[0]))
+    return FimMatrix(snapshots * F[0], int(snapshots), float(cond[0]))
 
 
-def _covariance_stack(scenario: Scenario, *constellations) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel: (K, M, M) array covariances and (K, P, M, M) derivative stacks of K
-    constellations, given as ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
+def _covariance_stack(scenario: Scenario, *constellations) -> tuple[np.ndarray, ...]:
+    """The kernel: (K, M, N) steering matrices and bearing and range derivative columns, the
+    covariances and the (K, P, M, M) derivative stacks of K constellations, given as
+    ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
     *_, A, cols_b, cols_r = _steering_columns(*constellations)
     covset = covariances(A, scenario.signals, scenario.noise_variance)
-    return covset.array_cov, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
+    return A, cols_b, cols_r, covset, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
+
+
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """One constellation as the kernel sees it: the (M, N) steering matrix A and its bearing and
+    range derivative columns, the (N, N) source and (M, M) array covariances, and the
+    (P, M, M) array-covariance derivatives ordered per ParameterIndex."""
+
+    steering: np.ndarray
+    bearing_cols: np.ndarray
+    range_cols: np.ndarray
+    source_cov: np.ndarray
+    array_cov: np.ndarray
+    derivs: np.ndarray
+
+
+def linearize(scenario) -> Linearization:
+    """The kernel at K = 1 on one polar or pairwise scenario (its polar form)."""
+    A, cols_b, cols_r, covset, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
+    return Linearization(A[0], cols_b[0], cols_r[0], covset.source_cov, covset.array_cov[0], dR[0])
+
+
+def steering_derivatives(lin: Linearization, axis: str) -> list[np.ndarray]:
+    """Analytic steering derivatives of a ``linearize`` pass, one (M, N) matrix per source.
+
+    The matrix for source n is zero except in column n, which equals
+    -j 2 pi f_n (d tau / d axis) A[:, n].
+    """
+    if axis not in ("bearing", "range"):
+        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
+    cols = lin.bearing_cols if axis == "bearing" else lin.range_cols
+    n = np.arange(cols.shape[1])
+    out = np.zeros((len(n), *cols.shape), dtype=complex)
+    out[n, :, n] = cols.T
+    return list(out)
 
 
 def fim_for_scenario(scenario) -> FimMatrix:
-    """The information matrix of one polar or pairwise scenario (its polar form): the kernel at K = 1."""
-    R, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
-    return fim_generic(R[0], dR[0], scenario.snapshots)
+    """The information matrix of one polar or pairwise scenario: ``fim_generic`` of its ``linearize`` pass."""
+    lin = linearize(scenario)
+    return fim_generic(lin.array_cov, lin.derivs, scenario.snapshots)
 
 
 def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +293,8 @@ def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
     constellations, given as ``_steering_columns`` takes them (sources, frequencies and velocity
     may be shared), with the scenario's amplitudes, noise and snapshots.  One kernel call, which
     any failing constellation fails; keep K within ``batch_chunk`` to bound memory."""
-    F, cond = _trace_form(*_covariance_stack(scenario, *axes))
+    *_, covset, dR = _covariance_stack(scenario, *axes)
+    F, cond = _trace_form(covset.array_cov, dR)
     return scenario.snapshots * F, cond
 
 
@@ -398,35 +381,27 @@ def _vec(M: np.ndarray) -> np.ndarray:
     return M.flatten(order="F")
 
 
-def fim_closed_form(
-    scenario: Scenario, A: np.ndarray, covset: CovarianceSet, generic: FimMatrix
-) -> tuple[FimMatrix, dict[str, float]]:
+def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, dict[str, float]]:
     """Block-assembled information matrix plus per-block deviation from ``generic``.
 
-    ``generic`` is the trace-form matrix of the same scenario, steering and
-    covariances; its snapshot count scales the closed form too.  The
-    bearing/range blocks combine Hadamard products of source-covariance and
-    derivative cross terms; blocks coupled to the covariance-entry parameters
-    go through the selection matrices and are then realigned to the
-    ParameterIndex ordering.  The generic trace form remains authoritative:
-    the returned dict reports max |closed - generic| per block, relative to
-    the block magnitude floored at 1e-6 of the whole matrix so that blocks
-    that are numerically zero report their absolute noise instead of 0/0.
+    ``generic`` is the trace-form matrix of the same ``linearize`` pass; its
+    snapshot count scales the closed form too.  The bearing/range blocks
+    combine Hadamard products of source-covariance and derivative cross
+    terms; blocks coupled to the covariance-entry parameters go through the
+    selection matrices and are then realigned to the ParameterIndex ordering.
+    The generic trace form remains authoritative: the returned dict reports
+    max |closed - generic| per block, relative to the block magnitude floored
+    at 1e-6 of the whole matrix so that blocks that are numerically zero
+    report their absolute noise instead of 0/0.
     """
-    N = scenario.num_sources
+    A, Rs, R = lin.steering, lin.source_cov, lin.array_cov
+    N = A.shape[1]
     snapshots = generic.snapshots
     index = ParameterIndex(N)
-    Rs = covset.source_cov
-    R = covset.array_cov
-    w = np.linalg.eigvalsh(R)
-    if w[0] <= 0 or w[0] < 1e-15 * w[-1]:
-        raise SingularCovarianceError(
-            f"array covariance is numerically singular; smallest eigenvalue {w[0]:.6e}"
-        )
+    _eigenvalues(R[None])
     Rinv = np.linalg.inv(R)
     Rinv2 = Rinv @ Rinv
-    *_, cols_b, cols_r = _derivative_columns(scenario)
-    cols = {"bearing": cols_b, "range": cols_r}
+    cols = {"bearing": lin.bearing_cols, "range": lin.range_cols}
     Ah = A.conj().T
 
     gram = Ah @ Rinv @ A                      # N x N
@@ -498,7 +473,7 @@ def fim_closed_form(
         scale = max(float(np.abs(gb).max()), 1e-6 * overall, 1e-300)
         deviations[name] = float(np.abs(cb - gb).max() / scale)
 
-    return FimMatrix(F, int(snapshots), index, generic.array_cov_condition), deviations
+    return FimMatrix(F, int(snapshots), generic.array_cov_condition), deviations
 
 
 PINV_RTOL = 1e-12
@@ -533,7 +508,12 @@ def crb_totals(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndar
 
 
 def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
-    """``crb_from_fim`` of each matrix of a (K, P, P) stack, from one batched SVD."""
+    """Diagonal bounds of each matrix of a (K, P, P) stack from its pseudo-inverse, one batched SVD.
+
+    Rank deficiency (singular values at or below PINV_RTOL of the largest) is
+    flagged, not raised; the pseudo-inverse is used either way.  Totals are
+    the sums of the per-source diagonal entries of each block.
+    """
     diag, rank, cond = _pinv_diagonals(entries)
     size = entries.shape[-1]
     reports = []
@@ -541,27 +521,6 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
         theta, r = d[:n_sources].copy(), d[n_sources : 2 * n_sources].copy()
         reports.append(CrbReport(theta, r, float(theta.sum()), float(r.sum()), c, k, size, k < size))
     return reports
-
-
-def crb_from_fim(fim: FimMatrix, n_sources: int | None = None) -> CrbReport:
-    """Diagonal bounds from the pseudo-inverse of the information matrix.
-
-    Rank deficiency (singular values at or below PINV_RTOL of the largest) is
-    flagged, not raised; the pseudo-inverse is used either way.  Totals are
-    the sums of the per-source diagonal entries of each block.
-    """
-    F = np.asarray(fim.entries, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValidationError(f"information matrix must be square, got {F.shape}")
-    if fim.index is not None:
-        n = fim.index.n_sources
-    elif n_sources is not None:
-        n = int(n_sources)
-    else:
-        raise ValidationError("source count is needed to split the diagonal into blocks")
-    if 2 * n > F.shape[0]:
-        raise ValidationError(f"{n} sources do not fit a {F.shape[0]}-parameter matrix")
-    return crb_reports(F[None], n)[0]
 
 
 def _source_steps(

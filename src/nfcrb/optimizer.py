@@ -21,9 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ValidationError, batch_or_each
-from .fim_crb import (
-    CrbReport, FimMatrix, ParameterIndex, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
-)
+from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
 from .reposition import RepositionPlan, _analytic_targets, _check_axis, _scan, _with_arrivals
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -130,8 +128,7 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
         fims = [fim_for_scenario(first)]
     else:
         F, cond = fim_for_scenarios(first, *axes)
-        index = ParameterIndex(first.num_sources)
-        fims = [FimMatrix(f, first.snapshots, index, c) for f, c in zip(F, cond.tolist())]
+        fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(np.array([fim.entries for fim in fims]), first.num_sources)
     rows = zip(det.tolist(), powers, strongest, residuals, fims, crbs)
     return [ConstellationEvaluation(abs(d), *row) for d, *row in rows]

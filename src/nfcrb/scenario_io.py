@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -36,31 +36,12 @@ BUNDLED = ("scenario_a", "scenario_b")
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario file; exactly one of ``polar`` / ``pairwise`` is set."""
+    """Parsed scenario file: its runtime scenario, in the file's encoding, and the defaults it applied."""
 
     name: str
     description: str
-    velocity_mps: float
-    signals: tuple[SourceSignal, ...]
-    noise_variance: float
-    snapshots: int
-    polar: tuple[tuple[SourceGeom, ...], tuple[SensorGeom, ...]] | None
-    pairwise: PairwiseGeometry | None
+    scenario: Scenario | PairwiseScenario
     defaults_applied: tuple[str, ...] = field(compare=False, default=())
-
-    @property
-    def num_sources(self) -> int:
-        return len(self.signals)
-
-    @property
-    def num_sensors(self) -> int:
-        if self.pairwise is not None:
-            return self.pairwise.num_sensors
-        return len(self.polar[1])
-
-    @property
-    def encoding(self) -> str:
-        return "pairwise" if self.pairwise is not None else "polar"
 
 
 def parse_number(value, path: str, kind: type = float):
@@ -185,8 +166,6 @@ def parse_scenario(text: str) -> ScenarioFile:
         )
 
     N = len(signals)
-    polar = None
-    pairwise = None
     if has_polar:
         path = "scenario.geometry.polar"
         src_raw = _list(geom["polar"], "sources", path)
@@ -212,7 +191,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"scenario.geometry: {len(sensors)} sensors can separate at most "
                 f"{len(sensors) - 1} sources; got {N}"
             )
-        polar = (sources, sensors)
+        scenario = Scenario(sources, sensors, velocity, signals, noise, snapshots)
     else:
         vert = _matrix(geom["pairwise"], "vertical_m", "scenario.geometry.pairwise")
         adeg = _matrix(geom["pairwise"], "arrival_deg", "scenario.geometry.pairwise")
@@ -236,26 +215,22 @@ def parse_scenario(text: str) -> ScenarioFile:
             adeg, (arrival > 0) & (arrival < math.pi), f"{path}.arrival_deg",
             "must lie strictly inside (0, 180) degrees",
         )
-        pairwise = PairwiseGeometry(vert, arrival)
-
-    return ScenarioFile(
-        name=name,
-        description=description,
-        velocity_mps=velocity,
-        signals=signals,
-        noise_variance=noise,
-        snapshots=snapshots,
-        polar=polar,
-        pairwise=pairwise,
-        defaults_applied=tuple(defaults),
-    )
+        scenario = PairwiseScenario(PairwiseGeometry(vert, arrival), velocity, signals, noise, snapshots)
+    return ScenarioFile(name, description, scenario, tuple(defaults))
 
 
 def load_scenario(path_or_name: str) -> ScenarioFile:
     """Load a scenario from a filesystem path or a bundled name."""
     p = Path(path_or_name)
     if p.exists():
-        return parse_scenario(p.read_text())
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"scenario file {p} is not UTF-8 text: {exc}") from None
+        try:
+            return parse_scenario(text)
+        except RecursionError:  # from json.loads, on deeply nested brackets
+            raise ValidationError(f"scenario file {p} nests too deeply to parse") from None
     if path_or_name in BUNDLED:
         text = resources.files("nfcrb").joinpath("data", f"{path_or_name}.json").read_text()
         return parse_scenario(text)
@@ -269,22 +244,15 @@ def runtime_scenario(
     noise_variance: float | None = None,
     snapshots: int | None = None,
 ) -> tuple[Scenario | PairwiseScenario, tuple[str, ...]]:
-    """Build the runtime scenario object, tracking which defaults remain in force."""
-    defaults = list(sf.defaults_applied)
-    eta = sf.noise_variance
-    ns = sf.snapshots
+    """The file's scenario with any noise-variance and snapshot overrides applied (the scenario's
+    own checks reject a bad value), and the defaults that remain in force."""
+    changes = {}
     if noise_variance is not None:
-        eta = parse_number(noise_variance, "noise_variance")
-        defaults = [d for d in defaults if not d.startswith("noise_variance")]
+        changes["noise_variance"] = parse_number(noise_variance, "noise_variance")
     if snapshots is not None:
-        ns = parse_number(snapshots, "snapshots", int)
-        defaults = [d for d in defaults if not d.startswith("snapshots")]
-    if sf.pairwise is not None:
-        scn = PairwiseScenario(sf.pairwise, sf.velocity_mps, sf.signals, eta, ns)
-    else:
-        sources, sensors = sf.polar
-        scn = Scenario(sources, sensors, sf.velocity_mps, sf.signals, eta, ns)
-    return scn, tuple(defaults)
+        changes["snapshots"] = parse_number(snapshots, "snapshots", int)
+    defaults = tuple(d for d in sf.defaults_applied if d.split("=")[0] not in changes)
+    return replace(sf.scenario, **changes), defaults
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from nfcrb.geometry import (
     SourceGeom,
     native_delays,
 )
-from nfcrb.fim_crb import ParameterIndex, steering_derivatives
+from nfcrb.fim_crb import ParameterIndex, linearize, steering_derivatives
 
 
 def random_scenario(rng: np.random.Generator, m: int | None = None, n: int | None = None) -> Scenario:
@@ -93,7 +93,7 @@ def trace_loop_fim(scn: Scenario) -> np.ndarray:
     derivs = [
         D @ Rs @ Ah + A @ Rs @ D.conj().T
         for axis in ("bearing", "range")
-        for D in steering_derivatives(scn, axis)
+        for D in steering_derivatives(linearize(scn), axis)
     ]
     derivs += [A @ E @ Ah for E in ParameterIndex(scn.num_sources).cov_entry_bases()]
     derivs.append(np.eye(scn.num_sensors, dtype=complex))

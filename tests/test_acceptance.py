@@ -26,11 +26,10 @@ from nfcrb.signal_model import (
 )
 from nfcrb.geometry import native_delays, polar_form, sensor_positions, source_positions
 from nfcrb.fim_crb import (
-    crb_from_fim,
-    delay_gradients,
+    crb_reports,
     fim_closed_form,
     fim_generic,
-    rx_derivatives,
+    linearize,
     rx_derivatives_fd,
     steering_derivatives,
     steering_derivatives_fd,
@@ -52,8 +51,9 @@ def test_criterion_1_steering_derivative_oracle():
     worst_variant = np.inf
     for _ in range(100):
         scn = random_scenario(rng)
+        lin = linearize(scn)
         for axis in ("bearing", "range"):
-            ana = steering_derivatives(scn, axis)
+            ana = steering_derivatives(lin, axis)
             fd = steering_derivatives_fd(scn, axis)
             err = max(
                 float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
@@ -65,10 +65,7 @@ def test_criterion_1_steering_derivative_oracle():
         d = np.linalg.norm(
             source_positions(scn)[None, :, :] - sensor_positions(scn)[:, None, :], axis=2
         )
-        dtau_b, _ = delay_gradients(scn)
-        A = steering_matrix(native_delays(scn), scn.frequencies())
-        w = 2 * np.pi * scn.frequencies()[None, :]
-        variant_cols = -1j * w * (dtau_b / d**2) * A
+        variant_cols = lin.bearing_cols / d**2
         fd_b = steering_derivatives_fd(scn, "bearing")
         err_var = max(
             float(np.abs(variant_cols[:, [n]] - fd_b[n][:, [n]]).max()
@@ -97,10 +94,9 @@ def test_criterion_2_fim_oracle(scenario_a, scenario_b):
     cases += [random_scenario(rng) for _ in range(20)]
     worst = 0.0
     for scn in cases:
-        A = steering_matrix(native_delays(scn), scn.frequencies())
-        covset = covariances(A, scn.signals, scn.noise_variance)
-        F_ana = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
-        F_fd = fim_generic(covset.array_cov, rx_derivatives_fd(scn), scn.snapshots)
+        lin = linearize(scn)
+        F_ana = fim_generic(lin.array_cov, lin.derivs, scn.snapshots)
+        F_fd = fim_generic(lin.array_cov, rx_derivatives_fd(scn), scn.snapshots)
         dev = float(
             np.abs(F_ana.entries - F_fd.entries).max() / np.abs(F_ana.entries).max()
         )
@@ -120,10 +116,9 @@ def test_criterion_3_closed_form_blocks():
     worst_cov = 0.0
     for _ in range(20):
         scn = random_scenario(rng)
-        A = steering_matrix(native_delays(scn), scn.frequencies())
-        covset = covariances(A, scn.signals, scn.noise_variance)
-        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
-        _, dev = fim_closed_form(scn, A, covset, generic)
+        lin = linearize(scn)
+        generic = fim_generic(lin.array_cov, lin.derivs, scn.snapshots)
+        _, dev = fim_closed_form(lin, generic)
         worst_gated = max(worst_gated, max(dev[k] for k in gated))
         worst_cov = max(worst_cov, max(v for k, v in dev.items() if "cov" in k))
     ok = worst_gated <= 1e-8
@@ -138,11 +133,11 @@ def test_criterion_4_crb_snapshot_scaling():
     worst = 0.0
     for _ in range(5):
         scn = random_scenario(rng)
-        A = steering_matrix(native_delays(scn), scn.frequencies())
-        covset = covariances(A, scn.signals, scn.noise_variance)
-        derivs = rx_derivatives(scn, A, covset)
-        r1 = crb_from_fim(fim_generic(covset.array_cov, derivs, 7))
-        r2 = crb_from_fim(fim_generic(covset.array_cov, derivs, 14))
+        lin = linearize(scn)
+        r1, r2 = (
+            crb_reports(fim_generic(lin.array_cov, lin.derivs, k).entries[None], scn.num_sources)[0]
+            for k in (7, 14)
+        )
         for a, b in ((r1.crb_theta, r2.crb_theta), (r1.crb_r, r2.crb_r)):
             worst = max(worst, float(np.abs(b - 0.5 * a).max() / np.abs(a).max()))
     ok = worst <= 1e-12

@@ -6,32 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import SingularCovarianceError, SingularGeometryError, ValidationError
-from nfcrb.signal_model import SourceSignal, covariances, steering_matrix
-from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, native_delays, polar_form
+from nfcrb.signal_model import SourceSignal
+from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, polar_form
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
-    FimMatrix,
     ParameterIndex,
     batch_chunk,
-    crb_from_fim,
+    crb_reports,
     crb_totals,
     fim_closed_form,
     fim_for_scenario,
     fim_for_scenarios,
     fim_generic,
-    rx_derivatives,
+    linearize,
     rx_derivatives_fd,
     selection_matrices,
     steering_derivatives,
     steering_derivatives_fd,
 )
 from conftest import pinv_totals, random_scenario, trace_loop_fim
-
-
-def _prep(scn):
-    A = steering_matrix(native_delays(scn), scn.frequencies())
-    covset = covariances(A, scn.signals, scn.noise_variance)
-    return A, covset
 
 
 def _own_layout(scn):
@@ -72,18 +65,6 @@ class TestParameterIndex:
         assert idx.cov_entries == slice(6, 15)
         assert idx.noise == 15
 
-    def test_roundtrip_describe(self):
-        idx = ParameterIndex(3)
-        labels = idx.labels()
-        assert len(labels) == idx.size
-        assert labels[0] == "bearing[0]"
-        assert labels[6] == "cov_diag[0]"
-        assert labels[9] == "cov_re[0,1]"
-        assert labels[10] == "cov_im[0,1]"
-        assert labels[-1] == "noise"
-        seen = {idx.describe(i) for i in range(idx.size)}
-        assert len(seen) == idx.size
-
     def test_bases_are_hermitian(self):
         for E in ParameterIndex(3).cov_entry_bases():
             assert np.allclose(E, E.conj().T)
@@ -100,7 +81,7 @@ class TestSteeringDerivatives:
             noise_variance=1.0,
             snapshots=1,
         )
-        D = steering_derivatives(scn, "bearing")[0]
+        D = steering_derivatives(linearize(scn), "bearing")[0]
         assert abs(D[0, 0]) < 1e-25
         assert abs(D[1, 0]) > 0
 
@@ -108,7 +89,7 @@ class TestSteeringDerivatives:
         rng = np.random.default_rng(4)
         scn = random_scenario(rng, m=5, n=3)
         for axis in ("bearing", "range"):
-            for n, D in enumerate(steering_derivatives(scn, axis)):
+            for n, D in enumerate(steering_derivatives(linearize(scn), axis)):
                 mask = np.ones(3, dtype=bool)
                 mask[n] = False
                 assert np.all(D[:, mask] == 0)
@@ -119,7 +100,7 @@ class TestSteeringDerivatives:
             scn = random_scenario(rng)
             for axis in ("bearing", "range"):
                 err = _max_rel(
-                    steering_derivatives(scn, axis), steering_derivatives_fd(scn, axis)
+                    steering_derivatives(linearize(scn), axis), steering_derivatives_fd(scn, axis)
                 )
                 assert err < 1e-6
 
@@ -128,15 +109,13 @@ class TestRxDerivatives:
     def test_noise_derivative_is_identity(self):
         rng = np.random.default_rng(12)
         scn = random_scenario(rng, m=4, n=2)
-        A, covset = _prep(scn)
-        derivs = rx_derivatives(scn, A, covset)
-        assert np.allclose(derivs[-1], np.eye(4))
+        assert np.allclose(linearize(scn).derivs[-1], np.eye(4))
 
     def test_diagonal_entry_derivative_is_column_outer_product(self):
         rng = np.random.default_rng(13)
         scn = random_scenario(rng, m=4, n=2)
-        A, covset = _prep(scn)
-        derivs = rx_derivatives(scn, A, covset)
+        lin = linearize(scn)
+        A, derivs = lin.steering, lin.derivs
         idx = ParameterIndex(2)
         for n in range(2):
             expected = np.outer(A[:, n], A[:, n].conj())
@@ -145,16 +124,14 @@ class TestRxDerivatives:
     def test_all_hermitian(self):
         rng = np.random.default_rng(14)
         scn = random_scenario(rng)
-        A, covset = _prep(scn)
-        for D in rx_derivatives(scn, A, covset):
+        for D in linearize(scn).derivs:
             assert np.abs(D - D.conj().T).max() < 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
             scn = random_scenario(rng)
-            A, covset = _prep(scn)
-            err = _max_rel(rx_derivatives(scn, A, covset), rx_derivatives_fd(scn))
+            err = _max_rel(linearize(scn).derivs, rx_derivatives_fd(scn))
             assert err < 1e-5
 
 
@@ -169,11 +146,9 @@ class TestFimGeneric:
 
     def test_linear_in_snapshots(self):
         rng = np.random.default_rng(16)
-        scn = random_scenario(rng, m=4, n=2)
-        A, covset = _prep(scn)
-        derivs = rx_derivatives(scn, A, covset)
-        F1 = fim_generic(covset.array_cov, derivs, 3)
-        F2 = fim_generic(covset.array_cov, derivs, 6)
+        lin = linearize(random_scenario(rng, m=4, n=2))
+        F1 = fim_generic(lin.array_cov, lin.derivs, 3)
+        F2 = fim_generic(lin.array_cov, lin.derivs, 6)
         assert np.array_equal(F2.entries, 2.0 * F1.entries)
 
     def test_symmetric_and_psd(self):
@@ -313,10 +288,10 @@ class TestFimClosedForm:
     def test_noise_noise_entry(self):
         rng = np.random.default_rng(22)
         scn = random_scenario(rng, m=4, n=2)
-        A, covset = _prep(scn)
-        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
-        F, _ = fim_closed_form(scn, A, covset, generic)
-        Rinv = np.linalg.inv(covset.array_cov)
+        lin = linearize(scn)
+        generic = fim_generic(lin.array_cov, lin.derivs, scn.snapshots)
+        F, _ = fim_closed_form(lin, generic)
+        Rinv = np.linalg.inv(lin.array_cov)
         expected = scn.snapshots * np.real(np.trace(Rinv @ Rinv))
         assert F.entries[-1, -1] == pytest.approx(expected, rel=1e-12)
 
@@ -331,9 +306,8 @@ class TestFimClosedForm:
             noise_variance=1.0,
             snapshots=1,
         )
-        A, covset = _prep(scn)
-        generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), 1)
-        F, _ = fim_closed_form(scn, A, covset, generic)
+        lin = linearize(scn)
+        F, _ = fim_closed_form(lin, fim_generic(lin.array_cov, lin.derivs, 1))
         idx = ParameterIndex(1)
         assert np.allclose(F.entries[idx.bearing, idx.noise], 0.0, atol=1e-20)
 
@@ -341,34 +315,38 @@ class TestFimClosedForm:
         rng = np.random.default_rng(23)
         for _ in range(5):
             scn = random_scenario(rng, n=2)
-            A, covset = _prep(scn)
-            generic = fim_generic(covset.array_cov, rx_derivatives(scn, A, covset), scn.snapshots)
-            F, dev = fim_closed_form(scn, A, covset, generic)
+            lin = linearize(scn)
+            F, dev = fim_closed_form(lin, fim_generic(lin.array_cov, lin.derivs, scn.snapshots))
             for block in ("bearing-bearing", "bearing-range", "range-range", "noise-noise"):
                 assert dev[block] < 1e-8
             # entry-parameter blocks reconcile too; pinned well below the gate
             for block, value in dev.items():
                 assert value < 1e-9, f"{block} deviated by {value}"
 
+    def test_singular_covariance_is_reported(self):
+        lin = linearize(random_scenario(np.random.default_rng(24), m=4, n=2))
+        singular = replace(lin, array_cov=np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
+        with pytest.raises(SingularCovarianceError, match="smallest eigenvalue 0.000000e"):
+            fim_closed_form(singular, fim_generic(lin.array_cov, lin.derivs, 1))
+
     def test_scenario_a_deviations_pinned(self, scenario_a):
         polar, _ = polar_form(scenario_a)
-        A, covset = _prep(polar)
-        generic = fim_generic(covset.array_cov, rx_derivatives(polar, A, covset), 1)
-        _, dev = fim_closed_form(polar, A, covset, generic)
+        lin = linearize(polar)
+        _, dev = fim_closed_form(lin, fim_generic(lin.array_cov, lin.derivs, 1))
         assert max(dev.values()) < 1e-9
 
 
 class TestCrbFromFim:
+    """Bounds from the pseudo-inverse of an information matrix: ``crb_reports`` of a one-matrix stack."""
+
     def test_two_parameter_diagonal(self):
-        F = FimMatrix(np.diag([4.0, 8.0]), snapshots=1, index=None)
-        report = crb_from_fim(F, n_sources=1)
+        report = crb_reports(np.diag([4.0, 8.0])[None], 1)[0]
         assert report.crb_theta[0] == pytest.approx(0.25, rel=1e-12)
         assert report.crb_r[0] == pytest.approx(0.125, rel=1e-12)
         assert not report.rank_deficient
 
     def test_rank_deficiency_flagged_not_raised(self):
-        F = FimMatrix(np.diag([4.0, 0.0, 1.0, 1.0]), snapshots=1, index=None)
-        report = crb_from_fim(F, n_sources=1)
+        report = crb_reports(np.diag([4.0, 0.0, 1.0, 1.0])[None], 1)[0]
         assert report.rank_deficient
         assert report.rank == 3
         assert report.crb_theta[0] == pytest.approx(0.25, rel=1e-12)
@@ -377,7 +355,7 @@ class TestCrbFromFim:
         # coherent (rank-one) sources leave the information matrix rank
         # deficient; the pseudo-inverse totals are pinned as regression values
         polar, _ = polar_form(scenario_a)
-        report = crb_from_fim(fim_for_scenario(polar))
+        report = crb_reports(fim_for_scenario(polar).entries[None], 3)[0]
         assert report.rank_deficient
         assert report.rank == 12 and report.size == 16
         assert report.crb_theta_total == pytest.approx(1372.1902563655324, rel=1e-6)
@@ -385,10 +363,10 @@ class TestCrbFromFim:
 
     def test_cutoff_is_strict_like_pinv(self):
         # a singular value exactly at 1e-12 of the largest is dropped, as in pinv
-        at = crb_from_fim(FimMatrix(np.diag([1.0, 1e-12]), snapshots=1, index=None), n_sources=1)
+        at = crb_reports(np.diag([1.0, 1e-12])[None], 1)[0]
         assert at.rank == 1 and at.rank_deficient
         assert at.crb_r[0] == 0.0
-        above = crb_from_fim(FimMatrix(np.diag([1.0, 1.5e-12]), snapshots=1, index=None), n_sources=1)
+        above = crb_reports(np.diag([1.0, 1.5e-12])[None], 1)[0]
         assert above.rank == 2 and not above.rank_deficient
         assert above.condition_number == pytest.approx(1 / 1.5e-12, rel=1e-12)
 
@@ -397,7 +375,7 @@ class TestCrbFromFim:
         for _ in range(50):
             scn = random_scenario(rng)
             fim = fim_for_scenario(scn)
-            report = crb_from_fim(fim)
+            report = crb_reports(fim.entries[None], scn.num_sources)[0]
             sv = np.linalg.svd(fim.entries, compute_uv=False)
             assert report.rank == int(np.sum(sv > 1e-12 * sv[0]))
             theta, r = pinv_totals(fim.entries, scn.num_sources)
@@ -411,25 +389,18 @@ class TestCrbFromFim:
         F, _ = layout_fims(scn, radii, azimuths)
         theta, r = crb_totals(F, 3)
         for k in range(6):
-            report = crb_from_fim(FimMatrix(F[k], scn.snapshots, ParameterIndex(3)))
+            report = crb_reports(F[k : k + 1], 3)[0]
             assert theta[k] == report.crb_theta_total
             assert r[k] == report.crb_r_total
 
     def test_empty_matrix(self):
-        report = crb_from_fim(fim_generic(np.eye(3, dtype=complex), [], 1), n_sources=0)
+        report = crb_reports(fim_generic(np.eye(3, dtype=complex), [], 1).entries[None], 0)[0]
         assert report.size == 0 and report.rank == 0 and not report.rank_deficient
         assert report.crb_theta_total == 0.0 and report.condition_number == np.inf
 
-    def test_needs_source_count(self):
-        with pytest.raises(ValidationError):
-            crb_from_fim(FimMatrix(np.eye(2), snapshots=1, index=None))
-
     def test_snapshot_scaling_halves_bounds(self):
         rng = np.random.default_rng(29)
-        scn = random_scenario(rng, m=5, n=2)
-        A, covset = _prep(scn)
-        derivs = rx_derivatives(scn, A, covset)
-        r1 = crb_from_fim(fim_generic(covset.array_cov, derivs, 2))
-        r2 = crb_from_fim(fim_generic(covset.array_cov, derivs, 4))
+        lin = linearize(random_scenario(rng, m=5, n=2))
+        r1, r2 = (crb_reports(fim_generic(lin.array_cov, lin.derivs, k).entries[None], 2)[0] for k in (2, 4))
         assert np.allclose(r2.crb_theta, 0.5 * r1.crb_theta, rtol=1e-12)
         assert np.allclose(r2.crb_r, 0.5 * r1.crb_r, rtol=1e-12)

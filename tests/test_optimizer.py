@@ -14,7 +14,7 @@ from nfcrb import (
 )
 from nfcrb.signal_model import SourceSignal
 from nfcrb.geometry import scenario_from_positions
-from nfcrb.fim_crb import crb_from_fim, fim_for_scenario
+from nfcrb.fim_crb import crb_reports, fim_for_scenario
 from nfcrb.reposition import analytic_reposition
 from nfcrb.optimizer import SweepSpec, sweep
 
@@ -35,7 +35,7 @@ def crb_theta_at(scn, d):
     moved = scenario_from_positions(
         sensors, sources, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    return crb_from_fim(fim_for_scenario(moved)).crb_theta_total
+    return crb_reports(fim_for_scenario(moved).entries[None], 2)[0].crb_theta_total
 
 
 class TestGridSearch:
@@ -86,7 +86,7 @@ def crb_theta_at_xy(scn, x, y):
     moved = scenario_from_positions(
         sensors, sources, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    return crb_from_fim(fim_for_scenario(moved)).crb_theta_total
+    return crb_reports(fim_for_scenario(moved).entries[None], 2)[0].crb_theta_total
 
 
 class TestSweep:

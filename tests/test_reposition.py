@@ -27,7 +27,7 @@ from nfcrb.geometry import (
     scenario_from_positions,
     scenario_positions,
 )
-from nfcrb.fim_crb import crb_from_fim, fim_for_scenario
+from nfcrb.fim_crb import crb_reports, fim_for_scenario
 from nfcrb import reposition
 from nfcrb.reposition import (
     OBJECTIVES,
@@ -57,7 +57,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
     polar = scenario_from_positions(
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    report = crb_from_fim(fim_for_scenario(polar))
+    report = crb_reports(fim_for_scenario(polar).entries[None], polar.num_sources)[0]
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 

@@ -60,8 +60,8 @@ def polar_doc():
 class TestParseScenario:
     def test_bundled_scenario_a(self):
         sf = load_scenario("scenario_a")
-        assert sf.encoding == "pairwise"
-        assert sf.num_sensors == 4 and sf.num_sources == 3
+        assert isinstance(sf.scenario, PairwiseScenario)
+        assert sf.scenario.num_sensors == 4 and sf.scenario.num_sources == 3
         assert sf.defaults_applied == ("noise_variance=1.0", "snapshots=1")
         scn, defaults = runtime_scenario(sf)
         assert isinstance(scn, PairwiseScenario)
@@ -70,7 +70,7 @@ class TestParseScenario:
 
     def test_polar_document(self):
         sf = parse_scenario(json.dumps(polar_doc()))
-        assert sf.encoding == "polar"
+        assert isinstance(sf.scenario, Scenario)
         scn, defaults = runtime_scenario(sf)
         assert isinstance(scn, Scenario)
         assert defaults == ()
@@ -323,6 +323,11 @@ MALFORMED_FILES = {
         r"scenario.geometry.polar.sensors\[1\].radius_m: must be nonnegative, got -3.0",
     ),
 }
+# files that are not JSON text at all; the message names the file
+MALFORMED_TEXT = {
+    "not UTF-8": (b'{"name": "caf\xe9"}', r"^error: scenario file \S*bad\.json is not UTF-8 text: "),
+    "nested too deep": (b"[" * 200_000, r"^error: scenario file \S*bad\.json nests too deeply to parse$"),
+}
 MALFORMED_ARGS = {
     "grid not numeric": (
         ["reposition", "--scenario", "scenario_a", "--mode", "grid", "--grid", "a:b:c"],
@@ -355,15 +360,18 @@ MALFORMED_ARGS = {
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_FILES, *MALFORMED_ARGS])
+@pytest.mark.parametrize("case", [*MALFORMED_FILES, *MALFORMED_TEXT, *MALFORMED_ARGS])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    argv = ["compute", "--scenario", str(scenario)]
     if case in MALFORMED_FILES:
         make_doc, path, value, message = MALFORMED_FILES[case]
         doc = make_doc()
         _set(doc, path, value)
-        scenario = tmp_path / "bad.json"
         scenario.write_text(json.dumps(doc))
-        argv = ["compute", "--scenario", str(scenario)]
+    elif case in MALFORMED_TEXT:
+        raw, message = MALFORMED_TEXT[case]
+        scenario.write_bytes(raw)
     else:
         args, message = MALFORMED_ARGS[case]
         argv = [a.format(tmp=tmp_path) for a in args]

@@ -138,10 +138,25 @@ def test_readme_library_example_runs_as_written(capsys):
 
 
 def test_one_covariance_stack_behind_both_fim_entries():
+    # the batched entry, and linearize: the kernel at K = 1
     assert callers_of("_covariance_stack") == [
-        ("fim_crb.py", "fim_for_scenario"),
         ("fim_crb.py", "fim_for_scenarios"),
+        ("fim_crb.py", "linearize"),
     ]
+
+
+def test_one_kernel_pass_per_single_constellation():
+    # a report's FIM and validate's derivative checks and closed form all read one linearize pass
+    assert callers_of("linearize") == [("cli.py", "cmd_validate"), ("fim_crb.py", "fim_for_scenario")]
+    cli_calls = {called for _, called in calls_by_function(MODULES["cli.py"])}
+    assert not cli_calls & {"steering_matrix", "covariances", "native_delays"}
+
+
+def test_scenario_files_construct_scenarios_only_when_parsed():
+    # runtime_scenario applies overrides to the parsed scenario with dataclasses.replace
+    built = {"Scenario", "PairwiseScenario", "PairwiseGeometry"}
+    owners = {owner for owner, called in calls_by_function(MODULES["scenario_io.py"]) if called in built}
+    assert owners == {"parse_scenario"}
 
 
 def test_polar_scenarios_from_positions_only_for_polar_form():
