@@ -22,35 +22,13 @@ import sys
 import numpy as np
 
 from .errors import ValidationError
-from .fim_crb import (
-    fim_closed_form,
-    fim_generic,
-    linearize,
-    rx_derivatives_fd,
-    steering_derivatives,
-    steering_derivatives_fd,
-)
+from .fim_crb import fim_closed_form, fim_generic, linearize, rx_derivatives_fd, steering_derivatives, steering_derivatives_fd
 from .geometry import polar_form
 from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
-from .reposition import (
-    DisplacementGrid,
-    analytic_reposition,
-    apply_reposition,
-    gf_objective,
-    hadamard_bound,
-    line_search_reposition,
-    phase_terms,
-)
-from .scenario_io import (
-    format_run_report,
-    load_scenario,
-    parse_number,
-    run_report,
-    run_report_to_csv,
-    run_reports,
-    runtime_scenario,
-    write_reports,
-)
+from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, hadamard_bound,
+                         line_search_reposition, phase_terms)
+from .scenario_io import (format_run_report, load_scenario, parse_number, run_report, run_report_to_csv, run_reports,
+                          runtime_scenario, write_reports)
 
 
 def _load_runtime(args):

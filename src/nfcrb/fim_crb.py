@@ -196,7 +196,9 @@ def _covariance_derivatives(
 
 def _eigenvalues(array_cov: np.ndarray) -> np.ndarray:
     """(K, M) ascending eigenvalues of (K, M, M) array covariances; raises
-    SingularCovarianceError if any covariance is numerically singular."""
+    SingularCovarianceError if any covariance is not finite or numerically singular."""
+    if not np.isfinite(array_cov).all():
+        raise SingularCovarianceError("array covariance has non-finite entries")
     w = np.linalg.eigvalsh(array_cov)
     singular = (w[:, 0] <= 0) | (w[:, 0] < 1e-15 * w[:, -1])
     if np.any(singular):
@@ -221,6 +223,8 @@ def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, 
     rows = X.reshape(K, P, M * M)
     cols = X.swapaxes(2, 3).reshape(K, P, M * M)
     F = (rows @ cols.swapaxes(1, 2)).real
+    if not np.isfinite(F).all():
+        raise ValidationError("information matrix has non-finite entries")
     return 0.5 * (F + F.swapaxes(1, 2)), w[:, -1] / w[:, 0]
 
 

@@ -13,8 +13,9 @@ Frame convention used throughout: sensor 1 sits at the origin of the
 reconstruction frame and the reference axis is the x-axis.  The pairwise form
 therefore requires every source to lie strictly above every sensor's
 horizontal line.  Pairwise tables over-determine a planar layout, so
-recovering positions is a least-squares fit whose root-mean-square
-inconsistency (meters) is always reported.
+recovering positions is a least-squares fit, one coordinate at a time, whose
+root-mean-square inconsistency (meters) is always reported.  The y half reads
+H alone, so tables differing only in arrival angles share it (``refit_positions``).
 
 This module is the only one that branches on the encoding: ``polar_form``, ``polar_axes``,
 ``pairwise_form``, ``delay_geometry`` and ``scenario_positions`` take either, ``distances``
@@ -168,6 +169,13 @@ class PairwiseGeometry:
         return self.vertical_m.shape[1]
 
     @cached_property
+    def vertical_fit(self) -> tuple[np.ndarray, np.ndarray]:
+        """The y half of ``reconstruct_positions``: solution and squared residual terms of H, read-only."""
+        solution, squares = _solve(_incidence(self.num_sensors, self.num_sources), self.vertical_m.ravel())
+        solution.flags.writeable = squares.flags.writeable = False
+        return solution, squares
+
+    @cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray, float]:
         """``reconstruct_positions`` of this table, fitted once; the arrays are read-only."""
         sensors, sources, residual = reconstruct_positions(self)
@@ -279,6 +287,12 @@ def _incidence(M: int, N: int) -> np.ndarray:
     return rows
 
 
+def _solve(rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One coordinate of the fit: its least-squares solution and squared residual terms."""
+    solution, *_ = np.linalg.lstsq(rows, b, rcond=None)
+    return solution, (rows @ solution - b) ** 2
+
+
 def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares positions consistent with pairwise data.
 
@@ -288,21 +302,22 @@ def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.nd
     coordinate.  Returns (sensors_xy, sources_xy, rms residual in meters); a
     single-sensor table is reproduced exactly with zero residual.
     """
+    return refit_positions(pairwise, pairwise.arrival_rad)
+
+
+def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``reconstruct_positions`` of the table with its (M, N) arrival angles replaced, bit for bit:
+    the y equations read H alone, so the table's y half (``vertical_fit``, solved once per table)
+    is reused and only x is solved, as for a move along the reference axis, which keeps every H."""
     H = pairwise.vertical_m
-    ang = pairwise.arrival_rad
     M, N = H.shape
-    s = np.sin(ang)
+    s = np.sin(arrival_rad)
     if np.any(s <= 0):
         raise SingularGeometryError("arrival angles at 0 or pi cannot place a source")
-    horizontal = H * np.cos(ang) / s
-
-    rows = _incidence(M, N)
-    bx, by = horizontal.ravel(), H.ravel()
-    solx, *_ = np.linalg.lstsq(rows, bx, rcond=None)
-    soly, *_ = np.linalg.lstsq(rows, by, rcond=None)
+    solx, rx = _solve(_incidence(M, N), (H * np.cos(arrival_rad) / s).ravel())
+    soly, ry = pairwise.vertical_fit
     xy = np.column_stack([solx, soly])
-    residual = float(np.sqrt(np.mean((rows @ solx - bx) ** 2 + (rows @ soly - by) ** 2)))
-    return np.vstack([np.zeros((1, 2)), xy[: M - 1]]), xy[M - 1 :], residual
+    return np.vstack([np.zeros((1, 2)), xy[: M - 1]]), xy[M - 1 :], float(np.sqrt(np.mean(rx + ry)))
 
 
 def _require_scenario(scn) -> None:

@@ -7,8 +7,10 @@ scoring uses too); ``evaluate_constellation`` is its K = 1 case.  Run reports,
 CSV rows, sweep rows and comparisons all read that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, one chunk of rows per batch, and produces
-rows ready for CSV reporting; ``compare_report`` gives the before/after
-ratios of two evaluations.
+rows ready for CSV reporting.  Primary and reposition rows alike reach the
+evaluation as arrays: a chunk's reposition rows are planned from one stacked
+steering pass, and each rewritten table refits only its x coordinates.
+``compare_report`` gives the before/after ratios of two evaluations.
 ``grid_search`` runs the exhaustive scan of ``reposition`` over a
 displacement grid or a 2-D box.
 """
@@ -16,14 +18,14 @@ displacement grid or a 2-D box.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import ValidationError, batch_or_each
 from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
-from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
-from .reposition import RepositionPlan, _analytic_targets, _check_axis, _scan, _with_arrivals
+from .geometry import axes_from_positions, delay_geometry, native_delays, pairwise_form, polar_axes, refit_positions
+from .reposition import RepositionPlan, _analytic_targets, _check_axis, _rewritten_arrivals, _scan
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
@@ -107,7 +109,7 @@ def _native_powers(scn) -> tuple[np.ndarray, int]:
 def _row(target) -> tuple:
     """A constellation as ``_evaluate`` reads it: (a scenario with its amplitudes, noise and
     snapshots, native delays, the (M,) radii and azimuths, (N,) ranges, bearings and frequencies
-    and velocity of its polar form, residual); sweeps hand primary rows over as such tuples."""
+    and velocity of its polar form, residual); sweeps hand their rows over as such tuples."""
     if isinstance(target := _take(target), tuple):
         return target
     (axes, residual), freqs = polar_axes(target), frequency_vector(target.signals)
@@ -196,32 +198,53 @@ def _take(kept):
     return kept
 
 
-def _planned_rows(scn, spec: SweepSpec):
-    """Per row in sweep order: its grid point, mode, constellation to evaluate and notes so far.
+def _moved(scn, table, arrival, f, c) -> tuple:
+    """The ``_row`` of the table with rewritten arrival angles, from arrays: only x is refitted."""
+    sensors_xy, sources_xy, residual = refit_positions(table, arrival)
+    delays = table.vertical_m / (c * np.sin(arrival))  # native_delays of the rewritten table
+    return scn, delays, (*axes_from_positions(sensors_xy, sources_xy), f, c), residual
+
+
+def _planned_chunks(scn, spec: SweepSpec, step: int):
+    """Per chunk of ``step`` rows in sweep order, per row its grid point, mode, ``_row`` tuple (or
+    the held error that fails its evaluation) and notes so far.
 
     One frequency or the velocity varies along a sweep, so the polar axes, pairwise form and delay
     geometry are converted once, and a failed conversion is held to fail each row that needs it.
+    A chunk's reposition rows take their strongest elements from one stacked steering pass, and
+    each plan's rewritten table refits x alone: the move keeps every vertical distance.
     """
     polar, pws, delays_at = (_kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
-    for point in spec.grid().tolist():
+
+    def at(point):
         c, signals = _at_point(scn, spec, point)
-        f = frequency_vector(signals)
-        delays = _kept(lambda: _take(delays_at)(c))
-        primary = _kept(lambda: (scn, _take(delays), (*_take(polar)[0], f, c), _take(polar)[1]))
-        for mode in spec.modes:
+        f, delays = frequency_vector(signals), _kept(lambda: _take(delays_at)(c))
+        return point, c, f, delays, _kept(lambda: (scn, _take(delays), (*_take(polar)[0], f, c), _take(polar)[1]))
+
+    rows = ((at_point, mode) for at_point in map(at, spec.grid().tolist()) for mode in spec.modes)
+    while chunk := list(islice(rows, step)):
+        moved = [at_point for at_point, mode in chunk if mode == "reposition"]
+        strongest = repeat(delays_at)  # a held delay error fails every plan
+        if moved and not isinstance(delays_at, ValidationError):
+            delays = np.array([delays for _, _, _, delays, _ in moved])
+            A = steering_matrix(delays, np.array([f for _, _, f, _, _ in moved]))
+            strongest = iter(received_power(A, scn.signals)[1])
+        planned = []
+        for (point, c, f, _, primary), mode in chunk:
             notes, target = [], primary
             if mode == "reposition":
                 try:
-                    _, element = received_power(steering_matrix(_take(delays), f), scn.signals)
+                    element = _take(next(strongest))
                     notes.append(f"strongest element {element + 1}")
-                    pws_pt = replace(_take(pws), velocity_mps=c, signals=signals)
-                    angles, targets = _analytic_targets(pws_pt, element)
-                    target = _with_arrivals(pws_pt, element, angles)
+                    table = _take(pws).geometry
+                    angles, targets = _analytic_targets(table.vertical_m[element], table.arrival_rad[element], f, c)
+                    target = _kept(_moved, scn, table, _rewritten_arrivals(table.arrival_rad, element, angles), f, c)
                     if infeasible := sum(arg is None or arg > 1.0 for _, arg, _ in targets):
                         notes.append(f"{infeasible} source target(s) infeasible")
                 except ValidationError as exc:
                     notes.append(f"reposition skipped: {exc}")
-            yield point, mode, target, notes
+            planned.append((point, mode, target, notes))
+        yield planned
 
 
 def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
@@ -235,8 +258,7 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
     reads NaN and says why.
     """
     rows: list[SweepRow] = []
-    planned, step = _planned_rows(scn, spec), batch_chunk(scn.num_sensors, scn.num_sources)
-    while chunk := list(islice(planned, step)):
+    for chunk in _planned_chunks(scn, spec, batch_chunk(scn.num_sensors, scn.num_sources)):
         for (point, mode, _, notes), ev in zip(chunk, evaluate_constellations([row[2] for row in chunk])):
             if isinstance(ev, ValidationError):
                 notes.append(f"evaluation failed: {ev}")

@@ -163,12 +163,13 @@ def gf_objective(terms) -> float:
     return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)
 
 
-def _analytic_targets(pws: PairwiseScenario, element: int, m: int | str = "auto", branches=None):
-    """The core of ``analytic_reposition``, raising as it does, without its report-only work:
-    the element's new arrival angles and, per source, its target's divisor (None for the
-    right angle), argument (None without a valid divisor; infeasible if None or > 1) and branch."""
-    _check_element(element, pws.num_sensors)
-    N = pws.num_sources
+def _analytic_targets(H: np.ndarray, arrival: np.ndarray, freqs: np.ndarray, c: float, m: int | str = "auto",
+                      branches=None):
+    """The core of ``analytic_reposition``, raising as it does, without its report-only work, on
+    the element's (N,) vertical distances and arrival angles, the frequencies and velocity: its new
+    arrival angles and, per source, its target's divisor (None for the right angle), argument
+    (None without a valid divisor; infeasible if None or > 1) and branch."""
+    N = len(H)
     branches = [None] * N if branches is None else branches
     if len(branches) != N:
         raise ValidationError(f"{len(branches)} branch choices for {N} sources")
@@ -177,10 +178,7 @@ def _analytic_targets(pws: PairwiseScenario, element: int, m: int | str = "auto"
         if m < 1:
             raise ValidationError(f"phase divisor must be a positive integer, got {m}")
 
-    H = pws.geometry.vertical_m[element]
-    new_arrival = pws.geometry.arrival_rad[element].copy()
-    freqs = frequency_vector(pws.signals)
-    c = pws.velocity_mps
+    new_arrival = arrival.copy()
     targets = []
     for n in range(N):
         if n % 2 == 0:
@@ -216,7 +214,9 @@ def analytic_reposition(
     both give the same phase objective, so the default is acute.
     """
     pws = pairwise_form(scn)
-    new_arrival, targets = _analytic_targets(pws, element, m, branches)
+    _check_element(element, pws.num_sensors)
+    H, c, freqs = pws.geometry.vertical_m[element], pws.velocity_mps, frequency_vector(pws.signals)
+    new_arrival, targets = _analytic_targets(H, pws.geometry.arrival_rad[element], freqs, c, m, branches)
     notes = []
     for n, (m_n, arg, branch) in enumerate(targets):
         label = "right-angle target" if m_n is None else f"small-phase target (divisor {m_n})"
@@ -228,8 +228,7 @@ def analytic_reposition(
             note = f"{label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
         notes.append(f"source {n + 1}: {note}")
 
-    H, c = pws.geometry.vertical_m[element], pws.velocity_mps
-    after = gf_objective(2.0 * np.pi * frequency_vector(pws.signals) * H / (c * np.sin(new_arrival)))
+    after = gf_objective(2.0 * np.pi * freqs * H / (c * np.sin(new_arrival)))
     before = gf_objective(phase_terms(pws, element))
     return RepositionPlan(element, "analytic", new_arrival, None, "gf", before, after, tuple(notes))
 
@@ -321,7 +320,7 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     power from the moved element's delays alone and det from a stack of covariance
     matrices.  A chunk in which any candidate fails is scored again in halves, down to
     the failing candidates, through the same function, so only they are rejected, each
-    with its own reason.
+    with its own reason; a NaN or infinite score then fails its candidate too.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -333,7 +332,11 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
             errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
             chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
         values[lo : lo + len(chunk)] = chunk
-    return values, errors
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():  # a NaN or infinite score fails too
+        if i not in errors:
+            errors[i] = ValidationError(f"objective {objective} is not finite ({values[i]})")
+            values[i] = math.nan
+    return values, dict(sorted(errors.items()))
 
 
 def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPlan:
@@ -365,8 +368,7 @@ def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPla
     first = next((i for i in range(1, len(values)) if i not in errors), None)
     if first is None:
         raise ValidationError("objective evaluation failed at every grid point")
-    # the first candidate scored, unless a later one is strictly smaller (a NaN never is)
-    best = first if math.isnan(values[first]) else first + int(np.nanargmin(values[first:]))
+    best = first + int(np.nanargmin(values[first:]))  # every scored value is finite
     if values[best] > values[0]:
         notes.append("grid minimizer is worse than the original position")
 
@@ -398,17 +400,17 @@ def line_search_reposition(scn, element: int, objective: str, grid: Displacement
     return _scan(scn, element, objective, grid, "linesearch")
 
 
-def _with_arrivals(pws: PairwiseScenario, element: int, angles) -> PairwiseScenario:
-    """The scenario with new arrival angles in the element's pairwise row; all else is kept."""
-    _check_element(element, pws.num_sensors)
+def _rewritten_arrivals(arrival: np.ndarray, element: int, angles) -> np.ndarray:
+    """A copy of the (M, N) arrival table with new angles in the element's row."""
+    _check_element(element, len(arrival))
     angles = np.asarray(angles, dtype=float)
-    if angles.shape != (pws.num_sources,):
-        raise ValidationError(f"plan carries {angles.shape} arrival angles for {pws.num_sources} sources")
+    if angles.shape != arrival.shape[1:]:
+        raise ValidationError(f"plan carries {angles.shape} arrival angles for {arrival.shape[1]} sources")
     if np.any(angles <= 0) or np.any(angles >= math.pi):
         raise ValidationError("planned arrival angles must lie strictly inside (0, pi)")
-    arrival = pws.geometry.arrival_rad.copy()
+    arrival = arrival.copy()
     arrival[element] = angles
-    return replace(pws, geometry=PairwiseGeometry(pws.geometry.vertical_m, arrival))
+    return arrival
 
 
 def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
@@ -419,18 +421,16 @@ def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     the row's vertical distances as well, from reconstructed positions.
     """
     pws = pairwise_form(scn)
+    vertical, arrival = pws.geometry.vertical_m, pws.geometry.arrival_rad
     if plan.new_position_m is None:
-        return _with_arrivals(pws, plan.element, plan.new_arrival_rad)
-    _check_element(plan.element, pws.num_sensors)
-    _, sources_xy, _ = scenario_positions(pws)
-    x, y = plan.new_position_m
-    v = sources_xy[:, 1] - y
-    if np.any(v <= 0):
-        raise SingularGeometryError(
-            "planned position puts a source on or below the element's horizontal line"
-        )
-    vertical = pws.geometry.vertical_m.copy()
-    vertical[plan.element] = v
-    arrival = pws.geometry.arrival_rad.copy()
-    arrival[plan.element] = np.arctan2(v, sources_xy[:, 0] - x)
+        arrival = _rewritten_arrivals(arrival, plan.element, plan.new_arrival_rad)
+    else:
+        _check_element(plan.element, pws.num_sensors)
+        _, sources_xy, _ = scenario_positions(pws)
+        x, y = plan.new_position_m
+        v = sources_xy[:, 1] - y
+        if np.any(v <= 0):
+            raise SingularGeometryError("planned position puts a source on or below the element's horizontal line")
+        vertical, arrival = vertical.copy(), arrival.copy()
+        vertical[plan.element], arrival[plan.element] = v, np.arctan2(v, sources_xy[:, 0] - x)
     return replace(pws, geometry=PairwiseGeometry(vertical, arrival))

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfcrb import DegenerateGeometryError, SingularGeometryError, ValidationError, geometry
 from nfcrb.signal_model import SourceSignal
@@ -20,6 +22,7 @@ from nfcrb.geometry import (
     polar_axes,
     polar_form,
     reconstruct_positions,
+    refit_positions,
     scenario_positions,
 )
 from conftest import random_upper_half_scenario
@@ -250,6 +253,39 @@ class TestReconstruct:
         assert rec.num_sensors == 4 and rec.num_sources == 3
         assert residual > 0
         assert rec.sensors[0].radius_m == 0.0
+
+
+def _same_fit(got, want) -> bool:
+    """Bit-for-bit equality of two (sensors_xy, sources_xy, residual) fits."""
+    arrays = all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2]))
+    return arrays and got[2].hex() == want[2].hex()
+
+
+class TestRefit:
+    """A move along the reference axis keeps every vertical distance, so refitting x alone
+    must give ``reconstruct_positions`` of the rewritten table bit for bit."""
+
+    angle = st.floats(1e-6, math.pi - 1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 7), n=st.integers(1, 5), fitted_first=st.booleans())
+    def test_refit_equals_the_rewritten_table_fit(self, data, m, n, fitted_first):
+        H = np.array(data.draw(st.lists(st.floats(1e-3, 1e4), min_size=m * n, max_size=m * n))).reshape(m, n)
+        arrival = np.array(data.draw(st.lists(self.angle, min_size=m * n, max_size=m * n))).reshape(m, n)
+        table = PairwiseGeometry(H, arrival)
+        if fitted_first:
+            assert _same_fit(table.positions, reconstruct_positions(PairwiseGeometry(H, arrival)))
+        for element in range(m):
+            rewritten = arrival.copy()
+            rewritten[element] = data.draw(st.lists(self.angle, min_size=n, max_size=n))
+            want = reconstruct_positions(PairwiseGeometry(H, rewritten))
+            assert _same_fit(refit_positions(table, rewritten), want)
+
+    def test_refit_rejects_an_angle_at_zero(self, scenario_b):
+        arrival = scenario_b.geometry.arrival_rad.copy()
+        arrival[1, 0] = 0.0
+        with pytest.raises(SingularGeometryError, match="arrival angles at 0 or pi cannot place a source"):
+            refit_positions(scenario_b.geometry, arrival)
 
 
 class TestPolarAxes:

@@ -87,15 +87,21 @@ FAIL = "fail"
 
 def loop_scan(before, values):
     """The scan as one Python loop: the baseline, the chosen index (None if every candidate
-    failed) and the notes; FAIL marks a failing candidate."""
-    notes = [] if before != FAIL else ["original position not evaluable: rejected 0"]
+    failed) and the notes; FAIL marks a failing candidate, and a NaN or infinite score fails too."""
+
+    def failure(k, value):
+        if value == FAIL:
+            return f"rejected {k}"
+        return None if math.isfinite(value) else f"objective gf is not finite ({value})"
+
+    notes = [f"original position not evaluable: {failure(0, before)}"] if failure(0, before) else []
     best = None
     for i, value in enumerate(values):
-        if value == FAIL:
-            notes.append(f"displacement {i + 1:+.6g} m skipped: rejected {i + 1}")
+        if reason := failure(i + 1, value):
+            notes.append(f"displacement {i + 1:+.6g} m skipped: {reason}")
         elif best is None or value < values[best]:
             best = i
-    before = math.nan if before == FAIL else before
+    before = math.nan if failure(0, before) else before
     if best is not None and values[best] > before:
         notes.append("grid minimizer is worse than the original position")
     return before, best, notes
@@ -161,7 +167,7 @@ class TestArrayMinimum:
         self.check(FAIL, [FAIL] * 3, 7)
 
     def test_nan_scores(self):
-        # a NaN is never smaller, so it wins only as the first score
+        # a NaN or infinite score fails its candidate, so it is skipped with a note and never wins
         self.check(5.0, [FAIL, math.nan, 3.0, 1.0], 2)
         self.check(5.0, [2.0, math.nan, 3.0, 1.0], 2)
         self.check(5.0, [math.inf, math.nan, math.inf], 2)

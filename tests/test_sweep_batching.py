@@ -21,7 +21,7 @@ from nfcrb import fim_crb, geometry, optimizer
 from nfcrb.geometry import pairwise_form, polar_form
 from nfcrb.fim_crb import ParameterIndex
 from nfcrb.reposition import analytic_reposition
-from nfcrb.optimizer import SweepSpec, _planned_rows, evaluate_constellation, sweep
+from nfcrb.optimizer import SweepSpec, _planned_chunks, evaluate_constellation, sweep
 from nfcrb.cli import main as cli_main
 
 SWEEPS = {
@@ -55,6 +55,11 @@ def _hexes(values):
 
 def _row_hexes(row):
     return _hexes((row.det, row.crb_theta_total, row.crb_r_total))
+
+
+def _planned_rows(scn, spec):
+    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    return [row for chunk in _planned_chunks(scn, spec, step) for row in chunk]
 
 
 def _force_chunk(monkeypatch, scn, rows_per_chunk):
@@ -99,15 +104,15 @@ def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, mo
     step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
     failing = step + step // 2 + 1  # a reposition row in the middle of the second chunk
     point = spec.grid()[failing // 2]
-    native_delays = optimizer.native_delays
+    moved = optimizer._moved
 
-    def injected(target):
-        # the reposition target has its own geometry; the primary row keeps the scenario's
-        if target.signals[0].freq_hz == point and target.geometry is not scn.geometry:
+    def injected(base, table, arrival, f, c):
+        # only a planned reposition row is converted from its rewritten arrival table
+        if f[0] == point:
             raise ValidationError("injected failure")
-        return native_delays(target)
+        return moved(base, table, arrival, f, c)
 
-    monkeypatch.setattr(optimizer, "native_delays", injected)
+    monkeypatch.setattr(optimizer, "_moved", injected)
     rows = sweep(scn, spec)
     expected = default_rows["scenario_a"]
     failed = rows[failing]
@@ -290,23 +295,60 @@ def _planned(rows):
     return sum("reposition skipped" not in row.diagnostics for row in rows if row.mode == "reposition")
 
 
+def _count_builds(monkeypatch, counts):
+    """Count lstsq solves, scenario_from_positions calls and every PairwiseGeometry, PairwiseScenario and Scenario built."""
+    _counting(monkeypatch, np.linalg, "lstsq", counts)
+    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
+    for cls in (geometry.PairwiseGeometry, geometry.PairwiseScenario, geometry.Scenario):
+
+        def counted_init(self, init=cls.__post_init__, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_init)
+
+
 def test_reposition_rows_fit_their_own_tables_and_build_no_scenario(monkeypatch):
     counts = {}
+    scn = _scenario("scenario_a")
     _counting(monkeypatch, geometry, "reconstruct_positions", counts)
-    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
-    rows = sweep(_scenario("scenario_a"), SWEEPS["scenario_a"])
+    _count_builds(monkeypatch, counts)
+    rows = sweep(scn, SWEEPS["scenario_a"])
     assert 0 < _planned(rows) <= 100
-    assert counts == {"reconstruct_positions": 1 + _planned(rows)}
+    # the base table is fitted once (x and y); a planned row refits its rewritten table's x only
+    assert counts == {"reconstruct_positions": 1, "lstsq": 2 + _planned(rows)}
 
 
 def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
     counts = {}
     for name in ("pairwise_form", "delay_geometry", "polar_axes"):
         _counting(monkeypatch, optimizer, name, counts)
-    rows = sweep(_polar_b(), POLAR_SWEEPS["polar_b-velocity"][1])
+    scn = _polar_b()
+    _count_builds(monkeypatch, counts)
+    rows = sweep(scn, POLAR_SWEEPS["polar_b-velocity"][1])
     assert len(rows) == 200 and _planned(rows) > 0
-    # polar_axes: once for the sweep, then once per reposition row's own table
-    assert counts == {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1 + _planned(rows)}
+    # the pairwise form's y fit once, then x once per planned row; no table per row
+    expected = {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1, "lstsq": 1 + _planned(rows)}
+    assert counts == {**expected, "PairwiseGeometry": 1, "PairwiseScenario": 1}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_planning_steering_pass_per_chunk(name, monkeypatch):
+    scn, spec = _scenario(name), SWEEPS[name]
+    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    calls = []
+    steering_matrix = optimizer.steering_matrix
+
+    def counted(delays, freqs):
+        calls.append(np.shape(delays)[0])
+        return steering_matrix(delays, freqs)
+
+    monkeypatch.setattr(optimizer, "steering_matrix", counted)
+    rows = sweep(scn, spec)
+    chunks = [rows[lo : lo + step] for lo in range(0, len(rows), step)]
+    # per chunk one planning pass over its reposition rows' points, then one evaluation pass
+    assert calls == [n for chunk in chunks for n in (sum(row.mode == "reposition" for row in chunk), len(chunk))]
+    assert len(calls) == 2 * math.ceil(200 / step) < 100
 
 
 def _on_source():
