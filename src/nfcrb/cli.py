@@ -184,16 +184,12 @@ def cmd_validate(args) -> int:
     )
 
     rng = np.random.default_rng(20260808)
-    worst_margin = float("inf")
-    ok = True
+    margins = []
     for _ in range(50):
         m = int(rng.integers(2, 7))
         X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        bound = hadamard_bound(X)
-        det = abs(np.linalg.det(X))
-        worst_margin = min(worst_margin, bound - det)
-        ok &= bound >= det
-    check("determinant bound on random matrices", ok, f"min (bound - |det|) = {worst_margin:.3e}")
+        margins.append(hadamard_bound(X) - abs(np.linalg.det(X)))
+    check("determinant bound on random matrices", min(margins) >= 0, f"min (bound - |det|) = {min(margins):.3e}")
 
     if residual is not None:  # pairwise input
         powers, _ = _native_powers(scn)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the batch fallback that isolates failing items."""
+"""Exception types shared across the package, the batch fallback that isolates failing items, and held errors."""
 
 
 class ValidationError(ValueError):
@@ -28,3 +28,11 @@ def batch_or_each(run, items) -> list:
             return [exc]
     half = (len(items) + 1) // 2
     return [result for part in (items[:half], items[half:]) for result in batch_or_each(run, part)]
+
+
+def kept(run, *args):
+    """``run(*args)``, or the ValidationError it raised, held to fail only what needs the value."""
+    try:
+        return run(*args)
+    except ValidationError as exc:
+        return exc

@@ -124,7 +124,8 @@ DR_CHUNK_VALUES = 8192
 PHASE_CHUNK_VALUES = 4096
 """Most complex values the largest array of one batched gf/power/det pass may hold: 64 KB.
 
-That is K x N steering entries for gf and power, K x M x max(M, N) for det; no value depends on it.
+That is K x N steering entries for gf and power, K x M x max(M, N) for det and K x M x N for the
+steering pass that picks the strongest elements of a sweep's planned rows; no value depends on it.
 """
 
 
@@ -428,47 +429,32 @@ def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, 
     def block_axis_noise(alpha: str) -> np.ndarray:
         return 2.0 * snapshots * np.real(np.diag(Rs @ Ah @ Rinv2 @ cols[alpha]))
 
-    cov_cov = snapshots * np.real(
-        sel.hermitian_to_real @ np.kron(gram.conj(), gram) @ fold_h
-    )
-    cov_cov = align @ cov_cov @ align.T
+    cov_cov = align @ (snapshots * np.real(sel.hermitian_to_real @ np.kron(gram.conj(), gram) @ fold_h)) @ align.T
     cov_noise = align @ (snapshots * np.real(sel.hermitian_to_real @ _vec(Ah @ Rinv2 @ A)))
     noise_noise = snapshots * float(np.real(np.trace(Rinv2)))
 
+    # each coupled block once; its mirror is the transpose (a diagonal block is symmetrized below)
+    at = {"bearing": index.bearing, "range": index.range, "cov": index.cov_entries, "noise": index.noise}
+    upper = {
+        "bearing-bearing": block_axes("bearing", "bearing"),
+        "bearing-range": block_axes("bearing", "range"),
+        "range-range": block_axes("range", "range"),
+        "bearing-cov": block_axis_cov("bearing"),
+        "range-cov": block_axis_cov("range"),
+        "bearing-noise": block_axis_noise("bearing"),
+        "range-noise": block_axis_noise("range"),
+        "cov-cov": cov_cov,
+        "cov-noise": cov_noise,
+        "noise-noise": noise_noise,
+    }
     F = np.zeros((index.size, index.size))
-    sb, sr, sm = index.bearing, index.range, index.cov_entries
-    iv = index.noise
-    F[sb, sb] = block_axes("bearing", "bearing")
-    F[sb, sr] = block_axes("bearing", "range")
-    F[sr, sb] = F[sb, sr].T
-    F[sr, sr] = block_axes("range", "range")
-    F[sb, sm] = block_axis_cov("bearing")
-    F[sm, sb] = F[sb, sm].T
-    F[sr, sm] = block_axis_cov("range")
-    F[sm, sr] = F[sr, sm].T
-    F[sb, iv] = block_axis_noise("bearing")
-    F[iv, sb] = F[sb, iv]
-    F[sr, iv] = block_axis_noise("range")
-    F[iv, sr] = F[sr, iv]
-    F[sm, sm] = cov_cov
-    F[sm, iv] = cov_noise
-    F[iv, sm] = cov_noise
-    F[iv, iv] = noise_noise
+    blocks = {name: tuple(at[axis] for axis in name.split("-")) for name in upper}
+    for name, (ra, ca) in blocks.items():
+        F[ra, ca] = upper[name]
+        F[ca, ra] = np.transpose(upper[name])
     F = 0.5 * (F + F.T)
 
     G = generic.entries
-    blocks = {
-        "bearing-bearing": (sb, sb),
-        "bearing-range": (sb, sr),
-        "range-range": (sr, sr),
-        "bearing-cov": (sb, sm),
-        "range-cov": (sr, sm),
-        "bearing-noise": (sb, iv),
-        "range-noise": (sr, iv),
-        "cov-cov": (sm, sm),
-        "cov-noise": (sm, iv),
-        "noise-noise": (iv, iv),
-    }
     deviations = {}
     overall = float(np.abs(G).max())
     for name, (ra, ca) in blocks.items():
@@ -520,11 +506,9 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
     """
     diag, rank, cond = _pinv_diagonals(entries)
     size = entries.shape[-1]
-    reports = []
-    for d, k, c in zip(diag, rank.tolist(), cond.tolist()):
-        theta, r = d[:n_sources].copy(), d[n_sources : 2 * n_sources].copy()
-        reports.append(CrbReport(theta, r, float(theta.sum()), float(r.sum()), c, k, size, k < size))
-    return reports
+    theta, r = diag[:, :n_sources].copy(), diag[:, n_sources : 2 * n_sources].copy()
+    rows = zip(theta, r, theta.sum(axis=1).tolist(), r.sum(axis=1).tolist(), cond.tolist(), rank.tolist())
+    return [CrbReport(*row, k, size, k < size) for *row, k in rows]
 
 
 def _source_steps(

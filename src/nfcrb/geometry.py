@@ -221,30 +221,32 @@ def source_positions(scenario: Scenario) -> np.ndarray:
     return polar_to_cartesian(scenario.source_ranges(), scenario.source_bearings())
 
 
-def scenario_from_positions(
-    sensors_xy: np.ndarray,
-    sources_xy: np.ndarray,
-    velocity_mps: float,
-    signals,
-    noise_variance: float,
-    snapshots: int,
-) -> Scenario:
-    """Build a polar Scenario from Cartesian coordinates."""
-    sensors, sources = _polar_coordinates(sensors_xy, sources_xy)
-    sensors, sources = tuple(SensorGeom(*p) for p in sensors), tuple(SourceGeom(*p) for p in sources)
+def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
+                            snapshots: int) -> Scenario:
+    """Build a polar Scenario from (M, 2) Cartesian sensors and (N, 2) sources."""
+    radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors_xy, sources_xy)
+    if at_origin[0]:
+        raise at_origin[0]
+    sensors = tuple(map(SensorGeom, radii.tolist(), azimuths.tolist()))
+    sources = tuple(map(SourceGeom, ranges.tolist(), bearings.tolist()))
     return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
 
 
-def _polar_coordinates(sensors_xy, sources_xy) -> tuple[list, list]:
-    """(radius, angle) of each (x, y) sensor and source row from the scalar math.hypot and
-    math.atan2, the one Cartesian-to-polar conversion, so every polar value made from Cartesian
-    coordinates agrees bit for bit; a source at the frame origin is rejected.  Angles are atan2's
-    own: SensorGeom and SourceGeom, or ``axes_from_positions``, reduce each of them once."""
-    sensors, sources = ([(math.hypot(x, y), math.atan2(y, x)) for x, y in np.asarray(xy, dtype=float).tolist()]
-                        for xy in (sensors_xy, sources_xy))
-    if any(r <= 0 for r, _ in sources):
-        raise DegenerateGeometryError("a source coincides with the frame origin")
-    return sensors, sources
+def _polar_coordinates(sensors_xy, sources_xy) -> tuple:
+    """(..., M) radii and azimuths of (..., M, 2) Cartesian sensors and (..., N) ranges and bearings
+    of (..., N, 2) sources, from the scalar math.hypot and math.atan2 over one flat list of points:
+    the one Cartesian-to-polar conversion, so every polar value made from Cartesian coordinates
+    agrees bit for bit (np.hypot and np.arctan2 round differently on 0.6 % and 7 % of random
+    points).  Angles are atan2's own: SensorGeom and SourceGeom, or ``axes_from_positions``, reduce
+    each once.  Last, per layout: the DegenerateGeometryError of a source at the origin, or None."""
+    points = np.concatenate([np.asarray(sensors_xy, dtype=float), np.asarray(sources_xy, dtype=float)], axis=-2)
+    xy = points.reshape(-1, 2).tolist()
+    radii = np.array([math.hypot(x, y) for x, y in xy]).reshape(points.shape[:-1])
+    angles = np.array([math.atan2(y, x) for x, y in xy]).reshape(points.shape[:-1])
+    M = np.shape(sensors_xy)[-2]
+    errors = [DegenerateGeometryError("a source coincides with the frame origin") if bad else None
+              for bad in (radii[..., M:] <= 0).any(axis=-1).reshape(-1).tolist()]
+    return radii[..., :M], angles[..., :M], radii[..., M:], angles[..., M:], errors
 
 
 def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
@@ -252,9 +254,9 @@ def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
     sources, as the kernel takes them: the values of ``scenario_from_positions``' Scenario bit for
     bit, angles reduced % TWO_PI once, as SensorGeom and SourceGeom reduce them, but without
     building it.  A source at the frame origin is rejected."""
-    (radii, azimuths), (ranges, bearings) = (
-        np.array(points).reshape(-1, 2).T for points in _polar_coordinates(sensors_xy, sources_xy)
-    )
+    radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors_xy, sources_xy)
+    if at_origin[0]:
+        raise at_origin[0]
     return radii, azimuths % TWO_PI, ranges, bearings % TWO_PI
 
 
@@ -305,19 +307,33 @@ def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.nd
     return refit_positions(pairwise, pairwise.arrival_rad)
 
 
-def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``reconstruct_positions`` of the table with its (M, N) arrival angles replaced, bit for bit:
-    the y equations read H alone, so the table's y half (``vertical_fit``, solved once per table)
-    is reused and only x is solved, as for a move along the reference axis, which keeps every H."""
+def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray):
+    """``reconstruct_positions`` of the table with its (M, N) arrival angles replaced, bit for bit,
+    or of each of a (K, M, N) stack (then (K, M, 2) sensors, (K, N, 2) sources and K residuals).
+    The y equations read H alone, so the table's y half (``vertical_fit``, solved once) is reused
+    and x is solved alone, one ``lstsq`` per table: a move along the reference axis keeps every H."""
     H = pairwise.vertical_m
     M, N = H.shape
     s = np.sin(arrival_rad)
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise SingularGeometryError("arrival angles at 0 or pi cannot place a source")
-    solx, rx = _solve(_incidence(M, N), (H * np.cos(arrival_rad) / s).ravel())
     soly, ry = pairwise.vertical_fit
-    xy = np.column_stack([solx, soly])
-    return np.vstack([np.zeros((1, 2)), xy[: M - 1]]), xy[M - 1 :], float(np.sqrt(np.mean(rx + ry)))
+    fits = [_solve(_incidence(M, N), b) for b in (H * np.cos(arrival_rad) / s).reshape(-1, M * N)]
+    xy = np.zeros((len(fits), M + N, 2))  # sensor 1 stays at the origin
+    xy[:, 1:, 0], xy[:, 1:, 1] = np.reshape([x for x, _ in fits], (len(fits), M + N - 1)), soly
+    residuals = np.sqrt((np.reshape([r for _, r in fits], (len(fits), M * N)) + ry).mean(axis=1)).tolist()
+    if np.ndim(arrival_rad) == 2:
+        return xy[0, :M], xy[0, M:], residuals[0]
+    return xy[:, :M], xy[:, M:], residuals
+
+
+def refit_axes(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[tuple[np.ndarray, ...], list, list]:
+    """``axes_from_positions`` of ``refit_positions`` for each of a (K, M, N) stack of arrival tables,
+    from one ``_polar_coordinates`` call: (K, M) radii and azimuths, (K, N) ranges and bearings,
+    the K residuals and, per table, the DegenerateGeometryError of a source at the origin, or None."""
+    sensors, sources, residuals = refit_positions(pairwise, arrival_rad)
+    radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors, sources)
+    return (radii, azimuths % TWO_PI, ranges, bearings % TWO_PI), residuals, at_origin
 
 
 def _require_scenario(scn) -> None:

@@ -6,10 +6,12 @@ re-evaluates a failing batch in halves (``batch_or_each``, the fallback search
 scoring uses too); ``evaluate_constellation`` is its K = 1 case.  Run reports,
 CSV rows, sweep rows and comparisons all read that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
-optionally repositioning per point, one chunk of rows per batch, and produces
-rows ready for CSV reporting.  Primary and reposition rows alike reach the
-evaluation as arrays: a chunk's reposition rows are planned from one stacked
-steering pass, and each rewritten table refits only its x coordinates.
+optionally repositioning per point, a chunk of rows at a time; each chunk
+reaches the evaluation as stacked arrays.  Reposition rows are planned in one
+array pass per window of whole chunks: one steering pass picks their strongest
+elements and one ``reposition.plan_moves`` call their moves.  Only each rewritten
+table's x ``lstsq`` stays per row: one multi-right-hand-side solve rounds
+the fit, and so the residual notes, differently in the last bits.
 ``compare_report`` gives the before/after ratios of two evaluations.
 ``grid_search`` runs the exhaustive scan of ``reposition`` over a
 displacement grid or a 2-D box.
@@ -17,15 +19,15 @@ displacement grid or a 2-D box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, batch_or_each
-from .fim_crb import CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario, fim_for_scenarios
-from .geometry import axes_from_positions, delay_geometry, native_delays, pairwise_form, polar_axes, refit_positions
-from .reposition import RepositionPlan, _analytic_targets, _check_axis, _rewritten_arrivals, _scan
+from .errors import ValidationError, batch_or_each, kept
+from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario,
+                      fim_for_scenarios)
+from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
+from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
 
@@ -106,34 +108,47 @@ def _native_powers(scn) -> tuple[np.ndarray, int]:
     return received_power(A, scn.signals)
 
 
-def _row(target) -> tuple:
-    """A constellation as ``_evaluate`` reads it: (a scenario with its amplitudes, noise and
-    snapshots, native delays, the (M,) radii and azimuths, (N,) ranges, bearings and frequencies
-    and velocity of its polar form, residual); sweeps hand their rows over as such tuples."""
-    if isinstance(target := _take(target), tuple):
-        return target
-    (axes, residual), freqs = polar_axes(target), frequency_vector(target.signals)
-    return target, native_delays(target), (*axes, freqs, target.velocity_mps), residual
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """K constellations as ``_evaluate`` reads them: a scenario with their amplitudes, noise and
+    snapshots; (K, M, N) native delays and the kernel's (K, ...) axes; residuals (None for polar
+    input); per row the ValidationError held to fail it, or None.  A slice is a sub-batch."""
+
+    scenario: object
+    arrays: tuple
+    residuals: list
+    held: list
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def __getitem__(self, part: slice) -> "_Rows":
+        return _Rows(self.scenario, tuple(a[part] for a in self.arrays), self.residuals[part], self.held[part])
 
 
 def _evaluate(targets) -> list[ConstellationEvaluation]:
-    """Evaluations of constellations (scenarios or ``_row`` tuples) sharing M, N, amplitudes, noise
-    and snapshots: one stacked steering pass for powers and dets, one kernel and one SVD call."""
-    scenarios, delays, axes, residuals = zip(*map(_row, targets))
-    first = scenarios[0]
-    axes = [np.array(a) for a in zip(*axes)]
-    A = steering_matrix(np.array(delays), axes[4])
+    """Evaluations of constellations (scenarios or ``_Rows``) sharing M, N, amplitudes, noise and
+    snapshots: one stacked steering pass for powers and dets, one kernel and one SVD call."""
+    if not isinstance(rows := targets, _Rows):  # scenarios: their polar axes, native delays and signals
+        axes, residuals = zip(*map(polar_axes, targets))
+        per_row = [(native_delays(s), *a, frequency_vector(s.signals), s.velocity_mps) for s, a in zip(targets, axes)]
+        rows = _Rows(targets[0], tuple(map(np.array, zip(*per_row))), list(residuals), [None] * len(targets))
+    if held := next(filter(None, rows.held), None):  # a held conversion error, or a sweep row it failed
+        raise held.with_traceback(None)
+    first, (delays, *axes) = rows.scenario, rows.arrays
+    A = steering_matrix(delays, axes[4])
     powers, strongest = received_power(A, first.signals)
     det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
     # a lone scenario takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
-    if len(targets) == 1 and not isinstance(targets[0], tuple):
+    if len(targets) == 1 and not isinstance(targets, _Rows):
         fims = [fim_for_scenario(first)]
+        F = fims[0].entries[None]
     else:
         F, cond = fim_for_scenarios(first, *axes)
         fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
-    crbs = crb_reports(np.array([fim.entries for fim in fims]), first.num_sources)
-    rows = zip(det.tolist(), powers, strongest, residuals, fims, crbs)
-    return [ConstellationEvaluation(abs(d), *row) for d, *row in rows]
+    crbs = crb_reports(F, first.num_sources)
+    evaluated = zip(det.tolist(), powers, strongest, rows.residuals, fims, crbs)
+    return [ConstellationEvaluation(abs(d), *row) for d, *row in evaluated]
 
 
 def evaluate_constellations(targets) -> list:
@@ -172,79 +187,50 @@ def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
     return _scan(scn, element, objective, region, "grid")
 
 
-def _at_point(scn, spec: SweepSpec, point: float) -> tuple[float, tuple]:
-    """The velocity and signals of the scenario at one grid point, without building a scenario."""
-    if spec.vary == "velocity":
-        return point, scn.signals
-    signals = list(scn.signals)
-    idx = int(spec.source)
-    if not 0 <= idx < len(signals):
-        raise ValidationError(f"source index {idx} outside 0..{len(signals) - 1}")
-    signals[idx] = replace(signals[idx], freq_hz=point)
-    return scn.velocity_mps, tuple(signals)
-
-
-def _kept(convert, *args):
-    """``convert(*args)``, or the ValidationError it raised, which ``_take`` raises again."""
-    try:
-        return convert(*args)
-    except ValidationError as exc:
-        return exc
-
-
-def _take(kept):
-    if isinstance(kept, ValidationError):  # a held conversion error, or a sweep row it failed
-        raise kept.with_traceback(None)
-    return kept
-
-
-def _moved(scn, table, arrival, f, c) -> tuple:
-    """The ``_row`` of the table with rewritten arrival angles, from arrays: only x is refitted."""
-    sensors_xy, sources_xy, residual = refit_positions(table, arrival)
-    delays = table.vertical_m / (c * np.sin(arrival))  # native_delays of the rewritten table
-    return scn, delays, (*axes_from_positions(sensors_xy, sources_xy), f, c), residual
-
-
 def _planned_chunks(scn, spec: SweepSpec, step: int):
-    """Per chunk of ``step`` rows in sweep order, per row its grid point, mode, ``_row`` tuple (or
-    the held error that fails its evaluation) and notes so far.
-
-    One frequency or the velocity varies along a sweep, so the polar axes, pairwise form and delay
-    geometry are converted once, and a failed conversion is held to fail each row that needs it.
-    A chunk's reposition rows take their strongest elements from one stacked steering pass, and
-    each plan's rewritten table refits x alone: the move keeps every vertical distance.
-    """
-    polar, pws, delays_at = (_kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
-
-    def at(point):
-        c, signals = _at_point(scn, spec, point)
-        f, delays = frequency_vector(signals), _kept(lambda: _take(delays_at)(c))
-        return point, c, f, delays, _kept(lambda: (scn, _take(delays), (*_take(polar)[0], f, c), _take(polar)[1]))
-
-    rows = ((at_point, mode) for at_point in map(at, spec.grid().tolist()) for mode in spec.modes)
-    while chunk := list(islice(rows, step)):
-        moved = [at_point for at_point, mode in chunk if mode == "reposition"]
-        strongest = repeat(delays_at)  # a held delay error fails every plan
-        if moved and not isinstance(delays_at, ValidationError):
-            delays = np.array([delays for _, _, _, delays, _ in moved])
-            A = steering_matrix(delays, np.array([f for _, _, f, _, _ in moved]))
-            strongest = iter(received_power(A, scn.signals)[1])
-        planned = []
-        for (point, c, f, _, primary), mode in chunk:
-            notes, target = [], primary
-            if mode == "reposition":
-                try:
-                    element = _take(next(strongest))
-                    notes.append(f"strongest element {element + 1}")
-                    table = _take(pws).geometry
-                    angles, targets = _analytic_targets(table.vertical_m[element], table.arrival_rad[element], f, c)
-                    target = _kept(_moved, scn, table, _rewritten_arrivals(table.arrival_rad, element, angles), f, c)
-                    if infeasible := sum(arg is None or arg > 1.0 for _, arg, _ in targets):
-                        notes.append(f"{infeasible} source target(s) infeasible")
-                except ValidationError as exc:
-                    notes.append(f"reposition skipped: {exc}")
-            planned.append((point, mode, target, notes))
-        yield planned
+    """Per chunk of ``step`` rows in sweep order: its (point, mode) rows, their ``_Rows`` and each
+    row's notes so far.  Only one frequency or the velocity varies, so the polar axes, pairwise form
+    and delay geometry are converted once (a failure is held to fail each row that needs it); the
+    reposition rows of as many whole chunks as one PHASE_CHUNK_VALUES steering pass holds are planned together."""
+    polar, pws, delays_at = (kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
+    M, N = scn.num_sensors, scn.num_sources
+    failed = next((exc for exc in (delays_at, polar) if isinstance(exc, ValidationError)), None)
+    base, residual = ((np.zeros(M), np.zeros(M), np.zeros(N), np.zeros(N)), None) if failed else polar
+    rows = [(point, mode) for point in spec.grid().tolist() for mode in spec.modes]
+    frequencies, velocities = np.tile(frequency_vector(scn.signals), (len(rows), 1)), np.array([p for p, _ in rows])
+    if spec.vary == "frequency":
+        if not 0 <= spec.source < N:
+            raise ValidationError(f"source index {spec.source} outside 0..{N - 1}")
+        frequencies[:, spec.source], velocities = velocities, np.full(len(rows), scn.velocity_mps)
+    window = step * max(1, PHASE_CHUNK_VALUES // (step * M * N))
+    for lo in range(0, len(rows), window):
+        chunk, c, f = rows[lo : lo + window], velocities[lo : lo + window], frequencies[lo : lo + window]
+        K, notes = len(chunk), [[] for _ in chunk]
+        delays = np.zeros((K, M, N)) if failed is delays_at else delays_at(c[:, None, None])
+        arrays = (delays, *(np.repeat(a[None], K, axis=0) for a in base), f, c)
+        residuals, held = [residual] * K, [failed] * K
+        moved = [i for i, (_, mode) in enumerate(chunk) if mode == "reposition"]
+        if moved and failed is delays_at:
+            for i in moved:
+                notes[i].append(f"reposition skipped: {failed}")
+        elif moved:
+            strongest = received_power(steering_matrix(delays[moved], f[moved]), scn.signals)[1]
+            errors, infeasible = [pws] * len(moved), [0] * len(moved)
+            if not isinstance(pws, ValidationError):
+                plans = plan_moves(pws.geometry, strongest, f[moved], c[moved])
+                errors, infeasible = plans.errors, (~(plans.arguments <= 1.0)).sum(axis=1).tolist()
+                planned = [i for i, exc in zip(moved, errors) if exc is None]
+                for whole, part in zip(arrays, plans.arrays):
+                    whole[planned] = part
+                for i, fit, exc in zip(planned, plans.residuals, plans.held):
+                    residuals[i], held[i] = fit, exc
+            for i, element, exc, count in zip(moved, strongest, errors, infeasible):
+                notes[i].append(f"strongest element {element + 1}")
+                if exc or count:
+                    notes[i].append(f"reposition skipped: {exc}" if exc else f"{count} source target(s) infeasible")
+        batch = _Rows(scn, arrays, residuals, held)
+        for at in range(0, K, step):
+            yield chunk[at : at + step], batch[at : at + step], notes[at : at + step]
 
 
 def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
@@ -258,30 +244,22 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
     reads NaN and says why.
     """
     rows: list[SweepRow] = []
-    for chunk in _planned_chunks(scn, spec, batch_chunk(scn.num_sensors, scn.num_sources)):
-        for (point, mode, _, notes), ev in zip(chunk, evaluate_constellations([row[2] for row in chunk])):
-            if isinstance(ev, ValidationError):
-                notes.append(f"evaluation failed: {ev}")
-                values = (float("nan"),) * 3
-            else:
-                notes.extend(_notes(ev))
-                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
-            rows.append(SweepRow(point, mode, *values, "; ".join(notes)))
+    # overflowing inputs give non-finite numbers that fail their rows with a reason, not warnings
+    with np.errstate(all="ignore"):
+        for chunk, targets, notes in _planned_chunks(scn, spec, batch_chunk(scn.num_sensors, scn.num_sources)):
+            for (point, mode), row_notes, ev in zip(chunk, notes, evaluate_constellations(targets)):
+                if isinstance(ev, ValidationError):
+                    row_notes.append(f"evaluation failed: {ev}")
+                    values = (float("nan"),) * 3
+                else:
+                    row_notes.extend(_notes(ev))
+                    values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
+                rows.append(SweepRow(point, mode, *values, "; ".join(row_notes)))
     return rows
 
 
 def compare_report(before: ConstellationEvaluation, after: ConstellationEvaluation) -> ComparisonReport:
     """Ratios before/after for the headline quantities; ratios < 1 are flagged."""
-    det_ratio = before.det / after.det
-    crb_theta_ratio = before.crb.crb_theta_total / after.crb.crb_theta_total
-    crb_r_ratio = before.crb.crb_r_total / after.crb.crb_r_total
-    worsened = tuple(
-        name
-        for name, ratio in (
-            ("det", det_ratio),
-            ("crb_theta", crb_theta_ratio),
-            ("crb_r", crb_r_ratio),
-        )
-        if ratio < 1.0
-    )
-    return ComparisonReport(det_ratio, crb_theta_ratio, crb_r_ratio, worsened)
+    ratios = {"det": before.det / after.det, "crb_theta": before.crb.crb_theta_total / after.crb.crb_theta_total,
+              "crb_r": before.crb.crb_r_total / after.crb.crb_r_total}
+    return ComparisonReport(*ratios.values(), tuple(name for name, ratio in ratios.items() if ratio < 1.0))

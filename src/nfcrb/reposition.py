@@ -6,7 +6,10 @@ realizations are provided:
 
 * an analytic mode that assigns per-source phase targets alternating between
   a small value (pi / m) and a right angle, solving each target back to an
-  arrival angle when the resulting sine stays within [0, 1];
+  arrival angle when the resulting sine stays within [0, 1]; ``plan_moves``
+  plans K such moves in one array pass (a sweep's window of chunks, or
+  K = 1), the arcsines as the scalar ``math.asin`` over a flat list
+  (``np.arcsin`` rounds about 8 % of arguments differently in the last bit);
 * one search scan behind the line search and ``optimizer.grid_search``: it
   scores the element at every position of a ``DisplacementGrid`` or
   ``BoxGrid`` in one batch with its current position, in chunks of array
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularGeometryError, ValidationError, batch_or_each
+from .errors import SingularGeometryError, ValidationError, batch_or_each, kept
 from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_for_scenarios
 from .geometry import (
     PairwiseGeometry,
@@ -38,6 +41,7 @@ from .geometry import (
     axes_from_positions,
     distances,
     pairwise_form,
+    refit_axes,
     scenario_positions,
 )
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -163,46 +167,72 @@ def gf_objective(terms) -> float:
     return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)
 
 
-def _analytic_targets(H: np.ndarray, arrival: np.ndarray, freqs: np.ndarray, c: float, m: int | str = "auto",
-                      branches=None):
-    """The core of ``analytic_reposition``, raising as it does, without its report-only work, on
-    the element's (N,) vertical distances and arrival angles, the frequencies and velocity: its new
-    arrival angles and, per source, its target's divisor (None for the right angle), argument
-    (None without a valid divisor; infeasible if None or > 1) and branch."""
-    N = len(H)
-    branches = [None] * N if branches is None else branches
+_OUTSIDE = "planned arrival angles must lie strictly inside (0, pi)"
+
+
+@dataclass(frozen=True, eq=False)
+class MovePlans:
+    """K analytic moves of elements of one pairwise table (``plan_moves``): per move, the element's
+    (N,) new arrival angles (kept where infeasible), each source's divisor (NaN for a right-angle
+    target or without a valid divisor) and arcsine argument (NaN without a divisor; infeasible if
+    NaN or > 1), and the ValidationError that rejects the plan, or None.  For the accepted moves,
+    in order: the native delays and kernel axes, residual and held conversion error (or None)."""
+
+    arrival: np.ndarray
+    divisors: np.ndarray
+    arguments: np.ndarray
+    errors: list
+    arrays: tuple
+    residuals: list
+    held: list
+
+
+def plan_moves(table: PairwiseGeometry, elements, freqs, c, m: int | str = "auto", branches=None) -> MovePlans:
+    """``analytic_reposition``'s plans for K moves of one table in one array pass (the chunk
+    planner): move k slides element ``elements[k]`` (a valid index) at frequencies ``freqs[k]`` and
+    velocity ``c[k]``; ``refit_axes`` refits every accepted table."""
+    H0, A0 = table.vertical_m, table.arrival_rad
+    M, N = H0.shape
+    branches = ["acute"] * N if branches is None else [branch or "acute" for branch in branches]
     if len(branches) != N:
         raise ValidationError(f"{len(branches)} branch choices for {N} sources")
-    if m != "auto":
-        m = int(m)
-        if m < 1:
-            raise ValidationError(f"phase divisor must be a positive integer, got {m}")
+    if m != "auto" and (m := int(m)) < 1:
+        raise ValidationError(f"phase divisor must be a positive integer, got {m}")
+    elements, freqs, c = np.asarray(elements), np.asarray(freqs, dtype=float), np.asarray(c, dtype=float)[:, None]
+    H, new_arrival = H0[elements], A0[elements]
+    # sources alternate small-phase targets (even indices, which need a divisor) and right-angle targets
+    divisors, small = np.full(H.shape, np.nan), slice(0, N, 2)
+    with np.errstate(all="ignore"):  # a divisor that overflows is rejected below
+        ratio = c / (2.0 * freqs * H) if m == "auto" else np.full(H.shape, float(m))
+        divisors[:, small] = np.where(np.floor(ratio[:, small]) >= 1, np.floor(ratio[:, small]), np.nan)
+        arguments = 4.0 * freqs * H / c
+        arguments[:, small] = 2.0 * divisors[:, small] * freqs[:, small] * H[:, small] / c
+    feasible = arguments <= 1.0
+    ks, ns = feasible.nonzero()  # the acute branch unless the obtuse one is asked for
+    new_arrival[ks, ns] = [math.pi - math.asin(arg) if branches[n] == "obtuse" else math.asin(arg)
+                           for arg, n in zip(arguments[ks, ns].tolist(), ns.tolist())]
 
-    new_arrival = arrival.copy()
-    targets = []
-    for n in range(N):
-        if n % 2 == 0:
-            m_n = int(math.floor(c / (2.0 * freqs[n] * H[n]))) if m == "auto" else m
-            arg = 2.0 * m_n * freqs[n] * H[n] / c if m_n >= 1 else None
+    bad = feasible & [branch not in ("acute", "obtuse") for branch in branches]
+    bad[:, small] |= ~np.isfinite(ratio[:, small])
+    outside = ((new_arrival <= 0) | (new_arrival >= math.pi)).any(axis=1)
+    errors = [None] * len(elements)
+    for k in np.flatnonzero(bad.any(axis=1) | ~feasible.any(axis=1) | outside).tolist():
+        n = int(np.argmax(bad[k]))
+        if bad[k, n]:
+            errors[k] = ValidationError(f"branch must be 'acute' or 'obtuse', got {branches[n]!r}" if feasible[k, n]
+                                        else f"source {n + 1}: phase divisor c / (2 f H) = {ratio[k, n]} is not finite")
         else:
-            m_n, arg = None, 4.0 * freqs[n] * H[n] / c
-        targets.append((m_n, arg, branches[n] or "acute"))
-        if arg is None or arg > 1.0:
-            continue
-        # both branches share sin(arrival), so the phase objective ties; keep
-        # the acute branch unless the caller forces the obtuse one
-        branch = targets[-1][2]
-        if branch not in ("acute", "obtuse"):
-            raise ValidationError(f"branch must be 'acute' or 'obtuse', got {branch!r}")
-        new_arrival[n] = math.asin(arg) if branch == "acute" else math.pi - math.asin(arg)
-    if all(arg is None or arg > 1.0 for _, arg, _ in targets):
-        raise ValidationError("no source admits an analytic target here; use the line-search mode instead")
-    return new_arrival, targets
+            errors[k] = ValidationError(_OUTSIDE if feasible[k].any() else
+                                        "no source admits an analytic target here; use the line-search mode instead")
+    accepted = [k for k, exc in enumerate(errors) if exc is None]
+    tables = np.repeat(A0[None], len(accepted), axis=0)
+    tables[np.arange(len(accepted)), elements[accepted]] = new_arrival[accepted]
+    axes, residuals, held = refit_axes(table, tables)
+    delays = H0 / (c[accepted, :, None] * np.sin(tables))  # native delays of each rewritten table
+    return MovePlans(new_arrival, divisors, arguments, errors, (delays, *axes), residuals, held)
 
 
-def analytic_reposition(
-    scn, element: int, m: int | str = "auto", branches=None
-) -> RepositionPlan:
+def analytic_reposition(scn, element: int, m: int | str = "auto", branches=None) -> RepositionPlan:
     """Assign per-source arrival-angle targets for the chosen element.
 
     Sources alternate between the small-phase target (solve
@@ -211,24 +241,28 @@ def analytic_reposition(
     (sin(arrival) = 4 f H / c), starting with the small-phase target.  A
     source whose argument exceeds 1 is marked infeasible and keeps its
     arrival angle.  ``branches`` may force 'acute' or 'obtuse' per source;
-    both give the same phase objective, so the default is acute.
+    both give the same phase objective, so the default is acute.  This is
+    ``plan_moves`` at K = 1, and raises the error that rejects its plan.
     """
     pws = pairwise_form(scn)
     _check_element(element, pws.num_sensors)
-    H, c, freqs = pws.geometry.vertical_m[element], pws.velocity_mps, frequency_vector(pws.signals)
-    new_arrival, targets = _analytic_targets(H, pws.geometry.arrival_rad[element], freqs, c, m, branches)
-    notes = []
-    for n, (m_n, arg, branch) in enumerate(targets):
-        label = "right-angle target" if m_n is None else f"small-phase target (divisor {m_n})"
-        if arg is None:
+    freqs, c = frequency_vector(pws.signals), pws.velocity_mps
+    plans = plan_moves(pws.geometry, [element], freqs[None], [c], m, branches)
+    if plans.errors[0]:
+        raise plans.errors[0]
+    new_arrival, notes = plans.arrival[0], []
+    for n, (m_n, arg) in enumerate(zip(plans.divisors[0].tolist(), plans.arguments[0].tolist())):
+        label = "right-angle target" if n % 2 else f"small-phase target (divisor {m_n:.0f})"
+        if math.isnan(arg):
             note = "small-phase target infeasible (no valid divisor); angle kept"
         elif arg > 1.0:
             note = f"{label} infeasible (argument {arg:.4f} > 1); angle kept"
         else:
+            branch = (None if branches is None else branches[n]) or "acute"
             note = f"{label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
         notes.append(f"source {n + 1}: {note}")
 
-    after = gf_objective(2.0 * np.pi * freqs * H / (c * np.sin(new_arrival)))
+    after = gf_objective(2.0 * np.pi * freqs * pws.geometry.vertical_m[element] / (c * np.sin(new_arrival)))
     before = gf_objective(phase_terms(pws, element))
     return RepositionPlan(element, "analytic", new_arrival, None, "gf", before, after, tuple(notes))
 
@@ -249,10 +283,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         return moved
 
     if objective in BOUND_OBJECTIVES:
-        try:
-            axes = axes_from_positions(sensors_xy, sources_xy)
-        except ValidationError as exc:
-            axes = exc
+        axes = kept(axes_from_positions, sensors_xy, sources_xy)
 
         def bound_totals(chunk):
             distances(layouts(chunk), sources_xy)  # rejects a sensor on a source
@@ -280,11 +311,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     # source; a NaN row never reads as zero, so fixed sensors keep their own numbers
     fixed = sensors_xy.copy()
     fixed[element] = np.nan
-    try:
-        distances(fixed, sources_xy)
-        fixed_clean = True
-    except ValidationError:
-        fixed_clean = False
+    fixed_clean = not isinstance(kept(distances, fixed, sources_xy), ValidationError)
 
     def element_distances(chunk):
         try:
@@ -400,19 +427,6 @@ def line_search_reposition(scn, element: int, objective: str, grid: Displacement
     return _scan(scn, element, objective, grid, "linesearch")
 
 
-def _rewritten_arrivals(arrival: np.ndarray, element: int, angles) -> np.ndarray:
-    """A copy of the (M, N) arrival table with new angles in the element's row."""
-    _check_element(element, len(arrival))
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != arrival.shape[1:]:
-        raise ValidationError(f"plan carries {angles.shape} arrival angles for {arrival.shape[1]} sources")
-    if np.any(angles <= 0) or np.any(angles >= math.pi):
-        raise ValidationError("planned arrival angles must lie strictly inside (0, pi)")
-    arrival = arrival.copy()
-    arrival[element] = angles
-    return arrival
-
-
 def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     """Rewrite the planned element's pairwise row; all other rows are untouched.
 
@@ -421,16 +435,20 @@ def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
     the row's vertical distances as well, from reconstructed positions.
     """
     pws = pairwise_form(scn)
-    vertical, arrival = pws.geometry.vertical_m, pws.geometry.arrival_rad
+    _check_element(plan.element, pws.num_sensors)
+    vertical, arrival = pws.geometry.vertical_m.copy(), pws.geometry.arrival_rad.copy()
     if plan.new_position_m is None:
-        arrival = _rewritten_arrivals(arrival, plan.element, plan.new_arrival_rad)
+        angles = np.asarray(plan.new_arrival_rad, dtype=float)
+        if angles.shape != arrival.shape[1:]:
+            raise ValidationError(f"plan carries {angles.shape} arrival angles for {arrival.shape[1]} sources")
+        if np.any(angles <= 0) or np.any(angles >= math.pi):
+            raise ValidationError(_OUTSIDE)
+        arrival[plan.element] = angles
     else:
-        _check_element(plan.element, pws.num_sensors)
         _, sources_xy, _ = scenario_positions(pws)
         x, y = plan.new_position_m
         v = sources_xy[:, 1] - y
         if np.any(v <= 0):
             raise SingularGeometryError("planned position puts a source on or below the element's horizontal line")
-        vertical, arrival = vertical.copy(), arrival.copy()
         vertical[plan.element], arrival[plan.element] = v, np.arctan2(v, sources_xy[:, 0] - x)
     return replace(pws, geometry=PairwiseGeometry(vertical, arrival))

@@ -1,8 +1,12 @@
 """Overflowing inputs give non-finite numbers: they must fail their rows or candidates with a
 reason, never crash a command with a traceback, and never be chosen by a search."""
 
+import json
 import math
+import re
 import warnings
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from nfcrb import DisplacementGrid, SingularCovarianceError, ValidationError, grid_search, line_search_reposition
 from nfcrb import fim_crb
 from nfcrb.optimizer import SweepSpec, _native_powers, sweep
+from nfcrb.reposition import analytic_reposition
 from nfcrb.cli import main as cli_main
 
 NON_FINITE_COV = "array covariance has non-finite entries"
@@ -116,3 +121,55 @@ def test_search_never_picks_a_nan_score(scenario_b, capsys):
     assert "displacement: +0 m along the reference axis" in out
     assert "  note: displacement -1e+200 m skipped: objective gf is not finite (nan)" in out
     assert "objective before/after: 3.587878e+00 / 3.587878e+00" in out
+
+
+def test_overflowing_sweep_warns_nowhere(tmp_path, capsys):
+    # the sweep's planning and evaluation run under one np.errstate: the rows say why they fail
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--scenario", "scenario_a", "--vary", "velocity:1e-310:1e-300:2", "--modes", "primary,reposition",
+            "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and caught == []
+    skipped = f"{SKIPPED}; evaluation failed: {NON_FINITE_COV}"
+    assert out.read_text().splitlines() == [
+        "point,mode,det,crb_theta_total,crb_r_total,flags",
+        f"1.0000e-310,primary,nan,nan,nan,evaluation failed: {NON_FINITE_COV}",
+        f"1.0000e-310,reposition,nan,nan,nan,{skipped}",
+        f"1.0000e-300,primary,nan,nan,nan,evaluation failed: {NON_FINITE_COV}",
+        f"1.0000e-300,reposition,nan,nan,nan,{skipped}",
+    ]
+
+
+OVERFLOWING_DIVISOR = "source 1: phase divisor c / (2 f H) = inf is not finite"
+
+
+def test_overflowing_divisor_skips_the_reposition_row(scenario_a, tmp_path, capsys):
+    # c / (2 f H) overflows at these frequencies of source 1, whose small-phase target needs it
+    spec = SweepSpec("frequency", 1e-320, 1e-310, 2, source=0, modes=("primary", "reposition"))
+    rows = sweep(scenario_a, spec)
+    primary, moved = rows[0::2], rows[1::2]
+    assert all(f"reposition skipped: {OVERFLOWING_DIVISOR}; " in row.diagnostics for row in moved)
+    assert [(row.det, row.crb_theta_total) for row in moved] == [(row.det, row.crb_theta_total) for row in primary]
+
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--scenario", "scenario_a", "--vary", "frequency:1:1e-320:1e-310:2", "--modes",
+            "primary,reposition", "--out", str(out)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    lines = out.read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == ["primary", "reposition"] * 2
+    assert all(OVERFLOWING_DIVISOR in line for line in lines[1::2])
+
+
+def test_analytic_reposition_rejects_an_overflowing_divisor(scenario_a, tmp_path, capsys):
+    with pytest.raises(ValidationError, match=f"^{re.escape(OVERFLOWING_DIVISOR)}$"):
+        analytic_reposition(replace(scenario_a, signals=(replace(scenario_a.signals[0], freq_hz=1e-320),
+                                                        *scenario_a.signals[1:])), 0)
+    doc = json.loads(resources.files("nfcrb").joinpath("data", "scenario_a.json").read_text())
+    doc["signals"][0]["freq_hz"] = 1e-320
+    path = tmp_path / "tiny_frequency.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["reposition", "--scenario", str(path), "--mode", "analytic"], capsys)
+    assert (code, out, err) == (2, "", f"error: {OVERFLOWING_DIVISOR}\n")

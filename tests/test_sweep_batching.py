@@ -58,8 +58,15 @@ def _row_hexes(row):
 
 
 def _planned_rows(scn, spec):
+    """Per row: its point, mode, one-row stack of its target and its notes so far."""
     step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
-    return [row for chunk in _planned_chunks(scn, spec, step) for row in chunk]
+    chunks = _planned_chunks(scn, spec, step)
+    return [(*row, targets[i : i + 1], notes[i]) for chunk, targets, notes in chunks for i, row in enumerate(chunk)]
+
+
+def _alone(target):
+    """The evaluation of a one-row stack, raising as a lone evaluation does."""
+    return optimizer._evaluate(target)[0]
 
 
 def _force_chunk(monkeypatch, scn, rows_per_chunk):
@@ -75,7 +82,7 @@ def alone():
     for name, spec in SWEEPS.items():
         out[name] = []
         for *_, target, _ in _planned_rows(_scenario(name), spec):
-            ev = evaluate_constellation(target)
+            ev = _alone(target)
             out[name].append(_hexes((ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)))
     return out
 
@@ -104,15 +111,15 @@ def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, mo
     step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
     failing = step + step // 2 + 1  # a reposition row in the middle of the second chunk
     point = spec.grid()[failing // 2]
-    moved = optimizer._moved
+    plan_moves = optimizer.plan_moves
 
-    def injected(base, table, arrival, f, c):
-        # only a planned reposition row is converted from its rewritten arrival table
-        if f[0] == point:
-            raise ValidationError("injected failure")
-        return moved(base, table, arrival, f, c)
+    def injected(table, elements, freqs, c):
+        # only a planned reposition row holds a conversion error of its rewritten table
+        plans = plan_moves(table, elements, freqs, c)
+        held = [ValidationError("injected failure") if f[0] == point else exc for f, exc in zip(freqs, plans.held)]
+        return replace(plans, held=held)
 
-    monkeypatch.setattr(optimizer, "_moved", injected)
+    monkeypatch.setattr(optimizer, "plan_moves", injected)
     rows = sweep(scn, spec)
     expected = default_rows["scenario_a"]
     failed = rows[failing]
@@ -144,10 +151,11 @@ def test_one_kernel_call_per_chunk(monkeypatch):
 
 def test_powers_and_strongest_element_match_alone(scenario_b):
     spec = SWEEPS["scenario_b"]
-    targets = [target for *_, target, _ in _planned_rows(scenario_b, spec)][:9]
-    batch = optimizer.evaluate_constellations(targets)
-    for target, ev in zip(targets, batch):
-        one = evaluate_constellation(target)
+    step = fim_crb.batch_chunk(scenario_b.num_sensors, scenario_b.num_sources)
+    _, targets, _ = next(_planned_chunks(scenario_b, spec, step))
+    batch = optimizer.evaluate_constellations(targets[:9])
+    for i, ev in enumerate(batch):
+        one = _alone(targets[i : i + 1])
         assert np.array_equal(ev.received_powers, one.received_powers)
         assert ev.strongest_element == one.strongest_element
         assert np.array_equal(ev.fim.entries, one.fim.entries)
@@ -333,10 +341,14 @@ def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_one_planning_steering_pass_per_chunk(name, monkeypatch):
+@pytest.mark.parametrize("chunks_per_window", [1, 3, None])
+def test_one_planning_pass_per_window(name, chunks_per_window, monkeypatch):
     scn, spec = _scenario(name), SWEEPS[name]
-    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
-    calls = []
+    step, values = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources), scn.num_sensors * scn.num_sources
+    if chunks_per_window is not None:
+        monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", chunks_per_window * step * values)
+    window = step * max(1, optimizer.PHASE_CHUNK_VALUES // (step * values))
+    calls, counts = [], {}
     steering_matrix = optimizer.steering_matrix
 
     def counted(delays, freqs):
@@ -344,11 +356,17 @@ def test_one_planning_steering_pass_per_chunk(name, monkeypatch):
         return steering_matrix(delays, freqs)
 
     monkeypatch.setattr(optimizer, "steering_matrix", counted)
+    _counting(monkeypatch, optimizer, "plan_moves", counts)
+    _counting(monkeypatch, geometry, "_polar_coordinates", counts)
     rows = sweep(scn, spec)
-    chunks = [rows[lo : lo + step] for lo in range(0, len(rows), step)]
-    # per chunk one planning pass over its reposition rows' points, then one evaluation pass
-    assert calls == [n for chunk in chunks for n in (sum(row.mode == "reposition" for row in chunk), len(chunk))]
-    assert len(calls) == 2 * math.ceil(200 / step) < 100
+    windows = [rows[lo : lo + window] for lo in range(0, len(rows), window)]
+    # per window of whole chunks one planning steering pass over its reposition rows' points and
+    # one plan of all of them, whose refitted tables are converted to polar axes together; then
+    # one evaluation pass per chunk; and the table's own polar axes once per sweep
+    assert calls == [n for part in windows for n in (sum(row.mode == "reposition" for row in part),
+                                                     *(len(part[at : at + step]) for at in range(0, len(part), step)))]
+    assert counts == {"plan_moves": len(windows), "_polar_coordinates": 1 + len(windows)}
+    assert len(windows) == {1: math.ceil(200 / step), 3: math.ceil(200 / (3 * step)), None: 1}[chunks_per_window]
 
 
 def _on_source():
@@ -392,3 +410,39 @@ def test_sensor_on_a_source_fails_each_row_and_not_the_sweep(modes, tmp_path, ca
     assert [line.split(",")[1:] for line in lines[1:]] == [
         [row.mode, "nan", "nan", "nan", expected[row.mode]] for row in rows
     ]
+
+
+def _mixed():
+    """Polar constellation whose frequency sweep on source 2 mixes every planning outcome: the
+    right-angle target's sine underflows to 0 at the first point, which fails the arrival check;
+    then plans whose small-phase target (source 1, at 1 GHz) is infeasible; then no target at all."""
+    scn = random_upper_half_scenario(np.random.default_rng(7), 5, 2)
+    return replace(scn, signals=(replace(scn.signals[0], freq_hz=1e9), scn.signals[1]))
+
+
+MIXED = SweepSpec("frequency", 1e-320, 1e6, 23, source=1, modes=("primary", "reposition"))
+OUTCOMES = {
+    "arrival check": "reposition skipped: planned arrival angles must lie strictly inside (0, pi)",
+    "planned, one target infeasible": "; 1 source target(s) infeasible",
+    "no target": "reposition skipped: no source admits an analytic target here",
+}
+
+
+def _outcomes(rows):
+    return {name for row in rows for name, note in OUTCOMES.items() if note in row.diagnostics}
+
+
+@pytest.mark.parametrize("encoding", ["polar", "pairwise"])
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 7, None])
+def test_mixed_plans_equal_point_by_point_evaluation(encoding, rows_per_chunk, monkeypatch):
+    scn = _mixed() if encoding == "polar" else pairwise_form(_mixed())
+    expected = _rows_point_by_point(scn, MIXED)
+    if rows_per_chunk is not None:
+        _force_chunk(monkeypatch, scn, rows_per_chunk)
+    rows = sweep(scn, MIXED)
+    assert [(_row_hexes(row), row.diagnostics) for row in rows] == expected
+    assert _outcomes(rows) == set(OUTCOMES)
+    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    mixing = max(len(_outcomes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
+    assert mixing == {1: 1, 2: 1, 7: 2, None: 3}[rows_per_chunk]
+
