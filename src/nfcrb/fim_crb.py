@@ -13,8 +13,9 @@ Two routes to the information matrix are provided: the generic trace form
 is the authoritative path, and a closed-form block assembly built from
 index-selection matrices, kept as a cross-check of a given generic matrix
 (run by ``validate`` and the tests, not by reports) that reports its
-per-block deviation.  Finite-difference oracles for the steering and
-covariance derivatives back both.
+per-block deviation; its index tables are built once per N.  Finite-difference
+oracles for the steering and covariance derivatives back both; each steers all
+its stepped constellations in stacked array passes.
 
 The trace form is one kernel over a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
@@ -33,12 +34,14 @@ the generic matrix, to ``fim_closed_form``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
-from .geometry import Scenario, distances, native_delays, polar_axes, polar_to_cartesian
+from .geometry import (TWO_PI, Scenario, distances, native_delays, polar_axes, polar_to_cartesian,
+                       sensor_positions)
 from .signal_model import covariances, frequency_vector, steering_matrix
 
 
@@ -326,8 +329,9 @@ def _ones_at(rows, cols, shape) -> np.ndarray:
     return out
 
 
+@cache
 def selection_matrices(n_sources: int) -> SelectionMatrices:
-    """Build the selection matrices for N sources."""
+    """The selection matrices for N sources, built once per N; the arrays are read-only."""
     N = n_sources
     if N < 1:
         raise ValidationError(f"source count must be >= 1, got {N}")
@@ -348,17 +352,19 @@ def selection_matrices(n_sources: int) -> SelectionMatrices:
     skew_fold = -1j * (strict_lower_selector @ fold_sub)
     hermitian_to_real = np.vstack([sym_fold.astype(complex), skew_fold])
     diag_selector = _ones_at(range(N), diag, (N, n2))
+    hermitian_to_real.flags.writeable = diag_selector.flags.writeable = False
     return SelectionMatrices(hermitian_to_real=hermitian_to_real, diag_selector=diag_selector)
 
 
+@cache
 def _folded_basis_alignment(n_sources: int) -> np.ndarray:
-    """Signed permutation from the folded real parameterization to ParameterIndex order.
+    """Read-only signed permutation from the folded real parameterization to ParameterIndex order.
 
     The folded listing interleaves diagonals among doubled real parts in
     column-major lower-triangle order and then carries negated imaginary
     parts; ParameterIndex wants diagonals first and (re, im) per upper pair.
     Returns S with S[index_pos, folded_pos] = +/-1 so that
-    F_index = S F_folded S^T.
+    F_index = S F_folded S^T.  Built once per N.
     """
     N = n_sources
     n2 = N * N
@@ -379,6 +385,7 @@ def _folded_basis_alignment(n_sources: int) -> np.ndarray:
         for q in range(p + 1, N):
             S[N + 2 * pair_offset(p, q) + 1, w] = -1.0
             w += 1
+    S.flags.writeable = False
     return S
 
 
@@ -511,27 +518,24 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
     return [CrbReport(*row, k, size, k < size) for *row, k in rows]
 
 
-def _source_steps(
-    scenario: Scenario, axis: str, rel_step: float
-) -> list[tuple[Scenario, Scenario, float]]:
-    """Per source, copies of the scenario with that source stepped up and down, plus the step.
+def _stepped_steering(scenario: Scenario, axis: str, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(2N, M, N) steering matrices of the scenario with each source stepped up (the first N) and
+    down (the last N) along ``axis``, from one stacked pass, and the N steps: ``rel_step`` radians
+    for bearings, ``rel_step`` of each range for ranges.
 
-    Steps are ``rel_step`` radians for bearings and ``rel_step`` of each range
-    for ranges.
+    A stepped source's bearing is reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0
+    wraps, and every value equals that of the stepped Scenario bit for bit.
     """
     if axis not in ("bearing", "range"):
         raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    field = "bearing_rad" if axis == "bearing" else "range_m"
-    out = []
-    for n, src in enumerate(scenario.sources):
-        h = rel_step if axis == "bearing" else rel_step * src.range_m
-        hi_lo = []
-        for step in (h, -h):
-            sources = list(scenario.sources)
-            sources[n] = replace(src, **{field: getattr(src, field) + step})
-            hi_lo.append(replace(scenario, sources=tuple(sources)))
-        out.append((*hi_lo, h))
-    return out
+    N = scenario.num_sources
+    ranges, bearings = (np.tile(a, (2 * N, 1)) for a in (scenario.source_ranges(), scenario.source_bearings()))
+    h = np.full(N, rel_step) if axis == "bearing" else rel_step * ranges[0]
+    rows, n = np.arange(2 * N), np.tile(np.arange(N), 2)
+    (bearings if axis == "bearing" else ranges)[rows, n] += np.concatenate([h, -h])
+    bearings[rows, n] %= TWO_PI
+    d = distances(sensor_positions(scenario), polar_to_cartesian(ranges, bearings))
+    return steering_matrix(d / scenario.velocity_mps, scenario.frequencies()), h
 
 
 def steering_derivatives_fd(
@@ -541,35 +545,27 @@ def steering_derivatives_fd(
 
     Steps are 1e-6 radians for bearings and 1e-6 of each range for ranges.
     """
-    freqs = scenario.frequencies()
-    return [
-        (steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
-        for hi, lo, h in _source_steps(scenario, axis, rel_step)
-    ]
+    A, h = _stepped_steering(scenario, axis, rel_step)
+    return list((A[: len(h)] - A[len(h) :]) / (2.0 * h)[:, None, None])
 
 
 def rx_derivatives_fd(scenario: Scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
-    """Central finite differences of the array covariance over the full parameter vector."""
-    index = ParameterIndex(scenario.num_sources)
-    freqs = scenario.frequencies()
-    s = scenario.amplitudes()
-    base_rs = np.outer(s, s.conj())
+    """Central finite differences of the array covariance over the full parameter vector.
 
-    def rx_at(scn, rs_shift, eta) -> np.ndarray:
-        A = steering_matrix(native_delays(scn), freqs)
-        return A @ (base_rs + rs_shift) @ A.conj().T + eta * np.eye(scenario.num_sensors)
-
-    eta0 = scenario.noise_variance
-    zero = np.zeros_like(base_rs)
-    out = [
-        (rx_at(hi, zero, eta0) - rx_at(lo, zero, eta0)) / (2.0 * h)
-        for axis in ("bearing", "range")
-        for hi, lo, h in _source_steps(scenario, axis, rel_step)
-    ]
-    scale = max(float(np.abs(s).max()) ** 2, 1.0)
-    for E in index.cov_entry_bases():
-        h = rel_step * scale
-        out.append((rx_at(scenario, h * E, eta0) - rx_at(scenario, -h * E, eta0)) / (2.0 * h))
-    h = rel_step * eta0
-    out.append((rx_at(scenario, zero, eta0 + h) - rx_at(scenario, zero, eta0 - h)) / (2.0 * h))
-    return out
+    Every stepped covariance A (s s^H + shift) A^H + eta I, up and down, is one slice of one
+    stacked product: the bearing and range steps steer their stepped sources (``_stepped_steering``),
+    and the covariance-entry and noise steps share the unchanged scenario's steering matrix.
+    """
+    M, N = scenario.num_sensors, scenario.num_sources
+    s, eta0 = scenario.amplitudes(), scenario.noise_variance
+    base_rs, bases = np.outer(s, s.conj()), np.array(ParameterIndex(N).cov_entry_bases())
+    h_cov, h_eta = rel_step * max(float(np.abs(s).max()) ** 2, 1.0), rel_step * eta0
+    (A_b, h_b), (A_r, h_r) = (_stepped_steering(scenario, axis, rel_step) for axis in ("bearing", "range"))
+    A0 = np.repeat(steering_matrix(native_delays(scenario), scenario.frequencies())[None], N * N + 1, axis=0)
+    A = np.concatenate([A_b[:N], A_r[:N], A0, A_b[N:], A_r[N:], A0])
+    zeros = np.zeros((2 * N, N, N))
+    shifts = np.concatenate([zeros, h_cov * bases, zeros[:1], zeros, -h_cov * bases, zeros[:1]])
+    eta = np.array([eta0] * (2 * N + N * N) + [eta0 + h_eta] + [eta0] * (2 * N + N * N) + [eta0 - h_eta])
+    R = A @ (base_rs + shifts) @ A.conj().swapaxes(1, 2) + eta[:, None, None] * np.eye(M)
+    h = np.concatenate([h_b, h_r, np.full(N * N, h_cov), [h_eta]])
+    return list((R[: len(h)] - R[len(h) :]) / (2.0 * h)[:, None, None])

@@ -9,9 +9,10 @@ CSV rows, sweep rows and comparisons all read that one ``ConstellationEvaluation
 optionally repositioning per point, a chunk of rows at a time; each chunk
 reaches the evaluation as stacked arrays.  Reposition rows are planned in one
 array pass per window of whole chunks: one steering pass picks their strongest
-elements and one ``reposition.plan_moves`` call their moves.  Only each rewritten
-table's x ``lstsq`` stays per row: one multi-right-hand-side solve rounds
-the fit, and so the residual notes, differently in the last bits.
+elements, one ``reposition.plan_moves`` call their moves and one
+``geometry.refit_axes`` call the polar axes of the rewritten tables.  Only
+each rewritten table's x ``lstsq`` stays per row: one multi-right-hand-side
+solve rounds the fit, and so the residual notes, differently in the last bits.
 ``compare_report`` gives the before/after ratios of two evaluations.
 ``grid_search`` runs the exhaustive scan of ``reposition`` over a
 displacement grid or a 2-D box.
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ValidationError, batch_or_each, kept
 from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario,
                       fim_for_scenarios)
-from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes
+from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
 
@@ -220,9 +221,12 @@ def _planned_chunks(scn, spec: SweepSpec, step: int):
                 plans = plan_moves(pws.geometry, strongest, f[moved], c[moved])
                 errors, infeasible = plans.errors, (~(plans.arguments <= 1.0)).sum(axis=1).tolist()
                 planned = [i for i, exc in zip(moved, errors) if exc is None]
-                for whole, part in zip(arrays, plans.arrays):
+                axes, fits, conversions = refit_axes(pws.geometry, plans.tables)
+                # the native delays of each rewritten table, then its kernel axes
+                parts = (pws.geometry.vertical_m / (c[planned, None, None] * np.sin(plans.tables)), *axes)
+                for whole, part in zip(arrays, parts):
                     whole[planned] = part
-                for i, fit, exc in zip(planned, plans.residuals, plans.held):
+                for i, fit, exc in zip(planned, fits, conversions):
                     residuals[i], held[i] = fit, exc
             for i, element, exc, count in zip(moved, strongest, errors, infeasible):
                 notes[i].append(f"strongest element {element + 1}")

@@ -41,7 +41,6 @@ from .geometry import (
     axes_from_positions,
     distances,
     pairwise_form,
-    refit_axes,
     scenario_positions,
 )
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -175,22 +174,21 @@ class MovePlans:
     """K analytic moves of elements of one pairwise table (``plan_moves``): per move, the element's
     (N,) new arrival angles (kept where infeasible), each source's divisor (NaN for a right-angle
     target or without a valid divisor) and arcsine argument (NaN without a divisor; infeasible if
-    NaN or > 1), and the ValidationError that rejects the plan, or None.  For the accepted moves,
-    in order: the native delays and kernel axes, residual and held conversion error (or None)."""
+    NaN or > 1), and the ValidationError that rejects the plan, or None; and the (M, N) arrival
+    tables of the accepted moves, stacked in order, each the table with its element's row rewritten."""
 
     arrival: np.ndarray
     divisors: np.ndarray
     arguments: np.ndarray
     errors: list
-    arrays: tuple
-    residuals: list
-    held: list
+    tables: np.ndarray
 
 
 def plan_moves(table: PairwiseGeometry, elements, freqs, c, m: int | str = "auto", branches=None) -> MovePlans:
     """``analytic_reposition``'s plans for K moves of one table in one array pass (the chunk
     planner): move k slides element ``elements[k]`` (a valid index) at frequencies ``freqs[k]`` and
-    velocity ``c[k]``; ``refit_axes`` refits every accepted table."""
+    velocity ``c[k]``.  No table is refitted here: a sweep fits ``tables``, an analytic reposition
+    needs no positions."""
     H0, A0 = table.vertical_m, table.arrival_rad
     M, N = H0.shape
     branches = ["acute"] * N if branches is None else [branch or "acute" for branch in branches]
@@ -227,9 +225,7 @@ def plan_moves(table: PairwiseGeometry, elements, freqs, c, m: int | str = "auto
     accepted = [k for k, exc in enumerate(errors) if exc is None]
     tables = np.repeat(A0[None], len(accepted), axis=0)
     tables[np.arange(len(accepted)), elements[accepted]] = new_arrival[accepted]
-    axes, residuals, held = refit_axes(table, tables)
-    delays = H0 / (c[accepted, :, None] * np.sin(tables))  # native delays of each rewritten table
-    return MovePlans(new_arrival, divisors, arguments, errors, (delays, *axes), residuals, held)
+    return MovePlans(new_arrival, divisors, arguments, errors, tables)
 
 
 def analytic_reposition(scn, element: int, m: int | str = "auto", branches=None) -> RepositionPlan:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import SingularCovarianceError, SingularGeometryError, ValidationError
-from nfcrb.signal_model import SourceSignal
-from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, polar_form
+from nfcrb import fim_crb
+from nfcrb.cli import main
+from nfcrb.signal_model import SourceSignal, steering_matrix
+from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, native_delays, polar_form
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
@@ -54,6 +56,57 @@ def _max_rel(analytic, numeric):
         float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
         for a, f in zip(analytic, numeric)
     )
+
+
+def _stepped_scenarios(scn, axis, rel_step=1e-6):
+    """Per source, the scenario with that source stepped up and down, each a Scenario, and the step."""
+    field = "bearing_rad" if axis == "bearing" else "range_m"
+    for n, src in enumerate(scn.sources):
+        h = rel_step if axis == "bearing" else rel_step * src.range_m
+        hi, lo = (replace(scn, sources=(*scn.sources[:n], replace(src, **{field: getattr(src, field) + step}),
+                                        *scn.sources[n + 1 :]))
+                  for step in (h, -h))
+        yield hi, lo, h
+
+
+def steering_fd_reference(scn, axis):
+    """``steering_derivatives_fd`` steering one stepped Scenario at a time."""
+    freqs = scn.frequencies()
+    return [(steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
+            for hi, lo, h in _stepped_scenarios(scn, axis)]
+
+
+def rx_fd_reference(scn, rel_step=1e-6):
+    """``rx_derivatives_fd`` one stepped Scenario and one covariance at a time."""
+    freqs, s = scn.frequencies(), scn.amplitudes()
+    base_rs = np.outer(s, s.conj())
+
+    def rx_at(stepped, rs_shift, eta):
+        A = steering_matrix(native_delays(stepped), freqs)
+        return A @ (base_rs + rs_shift) @ A.conj().T + eta * np.eye(scn.num_sensors)
+
+    zero, eta0 = np.zeros_like(base_rs), scn.noise_variance
+    out = [(rx_at(hi, zero, eta0) - rx_at(lo, zero, eta0)) / (2.0 * h)
+           for axis in ("bearing", "range") for hi, lo, h in _stepped_scenarios(scn, axis)]
+    h = rel_step * max(float(np.abs(s).max()) ** 2, 1.0)
+    out += [(rx_at(scn, h * E, eta0) - rx_at(scn, -h * E, eta0)) / (2.0 * h)
+            for E in ParameterIndex(scn.num_sources).cov_entry_bases()]
+    h = rel_step * eta0
+    out.append((rx_at(scn, zero, eta0 + h) - rx_at(scn, zero, eta0 - h)) / (2.0 * h))
+    return out
+
+
+@st.composite
+def polar_scenarios(draw):
+    """Random polar scenarios of one to four sources; when drawn so, the first source's bearing lies
+    within 1e-6 of 0, so that a bearing step wraps across 2 pi."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, min(m - 1, 4)))
+    scn = random_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n)
+    near_zero = draw(st.none() | st.floats(-1e-6, 1e-6))
+    if near_zero is not None:
+        scn = replace(scn, sources=(SourceGeom(scn.sources[0].range_m, near_zero), *scn.sources[1:]))
+    return scn
 
 
 class TestParameterIndex:
@@ -133,6 +186,30 @@ class TestRxDerivatives:
             scn = random_scenario(rng)
             err = _max_rel(linearize(scn).derivs, rx_derivatives_fd(scn))
             assert err < 1e-5
+
+    def test_finite_differences_steer_the_unchanged_scenario_once(self, scenario_a, monkeypatch, capsys):
+        shapes, real = [], fim_crb.steering_matrix
+
+        def counted(delays, freqs):
+            shapes.append(np.shape(delays))
+            return real(delays, freqs)
+
+        monkeypatch.setattr(fim_crb, "steering_matrix", counted)
+        assert main(["validate", "--scenario", "scenario_a"]) == 0
+        M, N = scenario_a.num_sensors, scenario_a.num_sources
+        stepped = (2 * N, M, N)
+        # the kernel pass, one stacked pass per steering oracle, and the covariance oracle's bearing
+        # and range passes and its one steering of the unchanged constellation
+        assert shapes == [(1, M, N), stepped, stepped, stepped, stepped, (M, N)]
+
+
+class TestFiniteDifferenceOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(scn=polar_scenarios())
+    def test_equal_one_stepped_scenario_at_a_time(self, scn):
+        for axis in ("bearing", "range"):
+            assert np.array_equal(steering_derivatives_fd(scn, axis), steering_fd_reference(scn, axis))
+        assert np.array_equal(rx_derivatives_fd(scn), rx_fd_reference(scn))
 
 
 class TestFimGeneric:

@@ -213,6 +213,13 @@ class TestAnalyticReposition:
         p2 = analytic_reposition(noisy, 2)
         assert np.array_equal(p1.new_arrival_rad, p2.new_arrival_rad)
 
+    def test_fits_no_positions(self, scenario_a, scenario_b):
+        # a plan rewrites arrival angles only; refitting the rewritten table is a sweep's work
+        polar = scenario_from_positions(*scenario_positions(scenario_b)[:2], 3e8, scenario_b.signals, 1.0, 1)
+        with mock.patch("numpy.linalg.lstsq", side_effect=AssertionError("least-squares fit")):
+            for scn in (scenario_a, scenario_b, polar):
+                analytic_reposition(scn, 2)
+
 
 class TestLineSearch:
     def test_single_source_gf_is_flat(self):

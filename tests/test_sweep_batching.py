@@ -111,15 +111,20 @@ def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, mo
     step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
     failing = step + step // 2 + 1  # a reposition row in the middle of the second chunk
     point = spec.grid()[failing // 2]
-    plan_moves = optimizer.plan_moves
+    plan_moves, refit_axes, hits = optimizer.plan_moves, optimizer.refit_axes, []
 
-    def injected(table, elements, freqs, c):
-        # only a planned reposition row holds a conversion error of its rewritten table
+    def planned(table, elements, freqs, c):
         plans = plan_moves(table, elements, freqs, c)
-        held = [ValidationError("injected failure") if f[0] == point else exc for f, exc in zip(freqs, plans.held)]
-        return replace(plans, held=held)
+        hits[:] = [f[0] == point for f, exc in zip(freqs, plans.errors) if exc is None]
+        return plans
 
-    monkeypatch.setattr(optimizer, "plan_moves", injected)
+    def injected(table, arrival):
+        # only a planned reposition row holds a conversion error of its rewritten table
+        axes, residuals, held = refit_axes(table, arrival)
+        return axes, residuals, [ValidationError("injected failure") if hit else exc for hit, exc in zip(hits, held)]
+
+    monkeypatch.setattr(optimizer, "plan_moves", planned)
+    monkeypatch.setattr(optimizer, "refit_axes", injected)
     rows = sweep(scn, spec)
     expected = default_rows["scenario_a"]
     failed = rows[failing]
