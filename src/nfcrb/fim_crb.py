@@ -14,8 +14,10 @@ is the authoritative path, and a closed-form block assembly built from
 index-selection matrices, kept as a cross-check of a given generic matrix
 (run by ``validate`` and the tests, not by reports) that reports its
 per-block deviation; its index tables are built once per N.  Finite-difference
-oracles for the steering and covariance derivatives back both; each steers all
-its stepped constellations in stacked array passes.
+oracles for the steering and covariance derivatives back both; each takes a
+polar or pairwise scenario as given, steps the polar axes ``linearize`` steers
+(``geometry.polar_axes``: a pairwise table's fitted positions, no polar
+Scenario), and steers all its stepped constellations in stacked array passes.
 
 The trace form is one kernel over a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
@@ -40,9 +42,8 @@ from functools import cache
 import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
-from .geometry import (TWO_PI, Scenario, distances, native_delays, polar_axes, polar_to_cartesian,
-                       sensor_positions)
-from .signal_model import covariances, frequency_vector, steering_matrix
+from .geometry import TWO_PI, distances, polar_axes, polar_to_cartesian
+from .signal_model import amplitude_vector, covariances, frequency_vector, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
     return FimMatrix(snapshots * F[0], int(snapshots), float(cond[0]))
 
 
-def _covariance_stack(scenario: Scenario, *constellations) -> tuple[np.ndarray, ...]:
+def _covariance_stack(scenario, *constellations) -> tuple[np.ndarray, ...]:
     """The kernel: (K, M, N) steering matrices and bearing and range derivative columns, the
     covariances and the (K, P, M, M) derivative stacks of K constellations, given as
     ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
@@ -518,30 +519,31 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
     return [CrbReport(*row, k, size, k < size) for *row, k in rows]
 
 
-def _stepped_steering(scenario: Scenario, axis: str, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(2N, M, N) steering matrices of the scenario with each source stepped up (the first N) and
-    down (the last N) along ``axis``, from one stacked pass, and the N steps: ``rel_step`` radians
-    for bearings, ``rel_step`` of each range for ranges.
+def _stepped_steering(scenario, axis: str, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(2N, M, N) steering matrices of a polar or pairwise scenario's polar axes (``polar_axes``,
+    which ``linearize`` steers) with each source stepped up (the first N) and down (the last N)
+    along ``axis``, from one stacked pass, and the N steps: ``rel_step`` radians for bearings,
+    ``rel_step`` of each range for ranges.
 
     A stepped source's bearing is reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0
-    wraps, and every value equals that of the stepped Scenario bit for bit.
+    wraps, and every value equals that of the stepped polar Scenario bit for bit.
     """
     if axis not in ("bearing", "range"):
         raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    N = scenario.num_sources
-    ranges, bearings = (np.tile(a, (2 * N, 1)) for a in (scenario.source_ranges(), scenario.source_bearings()))
+    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
+    N = len(ranges)
+    ranges, bearings = (np.tile(a, (2 * N, 1)) for a in (ranges, bearings))
     h = np.full(N, rel_step) if axis == "bearing" else rel_step * ranges[0]
     rows, n = np.arange(2 * N), np.tile(np.arange(N), 2)
     (bearings if axis == "bearing" else ranges)[rows, n] += np.concatenate([h, -h])
     bearings[rows, n] %= TWO_PI
-    d = distances(sensor_positions(scenario), polar_to_cartesian(ranges, bearings))
-    return steering_matrix(d / scenario.velocity_mps, scenario.frequencies()), h
+    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
+    return steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals)), h
 
 
-def steering_derivatives_fd(
-    scenario: Scenario, axis: str, rel_step: float = 1e-6
-) -> list[np.ndarray]:
-    """Central finite differences of the steering matrix, one (M, N) matrix per source.
+def steering_derivatives_fd(scenario, axis: str, rel_step: float = 1e-6) -> list[np.ndarray]:
+    """Central finite differences of the steering matrix of a polar or pairwise scenario, one
+    (M, N) matrix per source.
 
     Steps are 1e-6 radians for bearings and 1e-6 of each range for ranges.
     """
@@ -549,19 +551,23 @@ def steering_derivatives_fd(
     return list((A[: len(h)] - A[len(h) :]) / (2.0 * h)[:, None, None])
 
 
-def rx_derivatives_fd(scenario: Scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
-    """Central finite differences of the array covariance over the full parameter vector.
+def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
+    """Central finite differences of the array covariance of a polar or pairwise scenario over
+    the full parameter vector.
 
     Every stepped covariance A (s s^H + shift) A^H + eta I, up and down, is one slice of one
     stacked product: the bearing and range steps steer their stepped sources (``_stepped_steering``),
-    and the covariance-entry and noise steps share the unchanged scenario's steering matrix.
+    and the covariance-entry and noise steps share the steering matrix of the unstepped polar axes.
     """
     M, N = scenario.num_sensors, scenario.num_sources
-    s, eta0 = scenario.amplitudes(), scenario.noise_variance
+    s, eta0 = amplitude_vector(scenario.signals), scenario.noise_variance
     base_rs, bases = np.outer(s, s.conj()), np.array(ParameterIndex(N).cov_entry_bases())
     h_cov, h_eta = rel_step * max(float(np.abs(s).max()) ** 2, 1.0), rel_step * eta0
     (A_b, h_b), (A_r, h_r) = (_stepped_steering(scenario, axis, rel_step) for axis in ("bearing", "range"))
-    A0 = np.repeat(steering_matrix(native_delays(scenario), scenario.frequencies())[None], N * N + 1, axis=0)
+    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
+    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
+    A0 = steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals))
+    A0 = np.repeat(A0[None], N * N + 1, axis=0)
     A = np.concatenate([A_b[:N], A_r[:N], A0, A_b[N:], A_r[N:], A0])
     zeros = np.zeros((2 * N, N, N))
     shifts = np.concatenate([zeros, h_cov * bases, zeros[:1], zeros, -h_cov * bases, zeros[:1]])

@@ -17,11 +17,12 @@ recovering positions is a least-squares fit, one coordinate at a time, whose
 root-mean-square inconsistency (meters) is always reported.  The y half reads
 H alone, so tables differing only in arrival angles share it (``refit_positions``).
 
-This module is the only one that branches on the encoding: ``polar_form``, ``polar_axes``,
-``pairwise_form``, ``delay_geometry`` and ``scenario_positions`` take either, ``distances``
-is the one sensor-to-source distance kernel, ``polar_to_cartesian`` the one
-polar-to-Cartesian conversion and ``axes_from_positions`` (behind ``polar_axes``) gives
-the kernel's polar axes of Cartesian points.
+This module is the only one that branches on the encoding: ``polar_axes``, ``pairwise_form``,
+``delay_geometry`` and ``scenario_positions`` take either, ``distances`` is the one
+sensor-to-source distance kernel, ``polar_to_cartesian`` the one polar-to-Cartesian
+conversion and ``axes_from_positions`` (behind ``polar_axes``) gives the kernel's polar axes
+of Cartesian points.  No polar Scenario is built from positions: the kernel and the
+finite-difference oracles read a pairwise table's fitted positions as those axes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DegenerateGeometryError, SingularGeometryError, ValidationError
-from .signal_model import SourceSignal, amplitude_vector, frequency_vector
+from .signal_model import SourceSignal
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,12 +124,6 @@ class Scenario:
 
     def sensor_azimuths(self) -> np.ndarray:
         return np.array([s.azimuth_rad for s in self.sensors])
-
-    def frequencies(self) -> np.ndarray:
-        return frequency_vector(self.signals)
-
-    def amplitudes(self) -> np.ndarray:
-        return amplitude_vector(self.signals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,24 +216,13 @@ def source_positions(scenario: Scenario) -> np.ndarray:
     return polar_to_cartesian(scenario.source_ranges(), scenario.source_bearings())
 
 
-def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
-                            snapshots: int) -> Scenario:
-    """Build a polar Scenario from (M, 2) Cartesian sensors and (N, 2) sources."""
-    radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors_xy, sources_xy)
-    if at_origin[0]:
-        raise at_origin[0]
-    sensors = tuple(map(SensorGeom, radii.tolist(), azimuths.tolist()))
-    sources = tuple(map(SourceGeom, ranges.tolist(), bearings.tolist()))
-    return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
-
-
 def _polar_coordinates(sensors_xy, sources_xy) -> tuple:
     """(..., M) radii and azimuths of (..., M, 2) Cartesian sensors and (..., N) ranges and bearings
     of (..., N, 2) sources, from the scalar math.hypot and math.atan2 over one flat list of points:
     the one Cartesian-to-polar conversion, so every polar value made from Cartesian coordinates
     agrees bit for bit (np.hypot and np.arctan2 round differently on 0.6 % and 7 % of random
-    points).  Angles are atan2's own: SensorGeom and SourceGeom, or ``axes_from_positions``, reduce
-    each once.  Last, per layout: the DegenerateGeometryError of a source at the origin, or None."""
+    points).  Angles are atan2's own: ``axes_from_positions`` and ``refit_axes`` reduce each once.
+    Last, per layout: the DegenerateGeometryError of a source at the origin, or None."""
     points = np.concatenate([np.asarray(sensors_xy, dtype=float), np.asarray(sources_xy, dtype=float)], axis=-2)
     xy = points.reshape(-1, 2).tolist()
     radii = np.array([math.hypot(x, y) for x, y in xy]).reshape(points.shape[:-1])
@@ -251,9 +235,9 @@ def _polar_coordinates(sensors_xy, sources_xy) -> tuple:
 
 def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
     """(M,) radii and azimuths of (M, 2) Cartesian sensors and (N,) ranges and bearings of (N, 2)
-    sources, as the kernel takes them: the values of ``scenario_from_positions``' Scenario bit for
-    bit, angles reduced % TWO_PI once, as SensorGeom and SourceGeom reduce them, but without
-    building it.  A source at the frame origin is rejected."""
+    sources, as the kernel takes them: angles reduced % TWO_PI once, as SensorGeom and SourceGeom
+    reduce them, so a polar Scenario of these points would hold the same values bit for bit.  A
+    source at the frame origin is rejected."""
     radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors_xy, sources_xy)
     if at_origin[0]:
         raise at_origin[0]
@@ -341,22 +325,10 @@ def _require_scenario(scn) -> None:
         raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
 
 
-def polar_form(scn) -> tuple[Scenario, float | None]:
-    """Polar form of a scenario and its reconstruction residual in meters (None for polar input)."""
-    _require_scenario(scn)
-    if isinstance(scn, Scenario):
-        return scn, None
-    sensors_xy, sources_xy, residual = scn.geometry.positions
-    polar = scenario_from_positions(
-        sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
-    )
-    return polar, residual
-
-
 def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
     """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
-    form, and its residual, as ``polar_form`` gives them bit for bit (``axes_from_positions``)
-    but without building the Scenario."""
+    form, and its reconstruction residual in meters (None for polar input): a polar scenario's
+    own values, or ``axes_from_positions`` of a pairwise table's fitted positions."""
     _require_scenario(scn)
     if isinstance(scn, Scenario):
         return (scn.sensor_radii(), scn.sensor_azimuths(), scn.source_ranges(), scn.source_bearings()), None

@@ -72,7 +72,8 @@ class RepositionPlan:
 
 
 def _check_axis(label: str, grid, prefix: str = "") -> None:
-    """Reject non-finite bounds, a step count that is not a positive integer and reversed bounds."""
+    """Reject non-finite bounds, a step count that is not a positive integer, reversed bounds and
+    bounds whose span overflows (its grid would hold non-finite values)."""
     start, stop, steps = (getattr(grid, prefix + name) for name in ("start", "stop", "steps"))
     for name, value in (("start", start), ("stop", stop)):
         if not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -81,6 +82,8 @@ def _check_axis(label: str, grid, prefix: str = "") -> None:
         raise ValidationError(f"{label} {prefix}steps must be a positive integer, got {steps!r}")
     if stop < start:
         raise ValidationError(f"{label} bounds reversed: [{start}, {stop}]")
+    if not math.isfinite(stop - start):
+        raise ValidationError(f"{label} {prefix}stop - {prefix}start overflows: [{start}, {stop}]")
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ class DisplacementGrid:
 
     def values(self) -> np.ndarray:
         if self.steps == 1:
-            return np.array([0.5 * (self.start + self.stop)])
+            return np.array([0.5 * self.start + 0.5 * self.stop])  # halves first: no overflow
         return np.linspace(self.start, self.stop, self.steps)
 
 
@@ -120,17 +123,6 @@ class BoxGrid:
         xs = DisplacementGrid(self.x_start, self.x_stop, self.x_steps).values()
         ys = DisplacementGrid(self.y_start, self.y_stop, self.y_steps).values()
         return np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
-
-
-def hadamard_bound(matrix) -> float:
-    """Determinant bound (max |entry|)^M * M^(M/2) for a square M x M matrix."""
-    X = np.asarray(matrix, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValidationError(f"matrix must be square, got {X.shape}")
-    m = X.shape[0]
-    if m == 0:
-        return 1.0
-    return float(np.abs(X).max() ** m * m ** (m / 2.0))
 
 
 def _check_element(element: int, num_sensors: int) -> None:
@@ -349,12 +341,14 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
     values, errors = np.empty(len(positions)), {}
-    for lo in range(0, len(positions), step):
-        chunk = batch_or_each(score, positions[lo : lo + step])
-        if isinstance(chunk, list):  # a row failed, so each row was scored alone
-            errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
-            chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
-        values[lo : lo + len(chunk)] = chunk
+    # overflowing positions give non-finite numbers that fail their candidates with a reason, not warnings
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(positions), step):
+            chunk = batch_or_each(score, positions[lo : lo + step])
+            if isinstance(chunk, list):  # a row failed, so each row was scored alone
+                errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
+                chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
+            values[lo : lo + len(chunk)] = chunk
     for i in np.flatnonzero(~np.isfinite(values)).tolist():  # a NaN or infinite score fails too
         if i not in errors:
             errors[i] = ValidationError(f"objective {objective} is not finite ({values[i]})")

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nfcrb import load_scenario, runtime_scenario
-from nfcrb.signal_model import SourceSignal, covariances, steering_matrix
+from nfcrb import ValidationError, geometry, load_scenario, runtime_scenario
+from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, steering_matrix
 from nfcrb.geometry import (
     PairwiseGeometry,
     PairwiseScenario,
@@ -16,6 +16,40 @@ from nfcrb.geometry import (
     native_delays,
 )
 from nfcrb.fim_crb import ParameterIndex, linearize, steering_derivatives
+
+
+def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
+                            snapshots: int) -> Scenario:
+    """Build a polar Scenario from (M, 2) Cartesian sensors and (N, 2) sources."""
+    radii, azimuths, ranges, bearings, at_origin = geometry._polar_coordinates(sensors_xy, sources_xy)
+    if at_origin[0]:
+        raise at_origin[0]
+    sensors = tuple(map(SensorGeom, radii.tolist(), azimuths.tolist()))
+    sources = tuple(map(SourceGeom, ranges.tolist(), bearings.tolist()))
+    return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
+
+
+def polar_form(scn) -> tuple[Scenario, float | None]:
+    """Polar form of a scenario and its reconstruction residual in meters (None for polar input):
+    the Scenario whose values ``geometry.polar_axes`` gives as arrays."""
+    if isinstance(scn, Scenario):
+        return scn, None
+    sensors_xy, sources_xy, residual = scn.geometry.positions
+    polar = scenario_from_positions(
+        sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
+    )
+    return polar, residual
+
+
+def hadamard_bound(matrix) -> float:
+    """Determinant bound (max |entry|)^M * M^(M/2) for a square M x M matrix."""
+    X = np.asarray(matrix, dtype=complex)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValidationError(f"matrix must be square, got {X.shape}")
+    m = X.shape[0]
+    if m == 0:
+        return 1.0
+    return float(np.abs(X).max() ** m * m ** (m / 2.0))
 
 
 def random_scenario(rng: np.random.Generator, m: int | None = None, n: int | None = None) -> Scenario:
@@ -87,7 +121,7 @@ def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0,
 
 def trace_loop_fim(scn: Scenario) -> np.ndarray:
     """Reference information matrix: dense derivative products and one trace per entry."""
-    A = steering_matrix(native_delays(scn), scn.frequencies())
+    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
     covset = covariances(A, scn.signals, scn.noise_variance)
     Rs, Ah = covset.source_cov, A.conj().T
     derivs = [

@@ -24,7 +24,7 @@ from nfcrb.signal_model import (
     steering_matrix,
     synthesize_snapshots,
 )
-from nfcrb.geometry import native_delays, polar_form, sensor_positions, source_positions
+from nfcrb.geometry import native_delays, sensor_positions, source_positions
 from nfcrb.fim_crb import (
     crb_reports,
     fim_closed_form,
@@ -34,10 +34,10 @@ from nfcrb.fim_crb import (
     steering_derivatives,
     steering_derivatives_fd,
 )
-from nfcrb.reposition import analytic_reposition, gf_objective, hadamard_bound, phase_terms
+from nfcrb.reposition import analytic_reposition, gf_objective, phase_terms
 from nfcrb.optimizer import SweepSpec, sweep
 from nfcrb.cli import main as cli_main
-from conftest import random_scenario
+from conftest import hadamard_bound, polar_form, random_scenario
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nfcrb import SingularCovarianceError, SingularGeometryError, ValidationError
 from nfcrb import fim_crb
 from nfcrb.cli import main
-from nfcrb.signal_model import SourceSignal, steering_matrix
-from nfcrb.geometry import Scenario, SensorGeom, SourceGeom, native_delays, polar_form
+from nfcrb.signal_model import SourceSignal, amplitude_vector, frequency_vector, steering_matrix
+from nfcrb.geometry import PairwiseGeometry, Scenario, SensorGeom, SourceGeom, native_delays, pairwise_form
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
@@ -26,7 +26,7 @@ from nfcrb.fim_crb import (
     steering_derivatives,
     steering_derivatives_fd,
 )
-from conftest import pinv_totals, random_scenario, trace_loop_fim
+from conftest import pinv_totals, polar_form, random_scenario, random_upper_half_scenario, trace_loop_fim
 
 
 def _own_layout(scn):
@@ -39,7 +39,7 @@ def _with_layout(scn, radii, azimuths):
 
 def layout_fims(scn, radii, azimuths):
     """``fim_for_scenarios`` of (K, M) sensor layouts around the scenario's own sources."""
-    sources = scn.source_ranges(), scn.source_bearings(), scn.frequencies(), scn.velocity_mps
+    sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
     return fim_for_scenarios(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
 
 
@@ -71,14 +71,14 @@ def _stepped_scenarios(scn, axis, rel_step=1e-6):
 
 def steering_fd_reference(scn, axis):
     """``steering_derivatives_fd`` steering one stepped Scenario at a time."""
-    freqs = scn.frequencies()
+    freqs = frequency_vector(scn.signals)
     return [(steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
             for hi, lo, h in _stepped_scenarios(scn, axis)]
 
 
 def rx_fd_reference(scn, rel_step=1e-6):
     """``rx_derivatives_fd`` one stepped Scenario and one covariance at a time."""
-    freqs, s = scn.frequencies(), scn.amplitudes()
+    freqs, s = frequency_vector(scn.signals), amplitude_vector(scn.signals)
     base_rs = np.outer(s, s.conj())
 
     def rx_at(stepped, rs_shift, eta):
@@ -107,6 +107,18 @@ def polar_scenarios(draw):
     if near_zero is not None:
         scn = replace(scn, sources=(SourceGeom(scn.sources[0].range_m, near_zero), *scn.sources[1:]))
     return scn
+
+
+@st.composite
+def pairwise_scenarios(draw):
+    """Pairwise tables of random constellations of one to four sources above the sensors, their
+    arrival angles jittered by up to 1e-3 rad so that the fit leaves a residual."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, min(m - 1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pws = pairwise_form(random_upper_half_scenario(rng, m, n))
+    arrival = pws.geometry.arrival_rad + rng.uniform(-1e-3, 1e-3, (m, n))
+    return replace(pws, geometry=PairwiseGeometry(pws.geometry.vertical_m, arrival))
 
 
 class TestParameterIndex:
@@ -210,6 +222,15 @@ class TestFiniteDifferenceOracles:
         for axis in ("bearing", "range"):
             assert np.array_equal(steering_derivatives_fd(scn, axis), steering_fd_reference(scn, axis))
         assert np.array_equal(rx_derivatives_fd(scn), rx_fd_reference(scn))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pws=pairwise_scenarios())
+    def test_pairwise_input_equals_its_polar_form(self, pws):
+        # the oracles step a pairwise table's polar axes, which are its polar form's values
+        polar, _ = polar_form(pws)
+        for axis in ("bearing", "range"):
+            assert np.array_equal(steering_derivatives_fd(pws, axis), steering_derivatives_fd(polar, axis))
+        assert np.array_equal(rx_derivatives_fd(pws), rx_derivatives_fd(polar))
 
 
 class TestFimGeneric:

@@ -20,12 +20,11 @@ from nfcrb.geometry import (
     native_delays,
     pairwise_form,
     polar_axes,
-    polar_form,
     reconstruct_positions,
     refit_positions,
     scenario_positions,
 )
-from conftest import random_upper_half_scenario
+from conftest import polar_form, random_upper_half_scenario
 
 C = 3e8
 

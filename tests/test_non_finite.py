@@ -142,6 +142,34 @@ def test_overflowing_sweep_warns_nowhere(tmp_path, capsys):
     ]
 
 
+# what a search over --grid=-1e200:1e200:5 printed before its scoring ran under np.errstate:
+# the before/after objective and one note per skipped candidate
+OVERFLOWING_SEARCH = {
+    "gf": ("3.587878e+00", "objective gf is not finite (nan)"),
+    "det": ("9.194623e+01", "objective det is not finite (nan)"),
+    "crb_theta": ("2.764715e+00", NON_FINITE_COV),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(OVERFLOWING_SEARCH))
+def test_overflowing_search_warns_nowhere(objective, capsys):
+    # candidates are scored under one np.errstate: the skipped ones say why, numpy says nothing
+    argv = ["reposition", "--scenario", "scenario_b", "--mode", "grid", "--objective", objective,
+            "--grid=-1e200:1e200:5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and caught == []
+    value, reason = OVERFLOWING_SEARCH[objective]
+    assert stdout.splitlines()[:8] == [
+        f"plan: element 1, mode grid, objective {objective}",
+        "displacement: +0 m along the reference axis",
+        "new arrival angles (deg): [73.605, 56.345]",
+        f"objective before/after: {value} / {value}",
+        *(f"  note: displacement {d} m skipped: {reason}" for d in ("-1e+200", "-5e+199", "+5e+199", "+1e+200")),
+    ]
+
+
 OVERFLOWING_DIVISOR = "source 1: phase divisor c / (2 f H) = inf is not finite"
 
 

@@ -13,10 +13,10 @@ from nfcrb import (
     grid_search,
 )
 from nfcrb.signal_model import SourceSignal
-from nfcrb.geometry import scenario_from_positions
 from nfcrb.fim_crb import crb_reports, fim_for_scenario
 from nfcrb.reposition import analytic_reposition
 from nfcrb.optimizer import SweepSpec, sweep
+from conftest import scenario_from_positions
 
 
 def symmetric_toy():

@@ -22,11 +22,11 @@ from nfcrb import (
 )
 from nfcrb import fim_crb, optimizer, reposition
 from nfcrb.signal_model import SourceSignal
-from nfcrb.geometry import scenario_from_positions, scenario_positions
+from nfcrb.geometry import scenario_positions
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
-from conftest import random_upper_half_scenario
+from conftest import random_upper_half_scenario, scenario_from_positions
 
 PHASE_OBJECTIVES = ("gf", "power", "det")
 

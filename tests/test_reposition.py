@@ -24,7 +24,6 @@ from nfcrb.geometry import (
     distances,
     native_delays,
     pairwise_form,
-    scenario_from_positions,
     scenario_positions,
 )
 from nfcrb.fim_crb import crb_reports, fim_for_scenario
@@ -34,12 +33,12 @@ from nfcrb.reposition import (
     RepositionPlan,
     analytic_reposition,
     gf_objective,
-    hadamard_bound,
     phase_terms,
     score_candidates,
 )
 from nfcrb.cli import main as cli_main
-from conftest import pairwise_scenario, pinv_totals, random_upper_half_scenario, trace_loop_fim
+from conftest import (hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
+                      scenario_from_positions, trace_loop_fim)
 
 
 def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
@@ -617,6 +616,9 @@ class TestGridValidation:
             (lambda: BoxGrid(math.nan, 1.0, 3, 0.0, 1.0, 3), "box grid x_start must be a finite number, got nan"),
             (lambda: BoxGrid(0.0, 1.0, 3, 0.0, -math.inf, 3), "box grid y_stop must be a finite number, got -inf"),
             (lambda: BoxGrid(0.0, 1.0, 3, 0.0, 1.0, 2.5), "box grid y_steps must be a positive integer, got 2.5"),
+            (lambda: DisplacementGrid(-1e308, 1e308, 3), r"grid stop - start overflows: \[-1e\+308, 1e\+308\]"),
+            (lambda: BoxGrid(-1e308, 1e308, 3, 0.0, 1.0, 3), r"box grid x_stop - x_start overflows: \[-1e\+308, 1e\+308\]"),
+            (lambda: BoxGrid(0.0, 1.0, 3, -1e308, 1e308, 3), r"box grid y_stop - y_start overflows: \[-1e\+308, 1e\+308\]"),
         ],
     )
     def test_rejects_naming_the_field(self, make, message):
@@ -632,6 +634,17 @@ class TestGridValidation:
             line_search_reposition(scenario_a, 2, "det", DisplacementGrid(math.nan, 1.0, 3))
         with pytest.raises(ValidationError, match="^box grid x_start must be a finite number"):
             grid_search(scenario_a, 2, "power", BoxGrid(math.nan, 1.0, 3, -1.0, 1.0, 3))
+
+    def test_one_step_sits_at_the_midpoint_of_any_finite_bounds(self):
+        # the midpoint of 1e308 and 1e308 used to overflow to inf
+        assert DisplacementGrid(1e308, 1e308, 1).values().tolist() == [1e308]
+        assert BoxGrid(-1.0, 3.0, 1, 1.5e308, 1.7e308, 1).points().tolist() == [[1.0, 1.6e308]]
+
+    def test_overflowing_span_stops_the_search(self, capsys):
+        # finite bounds whose span overflows used to scan [nan, inf, 1e308] and fail every grid point
+        argv = ["reposition", "--scenario", "scenario_a", "--mode", "grid", "--grid=-1e308:1e308:3"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "error: grid stop - start overflows: [-1e+308, 1e+308]\n")
 
 
 def origin_at_element(scn: Scenario, element: int) -> Scenario:

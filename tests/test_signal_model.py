@@ -4,7 +4,9 @@ import pytest
 from nfcrb import ValidationError
 from nfcrb.signal_model import (
     SourceSignal,
+    amplitude_vector,
     covariances,
+    frequency_vector,
     received_power,
     sample_covariance,
     steering_matrix,
@@ -64,7 +66,7 @@ class TestCovariances:
         rng = np.random.default_rng(17)
         for _ in range(20):
             scn = random_scenario(rng)
-            A = steering_matrix(native_delays(scn), scn.frequencies())
+            A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
             cs = covariances(A, scn.signals, scn.noise_variance)
             w = np.linalg.eigvalsh(cs.array_cov)
             assert w.min() >= scn.noise_variance - 1e-10
@@ -146,8 +148,8 @@ class TestReceivedPower:
     def test_power_equals_quadratic_form(self):
         rng = np.random.default_rng(9)
         scn = random_scenario(rng, m=5, n=3)
-        A = steering_matrix(native_delays(scn), scn.frequencies())
+        A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
         powers, _ = received_power(A, scn.signals)
-        s = scn.amplitudes()
+        s = amplitude_vector(scn.signals)
         manual = np.array([abs(np.dot(A[m], s)) ** 2 for m in range(5)])
         assert np.allclose(powers, manual, rtol=1e-12)

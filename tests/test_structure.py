@@ -159,9 +159,9 @@ def test_scenario_files_construct_scenarios_only_when_parsed():
     assert owners == {"parse_scenario"}
 
 
-def test_polar_scenarios_from_positions_only_for_polar_form():
-    # searches and sweeps take polar axes as arrays, without a Scenario
-    assert callers_of("scenario_from_positions") == [("geometry.py", "polar_form")]
+def test_polar_scenarios_are_built_only_when_parsed():
+    # searches, sweeps and validate take a pairwise table's polar axes as arrays, without a Scenario
+    assert callers_of("Scenario") == [("scenario_io.py", "parse_scenario")]
 
 
 def test_one_cartesian_to_polar_conversion():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_scenario, random_upper_half_scenario
+from conftest import polar_form, random_scenario, random_upper_half_scenario
 
 from nfcrb import (
     SingularGeometryError,
@@ -18,7 +18,7 @@ from nfcrb import (
     runtime_scenario,
 )
 from nfcrb import fim_crb, geometry, optimizer
-from nfcrb.geometry import pairwise_form, polar_form
+from nfcrb.geometry import pairwise_form
 from nfcrb.fim_crb import ParameterIndex
 from nfcrb.reposition import analytic_reposition
 from nfcrb.optimizer import SweepSpec, _planned_chunks, evaluate_constellation, sweep
@@ -296,7 +296,6 @@ def _counting(monkeypatch, module, name, counts):
 def test_pairwise_sweep_fits_its_table_once(monkeypatch):
     counts, built = {}, []
     _counting(monkeypatch, geometry, "reconstruct_positions", counts)
-    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
     init = geometry.Scenario.__post_init__
     monkeypatch.setattr(geometry.Scenario, "__post_init__", lambda self: (built.append(self), init(self)))
     rows = sweep(_scenario("scenario_b"), SweepSpec("velocity", 1e8, 6e8, 100))
@@ -309,9 +308,8 @@ def _planned(rows):
 
 
 def _count_builds(monkeypatch, counts):
-    """Count lstsq solves, scenario_from_positions calls and every PairwiseGeometry, PairwiseScenario and Scenario built."""
+    """Count lstsq solves and every PairwiseGeometry, PairwiseScenario and Scenario built."""
     _counting(monkeypatch, np.linalg, "lstsq", counts)
-    _counting(monkeypatch, geometry, "scenario_from_positions", counts)
     for cls in (geometry.PairwiseGeometry, geometry.PairwiseScenario, geometry.Scenario):
 
         def counted_init(self, init=cls.__post_init__, name=cls.__name__):
