@@ -8,30 +8,32 @@ where the source-covariance entries are parameterized by N real diagonal
 values followed, for each upper-triangle pair (p < q) in row-major order, by
 the real part then the imaginary part.
 
-Two routes to the information matrix are provided: the generic trace form
-(one trace of R^-1 dR R^-1 dR per entry, scaled by the snapshot count), which
-is the authoritative path, and a closed-form block assembly built from
-index-selection matrices, kept as a cross-check of a given generic matrix
-(run by ``validate`` and the tests, not by reports) that reports its
-per-block deviation; its index tables are built once per N.  Finite-difference
-oracles for the steering and covariance derivatives back both; each takes a
-polar or pairwise scenario as given, steps the polar axes ``linearize`` steers
-(``geometry.polar_axes``: a pairwise table's fitted positions, no polar
-Scenario), and steers all its stepped constellations in stacked array passes.
+Three routes to the information matrix are provided.  The generic trace form
+(one trace of R^-1 dR R^-1 dR per entry, scaled by the snapshot count) is the
+authoritative path and the oracle of the others.  ``fim_rank_one``, the bound
+searches' kernel, reads every trace off one (3N+1)^2 Gram matrix per layout,
+as R = eta I + a a^H.  A closed-form block assembly built from index-selection
+matrices is kept as a cross-check of a given generic matrix (run by
+``validate`` and the tests, not by reports) that reports its per-block
+deviation; its index tables are built once per N.  Finite-difference oracles
+for the steering and covariance derivatives back them; each takes a polar or
+pairwise scenario as given, steps the polar axes ``linearize`` steers
+(``geometry.polar_axes``, converted once per pairwise table), and steers all
+its stepped constellations in stacked array passes.
 
-The trace form is one kernel over a leading batch axis of K constellations:
+Both batched kernels take a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
 velocity (K,), or sources, frequencies and velocity shared by all K, with
-shared amplitudes, noise and snapshots.  One array pass gives the steering,
-the rank-two covariance derivatives and all traces as one matmul.
-``fim_for_scenarios`` is the one batched entry (a sweep's or a report
-batch's chunk, or a search's chunk of sensor layouts around shared sources).
-``linearize`` is the kernel at K = 1: one scenario's steering matrix,
-derivative columns, covariances and dR stack, from one pass.  Everything
-about a single constellation reads that pass: ``fim_for_scenario`` hands its
-covariance and dR stack to ``fim_generic``, and ``validate`` checks its
-columns and dR stack against the finite-difference oracles and hands it, with
-the generic matrix, to ``fim_closed_form``.
+shared amplitudes, noise and snapshots.  One trace-form pass gives the steering,
+the rank-two covariance derivatives and all traces as one matmul;
+``fim_for_scenarios`` is its batched entry (a sweep's or a report batch's
+chunk), and ``fim_rank_one`` scores a search's chunks of sensor layouts around
+shared sources.  ``linearize`` is the trace form at K = 1: one scenario's
+steering matrix, derivative columns, covariances and dR stack, from one pass.
+Everything about a single constellation reads that pass: ``fim_for_scenario``
+hands its covariance and dR stack to ``fim_generic``, and ``validate`` checks
+its columns and dR stack against the finite-difference oracles and hands it,
+with the generic matrix, to ``fim_closed_form``.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class ParameterIndex:
         n = self.n_sources
         return [(p, q) for p in range(n) for q in range(p + 1, n)]
 
-    def cov_entry_bases(self) -> list[np.ndarray]:
-        """Hermitian basis matrices of the source-covariance parameterization."""
+    @cache
+    def cov_entry_bases(self) -> np.ndarray:
+        """Read-only (N^2, N, N) Hermitian basis matrices of the source-covariance parameterization."""
         n = self.n_sources
 
         def basis(*entries) -> np.ndarray:
@@ -96,6 +99,8 @@ class ParameterIndex:
         bases = [basis((d, d, 1.0)) for d in range(n)]
         for p, q in self.upper_pairs():
             bases += [basis((p, q, 1.0), (q, p, 1.0)), basis((p, q, 1j), (q, p, -1j))]
+        bases = np.array(bases)
+        bases.flags.writeable = False
         return bases
 
 
@@ -295,6 +300,42 @@ def fim_for_scenario(scenario) -> FimMatrix:
     """The information matrix of one polar or pairwise scenario: ``fim_generic`` of its ``linearize`` pass."""
     lin = linearize(scenario)
     return fim_generic(lin.array_cov, lin.derivs, scenario.snapshots)
+
+
+def fim_rank_one(scenario, *axes) -> np.ndarray:
+    """``fim_for_scenarios``' (K, P, P) matrices, to rounding, with no M x M matrix: R = eta I + a a^H (a = A s)
+    has R^-1 = (I - d a a^H) / eta and R^-2 = (I - d^2 (2 eta + |a|^2) a a^H) / eta^2, d = 1 / (eta + |a|^2),
+    so every trace comes from the Gram matrix of Z = [A, U, a], where U holds the u = s_n dA/d(axis)_n
+    of the source-axis derivatives u a^H + a u^H.  Blocks: 2 Re(alpha alpha^T) + 2 gamma Re(U^H R^-1 U)
+    (alpha = a^H R^-1 U, gamma = a^H R^-1 a); 2 Re(beta^H E xi) (beta = A^H R^-1 U, xi = A^H R^-1 a) and
+    Re tr(E Gamma E' Gamma) (Gamma = A^H R^-1 A) over the bases E; tr(R^-2 dR) for the noise.  Raises as
+    the trace form does, but names eta as the least eigenvalue of a singular R (eta < 1e-15 (eta + |a|^2))."""
+    *_, A, cols_b, cols_r = _steering_columns(*axes)
+    eta, s = scenario.noise_variance, amplitude_vector(scenario.signals)
+    K, M, N = A.shape
+    Z = np.concatenate([A, s * cols_b, s * cols_r, A @ s[:, None]], axis=2)
+    H = Z.conj().swapaxes(1, 2) @ Z
+    power = H[:, -1:, -1:].real
+    if not np.isfinite(power).all():
+        raise SingularCovarianceError("array covariance has non-finite entries")
+    if np.any(eta < 1e-15 * (eta + power)):
+        raise SingularCovarianceError(f"array covariance is numerically singular; smallest eigenvalue {eta:.6e}")
+    d, outer = 1.0 / (eta + power), H[:, :, -1:] * H[:, -1:, :]  # Z^H a a^H Z
+    G, G2 = (H - d * outer) / eta, (H - d**2 * (2.0 * eta + power) * outer) / eta**2
+    Gamma, U, alpha = G[:, :N, :N], slice(N, 3 * N), G[:, -1:, N : 3 * N]
+    bases = ParameterIndex(N).cov_entry_bases().reshape(N * N, -1).T  # sum(E * T) = T_flat @ bases
+    axes_axes = 2.0 * (alpha.swapaxes(1, 2) * alpha).real + 2.0 * G[:, -1:, -1:].real * G[:, U, U].real
+    axes_cov = 2.0 * ((G[:, U, :N, None] * G[:, None, None, :N, -1]).reshape(K, 2 * N, -1) @ bases).real
+    X = Gamma[:, None, :, :, None] * Gamma.swapaxes(1, 2)[:, :, None, None, :]  # Gamma[q, r] Gamma[t, p]
+    cov_cov = (bases.T @ X.reshape(K, N * N, N * N) @ bases).real
+    axes_noise = 2.0 * G2[:, U, -1:].real
+    cov_noise = (G2[:, :N, :N].swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
+    blocks = ([axes_axes, axes_cov, axes_noise], [axes_cov.swapaxes(1, 2), cov_cov, cov_noise],
+              [axes_noise.swapaxes(1, 2), cov_noise.swapaxes(1, 2), (M - 1) / eta**2 + d**2])
+    F = np.concatenate([np.concatenate(row, axis=2) for row in blocks], axis=1)
+    if not np.isfinite(F).all():
+        raise ValidationError("information matrix has non-finite entries")
+    return scenario.snapshots * (0.5 * (F + F.swapaxes(1, 2)))
 
 
 def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +602,7 @@ def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
     """
     M, N = scenario.num_sensors, scenario.num_sources
     s, eta0 = amplitude_vector(scenario.signals), scenario.noise_variance
-    base_rs, bases = np.outer(s, s.conj()), np.array(ParameterIndex(N).cov_entry_bases())
+    base_rs, bases = np.outer(s, s.conj()), ParameterIndex(N).cov_entry_bases()
     h_cov, h_eta = rel_step * max(float(np.abs(s).max()) ** 2, 1.0), rel_step * eta0
     (A_b, h_b), (A_r, h_r) = (_stepped_steering(scenario, axis, rel_step) for axis in ("bearing", "range"))
     (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)

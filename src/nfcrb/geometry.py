@@ -177,6 +177,14 @@ class PairwiseGeometry:
         sensors.flags.writeable = sources.flags.writeable = False
         return sensors, sources, residual
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """``axes_from_positions`` of the fitted positions, converted once; the arrays are read-only."""
+        axes = axes_from_positions(*self.positions[:2])
+        for a in axes:
+            a.flags.writeable = False
+        return axes
+
 
 @dataclass(frozen=True)
 class PairwiseScenario:
@@ -328,12 +336,11 @@ def _require_scenario(scn) -> None:
 def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
     """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
     form, and its reconstruction residual in meters (None for polar input): a polar scenario's
-    own values, or ``axes_from_positions`` of a pairwise table's fitted positions."""
+    own values, or a pairwise table's ``PairwiseGeometry.axes``, converted once per table."""
     _require_scenario(scn)
     if isinstance(scn, Scenario):
         return (scn.sensor_radii(), scn.sensor_azimuths(), scn.source_ranges(), scn.source_bearings()), None
-    sensors_xy, sources_xy, residual = scn.geometry.positions
-    return axes_from_positions(sensors_xy, sources_xy), residual
+    return scn.geometry.axes, scn.geometry.positions[2]
 
 
 def pairwise_form(scn) -> PairwiseScenario:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import SingularCovarianceError, SingularGeometryError, ValidationError
-from nfcrb import fim_crb
+from nfcrb import fim_crb, geometry, reposition
 from nfcrb.cli import main
+from nfcrb.errors import kept
 from nfcrb.signal_model import SourceSignal, amplitude_vector, frequency_vector, steering_matrix
-from nfcrb.geometry import PairwiseGeometry, Scenario, SensorGeom, SourceGeom, native_delays, pairwise_form
+from nfcrb.geometry import (PairwiseGeometry, Scenario, SensorGeom, SourceGeom, native_delays, pairwise_form,
+                            scenario_positions)
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
@@ -214,6 +217,18 @@ class TestRxDerivatives:
         # and range passes and its one steering of the unchanged constellation
         assert shapes == [(1, M, N), stepped, stepped, stepped, stepped, (M, N)]
 
+    def test_pairwise_validate_converts_its_fit_to_polar_axes_once(self, monkeypatch, capsys):
+        calls, real = [], geometry.axes_from_positions
+
+        def counted(sensors_xy, sources_xy):
+            calls.append(np.shape(sensors_xy))
+            return real(sensors_xy, sources_xy)
+
+        monkeypatch.setattr(geometry, "axes_from_positions", counted)
+        assert main(["validate", "--scenario", "scenario_a"]) == 0
+        # linearize, the four stepped passes, the unchanged steering and the encoding test share one
+        assert calls == [(4, 2)]
+
 
 class TestFiniteDifferenceOracles:
     @settings(max_examples=60, deadline=None)
@@ -365,6 +380,99 @@ class TestKernelProperties:
         singles = [layout_fims(scn, radii[i : i + 1], azimuths[i : i + 1]) for i in range(k)]
         assert np.array_equal(F, np.concatenate([f for f, _ in singles]))
         assert np.array_equal(cond, np.concatenate([c for _, c in singles]))
+
+
+def rank_one_fims(scn, radii, azimuths):
+    """``fim_rank_one`` of (K, M) sensor layouts around the scenario's own sources."""
+    sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
+    return fim_crb.fim_rank_one(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+
+
+class TestRankOneKernel:
+    """The bound searches' kernel against the trace form, which stays the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scn=polar_scenarios(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_trace_loop(self, scn, seed):
+        radii, azimuths = _layouts(np.random.default_rng(seed), scn, 3)
+        F = rank_one_fims(scn, radii, azimuths)
+        for i in range(3):
+            ref = trace_loop_fim(_with_layout(scn, radii[i], azimuths[i]))
+            assert np.abs(F[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("fixture", ["scenario_a", "scenario_b"])
+    def test_equals_the_trace_loop_on_bundled(self, fixture, request):
+        polar, _ = polar_form(request.getfixturevalue(fixture))
+        F = rank_one_fims(polar, *_own_layout(polar))[0]
+        ref = trace_loop_fim(polar)
+        assert np.abs(F - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_and_psd(self, seed):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        F = rank_one_fims(scn, *_layouts(rng, scn, 3))
+        assert np.array_equal(F, F.swapaxes(1, 2))
+        for Fk in F:
+            assert np.linalg.eigvalsh(Fk).min() >= -1e-9 * np.abs(Fk).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), chunk=st.integers(1, 12))
+    def test_independent_of_chunk_size(self, seed, k, chunk):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        radii, azimuths = _layouts(rng, scn, k)
+        parts = [rank_one_fims(scn, radii[lo : lo + chunk], azimuths[lo : lo + chunk]) for lo in range(0, k, chunk)]
+        assert np.array_equal(rank_one_fims(scn, radii, azimuths), np.concatenate(parts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), snapshots=st.integers(1, 64))
+    def test_linear_in_snapshots(self, seed, snapshots):
+        rng = np.random.default_rng(seed)
+        scn = replace(random_scenario(rng), snapshots=1)
+        layouts = _layouts(rng, scn, 3)
+        F1 = rank_one_fims(scn, *layouts)
+        assert np.array_equal(rank_one_fims(replace(scn, snapshots=snapshots), *layouts), snapshots * F1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fault=st.sampled_from(["nan radius", "inf radius", "sensor on a source", "tiny noise"]),
+    )
+    def test_rejects_what_the_trace_form_rejects(self, seed, fault):
+        rng = np.random.default_rng(seed)
+        scn = random_scenario(rng)
+        radii, azimuths = _layouts(rng, scn, 4)
+        k, m = int(rng.integers(4)), int(rng.integers(scn.num_sensors))
+        if fault == "tiny noise":
+            scn = replace(scn, noise_variance=float(rng.choice([1e-17, 1e-30])))
+        elif fault == "sensor on a source":
+            n = int(rng.integers(scn.num_sources))
+            radii[k, m], azimuths[k, m] = scn.sources[n].range_m, scn.sources[n].bearing_rad
+        else:
+            radii[k, m] = math.nan if fault == "nan radius" else math.inf
+        with np.errstate(all="ignore"):
+            got, trace = (kept(run, scn, radii, azimuths) for run in (rank_one_fims, layout_fims))
+        assert isinstance(trace, ValidationError) and type(got) is type(trace)
+        if fault == "tiny noise":
+            # the trace form names its eigvalsh's smallest eigenvalue, a rounding error; this kernel eta
+            assert type(got) is SingularCovarianceError
+            assert str(got) == f"array covariance is numerically singular; smallest eigenvalue {scn.noise_variance:.6e}"
+            assert str(trace).startswith("array covariance is numerically singular; smallest eigenvalue ")
+        else:
+            assert str(got) == str(trace)
+
+    def test_search_chunk_bound(self):
+        # a bound search scores as many layouts per call as keep its (K, P, P) stacks within the budget
+        for n in range(1, 8):
+            scn = random_upper_half_scenario(np.random.default_rng(n), n + 3, n)
+            sensors_xy, sources_xy, _ = scenario_positions(scn)
+            _, k = reposition._chunk_scorer("crb_theta", 0, sensors_xy, sources_xy, scn)
+            per_layout = ParameterIndex(n).size ** 2
+            assert k >= 1
+            assert k * per_layout <= DR_CHUNK_VALUES or k == 1
+            assert (k + 1) * per_layout > DR_CHUNK_VALUES
 
 
 class TestSelectionMatrices:

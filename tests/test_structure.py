@@ -3,8 +3,12 @@
 import ast
 import re
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 import nfcrb
+from nfcrb import fim_crb
 
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(Path(nfcrb.__file__).parent.glob("*.py"))}
 
@@ -97,8 +101,24 @@ def test_one_evaluation_per_report_and_sweep_row():
     assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep"), ("scenario_io.py", "run_reports")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
     assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
-    # the one batched FIM entry, for sweep and report batches and for the bound scorer's chunks
-    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate"), ("reposition.py", "bound_totals")]
+    # the one batched trace-form entry, for sweep and report batches
+    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate")]
+
+
+def test_bound_searches_score_with_the_rank_one_kernel():
+    # the bound scorer's chunks, and nothing else, take the rank-one kernel
+    assert callers_of("fim_rank_one") == [("reposition.py", "bound_totals")]
+    # and a bound search builds no dR stack, trace form or eigenvalue decomposition
+    refused = mock.Mock(side_effect=AssertionError("called by a bound search"))
+    scn, _ = nfcrb.runtime_scenario(nfcrb.load_scenario("scenario_a"))
+    with (mock.patch.object(fim_crb, "_covariance_derivatives", refused),
+          mock.patch.object(fim_crb, "_trace_form", refused),
+          mock.patch.object(np.linalg, "eigvalsh", refused)):
+        for objective in ("crb_theta", "crb_r"):
+            for region in (nfcrb.DisplacementGrid(-50.0, 50.0, 11), nfcrb.BoxGrid(-5.0, 5.0, 3, -5.0, 5.0, 3)):
+                nfcrb.grid_search(scn, 2, objective, region)
+            nfcrb.line_search_reposition(scn, 2, objective, nfcrb.DisplacementGrid(-50.0, 50.0, 11))
+    assert not refused.called
 
 
 # what the README's library example, the benchmark harness and error handling use

@@ -17,8 +17,15 @@ CSV a sweep writes; a box search, which has no command, keeps its plan's fields
 at full precision in place of stdout.  The checkout's and the inputs' directory
 paths are written as ``<checkout>`` and ``<inputs>``, so both sides print the
 same text for the same result.  Every operation whose record differs gets a
-unified diff of what differs.  Exit status: 0 if every operation matched, 1 if
-any differed.
+unified diff of what differs, then one line per headline field that moved.  The
+fields are the ones ``perfbench/check.py`` extracts and classifies, read in each
+checkout by its own ``perfbench/run.py`` ``fields_of`` (a sweep row is split into
+its columns, each of the kind ``check.value_matches`` gives it).  A line gives the
+field's kind, both texts, the relative change, and whether ``check.value_matches``
+accepts the pair (within ``check.RTOL`` plus one unit in the last printed digit).
+A moved ``exact`` field (displacement, position, rank, count) is flagged.  A last
+line gives the largest relative move per kind.  Exit status: 0 if every operation
+matched, 1 if any differed.
 """
 
 from __future__ import annotations
@@ -29,15 +36,17 @@ import dataclasses
 import difflib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
-from bench_pairs import export_commit, export_worktree, git
+from bench_pairs import ROOT, export_commit, export_worktree, git
 
 FIELDS = ("rc", "stdout", "stderr", "csv")
+ROW_COLUMNS = ("point", "mode", "det", "crb_theta_total", "crb_r_total", "rank")
 
 
 def _plain(value):
@@ -84,22 +93,74 @@ def record_operations(checkout: Path, workloads: list[str], seeds: list[int], ou
                 kept_stderr.truncate()
                 try:
                     rc, output = run.execute(nfcrb, op, inputs)
+                    fields = [list(field) for field in run.fields_of(op, output, inputs)]
                 except Exception as exc:  # an operation that raises is recorded, not fatal
-                    rc, output = f"raised {type(exc).__name__}: {exc}", ""
+                    rc, output, fields = f"raised {type(exc).__name__}: {exc}", "", []
                 if not isinstance(output, str):  # a box search's plan
-                    fields = {f.name: _plain(getattr(output, f.name)) for f in dataclasses.fields(output)}
-                    output = json.dumps(fields, indent=1) + "\n"
+                    plan = {f.name: _plain(getattr(output, f.name)) for f in dataclasses.fields(output)}
+                    output = json.dumps(plan, indent=1) + "\n"
                 text = {"stdout": output, "stderr": kept_stderr.getvalue()}
                 for name, value in text.items():
                     text[name] = value.replace(str(inputs), "<inputs>").replace(str(checkout), "<checkout>")
                 csv = "".join(path.read_text() for path in csv_paths if path.exists()) if csv_paths else None
-                records[f"{workload}/seed{seed}/{op['id']}"] = {"rc": rc, **text, "csv": csv}
+                records[f"{workload}/seed{seed}/{op['id']}"] = {"rc": rc, **text, "csv": csv, "fields": fields}
     out.write_text(json.dumps(records))
 
 
-def diff_records(base: dict, head: dict) -> list[str]:
-    """One block of unified diffs per operation whose record differs, in the base's order."""
-    blocks = []
+def _columns(name: str, kind: str, text: str) -> list[tuple[str, str, str]]:
+    """A field as (name, kind, text) parts: a sweep row split into its columns, kinds as
+    ``check.value_matches`` compares them (bound totals as ``crb`` or ``pinv`` by the row's rank)."""
+    if kind != "row" or len(cols := text.split(",")) != len(ROW_COLUMNS):
+        return [(name, kind, text)]
+    bounds = "crb" if cols[-1] == "full" else "pinv"
+    kinds = ("exact", "exact", "num", bounds, bounds, "exact")
+    return [(f"{name}.{col}", k, v) for col, k, v in zip(ROW_COLUMNS, kinds, cols)]
+
+
+def moved_fields(check, base: list, head: list) -> list[tuple[str, str, str, str, float, bool]]:
+    """(name, kind, base text, head text, relative change, accepted) of every field that moved."""
+    parts = [{name: (kind, text) for field in fields for name, kind, text in _columns(*field)} for fields in (base, head)]
+    moved = []
+    for name in [*parts[0], *(n for n in parts[1] if n not in parts[0])]:
+        (kind, ref), (_, got) = parts[0].get(name, ("missing", "")), parts[1].get(name, ("missing", ""))
+        if ref == got:
+            continue
+        try:
+            x, y = float(ref), float(got)
+            rel = abs(y - x) / abs(x) if x else math.inf
+        except ValueError:
+            rel = math.nan
+        moved.append((name, kind, ref, got, rel, check.value_matches(kind, ref, got)))
+    return moved
+
+
+def field_lines(moved) -> list[str]:
+    lines = []
+    for name, kind, ref, got, rel, accepted in moved:
+        verdict = "EXACT FIELD MOVED" if kind == "exact" else "within RTOL" if accepted else "OUTSIDE RTOL"
+        change = "n/a" if math.isnan(rel) else f"{rel:.2e}"
+        lines.append(f"   {name} [{kind}]: {ref} -> {got}, relative {change}, {verdict}")
+    return lines
+
+
+def summary_line(check, moved) -> str:
+    """The largest relative move per kind, and how many fields of it moved and fell outside its tolerance."""
+    kinds = ["exact", *check.RTOL, *sorted({m[1] for m in moved} - {"exact", *check.RTOL})]
+    parts = []
+    for kind in kinds:
+        of_kind = [m for m in moved if m[1] == kind]
+        largest = max((m[4] for m in of_kind if not math.isnan(m[4])), default=0.0)
+        rejected = sum(not m[5] for m in of_kind)
+        tolerance = f", RTOL {check.RTOL[kind]:.0e}" if kind in check.RTOL else ""
+        parts.append(f"{kind} {len(of_kind)} moved (largest {largest:.2e}{tolerance}, {rejected} rejected)")
+    return "largest relative move per kind: " + "; ".join(parts)
+
+
+def diff_records(base: dict, head: dict, check) -> tuple[list[str], list]:
+    """One block of unified diffs per operation whose record differs, in the base's order, each
+    followed by the headline fields that moved as ``check`` (``perfbench/check.py``) classifies
+    them; and every moved field of every operation."""
+    blocks, moved = [], []
     for key in [*base, *(k for k in head if k not in base)]:
         a, b = base.get(key), head.get(key)
         if a == b:
@@ -112,8 +173,11 @@ def diff_records(base: dict, head: dict) -> list[str]:
             if a[field] != b[field]:
                 before, after = (str(r[field]).splitlines(keepends=True) for r in (a, b))
                 lines += difflib.unified_diff(before, after, f"base {field}", f"head {field}")
+        moved_here = moved_fields(check, a["fields"], b["fields"])
+        moved += moved_here
+        lines += field_lines(moved_here)
         blocks.append("".join(line if line.endswith("\n") else line + "\n" for line in lines).rstrip("\n"))
-    return blocks
+    return blocks, moved
 
 
 def main(argv=None) -> int:
@@ -147,9 +211,13 @@ def main(argv=None) -> int:
             return 2
         base_records, head_records = (json.loads((work / f"{side}.json").read_text()) for side in ("base", "head"))
 
-    blocks = diff_records(base_records, head_records)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import check
+
+    blocks, moved = diff_records(base_records, head_records, check)
     for block in blocks:
         print(block)
+    print(summary_line(check, moved))
     base_ref = git("rev-parse", "--short", args.base)
     head_ref = git("rev-parse", "--short", args.head) if args.head else "working tree"
     print(f"{len(base_records)} operations ({base_ref} against {head_ref}): {len(blocks)} differ")
