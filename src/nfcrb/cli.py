@@ -28,7 +28,7 @@ from .geometry import polar_axes
 from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
 from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, line_search_reposition,
                          phase_terms)
-from .scenario_io import (format_run_report, load_scenario, parse_number, run_report, run_report_to_csv, run_reports,
+from .scenario_io import (format_run_report, load_scenario, parse_number, run_report, run_report_row, run_reports,
                           runtime_scenario, write_reports)
 
 
@@ -72,8 +72,7 @@ def cmd_compute(args) -> int:
     report = run_report(scn, sf.name, defaults)
     print(format_run_report(report))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(run_report_to_csv(report))
+        write_reports([run_report_row(report)], args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -12,10 +12,10 @@ Three routes to the information matrix are provided.  The generic trace form
 (one trace of R^-1 dR R^-1 dR per entry, scaled by the snapshot count) is the
 authoritative path and the oracle of the others.  ``fim_rank_one``, the bound
 searches' kernel, reads every trace off one (3N+1)^2 Gram matrix per layout,
-as R = eta I + a a^H.  A closed-form block assembly built from index-selection
-matrices is kept as a cross-check of a given generic matrix (run by
-``validate`` and the tests, not by reports) that reports its per-block
-deviation; its index tables are built once per N.  Finite-difference oracles
+as R = eta I + a a^H.  A closed-form block assembly, whose covariance-entry
+blocks read the same basis table as the other two, is kept as a cross-check of
+a given generic matrix (run by ``validate`` and the tests, not by reports)
+that reports its per-block deviation.  Finite-difference oracles
 for the steering and covariance derivatives back them; each takes a polar or
 pairwise scenario as given, steps the polar axes ``linearize`` steers
 (``geometry.polar_axes``, converted once per pairwise table), and steers all
@@ -348,101 +348,14 @@ def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
     return scenario.snapshots * F, cond
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionMatrices:
-    """Index-built selection machinery for the closed-form blocks.
-
-    Both matrices act on column-major vectorizations of N x N matrices.
-    ``hermitian_to_real`` maps a vectorized Hermitian matrix to the real
-    listing [diagonals and doubled real parts of the lower triangle,
-    column-major; doubled negated imaginary parts of the strictly-lower
-    entries]: a symmetric fold (sum of mirrored entries) stacked on a skew
-    fold (their difference times -j).  ``diag_selector`` extracts the
-    diagonal of a vectorized matrix.
-    """
-
-    hermitian_to_real: np.ndarray
-    diag_selector: np.ndarray
-
-
-def _ones_at(rows, cols, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    out[np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)] = 1.0
-    return out
-
-
-@cache
-def selection_matrices(n_sources: int) -> SelectionMatrices:
-    """The selection matrices for N sources, built once per N; the arrays are read-only."""
-    N = n_sources
-    if N < 1:
-        raise ValidationError(f"source count must be >= 1, got {N}")
-    n2 = N * N
-    # zero-based column-major position of entry (row, col) is col * N + row
-    strict_lower = [p * N + q for p in range(N) for q in range(p + 1, N)]
-    mirror_upper = [q * N + p for p in range(N) for q in range(p + 1, N)]
-    lower_diag = [p * N + q for p in range(N) for q in range(p, N)]
-    diag = [p * N + p for p in range(N)]
-
-    fold_add = np.eye(n2) + _ones_at(strict_lower, mirror_upper, (n2, n2))
-    fold_sub = np.eye(n2) - _ones_at(strict_lower, mirror_upper, (n2, n2))
-    lower_selector = _ones_at(range(len(lower_diag)), lower_diag, (len(lower_diag), n2))
-    strict_lower_selector = _ones_at(
-        range(len(strict_lower)), strict_lower, (len(strict_lower), n2)
-    )
-    sym_fold = lower_selector @ fold_add
-    skew_fold = -1j * (strict_lower_selector @ fold_sub)
-    hermitian_to_real = np.vstack([sym_fold.astype(complex), skew_fold])
-    diag_selector = _ones_at(range(N), diag, (N, n2))
-    hermitian_to_real.flags.writeable = diag_selector.flags.writeable = False
-    return SelectionMatrices(hermitian_to_real=hermitian_to_real, diag_selector=diag_selector)
-
-
-@cache
-def _folded_basis_alignment(n_sources: int) -> np.ndarray:
-    """Read-only signed permutation from the folded real parameterization to ParameterIndex order.
-
-    The folded listing interleaves diagonals among doubled real parts in
-    column-major lower-triangle order and then carries negated imaginary
-    parts; ParameterIndex wants diagonals first and (re, im) per upper pair.
-    Returns S with S[index_pos, folded_pos] = +/-1 so that
-    F_index = S F_folded S^T.  Built once per N.
-    """
-    N = n_sources
-    n2 = N * N
-
-    def pair_offset(p: int, q: int) -> int:
-        return p * (2 * N - p - 1) // 2 + (q - p - 1)
-
-    S = np.zeros((n2, n2))
-    w = 0
-    for p in range(N):
-        for q in range(p, N):
-            if q == p:
-                S[p, w] = 1.0
-            else:
-                S[N + 2 * pair_offset(p, q), w] = 1.0
-            w += 1
-    for p in range(N):
-        for q in range(p + 1, N):
-            S[N + 2 * pair_offset(p, q) + 1, w] = -1.0
-            w += 1
-    S.flags.writeable = False
-    return S
-
-
-def _vec(M: np.ndarray) -> np.ndarray:
-    return M.flatten(order="F")
-
-
 def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, dict[str, float]]:
     """Block-assembled information matrix plus per-block deviation from ``generic``.
 
     ``generic`` is the trace-form matrix of the same ``linearize`` pass; its
     snapshot count scales the closed form too.  The bearing/range blocks
     combine Hadamard products of source-covariance and derivative cross
-    terms; blocks coupled to the covariance-entry parameters go through the
-    selection matrices and are then realigned to the ParameterIndex ordering.
+    terms; blocks coupled to the covariance-entry parameters take tr(E_i X)
+    over the ParameterIndex basis matrices E_i as one product with their table.
     The generic trace form remains authoritative: the returned dict reports
     max |closed - generic| per block, relative to the block magnitude floored
     at 1e-6 of the whole matrix so that blocks that are numerically zero
@@ -466,20 +379,19 @@ def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, 
         psi = cols[beta].conj().T @ Rinv @ cols[alpha]
         return 2.0 * snapshots * np.real(U[beta] * U[alpha].T + phi * psi.T)
 
-    sel = selection_matrices(N)
-    fold_h = sel.hermitian_to_real.conj().T
-    align = _folded_basis_alignment(N)
+    # row i is basis E_i flattened row-major, so T @ vec_F(X) lists tr(E_i X) in ParameterIndex order
+    T = index.cov_entry_bases().reshape(N * N, N * N)
+    Th = T.conj().T
 
     def block_axis_cov(alpha: str) -> np.ndarray:
         kron = np.kron((gram @ Rs).T, cols[alpha].conj().T @ Rinv @ A)
-        folded = 2.0 * snapshots * np.real(sel.diag_selector @ kron @ fold_h)
-        return folded @ align.T
+        return 2.0 * snapshots * np.real(kron[:: N + 1] @ Th)
 
     def block_axis_noise(alpha: str) -> np.ndarray:
         return 2.0 * snapshots * np.real(np.diag(Rs @ Ah @ Rinv2 @ cols[alpha]))
 
-    cov_cov = align @ (snapshots * np.real(sel.hermitian_to_real @ np.kron(gram.conj(), gram) @ fold_h)) @ align.T
-    cov_noise = align @ (snapshots * np.real(sel.hermitian_to_real @ _vec(Ah @ Rinv2 @ A)))
+    cov_cov = snapshots * np.real(T @ np.kron(gram.conj(), gram) @ Th)
+    cov_noise = snapshots * np.real(T @ (Ah @ Rinv2 @ A).flatten(order="F"))
     noise_noise = snapshots * float(np.real(np.trace(Rinv2)))
 
     # each coupled block once; its mirror is the transpose (a diagonal block is symmetrized below)

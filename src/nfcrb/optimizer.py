@@ -139,7 +139,8 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
     first, (delays, *axes) = rows.scenario, rows.arrays
     A = steering_matrix(delays, axes[4])
     powers, strongest = received_power(A, first.signals)
-    det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
+    with np.errstate(over="ignore"):  # a determinant beyond the float range reads inf
+        det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
     # a lone scenario takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
     if len(targets) == 1 and not isinstance(targets, _Rows):
         fims = [fim_for_scenario(first)]
@@ -263,7 +264,10 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
 
 
 def compare_report(before: ConstellationEvaluation, after: ConstellationEvaluation) -> ComparisonReport:
-    """Ratios before/after for the headline quantities; ratios < 1 are flagged."""
-    ratios = {"det": before.det / after.det, "crb_theta": before.crb.crb_theta_total / after.crb.crb_theta_total,
-              "crb_r": before.crb.crb_r_total / after.crb.crb_r_total}
+    """Ratios before/after for the headline quantities, by IEEE division (x/0 is inf, 0/0 is nan);
+    ratios < 1 are flagged."""
+    pairs = {"det": (before.det, after.det), "crb_theta": (before.crb.crb_theta_total, after.crb.crb_theta_total),
+             "crb_r": (before.crb.crb_r_total, after.crb.crb_r_total)}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = {name: float(np.divide(b, a)) for name, (b, a) in pairs.items()}
     return ComparisonReport(*ratios.values(), tuple(name for name, ratio in ratios.items() if ratio < 1.0))

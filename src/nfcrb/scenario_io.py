@@ -331,14 +331,13 @@ def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
     return buf.getvalue()
 
 
-def run_report_to_csv(report: RunReport) -> str:
-    """Single-constellation report in the sweep CSV layout (point = 0)."""
+def run_report_row(report: RunReport) -> SweepRow:
+    """Single-constellation report as a row of the sweep CSV layout (point = 0)."""
     ev = report.evaluation
     flags = list(report.defaults_applied)
     if ev.crb.rank_deficient:
         flags.append("rank_deficient")
-    row = SweepRow(0.0, "primary", ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total, "; ".join(flags))
-    return sweep_rows_to_csv([row])
+    return SweepRow(0.0, "primary", ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total, "; ".join(flags))
 
 
 def write_reports(rows, destination: str | Path) -> Path:

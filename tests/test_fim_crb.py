@@ -25,7 +25,6 @@ from nfcrb.fim_crb import (
     fim_generic,
     linearize,
     rx_derivatives_fd,
-    selection_matrices,
     steering_derivatives,
     steering_derivatives_fd,
 )
@@ -475,21 +474,6 @@ class TestRankOneKernel:
             assert (k + 1) * per_layout > DR_CHUNK_VALUES
 
 
-class TestSelectionMatrices:
-    def test_hermitian_maps_to_real(self):
-        rng = np.random.default_rng(19)
-        for n in (1, 2, 3, 4):
-            sel = selection_matrices(n)
-            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            H = X @ X.conj().T
-            v = sel.hermitian_to_real @ H.flatten(order="F")
-            assert np.abs(v.imag).max() < 1e-12
-
-    def test_rejects_zero_sources(self):
-        with pytest.raises(ValidationError):
-            selection_matrices(0)
-
-
 class TestFimClosedForm:
     def test_noise_noise_entry(self):
         rng = np.random.default_rng(22)
@@ -519,8 +503,10 @@ class TestFimClosedForm:
 
     def test_agrees_with_generic_on_random_scenarios(self):
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            scn = random_scenario(rng, n=2)
+        # N = 4 and 5 order 6 and 10 upper pairs through the basis table
+        sizes = [(None, 2)] * 5 + [(m, n) for n in (4, 5) for m in range(n + 1, 9)]
+        for m, n in sizes:
+            scn = random_scenario(rng, m, n)
             lin = linearize(scn)
             F, dev = fim_closed_form(lin, fim_generic(lin.array_cov, lin.derivs, scn.snapshots))
             for block in ("bearing-bearing", "bearing-range", "range-range", "noise-noise"):

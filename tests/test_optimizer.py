@@ -178,6 +178,13 @@ class TestCompareReport:
         assert cmp.det_ratio == 0.5
         assert cmp.worsened == ("det", "crb_theta", "crb_r")
 
+    def test_zero_totals_divide_as_ieee(self):
+        cmp = compare_report(evaluation(0.0, 0.0, 2.0), evaluation(1.0, 0.0, 0.0))
+        assert cmp.det_ratio == 0.0
+        assert np.isnan(cmp.crb_theta_ratio)
+        assert cmp.crb_r_ratio == np.inf
+        assert cmp.worsened == ("det",)
+
 
 class TestConstellationMetrics:
     def test_reports_residual_for_pairwise(self, scenario_a):

@@ -218,7 +218,16 @@ class TestCli:
     def test_compute_csv_out(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["compute", "--scenario", "scenario_b", "--out", str(out)]) == 0
-        assert out.read_text().startswith("point,mode,det")
+        assert out.read_bytes() == (
+            b"point,mode,det,crb_theta_total,crb_r_total,flags\n"
+            b"0.0000e+00,primary,9.2265e+01,2.7647e+00,4.7547e+04,noise_variance=1.0; snapshots=1\n"
+        )
+
+    def test_compute_csv_out_to_an_unwritable_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["compute", "--scenario", "scenario_b", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write report to {out}: ")
+        assert not out.exists()
 
     def test_reposition_analytic(self, capsys):
         code = main(
@@ -228,6 +237,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "plan: element 3, mode analytic" in out
         assert "comparison" in out
+
+    def test_reposition_with_zero_bound_totals(self, capsys):
+        # eta 1e200 underflows the information matrix to zero: both bound totals read 0
+        code = main(["reposition", "--scenario", "scenario_b", "--mode", "analytic", "--eta", "1e200"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "crb_theta ratio: nan\ncrb_r ratio: nan\n" in out
+        assert "WORSENED" not in out
 
     def test_reposition_linesearch(self, capsys):
         # the grid value starts with a dash, so the = form is required

@@ -142,6 +142,13 @@ EXPORTS = [
 ]
 
 
+def test_one_covariance_entry_parameterization():
+    # every route that orders the covariance-entry parameters reads ParameterIndex's basis table
+    assert callers_of("cov_entry_bases") == [
+        ("fim_crb.py", "fim_closed_form"), ("fim_crb.py", "fim_rank_one"), ("fim_crb.py", "rx_derivatives_fd")
+    ]
+
+
 def test_namespace_exports_the_pinned_names():
     assert nfcrb.__all__ == EXPORTS
     assert all(hasattr(nfcrb, name) for name in nfcrb.__all__)
