@@ -10,30 +10,29 @@ the real part then the imaginary part.
 
 Three routes to the information matrix are provided.  The generic trace form
 (one trace of R^-1 dR R^-1 dR per entry, scaled by the snapshot count) is the
-authoritative path and the oracle of the others.  ``fim_rank_one``, the bound
-searches' kernel, reads every trace off one (3N+1)^2 Gram matrix per layout,
-as R = eta I + a a^H.  A closed-form block assembly, whose covariance-entry
-blocks read the same basis table as the other two, is kept as a cross-check of
-a given generic matrix (run by ``validate`` and the tests, not by reports)
-that reports its per-block deviation.  Finite-difference oracles
+oracle of the others and the path of a lone report (``fim_for_scenario``).
+``fim_rank_one``, the kernel of every batch (sweep rows, a reposition's two
+reports, bound searches), reads every trace off one (3N+1)^2 Gram matrix per
+layout, as R = eta I + a a^H.  A closed-form block assembly, whose
+covariance-entry blocks read the same basis table as the other two, is kept as
+a cross-check of a given generic matrix (run by ``validate`` and the tests, not
+by reports) that reports its per-block deviation.  Finite-difference oracles
 for the steering and covariance derivatives back them; each takes a polar or
 pairwise scenario as given, steps the polar axes ``linearize`` steers
 (``geometry.polar_axes``, converted once per pairwise table), and steers all
 its stepped constellations in stacked array passes.
 
-Both batched kernels take a leading batch axis of K constellations:
+``fim_rank_one`` takes a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
 velocity (K,), or sources, frequencies and velocity shared by all K, with
-shared amplitudes, noise and snapshots.  One trace-form pass gives the steering,
-the rank-two covariance derivatives and all traces as one matmul;
-``fim_for_scenarios`` is its batched entry (a sweep's or a report batch's
-chunk), and ``fim_rank_one`` scores a search's chunks of sensor layouts around
-shared sources.  ``linearize`` is the trace form at K = 1: one scenario's
-steering matrix, derivative columns, covariances and dR stack, from one pass.
-Everything about a single constellation reads that pass: ``fim_for_scenario``
-hands its covariance and dR stack to ``fim_generic``, and ``validate`` checks
-its columns and dR stack against the finite-difference oracles and hands it,
-with the generic matrix, to ``fim_closed_form``.
+shared amplitudes, noise and snapshots; ``batch_chunk`` sizes its batches.  The
+trace form's stacked pass (``_covariance_stack``: the steering, the rank-two
+covariance derivatives, then all traces as one matmul) runs at K = 1 in
+``linearize``: one scenario's steering matrix, derivative columns, covariances
+and dR stack.  Everything about a single constellation reads that pass:
+``fim_for_scenario`` hands its covariance and dR stack to ``fim_generic``, and
+``validate`` checks its columns and dR stack against the finite-difference
+oracles and hands it, with the generic matrix, to ``fim_closed_form``.
 """
 
 from __future__ import annotations
@@ -128,7 +127,8 @@ class CrbReport:
 
 
 DR_CHUNK_VALUES = 8192
-"""Most complex values one batched (K, P, M, M) dR stack may hold: 128 KB."""
+"""Most values one batch's (K, P, P) information matrices may hold (K P^2 <= 8192, 64 KB): the
+batch size of sweep rows and bound searches, ``batch_chunk``."""
 
 PHASE_CHUNK_VALUES = 4096
 """Most complex values the largest array of one batched gf/power/det pass may hold: 64 KB.
@@ -138,10 +138,9 @@ steering pass that picks the strongest elements of a sweep's planned rows; no va
 """
 
 
-def batch_chunk(num_sensors: int, num_sources: int) -> int:
-    """Constellations per batched call whose dR stack stays within DR_CHUNK_VALUES."""
-    per_layout = ParameterIndex(num_sources).size * num_sensors * num_sensors
-    return max(1, DR_CHUNK_VALUES // per_layout)
+def batch_chunk(num_sources: int) -> int:
+    """Constellations per ``fim_rank_one`` call whose (K, P, P) stack stays within DR_CHUNK_VALUES."""
+    return max(1, DR_CHUNK_VALUES // ParameterIndex(num_sources).size ** 2)
 
 
 def _kernel_axes(scenario) -> list[np.ndarray]:
@@ -253,8 +252,8 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
 
 
 def _covariance_stack(scenario, *constellations) -> tuple[np.ndarray, ...]:
-    """The kernel: (K, M, N) steering matrices and bearing and range derivative columns, the
-    covariances and the (K, P, M, M) derivative stacks of K constellations, given as
+    """The trace form's stacked pass: (K, M, N) steering matrices and bearing and range derivative
+    columns, the covariances and the (K, P, M, M) derivative stacks of K constellations, given as
     ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
     *_, A, cols_b, cols_r = _steering_columns(*constellations)
     covset = covariances(A, scenario.signals, scenario.noise_variance)
@@ -302,16 +301,20 @@ def fim_for_scenario(scenario) -> FimMatrix:
     return fim_generic(lin.array_cov, lin.derivs, scenario.snapshots)
 
 
-def fim_rank_one(scenario, *axes) -> np.ndarray:
-    """``fim_for_scenarios``' (K, P, P) matrices, to rounding, with no M x M matrix: R = eta I + a a^H (a = A s)
-    has R^-1 = (I - d a a^H) / eta and R^-2 = (I - d^2 (2 eta + |a|^2) a a^H) / eta^2, d = 1 / (eta + |a|^2),
-    so every trace comes from the Gram matrix of Z = [A, U, a], where U holds the u = s_n dA/d(axis)_n
-    of the source-axis derivatives u a^H + a u^H.  Blocks: 2 Re(alpha alpha^T) + 2 gamma Re(U^H R^-1 U)
-    (alpha = a^H R^-1 U, gamma = a^H R^-1 a); 2 Re(beta^H E xi) (beta = A^H R^-1 U, xi = A^H R^-1 a) and
-    Re tr(E Gamma E' Gamma) (Gamma = A^H R^-1 A) over the bases E; tr(R^-2 dR) for the noise.  Raises as
-    the trace form does, but names eta as the least eigenvalue of a singular R (eta < 1e-15 (eta + |a|^2))."""
+def fim_rank_one(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, P, P) information matrices and (K,) condition numbers of R of K constellations, as ``_steering_columns``
+    takes them, with the scenario's amplitudes, noise and snapshots, in one call (keep K within ``batch_chunk``): the
+    trace form's, to rounding, with no M x M matrix.  R = eta I + a a^H (a = A s) has eigenvalues eta and eta + |a|^2,
+    R^-1 = (I - d a a^H) / eta and R^-2 = (I - d^2 (2 eta + |a|^2) a a^H) / eta^2, d = 1 / (eta + |a|^2), so every
+    trace comes from the Gram matrix of Z = [A, U, a], where U holds the u = s_n dA/d(axis)_n of the source-axis
+    derivatives u a^H + a u^H.  Blocks: 2 Re(alpha alpha^T) + 2 gamma Re(U^H R^-1 U) (alpha = a^H R^-1 U, gamma =
+    a^H R^-1 a); 2 Re(beta^H E xi) (beta = A^H R^-1 U, xi = A^H R^-1 a) and Re tr(E Gamma E' Gamma) (Gamma = A^H R^-1 A)
+    over the bases E; tr(R^-2 dR) for the noise.  Raises as the trace form does, but names eta as the least
+    eigenvalue of a singular R (eta < 1e-15 (eta + |a|^2))."""
     *_, A, cols_b, cols_r = _steering_columns(*axes)
-    eta, s = scenario.noise_variance, amplitude_vector(scenario.signals)
+    eta, s = np.float64(scenario.noise_variance), amplitude_vector(scenario.signals)
+    with np.errstate(over="ignore"):  # an eta**2 beyond the float range reads inf, so R^-2 reads 0
+        eta2 = eta**2
     K, M, N = A.shape
     Z = np.concatenate([A, s * cols_b, s * cols_r, A @ s[:, None]], axis=2)
     H = Z.conj().swapaxes(1, 2) @ Z
@@ -321,7 +324,7 @@ def fim_rank_one(scenario, *axes) -> np.ndarray:
     if np.any(eta < 1e-15 * (eta + power)):
         raise SingularCovarianceError(f"array covariance is numerically singular; smallest eigenvalue {eta:.6e}")
     d, outer = 1.0 / (eta + power), H[:, :, -1:] * H[:, -1:, :]  # Z^H a a^H Z
-    G, G2 = (H - d * outer) / eta, (H - d**2 * (2.0 * eta + power) * outer) / eta**2
+    G, G2 = (H - d * outer) / eta, (H - d**2 * (2.0 * eta + power) * outer) / eta2
     Gamma, U, alpha = G[:, :N, :N], slice(N, 3 * N), G[:, -1:, N : 3 * N]
     bases = ParameterIndex(N).cov_entry_bases().reshape(N * N, -1).T  # sum(E * T) = T_flat @ bases
     axes_axes = 2.0 * (alpha.swapaxes(1, 2) * alpha).real + 2.0 * G[:, -1:, -1:].real * G[:, U, U].real
@@ -331,21 +334,11 @@ def fim_rank_one(scenario, *axes) -> np.ndarray:
     axes_noise = 2.0 * G2[:, U, -1:].real
     cov_noise = (G2[:, :N, :N].swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
     blocks = ([axes_axes, axes_cov, axes_noise], [axes_cov.swapaxes(1, 2), cov_cov, cov_noise],
-              [axes_noise.swapaxes(1, 2), cov_noise.swapaxes(1, 2), (M - 1) / eta**2 + d**2])
+              [axes_noise.swapaxes(1, 2), cov_noise.swapaxes(1, 2), (M - 1) / eta2 + d**2])
     F = np.concatenate([np.concatenate(row, axis=2) for row in blocks], axis=1)
     if not np.isfinite(F).all():
         raise ValidationError("information matrix has non-finite entries")
-    return scenario.snapshots * (0.5 * (F + F.swapaxes(1, 2)))
-
-
-def fim_for_scenarios(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, P, P) information matrices and (K,) array-covariance condition numbers of K
-    constellations, given as ``_steering_columns`` takes them (sources, frequencies and velocity
-    may be shared), with the scenario's amplitudes, noise and snapshots.  One kernel call, which
-    any failing constellation fails; keep K within ``batch_chunk`` to bound memory."""
-    *_, covset, dR = _covariance_stack(scenario, *axes)
-    F, cond = _trace_form(covset.array_cov, dR)
-    return scenario.snapshots * F, cond
+    return scenario.snapshots * (0.5 * (F + F.swapaxes(1, 2))), ((eta + power) / eta)[:, 0, 0]
 
 
 def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, dict[str, float]]:

@@ -1,10 +1,11 @@
 """Constellation evaluation, sweeps and before/after comparison.
 
-``evaluate_constellations`` computes the det(R_x), received powers,
-information matrix and bounds of K constellations, one stacked pass each, and
-re-evaluates a failing batch in halves (``batch_or_each``, the fallback search
-scoring uses too); ``evaluate_constellation`` is its K = 1 case.  Run reports,
-CSV rows, sweep rows and comparisons all read that one ``ConstellationEvaluation``.
+``evaluate_constellations`` computes the det(R_x), received powers, information
+matrix (``fim_rank_one``; a lone scenario's the trace form) and bounds of K
+constellations, one stacked pass each, and re-evaluates a failing batch in halves
+(``batch_or_each``, the fallback search scoring uses too); ``evaluate_constellation``
+is its K = 1 case.  Run reports, CSV rows, sweep rows and comparisons all read
+that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, a chunk of rows at a time; each chunk
 reaches the evaluation as stacked arrays.  Reposition rows are planned in one
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError, batch_or_each, kept
 from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario,
-                      fim_for_scenarios)
+                      fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
 from .signal_model import covariances, frequency_vector, received_power, steering_matrix
@@ -127,13 +128,17 @@ class _Rows:
         return _Rows(self.scenario, tuple(a[part] for a in self.arrays), self.residuals[part], self.held[part])
 
 
+def _rows_of(scenarios) -> _Rows:
+    """The ``_Rows`` of scenarios sharing M, N, amplitudes, noise and snapshots."""
+    axes, residuals = zip(*map(polar_axes, scenarios))
+    per_row = [(native_delays(s), *a, frequency_vector(s.signals), s.velocity_mps) for s, a in zip(scenarios, axes)]
+    return _Rows(scenarios[0], tuple(map(np.array, zip(*per_row))), list(residuals), [None] * len(scenarios))
+
+
 def _evaluate(targets) -> list[ConstellationEvaluation]:
     """Evaluations of constellations (scenarios or ``_Rows``) sharing M, N, amplitudes, noise and
     snapshots: one stacked steering pass for powers and dets, one kernel and one SVD call."""
-    if not isinstance(rows := targets, _Rows):  # scenarios: their polar axes, native delays and signals
-        axes, residuals = zip(*map(polar_axes, targets))
-        per_row = [(native_delays(s), *a, frequency_vector(s.signals), s.velocity_mps) for s, a in zip(targets, axes)]
-        rows = _Rows(targets[0], tuple(map(np.array, zip(*per_row))), list(residuals), [None] * len(targets))
+    rows = targets if isinstance(targets, _Rows) else _rows_of(targets)
     if held := next(filter(None, rows.held), None):  # a held conversion error, or a sweep row it failed
         raise held.with_traceback(None)
     first, (delays, *axes) = rows.scenario, rows.arrays
@@ -141,12 +146,12 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
     powers, strongest = received_power(A, first.signals)
     with np.errstate(over="ignore"):  # a determinant beyond the float range reads inf
         det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
-    # a lone scenario takes fim_for_scenario (the kernel at K = 1), so reports keep its trace spans
-    if len(targets) == 1 and not isinstance(targets, _Rows):
+    # a lone scenario keeps fim_for_scenario's spans for the benchmark's harness; ROADMAP item 6 deletes this branch
+    if rows is not targets and len(rows) == 1:
         fims = [fim_for_scenario(first)]
         F = fims[0].entries[None]
     else:
-        F, cond = fim_for_scenarios(first, *axes)
+        F, cond = fim_rank_one(first, *axes)
         fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(F, first.num_sources)
     evaluated = zip(det.tolist(), powers, strongest, rows.residuals, fims, crbs)
@@ -244,14 +249,14 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
     Reposition rows re-select the strongest element at each point and apply a
     fresh analytic plan; points where that fails keep the primary constellation
     and say why in the diagnostics.  Rows are ordered by grid point, then in the
-    order of ``spec.modes``, and planned and evaluated ``batch_chunk(M, N)`` at
+    order of ``spec.modes``, and planned and evaluated ``batch_chunk(N)`` at
     a time, so memory does not grow with the grid; a row whose evaluation fails
     reads NaN and says why.
     """
     rows: list[SweepRow] = []
     # overflowing inputs give non-finite numbers that fail their rows with a reason, not warnings
     with np.errstate(all="ignore"):
-        for chunk, targets, notes in _planned_chunks(scn, spec, batch_chunk(scn.num_sensors, scn.num_sources)):
+        for chunk, targets, notes in _planned_chunks(scn, spec, batch_chunk(scn.num_sources)):
             for (point, mode), row_notes, ev in zip(chunk, notes, evaluate_constellations(targets)):
                 if isinstance(ev, ValidationError):
                     row_notes.append(f"evaluation failed: {ev}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError, batch_or_each, kept
-from .fim_crb import DR_CHUNK_VALUES, PHASE_CHUNK_VALUES, ParameterIndex, crb_totals, fim_rank_one
+from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_rank_one
 from .geometry import (
     PairwiseGeometry,
     PairwiseScenario,
@@ -280,10 +280,10 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             radii, azimuths, ranges, bearings = axes
             radii, azimuths = (np.repeat(a[None], len(chunk), axis=0) for a in (radii, azimuths))
             radii[:, element], azimuths[:, element], *_ = axes_from_positions(chunk, sources_xy)
-            F = fim_rank_one(scn, radii, azimuths, ranges, bearings, freqs, scn.velocity_mps)
+            F, _ = fim_rank_one(scn, radii, azimuths, ranges, bearings, freqs, scn.velocity_mps)
             return crb_totals(F, num_sources)[BOUND_OBJECTIVES.index(objective)]
 
-        return bound_totals, max(1, DR_CHUNK_VALUES // ParameterIndex(num_sources).size ** 2)  # K P^2 values
+        return bound_totals, batch_chunk(num_sources)
 
     if objective == "det":
 
@@ -332,7 +332,7 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     ValidationError that rejected each failed candidate.  Candidates are scored a chunk
     per array pass: bound totals through the rank-one kernel ``fim_rank_one`` and the
     pseudo-inverse SVD (each layout as the polar axes ``axes_from_positions`` gives, with the
-    sources shared, and no Scenario; K P^2 within DR_CHUNK_VALUES), gf and power from the
+    sources shared, and no Scenario; ``batch_chunk`` layouts a pass), gf and power from the
     moved element's delays alone and det from a stack of covariance matrices.  A chunk in
     which any candidate fails is scored again in halves, down to the failing candidates,
     through the same function, so only they are rejected, each with its own reason; a NaN

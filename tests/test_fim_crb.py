@@ -21,7 +21,6 @@ from nfcrb.fim_crb import (
     crb_totals,
     fim_closed_form,
     fim_for_scenario,
-    fim_for_scenarios,
     fim_generic,
     linearize,
     rx_derivatives_fd,
@@ -40,9 +39,12 @@ def _with_layout(scn, radii, azimuths):
 
 
 def layout_fims(scn, radii, azimuths):
-    """``fim_for_scenarios`` of (K, M) sensor layouts around the scenario's own sources."""
+    """The trace form of (K, M) sensor layouts around the scenario's own sources: the (K, P, P)
+    matrices of its stacked pass (``linearize``'s at K = 1) and the (K,) condition numbers."""
     sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
-    return fim_for_scenarios(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    *_, covset, dR = fim_crb._covariance_stack(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    F, cond = fim_crb._trace_form(covset.array_cov, dR)
+    return scn.snapshots * F, cond
 
 
 def _layouts(rng, scn, k):
@@ -309,13 +311,13 @@ class TestFimBatch:
             assert cond[0] == fim.array_cov_condition
 
     def test_chunk_bound(self):
-        for m in range(2, 12):
-            for n in range(1, m):
-                k = batch_chunk(m, n)
-                per_layout = (n + 1) ** 2 * m * m
-                assert k >= 1
-                assert k * per_layout <= DR_CHUNK_VALUES or k == 1
-                assert (k + 1) * per_layout > DR_CHUNK_VALUES
+        # a batch holds as many (P, P) information matrices as fit the budget, at least one
+        for n in range(1, 12):
+            k = batch_chunk(n)
+            per_layout = ((n + 1) ** 2) ** 2
+            assert k >= 1
+            assert k * per_layout <= DR_CHUNK_VALUES or k == 1
+            assert (k + 1) * per_layout > DR_CHUNK_VALUES
 
     def test_failing_layout_fails_the_call(self):
         scn = Scenario(
@@ -381,10 +383,12 @@ class TestKernelProperties:
         assert np.array_equal(cond, np.concatenate([c for _, c in singles]))
 
 
-def rank_one_fims(scn, radii, azimuths):
-    """``fim_rank_one`` of (K, M) sensor layouts around the scenario's own sources."""
+def rank_one_fims(scn, radii, azimuths, cond=False):
+    """``fim_rank_one`` of (K, M) sensor layouts around the scenario's own sources: its (K, P, P)
+    matrices, and with ``cond`` its (K,) condition numbers too."""
     sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
-    return fim_crb.fim_rank_one(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    F, conds = fim_crb.fim_rank_one(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    return (F, conds) if cond else F
 
 
 class TestRankOneKernel:
@@ -422,8 +426,11 @@ class TestRankOneKernel:
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng)
         radii, azimuths = _layouts(rng, scn, k)
-        parts = [rank_one_fims(scn, radii[lo : lo + chunk], azimuths[lo : lo + chunk]) for lo in range(0, k, chunk)]
-        assert np.array_equal(rank_one_fims(scn, radii, azimuths), np.concatenate(parts))
+        parts = [rank_one_fims(scn, radii[lo : lo + chunk], azimuths[lo : lo + chunk], cond=True)
+                 for lo in range(0, k, chunk)]
+        F, cond = rank_one_fims(scn, radii, azimuths, cond=True)
+        assert np.array_equal(F, np.concatenate([f for f, _ in parts]))
+        assert np.array_equal(cond, np.concatenate([c for _, c in parts]))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), snapshots=st.integers(1, 64))

@@ -18,9 +18,8 @@ from nfcrb import (
     apply_reposition,
     grid_search,
     line_search_reposition,
-    run_report,
 )
-from nfcrb import fim_crb, optimizer, reposition
+from nfcrb import optimizer, reposition
 from nfcrb.signal_model import SourceSignal
 from nfcrb.geometry import scenario_positions
 from nfcrb.reposition import score_candidates
@@ -190,15 +189,15 @@ def evaluation_hexes(ev) -> tuple:
 @pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
 def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, capsys):
     batches, kernels, reports = [], [], []
-    real_evaluate, real_trace_form = optimizer._evaluate, fim_crb._trace_form
+    real_evaluate, real_kernel = optimizer._evaluate, optimizer.fim_rank_one
 
     def evaluate(targets):
         batches.append(len(targets))
         return real_evaluate(targets)
 
-    def trace_form(array_cov, derivs):
-        kernels.append(len(array_cov))
-        return real_trace_form(array_cov, derivs)
+    def kernel(scenario, radii, *axes):
+        kernels.append(len(radii))
+        return real_kernel(scenario, radii, *axes)
 
     def recorded_reports(named, defaults):
         reports.extend(run_reports(named, defaults))
@@ -206,7 +205,7 @@ def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, c
 
     with (
         mock.patch.object(optimizer, "_evaluate", evaluate),
-        mock.patch.object(fim_crb, "_trace_form", trace_form),
+        mock.patch.object(optimizer, "fim_rank_one", kernel),
         mock.patch("nfcrb.cli.run_reports", recorded_reports),
     ):
         argv = ["reposition", "--scenario", name, "--mode", mode, "--objective", objective]
@@ -221,8 +220,9 @@ def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, c
     else:
         search = line_search_reposition if mode == "linesearch" else grid_search
         plan = search(scn, element, objective, DisplacementGrid(-200, 200, 2001))
-    alone = [run_report(scn, "", ()), run_report(apply_reposition(scn, plan), "", ())]
-    assert [evaluation_hexes(r.evaluation) for r in reports] == [evaluation_hexes(r.evaluation) for r in alone]
+    # each report equals its constellation's rank-one evaluation alone, a batch of one
+    alone = [optimizer._evaluate(optimizer._rows_of([t]))[0] for t in (scn, apply_reposition(scn, plan))]
+    assert [evaluation_hexes(r.evaluation) for r in reports] == [evaluation_hexes(ev) for ev in alone]
 
 
 def test_report_errors_keep_their_order(capsys):

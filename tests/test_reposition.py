@@ -58,7 +58,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
     axes = polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings(), freqs
-    F = fim_rank_one(polar, *(a[None] for a in axes), np.array([polar.velocity_mps]))
+    F, _ = fim_rank_one(polar, *(a[None] for a in axes), np.array([polar.velocity_mps]))
     report = crb_reports(F, polar.num_sources)[0]
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 

@@ -247,6 +247,17 @@ class TestCli:
         assert "crb_theta ratio: nan\ncrb_r ratio: nan\n" in out
         assert "WORSENED" not in out
 
+    def test_bound_search_with_a_huge_noise_variance(self, capsys):
+        # eta**2 overflows; the rank-one kernel reads R^-2 as 0 without a warning or a traceback
+        argv = ["reposition", "--scenario", "scenario_b", "--mode", "linesearch", "--objective", "crb_theta"]
+        assert main(argv + ["--eta", "1e200"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "crb_theta ratio: nan\ncrb_r ratio: nan\n" in out
+        # at 1e160 every candidate's bound overflows to inf, so every candidate fails, as in the trace form
+        assert main(argv + ["--eta", "1e160"]) == 2
+        assert capsys.readouterr().err == "error: objective evaluation failed at every grid point\n"
+
     def test_reposition_linesearch(self, capsys):
         # the grid value starts with a dash, so the = form is required
         code = main(

@@ -1,14 +1,17 @@
 """Structural rules of the package, checked on the syntax trees of its modules."""
 
 import ast
+import contextlib
 import re
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import nfcrb
 from nfcrb import fim_crb
+from nfcrb.cli import main
 
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(Path(nfcrb.__file__).parent.glob("*.py"))}
 
@@ -101,24 +104,48 @@ def test_one_evaluation_per_report_and_sweep_row():
     assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep"), ("scenario_io.py", "run_reports")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
     assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
-    # the one batched trace-form entry, for sweep and report batches
-    assert callers_of("fim_for_scenarios") == [("optimizer.py", "_evaluate")]
+    # every batch takes the rank-one kernel; a lone scenario the trace form
+    assert callers_of("fim_for_scenario") == [("optimizer.py", "_evaluate")]
 
 
-def test_bound_searches_score_with_the_rank_one_kernel():
-    # the bound scorer's chunks, and nothing else, take the rank-one kernel
-    assert callers_of("fim_rank_one") == [("reposition.py", "bound_totals")]
-    # and a bound search builds no dR stack, trace form or eigenvalue decomposition
-    refused = mock.Mock(side_effect=AssertionError("called by a bound search"))
-    scn, _ = nfcrb.runtime_scenario(nfcrb.load_scenario("scenario_a"))
+@contextlib.contextmanager
+def _refusing_the_trace_form():
+    """Fails if anything inside builds a dR stack, a trace form or an eigenvalue decomposition."""
+    refused = mock.Mock(side_effect=AssertionError("the trace form was called"))
     with (mock.patch.object(fim_crb, "_covariance_derivatives", refused),
           mock.patch.object(fim_crb, "_trace_form", refused),
           mock.patch.object(np.linalg, "eigvalsh", refused)):
+        yield
+    assert not refused.called
+
+
+def test_bound_searches_score_with_the_rank_one_kernel():
+    # the bound scorer's chunks and the batched evaluations, and nothing else, take the rank-one kernel
+    assert callers_of("fim_rank_one") == [("optimizer.py", "_evaluate"), ("reposition.py", "bound_totals")]
+    # and a bound search builds no dR stack, trace form or eigenvalue decomposition
+    scn, _ = nfcrb.runtime_scenario(nfcrb.load_scenario("scenario_a"))
+    with _refusing_the_trace_form():
         for objective in ("crb_theta", "crb_r"):
             for region in (nfcrb.DisplacementGrid(-50.0, 50.0, 11), nfcrb.BoxGrid(-5.0, 5.0, 3, -5.0, 5.0, 3)):
                 nfcrb.grid_search(scn, 2, objective, region)
             nfcrb.line_search_reposition(scn, 2, objective, nfcrb.DisplacementGrid(-50.0, 50.0, 11))
-    assert not refused.called
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_sweeps_and_repositions_never_take_the_trace_form(name, tmp_path, capsys):
+    # sweep rows and a reposition's two reports are batches; a compute is a lone report
+    commands = [
+        ["sweep", "--scenario", name, "--vary", "velocity:1e8:6e8:20", "--modes", "primary,reposition",
+         "--out", str(tmp_path / "rows.csv")],
+        ["reposition", "--scenario", name, "--mode", "linesearch", "--objective", "crb_theta", "--grid=-50:50:11"],
+        ["reposition", "--scenario", name, "--mode", "analytic"],
+    ]
+    with _refusing_the_trace_form():
+        assert [main(argv) for argv in commands] == [0, 0, 0]
+    with mock.patch.object(fim_crb, "_trace_form", wraps=fim_crb._trace_form) as trace:
+        assert main(["compute", "--scenario", name]) == 0
+    assert trace.call_count == 1
+    capsys.readouterr()
 
 
 # what the README's library example, the benchmark harness and error handling use
@@ -165,11 +192,8 @@ def test_readme_library_example_runs_as_written(capsys):
 
 
 def test_one_covariance_stack_behind_both_fim_entries():
-    # the batched entry, and linearize: the kernel at K = 1
-    assert callers_of("_covariance_stack") == [
-        ("fim_crb.py", "fim_for_scenarios"),
-        ("fim_crb.py", "linearize"),
-    ]
+    # the trace form's stacked pass runs only in linearize, behind a lone report and validate
+    assert callers_of("_covariance_stack") == [("fim_crb.py", "linearize")]
 
 
 def test_one_kernel_pass_per_single_constellation():

@@ -1,5 +1,5 @@
-"""Sweeps evaluate their rows a chunk at a time; every number must equal the
-one-constellation evaluation bit for bit, whatever the chunk size."""
+"""Sweeps evaluate their rows a chunk at a time with the rank-one kernel; every number must
+equal that row's evaluation alone (a batch of one) bit for bit, whatever the chunk size."""
 
 import json
 import math
@@ -21,7 +21,7 @@ from nfcrb import fim_crb, geometry, optimizer
 from nfcrb.geometry import pairwise_form
 from nfcrb.fim_crb import ParameterIndex
 from nfcrb.reposition import analytic_reposition
-from nfcrb.optimizer import SweepSpec, _planned_chunks, evaluate_constellation, sweep
+from nfcrb.optimizer import SweepSpec, _planned_chunks, sweep
 from nfcrb.cli import main as cli_main
 
 SWEEPS = {
@@ -30,17 +30,17 @@ SWEEPS = {
 }
 
 # float.hex of (det, crb_theta_total, crb_r_total) of the first, middle and
-# last rows, as evaluated one constellation at a time before sweeps were batched
+# last rows, as the rank-one kernel evaluates them
 PINNED = {
     "scenario_a": {
-        0: ("0x1.81b6a5676b728p+7", "0x1.8387749e6f7bdp+11", "0x1.c80d1e2500167p+13"),
-        100: ("0x1.46af29c48564ap+7", "0x1.7a256b715982fp+7", "0x1.8deee1c53854dp+10"),
-        199: ("0x1.92cd6a6d15f11p+7", "0x1.e963a2d284531p-1", "0x1.225b970ce8ec4p+6"),
+        0: ("0x1.81b6a5676b728p+7", "0x1.8387749e6c4c2p+11", "0x1.c80d1e2502b16p+13"),
+        100: ("0x1.46af29c48564ap+7", "0x1.7a256b7140157p+7", "0x1.8deee1c532b50p+10"),
+        199: ("0x1.92cd6a6d15f11p+7", "0x1.e963a2d294ca9p-1", "0x1.225b970cec3b4p+6"),
     },
     "scenario_b": {
-        0: ("0x1.a3ad5f08aea5ep+2", "0x1.83a3584969eb4p+11", "0x1.2c438c8ce2f61p+24"),
-        100: ("0x1.928dc752e5197p+6", "0x1.078fd475ded2cp+2", "0x1.13ea7b949f3b4p+16"),
-        199: ("0x1.eb7195df19eafp+6", "0x1.d278717f12fd8p+3", "0x1.147e1c536d586p+18"),
+        0: ("0x1.a3ad5f08aea5ep+2", "0x1.83a35833b8c9ap+11", "0x1.2c438c7bff608p+24"),
+        100: ("0x1.928dc752e5197p+6", "0x1.078fd475de17ap+2", "0x1.13ea7b949e877p+16"),
+        199: ("0x1.eb7195df19eafp+6", "0x1.d278717f13444p+3", "0x1.147e1c536d99ap+18"),
     },
 }
 
@@ -59,7 +59,7 @@ def _row_hexes(row):
 
 def _planned_rows(scn, spec):
     """Per row: its point, mode, one-row stack of its target and its notes so far."""
-    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    step = fim_crb.batch_chunk(scn.num_sources)
     chunks = _planned_chunks(scn, spec, step)
     return [(*row, targets[i : i + 1], notes[i]) for chunk, targets, notes in chunks for i, row in enumerate(chunk)]
 
@@ -70,9 +70,9 @@ def _alone(target):
 
 
 def _force_chunk(monkeypatch, scn, rows_per_chunk):
-    per_layout = ParameterIndex(scn.num_sources).size * scn.num_sensors**2
+    per_layout = ParameterIndex(scn.num_sources).size ** 2
     monkeypatch.setattr(fim_crb, "DR_CHUNK_VALUES", rows_per_chunk * per_layout)
-    assert fim_crb.batch_chunk(scn.num_sensors, scn.num_sources) == rows_per_chunk
+    assert fim_crb.batch_chunk(scn.num_sources) == rows_per_chunk
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_rows_equal_one_at_a_time_evaluation(name, rows_per_chunk, alone, defaul
 
 def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, monkeypatch):
     scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
-    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    step = fim_crb.batch_chunk(scn.num_sources)
     failing = step + step // 2 + 1  # a reposition row in the middle of the second chunk
     point = spec.grid()[failing // 2]
     plan_moves, refit_axes, hits = optimizer.plan_moves, optimizer.refit_axes, []
@@ -140,15 +140,15 @@ def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, mo
 def test_one_kernel_call_per_chunk(monkeypatch):
     scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
     calls = []
-    covariance_stack = fim_crb._covariance_stack
+    fim_rank_one = optimizer.fim_rank_one
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return covariance_stack(*args)
+    def counted(scenario, radii, *axes):
+        calls.append(len(radii))
+        return fim_rank_one(scenario, radii, *axes)
 
-    monkeypatch.setattr(fim_crb, "_covariance_stack", counted)
+    monkeypatch.setattr(optimizer, "fim_rank_one", counted)
     rows = sweep(scn, spec)
-    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    step = fim_crb.batch_chunk(scn.num_sources)
     assert len(rows) == 200 and 1 < step < 200
     assert len(calls) == math.ceil(200 / step)
     assert calls == [step] * (200 // step) + [200 % step] * (200 % step > 0)
@@ -156,7 +156,7 @@ def test_one_kernel_call_per_chunk(monkeypatch):
 
 def test_powers_and_strongest_element_match_alone(scenario_b):
     spec = SWEEPS["scenario_b"]
-    step = fim_crb.batch_chunk(scenario_b.num_sensors, scenario_b.num_sources)
+    step = fim_crb.batch_chunk(scenario_b.num_sources)
     _, targets, _ = next(_planned_chunks(scenario_b, spec, step))
     batch = optimizer.evaluate_constellations(targets[:9])
     for i, ev in enumerate(batch):
@@ -182,7 +182,8 @@ def _with_point(scn, spec, point):
 
 
 def _rows_point_by_point(scn, spec):
-    """(hexes, diagnostics) per row, from a scenario per point and a constellation per row."""
+    """(hexes, diagnostics) per row, from a scenario per point and a constellation per row, each
+    evaluated alone as a batch of one."""
     out = []
     for point in spec.grid().tolist():
         scn_pt = _with_point(scn, spec, point)
@@ -199,7 +200,7 @@ def _rows_point_by_point(scn, spec):
                 except ValidationError as exc:
                     notes.append(f"reposition skipped: {exc}")
             try:
-                ev = evaluate_constellation(target)
+                ev = _alone(optimizer._rows_of([target]))
             except ValidationError as exc:
                 out.append((_hexes([math.nan] * 3), "; ".join([*notes, f"evaluation failed: {exc}"])))
                 continue
@@ -224,27 +225,27 @@ POLAR_SWEEPS = {
 }
 
 # float.hex of (det, crb_theta_total, crb_r_total) of the first, middle and last
-# rows, as evaluated with a scenario per point before the conversions were hoisted
+# rows, as the rank-one kernel evaluates them
 POLAR_PINNED = {
     "polar_b-frequency": {
-        0: ("0x1.cb118889b8712p+4", "0x1.4060f8674bd6fp+8", "0x1.56255485c41d0p+22"),
-        100: ("0x1.1d3c9bd7dab87p+7", "0x1.c026e63993240p+11", "0x1.10217fa2626a3p+27"),
-        199: ("0x1.7897b69c3ab8dp+5", "0x1.3a15f47e81062p-1", "0x1.d44281350d8a3p+17"),
+        0: ("0x1.cb118889b8712p+4", "0x1.4060f86747f38p+8", "0x1.56255485bf988p+22"),
+        100: ("0x1.1d3c9bd7dab87p+7", "0x1.c026e61278c1ap+11", "0x1.10217f8a9d15bp+27"),
+        199: ("0x1.7897b69c3ab8dp+5", "0x1.3a15f47e83ac6p-1", "0x1.d44281351c2ecp+17"),
     },
     "polar_b-velocity": {
-        0: ("0x1.93ec649ce5520p+2", "0x1.83a3584969eb4p+11", "0x1.2c438c8ce2f61p+24"),
-        100: ("0x1.9183add7a095dp+6", "0x1.078fd475ded2cp+2", "0x1.13ea7b949f3b4p+16"),
-        199: ("0x1.eb1c6c8a514a5p+6", "0x1.e01aab808decep+3", "0x1.16ea98f1e4faap+18"),
+        0: ("0x1.93ec649ce5520p+2", "0x1.83a35833b8c9ap+11", "0x1.2c438c7bff608p+24"),
+        100: ("0x1.9183add7a095dp+6", "0x1.078fd475de17ap+2", "0x1.13ea7b949e877p+16"),
+        199: ("0x1.eb1c6c8a514a5p+6", "0x1.e01aab808d624p+3", "0x1.16ea98f1e55b1p+18"),
     },
     "upper_half-frequency": {
-        0: ("0x1.51ea0da2104f6p+4", "0x1.0419cc7ccfcf5p+11", "0x1.49714f520408fp+21"),
-        100: ("0x1.da7ef41ce3b65p+7", "0x1.22823da99264ap+9", "0x1.16882d14885c0p+25"),
-        199: ("0x1.944bb4816ab20p+8", "0x1.cfbe410eb8b54p+10", "0x1.6ab905fc98a7fp+26"),
+        0: ("0x1.51ea0da2104f6p+4", "0x1.0419cc7fb14bdp+11", "0x1.49714f5a8dbf8p+21"),
+        100: ("0x1.da7ef41ce3b65p+7", "0x1.22823daeaedfep+9", "0x1.16882d116849fp+25"),
+        199: ("0x1.944bb4816ab20p+8", "0x1.cfbe4123da9c3p+10", "0x1.6ab90673df3dap+26"),
     },
     "upper_half-velocity": {
-        0: ("0x1.9ec364df84c10p+7", "0x1.70054eee9c9f0p-1", "0x1.1bc73e7782f2bp+16"),
-        100: ("0x1.68c29540c6c97p+8", "0x1.3ff5d4d451f5bp+9", "0x1.366938f542ba9p+26"),
-        199: ("0x1.d396f9a285d6cp+4", "0x1.cf95ad92324aap+10", "0x1.6bd5be03bd256p+27"),
+        0: ("0x1.9ec364df84c10p+7", "0x1.70054eee4483bp-1", "0x1.1bc73e7661fa9p+16"),
+        100: ("0x1.68c29540c6c97p+8", "0x1.3ff5d4cd5d43ap+9", "0x1.366938f231262p+26"),
+        199: ("0x1.d396f9a285d6cp+4", "0x1.cf95ad558066cp+10", "0x1.6bd5bdee64ba7p+27"),
     },
 }
 
@@ -347,7 +348,7 @@ def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
 @pytest.mark.parametrize("chunks_per_window", [1, 3, None])
 def test_one_planning_pass_per_window(name, chunks_per_window, monkeypatch):
     scn, spec = _scenario(name), SWEEPS[name]
-    step, values = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources), scn.num_sensors * scn.num_sources
+    step, values = fim_crb.batch_chunk(scn.num_sources), scn.num_sensors * scn.num_sources
     if chunks_per_window is not None:
         monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", chunks_per_window * step * values)
     window = step * max(1, optimizer.PHASE_CHUNK_VALUES // (step * values))
@@ -445,7 +446,21 @@ def test_mixed_plans_equal_point_by_point_evaluation(encoding, rows_per_chunk, m
     rows = sweep(scn, MIXED)
     assert [(_row_hexes(row), row.diagnostics) for row in rows] == expected
     assert _outcomes(rows) == set(OUTCOMES)
-    step = fim_crb.batch_chunk(scn.num_sensors, scn.num_sources)
+    step = fim_crb.batch_chunk(scn.num_sources)
     mixing = max(len(_outcomes(rows[lo : lo + step])) for lo in range(0, len(rows), step))
     assert mixing == {1: 1, 2: 1, 7: 2, None: 3}[rows_per_chunk]
 
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b", "polar_b-velocity", "polar_b-frequency"])
+def test_rows_match_the_trace_form(name):
+    # each row's rank-one matrix is the trace form's of its axes, to rounding, with its rank and cond(R_x)
+    scn, spec = (_scenario(name), SWEEPS[name]) if name in SWEEPS else (POLAR_SWEEPS[name][0](), POLAR_SWEEPS[name][1])
+    for *_, target, _ in _planned_rows(scn, spec):
+        ev = _alone(target)
+        *_, covset, dR = fim_crb._covariance_stack(scn, *target.arrays[1:])
+        F, cond = fim_crb._trace_form(covset.array_cov, dR)
+        F = scn.snapshots * F
+        assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
+        assert ev.crb.rank == fim_crb.crb_reports(F, scn.num_sources)[0].rank
+        assert abs(ev.fim.array_cov_condition - cond[0]) <= 1e-12 * cond[0]
