@@ -435,7 +435,8 @@ def _pinv_diagonals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     u, s, vt = np.linalg.svd(F)
     kept = s > PINV_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    with np.errstate(over="ignore"):  # a subnormal singular value inverts to inf: an inf bound, not a warning
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     diag = ((u * vt.swapaxes(-1, -2)) @ inv[..., None])[..., 0]
     rank = kept.sum(axis=-1)
     cond = np.full(s.shape[:-1], np.inf)

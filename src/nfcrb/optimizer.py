@@ -154,8 +154,8 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
         F, cond = fim_rank_one(first, *axes)
         fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(F, first.num_sources)
-    evaluated = zip(det.tolist(), powers, strongest, rows.residuals, fims, crbs)
-    return [ConstellationEvaluation(abs(d), *row) for d, *row in evaluated]
+    moduli = np.hypot(det.real, det.imag).tolist()  # Python's abs(complex), as the det scorer takes it
+    return [ConstellationEvaluation(*row) for row in zip(moduli, powers, strongest, rows.residuals, fims, crbs)]
 
 
 def evaluate_constellations(targets) -> list:

@@ -15,6 +15,8 @@ realizations are provided:
   ``BoxGrid`` in one batch with its current position, in chunks of array
   passes that give float arrays, and keeps the first minimum, found with
   array operations (a line search always includes the current position);
+  a chunk computes only the moved element's distances, and ``det`` writes
+  its steering row into the fixed elements' rows, steered once per search;
 * plan application, which rewrites the chosen element's pairwise row.
 
 The analytic targets set each phase term independently, so the N solved
@@ -259,22 +261,33 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
 
     The function gives a (K,) float array or raises ValidationError if any position of the
-    chunk fails.  The polar axes of the layout (bounds) and the check for a fixed sensor on
-    a source (gf, power) run once here; every chunk raises a failure of either.
+    chunk fails.  The fixed sensors' distances (and det's steering rows) and the layout's polar
+    axes (bounds) run once here; a chunk adds the moved element's and raises a failure of either.
     """
     num_sensors, num_sources = len(sensors_xy), len(sources_xy)
     freqs = frequency_vector(scn.signals)
+    # a NaN row never reads as zero, so the fixed sensors' distances keep their own numbers
+    fixed_xy = sensors_xy.copy()
+    fixed_xy[element] = np.nan
+    fixed = kept(distances, fixed_xy, sources_xy)
 
-    def layouts(chunk: np.ndarray) -> np.ndarray:
+    def moved_distances(chunk):
+        """(K, N) distances of the moved element; rejects a layout with a sensor on a source."""
+        try:
+            if not isinstance(fixed, ValidationError):
+                return distances(chunk, sources_xy)
+        except ValidationError:
+            pass
+        # a sensor sits on a source: the whole moved layout names the first one
         moved = np.repeat(sensors_xy[None], len(chunk), axis=0)
         moved[:, element] = chunk
-        return moved
+        return distances(moved, sources_xy)[:, element]
 
     if objective in BOUND_OBJECTIVES:
         axes = kept(axes_from_positions, sensors_xy, sources_xy)
 
         def bound_totals(chunk):
-            distances(layouts(chunk), sources_xy)  # rejects a sensor on a source
+            moved_distances(chunk)  # rejects a sensor on a source
             if isinstance(axes, ValidationError):
                 raise axes
             radii, azimuths, ranges, bearings = axes
@@ -286,32 +299,22 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
         return bound_totals, batch_chunk(num_sources)
 
     if objective == "det":
+        # every candidate shares the fixed elements' steering rows; a chunk steers only the moved one
+        fixed_rows = None if isinstance(fixed, ValidationError) else steering_matrix(fixed / scn.velocity_mps, freqs)
 
         def determinants(chunk):
-            A = steering_matrix(distances(layouts(chunk), sources_xy) / scn.velocity_mps, freqs)
+            row = steering_matrix(moved_distances(chunk) / scn.velocity_mps, freqs)  # raises if fixed_rows is None
+            A = np.repeat(fixed_rows[None], len(chunk), axis=0)
+            A[:, element] = row
             det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
-            return np.array([abs(v) for v in det.tolist()])  # np.abs rounds complex moduli differently
+            return np.hypot(det.real, det.imag)  # Python's abs(complex), bit for bit; np.abs rounds differently
 
         per_candidate = num_sensors * max(num_sensors, num_sources)
         return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
 
-    # gf and power see only the moved element's delays while no sensor sits on a
-    # source; a NaN row never reads as zero, so fixed sensors keep their own numbers
-    fixed = sensors_xy.copy()
-    fixed[element] = np.nan
-    fixed_clean = not isinstance(kept(distances, fixed, sources_xy), ValidationError)
-
-    def element_distances(chunk):
-        try:
-            if fixed_clean:
-                return distances(chunk, sources_xy)
-        except ValidationError:
-            pass
-        # a sensor sits on a source: the whole moved layout names it
-        return distances(layouts(chunk), sources_xy)[:, element]
-
+    # gf and power see only the moved element's delays
     def element_values(chunk):
-        tau = element_distances(chunk) / scn.velocity_mps
+        tau = moved_distances(chunk) / scn.velocity_mps
         if objective == "power":
             # numpy would take a one-row product through its dot kernel, which
             # rounds differently from the matrix kernel of an (M, N) product
@@ -333,17 +336,17 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     per array pass: bound totals through the rank-one kernel ``fim_rank_one`` and the
     pseudo-inverse SVD (each layout as the polar axes ``axes_from_positions`` gives, with the
     sources shared, and no Scenario; ``batch_chunk`` layouts a pass), gf and power from the
-    moved element's delays alone and det from a stack of covariance matrices.  A chunk in
-    which any candidate fails is scored again in halves, down to the failing candidates,
-    through the same function, so only they are rejected, each with its own reason; a NaN
-    or infinite score then fails its candidate too.
+    moved element's delays alone, det from covariances of the fixed elements' steering rows,
+    steered once, and the moved element's row.  A chunk in which any candidate fails is scored
+    again in halves, down to the failing candidates, through the same function, so only they
+    are rejected, each with its own reason; a NaN or infinite score then fails its candidate too.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
     values, errors = np.empty(len(positions)), {}
     # overflowing positions give non-finite numbers that fail their candidates with a reason, not warnings
     with np.errstate(all="ignore"):
+        score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
         for lo in range(0, len(positions), step):
             chunk = batch_or_each(score, positions[lo : lo + step])
             if isinstance(chunk, list):  # a row failed, so each row was scored alone

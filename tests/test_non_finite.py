@@ -170,6 +170,16 @@ def test_overflowing_search_warns_nowhere(objective, capsys):
     ]
 
 
+def test_subnormal_singular_values_warn_nowhere(capsys):
+    # at this noise level the information matrix's singular values are subnormal: their
+    # reciprocals overflow to inf bounds, which the report prints without a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(["compute", "--scenario", "scenario_b", "--eta", "1e160"], capsys)
+    assert code == 0 and err == "" and caught == []
+    assert "CRB bearing (rad^2): [inf, inf], total inf" in stdout.splitlines()
+
+
 OVERFLOWING_DIVISOR = "source 1: phase divisor c / (2 f H) = inf is not finite"
 
 

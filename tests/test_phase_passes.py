@@ -20,8 +20,8 @@ from nfcrb import (
     line_search_reposition,
 )
 from nfcrb import optimizer, reposition
-from nfcrb.signal_model import SourceSignal
-from nfcrb.geometry import scenario_positions
+from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, steering_matrix
+from nfcrb.geometry import distances, scenario_positions
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
@@ -74,11 +74,39 @@ class TestChunkSizes:
             assert hexes(values) == default[i]
 
 
+def test_det_steers_the_fixed_rows_once_and_the_moved_row_per_chunk(scenario_a, scenario_b):
+    # the determinants equal those of the whole steered layouts bit for bit, while a chunk
+    # steers only the moved element's (K, N) row
+    scenarios = [scenario_a, scenario_b] + [random_upper_half_scenario(np.random.default_rng(seed)) for seed in range(4)]
+    for scn in scenarios:
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        positions = search_positions(scn, 1)
+        layouts = np.repeat(sensors_xy[None], len(positions), axis=0)
+        layouts[:, 1] = positions
+        A = steering_matrix(distances(layouts, sources_xy) / scn.velocity_mps, frequency_vector(scn.signals))
+        det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
+        with mock.patch.object(reposition, "steering_matrix", wraps=steering_matrix) as steer:
+            values, errors = score_candidates("det", 1, sensors_xy, sources_xy, scn, positions)
+        assert errors == {} and hexes(values) == [abs(v).hex() for v in det.tolist()]
+        shapes = [call.args[0].shape for call in steer.call_args_list]
+        assert shapes[0] == sensors_xy.shape[:1] + sources_xy.shape[:1]
+        assert all(len(shape) == 2 and shape[1] == len(sources_xy) for shape in shapes[1:])
+        assert sum(shape[0] for shape in shapes[1:]) == len(positions)
+
+
 class TestArraySquaring:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=1, max_size=40))
     def test_float_power_squares_as_python(self, xs):
         assert hexes(np.float_power(np.array(xs), 2)) == [(x**2).hex() for x in xs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_hypot_takes_moduli_as_python(self, zs):
+        # the det scorer and the evaluations take |det| so; np.abs rounds differently in the last bit
+        z = np.array(zs, dtype=complex)
+        assert hexes(np.hypot(z.real, z.imag)) == [abs(v).hex() for v in zs]
 
 
 FAIL = "fail"

@@ -18,7 +18,15 @@ and seed, each end-to-end metric's runs, medians and inclusive quartiles per
 side, how many pairs the head won, the median change and the base's
 interquartile range, and the same for the A/A control.  An existing file keeps
 the workloads this run does not measure, so workloads can be run with
-different pair counts into one file.
+different pair counts into one file.  Then prints, per workload and seed of
+this run, the failed operations and one line per end-to-end metric: both
+medians, the ratio, the change's wins, the parent's IQR and whether the change
+is worse than the metric's ``BENCHMARK.json`` bound.
+
+Exits 2, measuring nothing, if the base and head checkouts hold byte-identical
+files (the change is already committed and ``--base`` defaults to HEAD: pass
+``--base <parent commit>``).  The A/A control compares the base with its own
+copy on purpose and is not checked.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def git(*args: str) -> str:
@@ -60,6 +69,17 @@ def export_worktree(dest: Path) -> None:
         if src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             (dest / name).write_bytes(src.read_bytes())
+
+
+def unchanged(base: Path, head: Path) -> bool:
+    """Whether two checkouts hold the same files, byte for byte (said on stderr if so): comparing
+    a commit with itself measures nothing, as when the change is committed and ``--base`` is HEAD."""
+    files = [sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) for root in (base, head)]
+    if files[0] != files[1] or any((base / f).read_bytes() != (head / f).read_bytes() for f in files[0]):
+        return False
+    print(f"{base.name} and {head.name} hold byte-identical files: nothing to compare "
+          "(pass --base <parent commit>)", file=sys.stderr)
+    return True
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,6 +127,20 @@ def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
     return out
 
 
+def verdict_lines(workload: str, seed_key: str, result: dict) -> list[str]:
+    """One line per end-to-end metric of a parent/change comparison: both medians, the ratio,
+    the change's wins, the parent's IQR and whether the change is worse than the metric's bound
+    (a relative change, as ``BENCHMARK.json`` gives it)."""
+    lines = [f"{workload} {seed_key}: failed operations {result['failed']['parent']} -> {result['failed']['change']}"]
+    for metric, m in result["metrics"].items():
+        parent, change, bound = m["parent"]["median"], m["change"]["median"], BOUNDS[metric]
+        worse = change < parent * (1 - bound) if m["better"] == "higher" else change > parent * (1 + bound)
+        lines.append(f"{workload} {seed_key} {metric}: {parent:g} -> {change:g} (ratio {m['ratio']}), "
+                     f"change won {m['change_wins']}/{result['pairs']}, parent IQR {m['parent_iqr']:g}, "
+                     f"{'WORSE THAN' if worse else 'within'} its {bound:g} bound")
+    return lines
+
+
 def interleave(left: Path, right: Path, workload: str, seed: int, pairs: int, seconds: float, label: str) -> list:
     results = []
     for k in range(pairs):
@@ -143,6 +177,8 @@ def main(argv=None) -> int:
             export_commit(args.head, head)
         else:
             export_worktree(head)
+        if unchanged(base, head):
+            return 2
         report = {
             "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} --trace 0",
             "method": ("interleaved pairs, the side that runs first alternating; base, its A/A copy and the change "
@@ -164,6 +200,9 @@ def main(argv=None) -> int:
     if out.exists():
         report = {**json.loads(out.read_text()), **report}
     out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload in args.workload:
+        for seed in args.seeds:
+            print("\n".join(verdict_lines(workload, f"seed{seed}", report[workload][f"seed{seed}"])))
     print(f"wrote {out}")
     return 0
 

@@ -25,7 +25,9 @@ field's kind, both texts, the relative change, and whether ``check.value_matches
 accepts the pair (within ``check.RTOL`` plus one unit in the last printed digit).
 A moved ``exact`` field (displacement, position, rank, count) is flagged.  A last
 line gives the largest relative move per kind.  Exit status: 0 if every operation
-matched, 1 if any differed.
+matched, 1 if any differed, 2 if the base and head checkouts hold byte-identical files
+(nothing changes, as when the change is committed and ``--base`` is HEAD: pass
+``--base <parent commit>``) or an operation recorder failed.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from bench_pairs import ROOT, export_commit, export_worktree, git
+from bench_pairs import ROOT, export_commit, export_worktree, git, unchanged
 
 FIELDS = ("rc", "stdout", "stderr", "csv")
 ROW_COLUMNS = ("point", "mode", "det", "crb_theta_total", "crb_r_total", "rank")
@@ -201,6 +203,8 @@ def main(argv=None) -> int:
             export_commit(args.head, head)
         else:
             export_worktree(head)
+        if unchanged(base, head):
+            return 2
         workers = [
             subprocess.Popen([sys.executable, __file__, "--workload", *args.workload, "--seeds", *map(str, args.seeds),
                               "--record", str(side), str(work / f"{side.name}.json")], cwd=side)
