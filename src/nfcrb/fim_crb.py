@@ -110,6 +110,7 @@ class FimMatrix:
     entries: np.ndarray
     snapshots: int
     array_cov_condition: float = float("nan")
+    factored: tuple[np.ndarray, np.ndarray] | None = None  # R and R^-1 as ``fim_generic`` checked and inverted them
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,23 +219,23 @@ def _eigenvalues(array_cov: np.ndarray) -> np.ndarray:
     return w
 
 
-def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trace_form(array_cov: np.ndarray, derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re tr(R^-1 dR_a R^-1 dR_b) for (K, M, M) covariances and (K, P, M, M) derivatives.
 
     tr(X_a X_b) is the dot product of X_a's rows with X_b's columns, so with
     X = R^-1 dR every table is one matmul of the flattened X against the
-    flattened transposes.  Returns the (K, P, P) tables, symmetrized, and the
-    (K,) condition numbers of the covariances.
+    flattened transposes.  Returns the (K, P, P) tables, symmetrized, the
+    (K,) condition numbers of the covariances and their (K, M, M) inverses.
     """
     w = _eigenvalues(array_cov)
-    X = np.linalg.inv(array_cov)[:, None] @ derivs
+    X = (Rinv := np.linalg.inv(array_cov))[:, None] @ derivs
     K, P, M, _ = X.shape
     rows = X.reshape(K, P, M * M)
     cols = X.swapaxes(2, 3).reshape(K, P, M * M)
     F = (rows @ cols.swapaxes(1, 2)).real
     if not np.isfinite(F).all():
         raise ValidationError("information matrix has non-finite entries")
-    return 0.5 * (F + F.swapaxes(1, 2)), w[:, -1] / w[:, 0]
+    return 0.5 * (F + F.swapaxes(1, 2)), w[:, -1] / w[:, 0], Rinv
 
 
 def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
@@ -247,8 +248,8 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
         raise ValidationError(f"snapshot count must be >= 1, got {snapshots}")
     R = np.asarray(array_cov, dtype=complex)
     D = np.asarray(derivs, dtype=complex).reshape(-1, *R.shape)
-    F, cond = _trace_form(R[None], D[None])
-    return FimMatrix(snapshots * F[0], int(snapshots), float(cond[0]))
+    F, cond, Rinv = _trace_form(R[None], D[None])
+    return FimMatrix(snapshots * F[0], int(snapshots), float(cond[0]), (R, Rinv[0]))
 
 
 def _covariance_stack(scenario, *constellations) -> tuple[np.ndarray, ...]:
@@ -344,8 +345,8 @@ def fim_rank_one(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
 def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, dict[str, float]]:
     """Block-assembled information matrix plus per-block deviation from ``generic``.
 
-    ``generic`` is the trace-form matrix of the same ``linearize`` pass; its
-    snapshot count scales the closed form too.  The bearing/range blocks
+    ``generic`` is the trace-form matrix of the same ``linearize`` pass; its snapshot
+    count, check and inverse of R serve the closed form too.  The bearing/range blocks
     combine Hadamard products of source-covariance and derivative cross
     terms; blocks coupled to the covariance-entry parameters take tr(E_i X)
     over the ParameterIndex basis matrices E_i as one product with their table.
@@ -358,8 +359,10 @@ def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, 
     N = A.shape[1]
     snapshots = generic.snapshots
     index = ParameterIndex(N)
-    _eigenvalues(R[None])
-    Rinv = np.linalg.inv(R)
+    checked, Rinv = generic.factored or (None, None)
+    if not np.array_equal(checked, R):  # ``generic`` was made of another covariance (or none)
+        _eigenvalues(R[None])
+        Rinv = np.linalg.inv(R)
     Rinv2 = Rinv @ Rinv
     cols = {"bearing": lin.bearing_cols, "range": lin.range_cols}
     Ah = A.conj().T

@@ -7,10 +7,12 @@ verdict.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nfcrb import fim_crb
 from nfcrb.cli import main
 
 
@@ -76,4 +78,14 @@ def test_validate_stdout_is_pinned(name, tmp_path, capsys):
         scenario = tmp_path / "seeded7.json"
         scenario.write_text(json.dumps(seeded_polar_doc(7)))
     assert main(["validate", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_validate_factors_the_array_covariance_once(name, capsys):
+    # the closed form reuses the singularity check and inverse of the generic matrix's trace form
+    with (mock.patch.object(fim_crb, "_eigenvalues", wraps=fim_crb._eigenvalues) as checks,
+          mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverses):
+        assert main(["validate", "--scenario", name]) == 0
+    assert (checks.call_count, inverses.call_count) == (1, 1)
     assert capsys.readouterr().out == EXPECTED[name]

@@ -43,7 +43,7 @@ def layout_fims(scn, radii, azimuths):
     matrices of its stacked pass (``linearize``'s at K = 1) and the (K,) condition numbers."""
     sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
     *_, covset, dR = fim_crb._covariance_stack(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
-    F, cond = fim_crb._trace_form(covset.array_cov, dR)
+    F, cond, _ = fim_crb._trace_form(covset.array_cov, dR)
     return scn.snapshots * F, cond
 
 
@@ -521,6 +521,16 @@ class TestFimClosedForm:
             # entry-parameter blocks reconcile too; pinned well below the gate
             for block, value in dev.items():
                 assert value < 1e-9, f"{block} deviated by {value}"
+
+    def test_reused_inverse_equals_its_own_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        for m, n in [(None, 2)] * 5 + [(6, 4), (7, 5)]:
+            scn = random_scenario(rng, m, n)
+            lin = linearize(scn)
+            generic = fim_generic(lin.array_cov, lin.derivs, scn.snapshots)
+            F, dev = fim_closed_form(lin, generic)
+            own_F, own_dev = fim_closed_form(lin, replace(generic, factored=None))
+            assert F.entries.tobytes() == own_F.entries.tobytes() and dev == own_dev
 
     def test_singular_covariance_is_reported(self):
         lin = linearize(random_scenario(np.random.default_rng(24), m=4, n=2))

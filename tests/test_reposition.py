@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import sys
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -475,8 +479,9 @@ class TestBatchedPhaseSearch:
         # 64 candidates in chunks of 10: the current position, then 63 box points,
         # of which (110, 0) (candidate 32, in the fourth chunk) lands on source 1;
         # the failing chunk is split in halves down to that one candidate, scored
-        # alone: 10 (fails), 5 (fails), 3 (fails), 2, 1 (fails), 2, 5
-        with mock.patch.object(reposition, "_chunk_scorer", counting_scorer(steps, calls, step=10)):
+        # alone: 10 (fails), 5 (fails), 3 (fails), 2, 1 (fails), 2, 5; on one CPU, so a
+        # bound scan's chunks are scored in scan order on one thread
+        with cpus(1), mock.patch.object(reposition, "_chunk_scorer", counting_scorer(steps, calls, step=10)):
             plan = grid_search(scn, 1, objective, BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3))
         assert calls == [10] * 4 + [5, 3, 2, 1, 2, 5] + [10] * 2 + [4]
         assert [n for n in plan.source_notes if "skipped" in n] == [
@@ -534,6 +539,11 @@ def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
     for objective in ("gf", "power"):
         values = scored(objective, 0, fixed_on_source, sources_xy, scn, line[:5] - 100.0)
         assert [str(v) for v in values] == ["sensor 3 coincides with source 2"] * 5
+
+
+def cpus(count: int):
+    """Patches the CPUs the process may run on to ``count``: on two a bound scan shares its chunks with a worker."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
 def counting_scorer(steps, calls, step=None):
@@ -605,6 +615,220 @@ class TestBatchedScorerProperties:
                 default = batched_values(objective, scn, element, positions)
                 with mock.patch.object(reposition, "_chunk_scorer", with_chunk):
                     assert batched_values(objective, scn, element, positions) == default
+
+
+def chunked_scorer(step, calls, worker_scores=None):
+    """A stand-in for ``_chunk_scorer`` that forces the chunk size and records each scored chunk as
+    (its first row, its length) in ``calls``, under the thread that scored it: "caller" (the one
+    that built the scorer) or "worker".  With ``worker_scores`` (a row), the caller's first chunk
+    waits until the worker has scored a chunk holding that row (``True``: any chunk)."""
+    real = reposition._chunk_scorer
+    scored = threading.Event()
+
+    def build(*args):
+        score, _ = real(*args)
+        caller = threading.current_thread()
+
+        def recorded(chunk):
+            thread = "caller" if threading.current_thread() is caller else "worker"
+            calls.setdefault(thread, []).append((tuple(chunk[0].tolist()), len(chunk)))
+            if thread == "worker" and (worker_scores is True or any(tuple(r) == worker_scores for r in chunk.tolist())):
+                scored.set()
+            if thread == "caller" and worker_scores is not None and len(calls["caller"]) == 1:
+                assert scored.wait(timeout=60.0), "the worker scored no such chunk"
+            return score(chunk)
+
+        return recorded, step
+
+    return build
+
+
+def is_in_order(part, whole):
+    """Whether ``part`` is a subsequence of ``whole``."""
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+def scan_outcome(objective, scn, element, positions, cpu_count, step, worker_scores=None):
+    """``score_candidates`` on ``cpu_count`` CPUs in chunks of ``step``: the values' bytes, each error's
+    type and reason, and the scored chunks by thread (see ``chunked_scorer``)."""
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    calls = {}
+    with cpus(cpu_count), mock.patch.object(reposition, "_chunk_scorer", chunked_scorer(step, calls, worker_scores)):
+        values, errors = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
+    return values.tobytes(), {i: (type(e), str(e)) for i, e in errors.items()}, calls
+
+
+class TestThreadedBoundScan:
+    """With two CPUs a worker thread takes a bound scan's chunks too: both threads take the next chunk when free."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+    def test_two_cpus_equal_one_bit_for_bit(self, seed, k):
+        rng = np.random.default_rng(seed)
+        scn = random_upper_half_scenario(rng)
+        element = int(rng.integers(scn.num_sensors))
+        for positions in candidate_positions(scn, element, DisplacementGrid(-60, 60, 13), 40.0, 4):
+            for objective in ("crb_theta", "crb_r"):
+                *one, calls = scan_outcome(objective, scn, element, positions, 1, k)
+                assert sorted(calls) == ["caller"]
+                several = len(positions) > k
+                *two, calls = scan_outcome(objective, scn, element, positions, 2, k, True if several else None)
+                assert two == one
+                assert ("worker" in calls) == several  # the worker may take every chunk
+
+    @pytest.mark.parametrize("objective", ["crb_theta", "crb_r"])
+    def test_candidate_on_a_source_scored_by_the_worker(self, objective):
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        disps = np.linspace(20.0, 140.0, 121)  # 13 chunks of 10; row 80 lies on source 1
+        positions = np.column_stack([sensors_xy[1, 0] + disps, np.full_like(disps, sensors_xy[1, 1])])
+        on_source = tuple(positions[80].tolist())
+        assert np.allclose(on_source, sources_xy[0])
+        *one, _ = scan_outcome(objective, scn, 1, positions, 1, 10)
+        *two, calls = scan_outcome(objective, scn, 1, positions, 2, 10, worker_scores=on_source)
+        assert two == one and (on_source, 1) in calls["worker"]
+        assert two[1] == {80: (SingularGeometryError, "sensor 2 coincides with source 1")}
+
+    @pytest.mark.parametrize("objective", ["crb_theta", "crb_r"])
+    @pytest.mark.parametrize("step", [10, 8])
+    def test_each_chunk_is_scored_once_in_scan_order(self, objective, step):
+        # 64 candidates; (110, 0) is candidate 32, which the worker scores: its chunk is scored
+        # again in halves down to that one candidate, all on the worker, as on one thread
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        box = BoxGrid(90.0, 130.0, 21, -10.0, 10.0, 3)
+        outcomes = []
+        for count, worker_scores in ((1, None), (2, (110.0, 0.0))):
+            calls = {}
+            scorer = chunked_scorer(step, calls, worker_scores)
+            with cpus(count), mock.patch.object(reposition, "_chunk_scorer", scorer):
+                plan = grid_search(scn, 1, objective, box)
+            outcomes.append(calls)
+            assert [n for n in plan.source_notes if "skipped" in n] == [
+                "position (110, 0) skipped: sensor 2 coincides with source 1"
+            ]
+        one, two = outcomes
+        one = one["caller"]
+        assert [n for _, n in one] == {10: [10] * 4 + [5, 3, 2, 1, 2, 5] + [10] * 2 + [4],
+                                       8: [8] * 4 + [8, 4, 2, 1, 1, 2, 4] + [8] * 3}[step]
+        caller = two.get("caller", [])  # the worker may take every chunk
+        assert sorted(caller + two["worker"]) == sorted(one)
+        assert is_in_order(caller, one) and is_in_order(two["worker"], one)
+        failing = [c for c in one if c[1] < step and c != one[-1]]  # the failing chunk's halves
+        assert is_in_order(failing, two["worker"])
+
+    @pytest.mark.parametrize("raising", ["caller", "worker"])
+    def test_an_exception_in_either_thread_reaches_the_caller(self, raising, scenario_a):
+        real = reposition._chunk_scorer
+        called = {"caller": threading.Event(), "worker": threading.Event()}
+
+        def failing(*args):
+            score, _ = real(*args)
+            caller = threading.current_thread()
+
+            def scored_or_raising(chunk):
+                is_caller = threading.current_thread() is caller
+                called["caller" if is_caller else "worker"].set()
+                if is_caller != (raising == "caller"):  # the raising thread gets a chunk before the other is done
+                    assert called[raising].wait(timeout=60.0)
+                if is_caller == (raising == "caller"):
+                    raise RuntimeError(f"{raising} thread")
+                return score(chunk)
+
+            return scored_or_raising, 4
+
+        before = threading.active_count()
+        with (cpus(2), mock.patch.object(reposition, "_chunk_scorer", failing),
+              mock.patch.object(threading, "excepthook") as excepthook):
+            with pytest.raises(RuntimeError, match=f"^{raising} thread$"):
+                line_search_reposition(scenario_a, 2, "crb_theta", DisplacementGrid(-10.0, 10.0, 21))
+        assert not excepthook.called
+        assert threading.active_count() == before
+
+    def test_the_worker_stops_when_the_caller_raises(self, scenario_a):
+        # 101 chunks of 4: the caller raises on its first, once the worker is scoring one
+        real, started, calls = reposition._chunk_scorer, threading.Event(), []
+
+        def failing(*args):
+            score, _ = real(*args)
+            caller = threading.current_thread()
+
+            def scored_or_raising(chunk):
+                if threading.current_thread() is caller:
+                    assert started.wait(timeout=60.0)
+                    raise KeyboardInterrupt
+                calls.append(len(chunk))
+                started.set()
+                return score(chunk)
+
+            return scored_or_raising, 4
+
+        with cpus(2), mock.patch.object(reposition, "_chunk_scorer", failing):
+            with pytest.raises(KeyboardInterrupt):
+                line_search_reposition(scenario_a, 2, "crb_theta", DisplacementGrid(-200.0, 200.0, 401))
+        assert 1 <= len(calls) < 50
+
+    def test_a_scan_leaves_no_thread(self, scenario_a):
+        before, plans = threading.active_count(), []
+        for count in (2, 1):
+            with cpus(count):
+                plans.append(line_search_reposition(scenario_a, 2, "crb_r", DisplacementGrid(-200.0, 200.0, 401)))
+            assert threading.active_count() == before
+        two, one = ((p.displacement_m, p.objective_before, p.objective_after) for p in plans)
+        assert two == one
+
+    def test_one_thread_where_the_cpus_are_unknown(self, scenario_a):
+        # os.sched_getaffinity is missing on macOS and Windows
+        calls = {}
+        with (mock.patch.object(reposition.os, "sched_getaffinity", create=True),
+              mock.patch.object(reposition, "_chunk_scorer", chunked_scorer(10, calls))):
+            del reposition.os.sched_getaffinity
+            plans = [line_search_reposition(scenario_a, 2, "crb_r", DisplacementGrid(-200.0, 200.0, 401))]
+        assert sorted(calls) == ["caller"] and len(calls["caller"]) == 41
+        with cpus(1):
+            plans.append(line_search_reposition(scenario_a, 2, "crb_r", DisplacementGrid(-200.0, 200.0, 401)))
+        unknown, one = ((p.displacement_m, p.objective_before, p.objective_after, p.source_notes) for p in plans)
+        assert unknown == one
+    def test_concurrent_scans_under_fast_switching_keep_every_failure(self):
+        # three scans at once, each with its worker: six threads on two CPUs, switching every
+        # microsecond; both threads of a scan write failures into one dict, and a lost write drops one
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        positions = np.column_stack([np.linspace(60.0, 140.0, 60), np.zeros(60)])
+        positions[::3] = sources_xy[0]  # every chunk of 6 holds two candidates on source 1
+        expected = scan_outcome("crb_r", scn, 1, positions, 1, 6)[:2]
+        assert sorted(expected[1]) == list(range(0, 60, 3))
+        outcomes = []
+
+        def run():
+            values, errors = score_candidates("crb_r", 1, sensors_xy, sources_xy, scn, positions)
+            outcomes.append((values.tobytes(), {i: (type(e), str(e)) for i, e in errors.items()}))
+
+        interval = sys.getswitchinterval()
+        with cpus(2), mock.patch.object(reposition, "_chunk_scorer", chunked_scorer(6, {})):
+            sys.setswitchinterval(1e-6)
+            try:
+                scans = [threading.Thread(target=run) for _ in range(3)]
+                for scan in scans:
+                    scan.start()
+                for scan in scans:
+                    scan.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(scan.is_alive() for scan in scans)
+        assert outcomes == [tuple(expected)] * 3
+
+    @pytest.mark.parametrize("objective", ["crb_theta", "crb_r"])
+    def test_overflowing_positions_on_the_worker_warn_nothing(self, objective):
+        # a new thread starts without the caller's np.errstate; under -W error a warning would raise
+        scn = TestBatchedBoundSearch._coinciding_scenario()
+        positions = np.column_stack([np.r_[np.linspace(0.0, 50.0, 20), np.full(20, 1.7e308)], np.zeros(40)])
+        *one, _ = scan_outcome(objective, scn, 1, positions, 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *two, calls = scan_outcome(objective, scn, 1, positions, 2, 5, worker_scores=(1.7e308, 0.0))
+        assert two == one and ((1.7e308, 0.0), 5) in calls["worker"]
+        assert sorted(two[1]) == list(range(20, 40))
 
 
 class TestGridValidation:

@@ -87,7 +87,7 @@ def test_one_fallback_for_candidates_and_sweep_rows():
     assert users_of("batch_or_each") == [
         ("errors.py", "batch_or_each"),
         ("optimizer.py", "evaluate_constellations"),
-        ("reposition.py", "score_candidates"),
+        ("reposition.py", "scan"),  # score_candidates' chunk loop, run by both threads of a bound scan
     ]
 
 

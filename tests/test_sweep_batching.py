@@ -459,7 +459,7 @@ def test_rows_match_the_trace_form(name):
     for *_, target, _ in _planned_rows(scn, spec):
         ev = _alone(target)
         *_, covset, dR = fim_crb._covariance_stack(scn, *target.arrays[1:])
-        F, cond = fim_crb._trace_form(covset.array_cov, dR)
+        F, cond, _ = fim_crb._trace_form(covset.array_cov, dR)
         F = scn.snapshots * F
         assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
         assert ev.crb.rank == fim_crb.crb_reports(F, scn.num_sources)[0].rank

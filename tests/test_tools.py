@@ -1,6 +1,8 @@
 """The comparison tools refuse a comparison in which nothing changes, and report every
 end-to-end metric against its benchmark bound."""
 
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,3 +58,38 @@ def test_verdict_lines_flag_a_metric_worse_than_its_bound():
     assert [line.split(": ")[0] for line in lines] == [f"search_phase seed0 {m}" for m in result["metrics"]]
     assert [line.endswith("bound") and "WORSE THAN" in line for line in lines] == [True, False, True]
     assert "change won 3/4, parent IQR 0.5" in lines[0]
+
+
+def test_a_run_records_its_wall_and_cpu_seconds(tmp_path):
+    # a stand-in run.py that spins about 0.2 s of CPU on one thread, then prints its result line
+    script = ("import json, time\nend = time.process_time() + 0.2\nwhile time.process_time() < end:\n    pass\n"
+              "print(json.dumps({'metrics': {}, 'attempted': 1, 'failed': 0}))\n")
+    result = bench_pairs.run_once(checkout(tmp_path, {"perfbench/run.py": script}), "report", 0, 1.0)
+    assert 0.2 <= result["cpu_s"] <= result["wall_s"] * 1.05 + 0.01
+
+
+def fake_run(cpu_per_wall: dict):
+    """A stand-in for ``run_once``: every metric 1.0 and 10 wall seconds, CPU seconds by the checkout's name."""
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {name: {"value": 1.0} for name in bench_pairs.METRICS}
+        return {"metrics": metrics, "attempted": 5, "failed": 0, "wall_s": 10.0,
+                "cpu_s": 10.0 * cpu_per_wall[checkout.name]}
+    return run_once
+
+
+def test_cpu_per_wall_is_stored_and_printed_per_side(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: checkout(dest, {"src/a.py": ref}))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 0.98, "aacp": 0.97, "head": 1.31}))
+    out = tmp_path / "b.json"
+    argv = ["--tag", "t", "--workload", "search_bound", "--pairs", "2", "--aa-pairs", "2",
+            "--base", "parent", "--head", "change", "--out", str(out)]
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["cpus_usable"] == len(os.sched_getaffinity(0))
+    seed0, aa = report["search_bound"]["seed0"], report["search_bound"]["aa_seed0"]
+    assert {side: q["runs"] for side, q in seed0["cpu_per_wall"].items()} == {"parent": [0.98] * 2, "change": [1.31] * 2}
+    assert {side: q["median"] for side, q in aa["cpu_per_wall"].items()} == {"parent": 0.98, "parent_copy": 0.97}
+    printed = capsys.readouterr().out.splitlines()
+    assert "search_bound seed0 CPU/wall: 0.98 -> 1.31" in printed
+    assert printed[-1] == f"runs may use {report['cpus_usable']} CPUs; wrote {out}"

@@ -16,12 +16,17 @@ two copies of one commit is the directory or the machine, not the code
 Writes ``BENCH_<tag>.json`` in the repository root (or ``--out``): per workload
 and seed, each end-to-end metric's runs, medians and inclusive quartiles per
 side, how many pairs the head won, the median change and the base's
-interquartile range, and the same for the A/A control.  An existing file keeps
+interquartile range, each side's CPU seconds per wall second, and the same for
+the A/A control; and how many CPUs the runs may use.  A run's CPU seconds are
+the user and system time of its process (a ``getrusage`` delta of this
+script's children): above 1 per wall second the run used a second CPU, well
+below 1 it waited for a busy machine.  An existing file keeps
 the workloads this run does not measure, so workloads can be run with
 different pair counts into one file.  Then prints, per workload and seed of
-this run, the failed operations and one line per end-to-end metric: both
+this run, the failed operations, one line per end-to-end metric (both
 medians, the ratio, the change's wins, the parent's IQR and whether the change
-is worse than the metric's ``BENCHMARK.json`` bound.
+is worse than the metric's ``BENCHMARK.json`` bound) and both sides' median
+CPU seconds per wall second.
 
 Exits 2, measuring nothing, if the base and head checkouts hold byte-identical
 files (the change is already committed and ``--base`` defaults to HEAD: pass
@@ -33,11 +38,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,17 +90,27 @@ def unchanged(base: Path, head: Path) -> bool:
     return True
 
 
+def cpu_seconds() -> float:
+    """User plus system seconds of this process's finished children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in a checkout: its JSON result line, plus the run's detail."""
+    """One ``perfbench/run.py`` run in a checkout: its JSON result line, plus the run's detail and
+    the wall and CPU seconds of its process (``wall_s``, ``cpu_s``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    cpu, wall = cpu_seconds(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    cpu, wall = cpu_seconds() - cpu, time.perf_counter() - wall
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout.name}: {' '.join(cmd)} failed:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     detail = next((json.loads(line[len("detail: "):]) for line in lines if line.startswith("detail: ")), {})
     result["values"] = detail.get("values", {})
+    result["wall_s"], result["cpu_s"] = round(wall, 4), round(cpu, 4)
     return result
 
 
@@ -102,12 +120,14 @@ def quartiles(runs: list[float]) -> dict:
 
 
 def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
-    """Per metric: both sides' quartiles, the second side's wins, the median change and the first side's IQR."""
+    """Per metric: both sides' quartiles, the second side's wins, the median change and the first side's IQR;
+    and each side's CPU seconds per wall second."""
     first, second = names
     out = {
         "pairs": len(pairs),
         "attempted": {name: sum(p[i]["attempted"] for p in pairs) for i, name in enumerate(names)},
         "failed": {name: sum(p[i]["failed"] for p in pairs) for i, name in enumerate(names)},
+        "cpu_per_wall": {name: quartiles([p[i]["cpu_s"] / p[i]["wall_s"] for p in pairs]) for i, name in enumerate(names)},
         "metrics": {},
     }
     for metric, better in METRICS.items():
@@ -139,6 +159,12 @@ def verdict_lines(workload: str, seed_key: str, result: dict) -> list[str]:
                      f"change won {m['change_wins']}/{result['pairs']}, parent IQR {m['parent_iqr']:g}, "
                      f"{'WORSE THAN' if worse else 'within'} its {bound:g} bound")
     return lines
+
+
+def cpu_line(workload: str, seed_key: str, result: dict) -> str:
+    """Both sides' median CPU seconds per wall second of a parent/change comparison."""
+    parent, change = (result["cpu_per_wall"][side]["median"] for side in ("parent", "change"))
+    return f"{workload} {seed_key} CPU/wall: {parent:.2f} -> {change:.2f}"
 
 
 def interleave(left: Path, right: Path, workload: str, seed: int, pairs: int, seconds: float, label: str) -> list:
@@ -186,6 +212,7 @@ def main(argv=None) -> int:
                        "quartiles (inclusive method) over the pairs, wins counted per pair"),
             "parent_commit": git("rev-parse", args.base),
             "change_commit": git("rev-parse", args.head) if args.head else "working tree",
+            "cpus_usable": len(os.sched_getaffinity(0)),
         }
         for workload in args.workload:
             report[workload] = {}
@@ -202,8 +229,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=1) + "\n")
     for workload in args.workload:
         for seed in args.seeds:
-            print("\n".join(verdict_lines(workload, f"seed{seed}", report[workload][f"seed{seed}"])))
-    print(f"wrote {out}")
+            result = report[workload][f"seed{seed}"]
+            print("\n".join([*verdict_lines(workload, f"seed{seed}", result), cpu_line(workload, f"seed{seed}", result)]))
+    print(f"runs may use {report['cpus_usable']} CPUs; wrote {out}")
     return 0
 
 
