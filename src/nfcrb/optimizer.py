@@ -8,8 +8,9 @@ is its K = 1 case.  Run reports, CSV rows, sweep rows and comparisons all read
 that one ``ConstellationEvaluation``.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, a chunk of rows at a time; each chunk
-reaches the evaluation as stacked arrays.  Reposition rows are planned in one
-array pass per window of whole chunks: one steering pass picks their strongest
+reaches the evaluation as stacked arrays (two chunks at once on two CPUs,
+through ``errors.map_on_cpus``).  Reposition rows are planned in one array
+pass per window of whole chunks: one steering pass picks their strongest
 elements, one ``reposition.plan_moves`` call their moves and one
 ``geometry.refit_axes`` call the polar axes of the rewritten tables.  Only
 each rewritten table's x ``lstsq`` stays per row: one multi-right-hand-side
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, batch_or_each, kept
+from .errors import ValidationError, batch_or_each, kept, map_on_cpus
 from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario,
                       fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
@@ -251,21 +252,23 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
     and say why in the diagnostics.  Rows are ordered by grid point, then in the
     order of ``spec.modes``, and planned and evaluated ``batch_chunk(N)`` at
     a time, so memory does not grow with the grid; a row whose evaluation fails
-    reads NaN and says why.
+    reads NaN and says why.  With two usable CPUs two threads evaluate the chunks, bit for bit.
     """
-    rows: list[SweepRow] = []
-    # overflowing inputs give non-finite numbers that fail their rows with a reason, not warnings
-    with np.errstate(all="ignore"):
-        for chunk, targets, notes in _planned_chunks(scn, spec, batch_chunk(scn.num_sources)):
-            for (point, mode), row_notes, ev in zip(chunk, notes, evaluate_constellations(targets)):
-                if isinstance(ev, ValidationError):
-                    row_notes.append(f"evaluation failed: {ev}")
-                    values = (float("nan"),) * 3
-                else:
-                    row_notes.extend(_notes(ev))
-                    values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
-                rows.append(SweepRow(point, mode, *values, "; ".join(row_notes)))
-    return rows
+    def evaluated(planned) -> list[SweepRow]:  # a chunk's rows: its evaluations are not held until the join
+        (chunk, targets, notes), rows = planned, []
+        for (point, mode), row_notes, ev in zip(chunk, notes, evaluate_constellations(targets)):
+            if isinstance(ev, ValidationError):
+                row_notes.append(f"evaluation failed: {ev}")
+                values = (float("nan"),) * 3
+            else:
+                row_notes.extend(_notes(ev))
+                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
+            rows.append(SweepRow(point, mode, *values, "; ".join(row_notes)))
+        return rows
+
+    with np.errstate(all="ignore"):  # in both threads: overflows fail their rows with a reason, not warnings
+        chunks = map_on_cpus(evaluated, _planned_chunks(scn, spec, batch_chunk(scn.num_sources)))
+    return [row for rows in chunks for row in rows]
 
 
 def compare_report(before: ConstellationEvaluation, after: ConstellationEvaluation) -> ComparisonReport:

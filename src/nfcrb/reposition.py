@@ -13,9 +13,9 @@ realizations are provided:
 * one search scan behind the line search and ``optimizer.grid_search``: it
   scores the element at every position of a ``DisplacementGrid`` or
   ``BoxGrid`` in one batch with its current position, in chunks of array
-  passes that give float arrays (a bound scan's on two threads if two CPUs
-  are usable), and keeps the first minimum, found with array operations (a
-  line search always includes the current position);
+  passes that give float arrays (a bound scan's on two threads of
+  ``errors.map_on_cpus`` if two CPUs are usable), and keeps the first minimum,
+  found with array operations (a line search always includes the current position);
   a chunk computes only the moved element's distances, and ``det`` writes
   its steering row into the fixed elements' rows, steered once per search;
 * plan application, which rewrites the chosen element's pairwise row.
@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularGeometryError, ValidationError, batch_or_each, kept
+from .errors import SingularGeometryError, ValidationError, batch_or_each, kept, map_on_cpus
 from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_rank_one
 from .geometry import (
     PairwiseGeometry,
@@ -343,44 +341,23 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     steered once, and the moved element's row.  A chunk in which any candidate fails is scored
     again in halves, down to the failing candidates, through the same function, so only they
     are rejected, each with its own reason; a NaN or infinite score then fails its candidate too.
-    With two usable CPUs a worker thread takes a bound scan's chunks too (their kernel and SVD release the
-    GIL); values and reasons are those of one thread, bit for bit, and a raise in either reaches the caller.
+    A bound scan's chunks go through ``map_on_cpus`` (their kernel and SVD release the GIL; a phase chunk is too
+    short to share), so two usable CPUs score them on two threads; values and reasons are one thread's, bit for bit.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    values, errors, raised = np.empty(len(positions)), {}, []
+    values, errors = np.empty(len(positions)), {}
 
-    def scan():
-        with np.errstate(all="ignore"):  # per thread; overflows fail their candidates instead of warning
-            for lo in starts:  # one iterator for both threads: each takes the next chunk when it is free
-                chunk = batch_or_each(score, positions[lo : lo + step])
-                if isinstance(chunk, list):  # a row failed, so each row was scored alone
-                    errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
-                    chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
-                values[lo : lo + len(chunk)] = chunk
+    def scored(lo):
+        chunk = batch_or_each(score, positions[lo : lo + step])
+        if isinstance(chunk, list):  # a row failed, so each row was scored alone
+            errors.update((lo + i, v) for i, v in enumerate(chunk) if isinstance(v, ValidationError))
+            chunk = [math.nan if isinstance(v, ValidationError) else v for v in chunk]
+        values[lo : lo + len(chunk)] = chunk
 
-    def work():  # the worker's raise is kept for the caller
-        try:
-            scan()
-        except BaseException as exc:
-            raised.append(exc)
-
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # the worker's too; overflows fail their candidates instead of warning
         score, step = _chunk_scorer(objective, element, sensors_xy, sources_xy, scn)
-    starts = iter(range(0, len(positions), step))
-    cpus = len(getattr(os, "sched_getaffinity", lambda _: ())(0))  # unknown (macOS, Windows): one thread
-    threaded = objective in BOUND_OBJECTIVES and cpus > 1 and len(positions) > step
-    worker = threading.Thread(target=work) if threaded else None
-    if worker:
-        worker.start()
-    try:
-        scan()
-    finally:
-        if worker:
-            list(starts)  # after a raise here the worker stops at its current chunk
-            worker.join()
-    if raised:
-        raise raised[0]
+        list((map_on_cpus if objective in BOUND_OBJECTIVES else map)(scored, range(0, len(positions), step)))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():  # a NaN or infinite score fails too
         if i not in errors:
             errors[i] = ValidationError(f"objective {objective} is not finite ({values[i]})")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,12 @@ def trace_loop_fim(scn: Scenario) -> np.ndarray:
     half = [Rinv @ D for D in derivs]
     F = np.array([[np.real(np.trace(a @ b)) for b in half] for a in half])
     return scn.snapshots * F
+
+
+def cpus(count: int):
+    """Patches the CPUs the process may run on to ``count``: on two, bound scans and sweeps share their chunks
+    with a worker thread (``errors.map_on_cpus``)."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
 def pinv_totals(F: np.ndarray, n_sources: int) -> tuple[float, float]:

@@ -41,7 +41,7 @@ from nfcrb.reposition import (
     score_candidates,
 )
 from nfcrb.cli import main as cli_main
-from conftest import (hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
+from conftest import (cpus, hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
                       scenario_from_positions, trace_loop_fim)
 
 
@@ -541,11 +541,6 @@ def test_coincidence_names_the_sensor_and_the_source(tmp_path, capsys):
         assert [str(v) for v in values] == ["sensor 3 coincides with source 2"] * 5
 
 
-def cpus(count: int):
-    """Patches the CPUs the process may run on to ``count``: on two a bound scan shares its chunks with a worker."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
-
-
 def counting_scorer(steps, calls, step=None):
     """A stand-in for ``_chunk_scorer`` that records each built chunk size in ``steps``
     and each scored chunk's length in ``calls``, optionally forcing the chunk size."""
@@ -780,9 +775,9 @@ class TestThreadedBoundScan:
     def test_one_thread_where_the_cpus_are_unknown(self, scenario_a):
         # os.sched_getaffinity is missing on macOS and Windows
         calls = {}
-        with (mock.patch.object(reposition.os, "sched_getaffinity", create=True),
+        with (mock.patch.object(os, "sched_getaffinity", create=True),
               mock.patch.object(reposition, "_chunk_scorer", chunked_scorer(10, calls))):
-            del reposition.os.sched_getaffinity
+            del os.sched_getaffinity
             plans = [line_search_reposition(scenario_a, 2, "crb_r", DisplacementGrid(-200.0, 200.0, 401))]
         assert sorted(calls) == ["caller"] and len(calls["caller"]) == 41
         with cpus(1):

@@ -87,8 +87,14 @@ def test_one_fallback_for_candidates_and_sweep_rows():
     assert users_of("batch_or_each") == [
         ("errors.py", "batch_or_each"),
         ("optimizer.py", "evaluate_constellations"),
-        ("reposition.py", "scan"),  # score_candidates' chunk loop, run by both threads of a bound scan
+        ("reposition.py", "scored"),  # score_candidates' chunk, run by either thread of a bound scan
     ]
+
+
+def test_one_thread_site_shared_by_bound_scans_and_sweeps():
+    # one two-thread loop: a second copy of it would build a second Thread
+    assert callers_of("Thread") == [("errors.py", "map_on_cpus")]
+    assert users_of("map_on_cpus") == [("optimizer.py", "sweep"), ("reposition.py", "score_candidates")]
 
 
 def test_one_evaluation_per_report_and_sweep_row():
@@ -101,7 +107,9 @@ def test_one_evaluation_per_report_and_sweep_row():
         ("optimizer.py", "evaluate_constellations"),
     ]
     assert callers_of("_evaluate") == [("optimizer.py", "evaluate_constellation")]
-    assert callers_of("evaluate_constellations") == [("optimizer.py", "sweep"), ("scenario_io.py", "run_reports")]
+    # sweep's chunk function, run by either thread of a sweep
+    assert callers_of("evaluate_constellations") == [("optimizer.py", "evaluated"), ("scenario_io.py", "run_reports")]
+    assert users_of("evaluated") == [("optimizer.py", "sweep")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
     assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
     # every batch takes the rank-one kernel; a lone scenario the trace form

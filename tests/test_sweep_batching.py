@@ -3,11 +3,18 @@ equal that row's evaluation alone (a batch of one) bit for bit, whatever the chu
 
 import json
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import polar_form, random_scenario, random_upper_half_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import cpus, polar_form, random_scenario, random_upper_half_scenario
 
 from nfcrb import (
     SingularGeometryError,
@@ -147,11 +154,15 @@ def test_one_kernel_call_per_chunk(monkeypatch):
         return fim_rank_one(scenario, radii, *axes)
 
     monkeypatch.setattr(optimizer, "fim_rank_one", counted)
-    rows = sweep(scn, spec)
     step = fim_crb.batch_chunk(scn.num_sources)
-    assert len(rows) == 200 and 1 < step < 200
-    assert len(calls) == math.ceil(200 / step)
-    assert calls == [step] * (200 // step) + [200 % step] * (200 % step > 0)
+    expected = [step] * (200 // step) + [200 % step] * (200 % step > 0)
+    for count in (1, 2):  # on two CPUs both threads evaluate chunks, in the order they finish
+        calls.clear()
+        with cpus(count):
+            rows = sweep(scn, spec)
+        assert len(rows) == 200 and 1 < step < 200
+        assert len(calls) == math.ceil(200 / step)
+        assert (calls if count == 1 else sorted(calls)) == (expected if count == 1 else sorted(expected))
 
 
 def test_powers_and_strongest_element_match_alone(scenario_b):
@@ -356,21 +367,30 @@ def test_one_planning_pass_per_window(name, chunks_per_window, monkeypatch):
     steering_matrix = optimizer.steering_matrix
 
     def counted(delays, freqs):
-        calls.append(np.shape(delays)[0])
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(delays)[0]))  # planning or evaluation
         return steering_matrix(delays, freqs)
 
     monkeypatch.setattr(optimizer, "steering_matrix", counted)
     _counting(monkeypatch, optimizer, "plan_moves", counts)
     _counting(monkeypatch, geometry, "_polar_coordinates", counts)
-    rows = sweep(scn, spec)
-    windows = [rows[lo : lo + window] for lo in range(0, len(rows), window)]
-    # per window of whole chunks one planning steering pass over its reposition rows' points and
-    # one plan of all of them, whose refitted tables are converted to polar axes together; then
-    # one evaluation pass per chunk; and the table's own polar axes once per sweep
-    assert calls == [n for part in windows for n in (sum(row.mode == "reposition" for row in part),
-                                                     *(len(part[at : at + step]) for at in range(0, len(part), step)))]
-    assert counts == {"plan_moves": len(windows), "_polar_coordinates": 1 + len(windows)}
-    assert len(windows) == {1: math.ceil(200 / step), 3: math.ceil(200 / (3 * step)), None: 1}[chunks_per_window]
+    for count in (1, 2):
+        calls.clear(), counts.clear()
+        with cpus(count):
+            rows = sweep(_scenario(name), spec)  # a new scenario: its polar axes are converted once and kept
+        windows = [rows[lo : lo + window] for lo in range(0, len(rows), window)]
+        # per window of whole chunks one planning steering pass over its reposition rows' points and
+        # one plan of all of them, whose refitted tables are converted to polar axes together; then
+        # one evaluation pass per chunk; and the table's own polar axes once per sweep
+        expected = [(caller, n) for part in windows for caller, n in (
+            ("_planned_chunks", sum(row.mode == "reposition" for row in part)),
+            *(("_evaluate", len(part[at : at + step])) for at in range(0, len(part), step)))]
+        if count == 2:  # the windows are planned in order; both threads evaluate chunks, in the order they finish
+            planning = [call for call in expected if call[0] == "_planned_chunks"]
+            assert [call for call in calls if call[0] == "_planned_chunks"] == planning
+            calls, expected = sorted(calls), sorted(expected)
+        assert calls == expected
+        assert counts == {"plan_moves": len(windows), "_polar_coordinates": 1 + len(windows)}
+        assert len(windows) == {1: math.ceil(200 / step), 3: math.ceil(200 / (3 * step)), None: 1}[chunks_per_window]
 
 
 def _on_source():
@@ -464,3 +484,183 @@ def test_rows_match_the_trace_form(name):
         assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
         assert ev.crb.rank == fim_crb.crb_reports(F, scn.num_sources)[0].rank
         assert abs(ev.fim.array_cov_condition - cond[0]) <= 1e-12 * cond[0]
+
+
+def threaded_evaluations(calls, worker_evaluates=lambda targets: True):
+    """A stand-in for ``evaluate_constellations`` that records each evaluated chunk in ``calls`` under
+    the thread that evaluated it: "caller" (the one that built the stand-in) or "worker".  The
+    caller's first chunk waits until the worker has evaluated a chunk for which ``worker_evaluates``
+    holds, so the worker evaluates at least one chunk of a sweep of several."""
+    real, evaluated, caller = optimizer.evaluate_constellations, threading.Event(), threading.current_thread()
+
+    def recorded(targets):
+        thread = "caller" if threading.current_thread() is caller else "worker"
+        calls.setdefault(thread, []).append(targets)
+        if thread == "worker" and worker_evaluates(targets):
+            evaluated.set()
+        if thread == "caller" and len(calls["caller"]) == 1:
+            assert evaluated.wait(timeout=60.0), "the worker evaluated no such chunk"
+        return real(targets)
+
+    return recorded
+
+
+def _with_a_failing_row(at):
+    """A stand-in for ``_planned_chunks`` whose chunks each hold a row failed by a held error, at ``at``
+    in the chunk (or its last row)."""
+    real = optimizer._planned_chunks
+
+    def planned(*args):
+        for chunk, targets, notes in real(*args):
+            targets.held[min(at, len(targets) - 1)] = ValidationError("injected failure")
+            yield chunk, targets, notes
+
+    return planned
+
+
+def _sweep_outcome(scn, spec, count, **stand_ins):
+    """Each row's point, mode, hexes and notes of a sweep on ``count`` CPUs, with ``optimizer``'s
+    functions named in ``stand_ins`` replaced."""
+    with cpus(count), mock.patch.dict(vars(optimizer), stand_ins):
+        rows = sweep(scn, spec)
+    return [(row.point, row.mode, _row_hexes(row), row.diagnostics) for row in rows]
+
+
+class TestThreadedSweep:
+    """With two CPUs a worker thread evaluates a sweep's chunks too, through the bound scans' ``map_on_cpus``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["polar", "pairwise", "on_source"]),
+           vary=st.sampled_from(["frequency", "velocity"]), steps=st.integers(2, 12), rows_per_chunk=st.integers(1, 5),
+           chunks_per_window=st.sampled_from([1, 2, None]), failing_at=st.none() | st.integers(0, 4))
+    def test_two_cpus_equal_one_bit_for_bit(self, seed, kind, vary, steps, rows_per_chunk, chunks_per_window,
+                                            failing_at):
+        if kind == "on_source":  # every row holds the delay conversion's error
+            scn = runtime_scenario(parse_scenario(json.dumps(_on_source())))[0]
+        else:
+            scn = random_upper_half_scenario(np.random.default_rng(seed))
+            scn = pairwise_form(scn) if kind == "pairwise" else scn
+        bounds = (1e5, 4e6) if vary == "frequency" else (1e8, 6e8)
+        spec = SweepSpec(vary, *bounds, steps, source=scn.num_sources - 1 if vary == "frequency" else None,
+                         modes=("primary", "reposition"))
+        chunk_values = rows_per_chunk * ParameterIndex(scn.num_sources).size ** 2
+        window_values = (chunks_per_window or 10**9) * rows_per_chunk * scn.num_sensors * scn.num_sources
+        stand_ins = {} if failing_at is None else {"_planned_chunks": _with_a_failing_row(failing_at)}
+        with mock.patch.object(fim_crb, "DR_CHUNK_VALUES", chunk_values), \
+                mock.patch.object(optimizer, "PHASE_CHUNK_VALUES", window_values):
+            one = _sweep_outcome(scn, spec, 1, **stand_ins)
+            calls, several = {}, 2 * steps > rows_per_chunk  # with one chunk no worker starts
+            failing = failing_at is not None or kind == "on_source"
+            if several:
+                stand_ins["evaluate_constellations"] = threaded_evaluations(
+                    calls, (lambda targets: any(targets.held)) if failing else (lambda targets: True))
+            two = _sweep_outcome(scn, spec, 2, **stand_ins)
+        assert two == one and len(one) == 2 * steps
+        assert ("worker" in calls) == several  # the worker may take every chunk
+        if several and failing:  # a failing row was evaluated, in halves, on the worker
+            assert any(any(targets.held) for targets in calls["worker"])
+            assert any("evaluation failed" in row[3] for row in one)
+
+    def test_a_raise_in_the_worker_reaches_the_caller(self, scenario_a):
+        # the caller's first chunk waits until the worker has raised on its own
+        real, caller, raised = optimizer.evaluate_constellations, threading.current_thread(), threading.Event()
+
+        def failing(targets):
+            if threading.current_thread() is caller:
+                assert raised.wait(timeout=60.0)
+                return real(targets)
+            raised.set()
+            raise RuntimeError("worker thread")
+
+        before = threading.enumerate()
+        with (cpus(2), mock.patch.object(optimizer, "evaluate_constellations", failing),
+              mock.patch.object(threading, "excepthook") as excepthook):
+            with pytest.raises(RuntimeError, match="^worker thread$"):
+                sweep(scenario_a, SWEEPS["scenario_a"])
+        assert not excepthook.called and threading.enumerate() == before
+
+    def test_an_interrupt_in_the_caller_plans_no_further_window(self, monkeypatch):
+        # one chunk per window; the caller is interrupted while the worker evaluates its first chunk,
+        # which the worker finishes once the caller waits at the join
+        scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
+        step = fim_crb.batch_chunk(scn.num_sources)
+        monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", step * scn.num_sensors * scn.num_sources)
+        counts, calls, busy, joining = {}, [], threading.Event(), threading.Event()
+        _counting(monkeypatch, optimizer, "plan_moves", counts)
+        real, caller, join = optimizer.evaluate_constellations, threading.current_thread(), threading.Thread.join
+
+        def interrupted(targets):
+            if threading.current_thread() is caller:
+                assert busy.wait(timeout=60.0)
+                raise KeyboardInterrupt
+            calls.append(len(targets))
+            busy.set()
+            assert joining.wait(timeout=60.0)
+            return real(targets)
+
+        def joined(thread, *args):
+            joining.set()
+            return join(thread, *args)
+
+        monkeypatch.setattr(optimizer, "evaluate_constellations", interrupted)
+        monkeypatch.setattr(threading.Thread, "join", joined)
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            sweep(scn, spec)
+        # of 7 windows only the caller's and the worker's were planned
+        assert math.ceil(200 / step) == 7 and calls == [step] and counts == {"plan_moves": 2}
+
+    def test_concurrent_sweeps_under_fast_switching_equal_one_thread(self, monkeypatch):
+        # three sweeps at once, each with its worker: six threads on two CPUs, switching every microsecond;
+        # a chunk generator advanced by two threads at once raises ValueError, a lost row shows in the rows
+        scn, spec = _mixed(), MIXED
+        _force_chunk(monkeypatch, scn, 2)
+        monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", 4 * scn.num_sensors * scn.num_sources)
+        expected, outcomes = _sweep_outcome(scn, spec, 1), []
+
+        def run():
+            outcomes.append([(r.point, r.mode, _row_hexes(r), r.diagnostics) for r in sweep(scn, spec)])
+
+        interval = sys.getswitchinterval()
+        with cpus(2):
+            sys.setswitchinterval(1e-6)
+            try:
+                sweeps = [threading.Thread(target=run) for _ in range(3)]
+                for one in sweeps:
+                    one.start()
+                for one in sweeps:
+                    one.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(one.is_alive() for one in sweeps)
+        assert outcomes == [expected] * 3
+
+    def test_sweeps_leave_no_thread(self, scenario_a, scenario_b):
+        before = threading.enumerate()
+        for count in (2, 1):
+            with cpus(count):
+                rows = [sweep(scn, SWEEPS[name]) for name, scn in (("scenario_a", scenario_a), ("scenario_b", scenario_b))]
+            assert threading.enumerate() == before
+            assert [len(part) for part in rows] == [200, 200]
+
+    def test_overflowing_rows_on_the_worker_warn_nothing(self, scenario_a, monkeypatch):
+        # FOUND 46's sweep: every delay overflows; a row a chunk, a chunk a window, so the worker plans too
+        spec = SweepSpec("velocity", 1e-310, 1e-300, 2, modes=("primary", "reposition"))
+        _force_chunk(monkeypatch, scenario_a, 1)
+        monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", scenario_a.num_sensors * scenario_a.num_sources)
+        one, calls = _sweep_outcome(scenario_a, spec, 1), {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            two = _sweep_outcome(scenario_a, spec, 2, evaluate_constellations=threaded_evaluations(calls))
+        assert two == one and "worker" in calls
+        assert all(row[3].endswith("evaluation failed: array covariance has non-finite entries") for row in two)
+
+    def test_one_thread_on_one_cpu_or_unknown_cpus(self, scenario_b, monkeypatch):
+        # os.sched_getaffinity is missing on macOS and Windows
+        monkeypatch.setattr(threading, "Thread", mock.Mock(side_effect=AssertionError("a thread started")))
+        with cpus(1):
+            one = sweep(scenario_b, SWEEPS["scenario_b"])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        unknown = sweep(scenario_b, SWEEPS["scenario_b"])
+        assert [_row_hexes(row) for row in unknown] == [_row_hexes(row) for row in one]
+        assert [row.diagnostics for row in unknown] == [row.diagnostics for row in one]
+

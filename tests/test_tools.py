@@ -1,5 +1,6 @@
 """The comparison tools refuse a comparison in which nothing changes, and report every
-end-to-end metric against its benchmark bound."""
+end-to-end metric against its benchmark bound; ``bench_pairs`` records each run's CPU time
+and host steal, and merges a re-run into its file seed by seed."""
 
 import json
 import os
@@ -68,18 +69,20 @@ def test_a_run_records_its_wall_and_cpu_seconds(tmp_path):
     assert 0.2 <= result["cpu_s"] <= result["wall_s"] * 1.05 + 0.01
 
 
-def fake_run(cpu_per_wall: dict):
-    """A stand-in for ``run_once``: every metric 1.0 and 10 wall seconds, CPU seconds by the checkout's name."""
+def fake_run(cpu_per_wall: dict, steal=None):
+    """A stand-in for ``run_once``: every metric 1.0 and 10 wall seconds, CPU seconds by the checkout's name
+    (and the host's steal share, if given, too)."""
     def run_once(checkout, workload, seed, seconds):
         metrics = {name: {"value": 1.0} for name in bench_pairs.METRICS}
         return {"metrics": metrics, "attempted": 5, "failed": 0, "wall_s": 10.0,
-                "cpu_s": 10.0 * cpu_per_wall[checkout.name]}
+                "cpu_s": 10.0 * cpu_per_wall[checkout.name], "steal": steal and steal[checkout.name]}
     return run_once
 
 
 def test_cpu_per_wall_is_stored_and_printed_per_side(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: checkout(dest, {"src/a.py": ref}))
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 0.98, "aacp": 0.97, "head": 1.31}))
+    steal = {"base": 0.004, "aacp": 0.02, "head": 0.0312}
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 0.98, "aacp": 0.97, "head": 1.31}, steal))
     out = tmp_path / "b.json"
     argv = ["--tag", "t", "--workload", "search_bound", "--pairs", "2", "--aa-pairs", "2",
             "--base", "parent", "--head", "change", "--out", str(out)]
@@ -91,5 +94,72 @@ def test_cpu_per_wall_is_stored_and_printed_per_side(tmp_path, monkeypatch, caps
     assert {side: q["runs"] for side, q in seed0["cpu_per_wall"].items()} == {"parent": [0.98] * 2, "change": [1.31] * 2}
     assert {side: q["median"] for side, q in aa["cpu_per_wall"].items()} == {"parent": 0.98, "parent_copy": 0.97}
     printed = capsys.readouterr().out.splitlines()
-    assert "search_bound seed0 CPU/wall: 0.98 -> 1.31" in printed
+    assert {side: q["median"] for side, q in seed0["steal"].items()} == {"parent": 0.004, "change": 0.0312}
+    assert "search_bound seed0 CPU/wall: 0.98 -> 1.31, host steal: 0.40% -> 3.12%" in printed
     assert printed[-1] == f"runs may use {report['cpus_usable']} CPUs; wrote {out}"
+
+
+def test_a_run_without_proc_stat_records_an_unknown_steal(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: checkout(dest, {"src/a.py": ref}))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 1.0, "aacp": 1.0, "head": 1.0}))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    out = tmp_path / "b.json"
+    argv = ["--tag", "t", "--workload", "sweep", "--pairs", "1", "--aa-pairs", "0",
+            "--base", "parent", "--head", "change", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["sweep"]["seed0"]["steal"] == {"parent": None, "change": None}
+    assert "sweep seed0 CPU/wall: 1.00 -> 1.00, host steal: unknown -> unknown" in capsys.readouterr().out
+
+
+# the aggregate line first, then one per CPU; the eighth number is steal
+PROC_STAT = """cpu  6715641 3 267714 17210572 1656 7 4823 151144 11 13
+cpu0 4327836 0 170246 7585005 1414 0 3717 99539 0 0
+cpu1 2387805 0 97467 9625567 242 0 1106 51605 0 0
+intr 1 2 3
+"""
+
+
+def test_host_steal_is_read_off_the_aggregate_cpu_line(tmp_path):
+    stat = tmp_path / "stat"
+    stat.write_text(PROC_STAT)
+    before = bench_pairs.host_cpu_times(stat)
+    assert before == (151144, 6715641 + 3 + 267714 + 17210572 + 1656 + 7 + 4823 + 151144)  # guest counted in user
+    stat.write_text(PROC_STAT.replace("17210572 1656 7 4823 151144", "17211472 1656 7 4823 151244"))
+    assert bench_pairs.steal_share(before, bench_pairs.host_cpu_times(stat)) == 0.1  # 100 of 1000 ticks
+    assert bench_pairs.host_cpu_times(tmp_path / "missing") is None
+    assert bench_pairs.steal_share(None, before) is None and bench_pairs.steal_share(before, before) is None
+
+
+def test_a_rerun_keeps_the_other_seeds_and_the_aa_control(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: checkout(dest, {"src/a.py": ref}))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    out = tmp_path / "b.json"
+    common = ["--tag", "t", "--base", "parent", "--head", "change", "--out", str(out), "--pairs", "1"]
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 1.0, "aacp": 1.0, "head": 1.0}))
+    assert bench_pairs.main([*common, "--workload", "sweep", "report", "--seeds", "0", "3", "--aa-pairs", "1"]) == 0
+    first = json.loads(out.read_text())
+    # seed 3 of sweep again, without a control, on a different reading
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 1.0, "aacp": 1.0, "head": 1.5}))
+    assert bench_pairs.main([*common, "--workload", "sweep", "--seeds", "3", "--aa-pairs", "0"]) == 0
+    second = json.loads(out.read_text())
+    assert sorted(second["sweep"]) == ["aa_seed0", "seed0", "seed3"]
+    assert second["sweep"]["seed0"] == first["sweep"]["seed0"]
+    assert second["sweep"]["aa_seed0"] == first["sweep"]["aa_seed0"]
+    assert second["report"] == first["report"]
+    assert second["sweep"]["seed3"]["cpu_per_wall"]["change"]["median"] == 1.5
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("recorded", [{"parent_commit": "other", "change_commit": "change"},
+                                      {"parent_commit": "parent", "change_commit": "working tree"}])
+def test_a_file_of_other_commits_exits_2_before_any_run(recorded, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: pytest.fail("a checkout was made"))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    out = tmp_path / "b.json"
+    out.write_text(json.dumps({**recorded, "sweep": {"seed0": {}}}))
+    argv = ["--tag", "t", "--workload", "sweep", "--base", "parent", "--head", "change", "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    assert json.loads(out.read_text()) == {**recorded, "sweep": {"seed0": {}}}
+    assert "pass another --tag or --out" in capsys.readouterr().err
+

@@ -20,18 +20,22 @@ interquartile range, each side's CPU seconds per wall second, and the same for
 the A/A control; and how many CPUs the runs may use.  A run's CPU seconds are
 the user and system time of its process (a ``getrusage`` delta of this
 script's children): above 1 per wall second the run used a second CPU, well
-below 1 it waited for a busy machine.  An existing file keeps
-the workloads this run does not measure, so workloads can be run with
-different pair counts into one file.  Then prints, per workload and seed of
-this run, the failed operations, one line per end-to-end metric (both
-medians, the ratio, the change's wins, the parent's IQR and whether the change
-is worse than the metric's ``BENCHMARK.json`` bound) and both sides' median
-CPU seconds per wall second.
+below 1 it waited for a busy machine.  Each run also records the host's steal
+share over the run, the ``steal`` delta over the total of ``/proc/stat``'s
+``cpu`` line (read only; ``null`` where the file is missing): CPU time the
+hypervisor gave to others, which a threaded run on a busy host loses.  An
+existing file keeps every workload and seed this run does not measure, so
+workloads and seeds can be run with different pair counts into one file.  Then
+prints, per workload and seed of this run, the failed operations, one line per
+end-to-end metric (both medians, the ratio, the change's wins, the parent's IQR
+and whether the change is worse than the metric's ``BENCHMARK.json`` bound)
+and both sides' median CPU seconds per wall second and steal share.
 
 Exits 2, measuring nothing, if the base and head checkouts hold byte-identical
 files (the change is already committed and ``--base`` defaults to HEAD: pass
-``--base <parent commit>``).  The A/A control compares the base with its own
-copy on purpose and is not checked.
+``--base <parent commit>``), or if the output file exists and was recorded for
+another parent or change commit.  The A/A control compares the base with its
+own copy on purpose and is not checked.
 """
 
 from __future__ import annotations
@@ -96,21 +100,39 @@ def cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def host_cpu_times(stat: Path = Path("/proc/stat")) -> tuple[int, int] | None:
+    """(steal, total) clock ticks of the aggregate ``cpu`` line of ``/proc/stat``, None if the file is
+    missing.  The total is user through steal; guest time is already counted in user and nice."""
+    try:
+        text = stat.read_text()
+    except OSError:
+        return None
+    fields = [int(v) for v in next(line for line in text.splitlines() if line.startswith("cpu ")).split()[1:9]]
+    return fields[7], sum(fields)
+
+
+def steal_share(before: tuple[int, int] | None, after: tuple[int, int] | None) -> float | None:
+    """The host's steal ticks over all its ticks between two ``host_cpu_times`` readings (None if unknown)."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return round((after[0] - before[0]) / (after[1] - before[1]), 4)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in a checkout: its JSON result line, plus the run's detail and
-    the wall and CPU seconds of its process (``wall_s``, ``cpu_s``)."""
+    """One ``perfbench/run.py`` run in a checkout: its JSON result line, plus the run's detail, the wall
+    and CPU seconds of its process (``wall_s``, ``cpu_s``) and the host's steal share over it (``steal``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    cpu, wall = cpu_seconds(), time.perf_counter()
+    cpu, wall, host = cpu_seconds(), time.perf_counter(), host_cpu_times()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    cpu, wall = cpu_seconds() - cpu, time.perf_counter() - wall
+    cpu, wall, steal = cpu_seconds() - cpu, time.perf_counter() - wall, steal_share(host, host_cpu_times())
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout.name}: {' '.join(cmd)} failed:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     detail = next((json.loads(line[len("detail: "):]) for line in lines if line.startswith("detail: ")), {})
     result["values"] = detail.get("values", {})
-    result["wall_s"], result["cpu_s"] = round(wall, 4), round(cpu, 4)
+    result["wall_s"], result["cpu_s"], result["steal"] = round(wall, 4), round(cpu, 4), steal
     return result
 
 
@@ -121,13 +143,15 @@ def quartiles(runs: list[float]) -> dict:
 
 def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
     """Per metric: both sides' quartiles, the second side's wins, the median change and the first side's IQR;
-    and each side's CPU seconds per wall second."""
+    and each side's CPU seconds per wall second and host steal share (null if a run's is unknown)."""
     first, second = names
     out = {
         "pairs": len(pairs),
         "attempted": {name: sum(p[i]["attempted"] for p in pairs) for i, name in enumerate(names)},
         "failed": {name: sum(p[i]["failed"] for p in pairs) for i, name in enumerate(names)},
         "cpu_per_wall": {name: quartiles([p[i]["cpu_s"] / p[i]["wall_s"] for p in pairs]) for i, name in enumerate(names)},
+        "steal": {name: None if None in (steals := [p[i]["steal"] for p in pairs]) else quartiles(steals)
+                  for i, name in enumerate(names)},
         "metrics": {},
     }
     for metric, better in METRICS.items():
@@ -162,9 +186,11 @@ def verdict_lines(workload: str, seed_key: str, result: dict) -> list[str]:
 
 
 def cpu_line(workload: str, seed_key: str, result: dict) -> str:
-    """Both sides' median CPU seconds per wall second of a parent/change comparison."""
+    """Both sides' median CPU seconds per wall second and host steal share of a parent/change comparison."""
     parent, change = (result["cpu_per_wall"][side]["median"] for side in ("parent", "change"))
-    return f"{workload} {seed_key} CPU/wall: {parent:.2f} -> {change:.2f}"
+    steal = [result["steal"][side] for side in ("parent", "change")]
+    steal = " -> ".join("unknown" if q is None else f"{q['median']:.2%}" for q in steal)
+    return f"{workload} {seed_key} CPU/wall: {parent:.2f} -> {change:.2f}, host steal: {steal}"
 
 
 def interleave(left: Path, right: Path, workload: str, seed: int, pairs: int, seconds: float, label: str) -> list:
@@ -193,6 +219,15 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, default=None, help="directory for the checkouts (default: a temporary one)")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
+    out = args.out or ROOT / f"BENCH_{args.tag}.json"
+    commits = {"parent_commit": git("rev-parse", args.base),
+               "change_commit": git("rev-parse", args.head) if args.head else "working tree"}
+    recorded = json.loads(out.read_text()) if out.exists() else {}
+    if any(recorded.get(key, value) != value for key, value in commits.items()):
+        print(f"{out} was recorded for parent {recorded.get('parent_commit')} and change "
+              f"{recorded.get('change_commit')}, not {commits['parent_commit']} and {commits['change_commit']}: "
+              "pass another --tag or --out", file=sys.stderr)
+        return 2
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         work = args.work or Path(tmp)
@@ -210,12 +245,11 @@ def main(argv=None) -> int:
             "method": ("interleaved pairs, the side that runs first alternating; base, its A/A copy and the change "
                        "each run from its own checkout in sibling directories of equal depth; medians and "
                        "quartiles (inclusive method) over the pairs, wins counted per pair"),
-            "parent_commit": git("rev-parse", args.base),
-            "change_commit": git("rev-parse", args.head) if args.head else "working tree",
+            **commits,
             "cpus_usable": len(os.sched_getaffinity(0)),
         }
-        for workload in args.workload:
-            report[workload] = {}
+        for workload in args.workload:  # merged into the recorded file's workload, seed by seed
+            report[workload] = recorded.get(workload, {})
             for seed in args.seeds:
                 pairs = interleave(base, head, workload, seed, args.pairs, args.seconds, "A/B")
                 report[workload][f"seed{seed}"] = compare(pairs, ("parent", "change"))
@@ -223,9 +257,7 @@ def main(argv=None) -> int:
                 seed = args.seeds[0]
                 pairs = interleave(base, copy, workload, seed, args.aa_pairs, args.seconds, "A/A")
                 report[workload][f"aa_seed{seed}"] = compare(pairs, ("parent", "parent_copy"))
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
-    if out.exists():
-        report = {**json.loads(out.read_text()), **report}
+    report = {**recorded, **report}
     out.write_text(json.dumps(report, indent=1) + "\n")
     for workload in args.workload:
         for seed in args.seeds:
