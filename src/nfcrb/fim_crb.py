@@ -17,10 +17,10 @@ layout, as R = eta I + a a^H.  A closed-form block assembly, whose
 covariance-entry blocks read the same basis table as the other two, is kept as
 a cross-check of a given generic matrix (run by ``validate`` and the tests, not
 by reports) that reports its per-block deviation.  Finite-difference oracles
-for the steering and covariance derivatives back them; each takes a polar or
-pairwise scenario as given, steps the polar axes ``linearize`` steers
-(``geometry.polar_axes``, converted once per pairwise table), and steers all
-its stepped constellations in stacked array passes.
+for the steering and covariance derivatives back them: ``rx_derivatives_fd``
+takes a polar or pairwise scenario as given, steps the polar axes ``linearize``
+steers (``geometry.polar_axes``, converted once per pairwise table), and reads
+both oracles off one stacked steering pass of every stepped constellation.
 
 ``fim_rank_one`` takes a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
@@ -281,8 +281,8 @@ def linearize(scenario) -> Linearization:
     return Linearization(A[0], cols_b[0], cols_r[0], covset.source_cov, covset.array_cov[0], dR[0])
 
 
-def steering_derivatives(lin: Linearization, axis: str) -> list[np.ndarray]:
-    """Analytic steering derivatives of a ``linearize`` pass, one (M, N) matrix per source.
+def steering_derivatives(lin: Linearization, axis: str) -> np.ndarray:
+    """Analytic steering derivatives of a ``linearize`` pass, one (M, N) matrix per source, as an (N, M, N) stack.
 
     The matrix for source n is zero except in column n, which equals
     -j 2 pi f_n (d tau / d axis) A[:, n].
@@ -293,7 +293,7 @@ def steering_derivatives(lin: Linearization, axis: str) -> list[np.ndarray]:
     n = np.arange(cols.shape[1])
     out = np.zeros((len(n), *cols.shape), dtype=complex)
     out[n, :, n] = cols.T
-    return list(out)
+    return out
 
 
 def fim_for_scenario(scenario) -> FimMatrix:
@@ -379,14 +379,15 @@ def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, 
     T = index.cov_entry_bases().reshape(N * N, N * N)
     Th = T.conj().T
 
-    def block_axis_cov(alpha: str) -> np.ndarray:
-        kron = np.kron((gram @ Rs).T, cols[alpha].conj().T @ Rinv @ A)
-        return 2.0 * snapshots * np.real(kron[:: N + 1] @ Th)
+    def block_axis_cov(alpha: str) -> np.ndarray:  # rows i (N + 1) of kron(X, Y): X[i, j] Y[i, l] over (j, l)
+        X, Y = (gram @ Rs).T, cols[alpha].conj().T @ Rinv @ A
+        return 2.0 * snapshots * np.real((X[:, :, None] * Y[:, None, :]).reshape(N, N * N) @ Th)
 
     def block_axis_noise(alpha: str) -> np.ndarray:
         return 2.0 * snapshots * np.real(np.diag(Rs @ Ah @ Rinv2 @ cols[alpha]))
 
-    cov_cov = snapshots * np.real(T @ np.kron(gram.conj(), gram) @ Th)
+    kron = (gram.conj()[:, None, :, None] * gram[None, :, None, :]).reshape(N * N, N * N)  # kron(gram*, gram)
+    cov_cov = snapshots * np.real(T @ kron @ Th)
     cov_noise = snapshots * np.real(T @ (Ah @ Rinv2 @ A).flatten(order="F"))
     noise_noise = snapshots * float(np.real(np.trace(Rinv2)))
 
@@ -411,14 +412,10 @@ def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, 
         F[ca, ra] = np.transpose(upper[name])
     F = 0.5 * (F + F.T)
 
-    G = generic.entries
-    deviations = {}
-    overall = float(np.abs(G).max())
-    for name, (ra, ca) in blocks.items():
-        gb = np.atleast_2d(G[ra, ca])
-        cb = np.atleast_2d(F[ra, ca])
-        scale = max(float(np.abs(gb).max()), 1e-6 * overall, 1e-300)
-        deviations[name] = float(np.abs(cb - gb).max() / scale)
+    diff, size = np.abs(F - generic.entries), np.abs(generic.entries)
+    floor = max(1e-6 * float(size.max()), 1e-300)
+    deviations = {name: float(diff[ra, ca].max() / max(float(size[ra, ca].max()), floor))
+                  for name, (ra, ca) in blocks.items()}
 
     return FimMatrix(F, int(snapshots), generic.array_cov_condition), deviations
 
@@ -469,59 +466,62 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
     return [CrbReport(*row, k, size, k < size) for *row, k in rows]
 
 
-def _stepped_steering(scenario, axis: str, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(2N, M, N) steering matrices of a polar or pairwise scenario's polar axes (``polar_axes``,
-    which ``linearize`` steers) with each source stepped up (the first N) and down (the last N)
-    along ``axis``, from one stacked pass, and the N steps: ``rel_step`` radians for bearings,
-    ``rel_step`` of each range for ranges.
+def _stepped_steering(scenario, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(4N + 1, M, N) steering matrices of a polar or pairwise scenario's polar axes (``polar_axes``,
+    which ``linearize`` steers) from one stacked pass, and the (2, N) bearing and range steps:
+    ``rel_step`` radians and ``rel_step`` of each range.  Rows 0..2N step each source up, then down,
+    along bearing, rows 2N..4N the same along range, and the last row is the unstepped constellation.
 
     A stepped source's bearing is reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0
     wraps, and every value equals that of the stepped polar Scenario bit for bit.
     """
-    if axis not in ("bearing", "range"):
-        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
     (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
     N = len(ranges)
-    ranges, bearings = (np.tile(a, (2 * N, 1)) for a in (ranges, bearings))
-    h = np.full(N, rel_step) if axis == "bearing" else rel_step * ranges[0]
-    rows, n = np.arange(2 * N), np.tile(np.arange(N), 2)
-    (bearings if axis == "bearing" else ranges)[rows, n] += np.concatenate([h, -h])
+    h = np.stack([np.full(N, rel_step), rel_step * ranges])
+    ranges, bearings = (np.tile(a, (4 * N + 1, 1)) for a in (ranges, bearings))
+    rows, n = np.arange(4 * N), np.tile(np.arange(N), 4)
+    bearings[rows[: 2 * N], n[: 2 * N]] += np.concatenate([h[0], -h[0]])
+    ranges[rows[2 * N :], n[2 * N :]] += np.concatenate([h[1], -h[1]])
     bearings[rows, n] %= TWO_PI
     d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
     return steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals)), h
 
 
-def steering_derivatives_fd(scenario, axis: str, rel_step: float = 1e-6) -> list[np.ndarray]:
+def steering_derivatives_fd(scenario, axis: str, rel_step: float = 1e-6) -> np.ndarray:
     """Central finite differences of the steering matrix of a polar or pairwise scenario, one
-    (M, N) matrix per source.
+    (M, N) matrix per source, as an (N, M, N) stack: those ``rx_derivatives_fd`` reads off its pass.
 
     Steps are 1e-6 radians for bearings and 1e-6 of each range for ranges.
     """
-    A, h = _stepped_steering(scenario, axis, rel_step)
-    return list((A[: len(h)] - A[len(h) :]) / (2.0 * h)[:, None, None])
+    if axis not in ("bearing", "range"):
+        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
+    return rx_derivatives_fd(scenario, rel_step)[0][int(axis == "range")]
 
 
-def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> list[np.ndarray]:
-    """Central finite differences of the array covariance of a polar or pairwise scenario over
-    the full parameter vector.
+def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Central finite differences of a polar or pairwise scenario's steering matrix along each
+    source's bearing and range, a (2, N, M, N) stack, and of its array covariance over the full
+    parameter vector, a (P, M, M) stack.
 
-    Every stepped covariance A (s s^H + shift) A^H + eta I, up and down, is one slice of one
-    stacked product: the bearing and range steps steer their stepped sources (``_stepped_steering``),
-    and the covariance-entry and noise steps share the steering matrix of the unstepped polar axes.
+    Both read one steering pass (``_stepped_steering``).  Every stepped covariance
+    A (s s^H + shift) A^H + eta I, up and down, is one slice of one stacked product: the bearing
+    and range steps take their stepped steering matrices, and the covariance-entry and noise
+    steps share the unstepped one.
     """
     M, N = scenario.num_sensors, scenario.num_sources
     s, eta0 = amplitude_vector(scenario.signals), scenario.noise_variance
     base_rs, bases = np.outer(s, s.conj()), ParameterIndex(N).cov_entry_bases()
     h_cov, h_eta = rel_step * max(float(np.abs(s).max()) ** 2, 1.0), rel_step * eta0
-    (A_b, h_b), (A_r, h_r) = (_stepped_steering(scenario, axis, rel_step) for axis in ("bearing", "range"))
-    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
-    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
-    A0 = steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals))
-    A0 = np.repeat(A0[None], N * N + 1, axis=0)
-    A = np.concatenate([A_b[:N], A_r[:N], A0, A_b[N:], A_r[N:], A0])
+    A_all, h_axes = _stepped_steering(scenario, rel_step)
+    up, down = A_all[:-1].reshape(2, 2, N, M, N).swapaxes(0, 1)  # (bearing, range) each
+    A0 = np.repeat(A_all[-1:], N * N + 1, axis=0)
+    A = np.concatenate([*up, A0, *down, A0])
     zeros = np.zeros((2 * N, N, N))
     shifts = np.concatenate([zeros, h_cov * bases, zeros[:1], zeros, -h_cov * bases, zeros[:1]])
     eta = np.array([eta0] * (2 * N + N * N) + [eta0 + h_eta] + [eta0] * (2 * N + N * N) + [eta0 - h_eta])
     R = A @ (base_rs + shifts) @ A.conj().swapaxes(1, 2) + eta[:, None, None] * np.eye(M)
-    h = np.concatenate([h_b, h_r, np.full(N * N, h_cov), [h_eta]])
-    return list((R[: len(h)] - R[len(h) :]) / (2.0 * h)[:, None, None])
+    h = np.concatenate([h_axes.ravel(), np.full(N * N, h_cov), [h_eta]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step that underflowed to 0 reads nan or inf
+        derivs = (R[: len(h)] - R[len(h) :]) / (2.0 * h)[:, None, None]
+        steering = (up - down) / (2.0 * h_axes)[..., None, None]
+    return steering, derivs

@@ -56,10 +56,11 @@ def _layouts(rng, scn, k):
 
 
 def _max_rel(analytic, numeric):
-    return max(
+    """Largest per-matrix relative error; nan if any is nan, so a nan oracle cannot pass."""
+    return float(np.max([
         float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
         for a, f in zip(analytic, numeric)
-    )
+    ]))
 
 
 def _stepped_scenarios(scn, axis, rel_step=1e-6):
@@ -174,6 +175,12 @@ class TestSteeringDerivatives:
                 assert err < 1e-6
 
 
+def test_max_rel_propagates_nan():
+    # a nan error anywhere, not only first, fails every tolerance
+    good, nan = np.eye(2), np.full((2, 2), np.nan)
+    assert math.isnan(_max_rel([good, good], [good, nan]))
+
+
 class TestRxDerivatives:
     def test_noise_derivative_is_identity(self):
         rng = np.random.default_rng(12)
@@ -200,7 +207,7 @@ class TestRxDerivatives:
         rng = np.random.default_rng(15)
         for _ in range(5):
             scn = random_scenario(rng)
-            err = _max_rel(linearize(scn).derivs, rx_derivatives_fd(scn))
+            err = _max_rel(linearize(scn).derivs, rx_derivatives_fd(scn)[1])
             assert err < 1e-5
 
     def test_finite_differences_steer_the_unchanged_scenario_once(self, scenario_a, monkeypatch, capsys):
@@ -213,10 +220,9 @@ class TestRxDerivatives:
         monkeypatch.setattr(fim_crb, "steering_matrix", counted)
         assert main(["validate", "--scenario", "scenario_a"]) == 0
         M, N = scenario_a.num_sensors, scenario_a.num_sources
-        stepped = (2 * N, M, N)
-        # the kernel pass, one stacked pass per steering oracle, and the covariance oracle's bearing
-        # and range passes and its one steering of the unchanged constellation
-        assert shapes == [(1, M, N), stepped, stepped, stepped, stepped, (M, N)]
+        # the kernel pass, and one stacked pass of every stepped constellation and the unchanged one
+        # that all finite differences read
+        assert shapes == [(1, M, N), (4 * N + 1, M, N)]
 
     def test_pairwise_validate_converts_its_fit_to_polar_axes_once(self, monkeypatch, capsys):
         calls, real = [], geometry.axes_from_positions
@@ -227,7 +233,7 @@ class TestRxDerivatives:
 
         monkeypatch.setattr(geometry, "axes_from_positions", counted)
         assert main(["validate", "--scenario", "scenario_a"]) == 0
-        # linearize, the four stepped passes, the unchanged steering and the encoding test share one
+        # linearize, the stepped pass and the encoding test share one
         assert calls == [(4, 2)]
 
 
@@ -237,7 +243,9 @@ class TestFiniteDifferenceOracles:
     def test_equal_one_stepped_scenario_at_a_time(self, scn):
         for axis in ("bearing", "range"):
             assert np.array_equal(steering_derivatives_fd(scn, axis), steering_fd_reference(scn, axis))
-        assert np.array_equal(rx_derivatives_fd(scn), rx_fd_reference(scn))
+        steering, derivs = rx_derivatives_fd(scn)
+        assert np.array_equal(steering, [steering_fd_reference(scn, axis) for axis in ("bearing", "range")])
+        assert np.array_equal(derivs, rx_fd_reference(scn))
 
     @settings(max_examples=60, deadline=None)
     @given(pws=pairwise_scenarios())
@@ -246,7 +254,8 @@ class TestFiniteDifferenceOracles:
         polar, _ = polar_form(pws)
         for axis in ("bearing", "range"):
             assert np.array_equal(steering_derivatives_fd(pws, axis), steering_derivatives_fd(polar, axis))
-        assert np.array_equal(rx_derivatives_fd(pws), rx_derivatives_fd(polar))
+        for pairwise, own in zip(rx_derivatives_fd(pws), rx_derivatives_fd(polar)):
+            assert np.array_equal(pairwise, own)
 
 
 class TestFimGeneric:
