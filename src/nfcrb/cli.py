@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import ValidationError
-from .fim_crb import fim_closed_form, fim_generic, linearize, rx_derivatives_fd, steering_derivatives
+from .fim_crb import fim_closed_form, fim_generic, linearize, rx_derivatives_fd
 from .geometry import polar_axes
 from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
 from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, line_search_reposition,
@@ -50,8 +50,10 @@ def _resolve_element(scn, spec: str) -> int:
 
 
 def _max_rel_err(analytic: np.ndarray, finite_diff: np.ndarray) -> float:
-    """Largest per-matrix relative error of two stacks of matrices, nan if any error is nan."""
-    err = np.abs(analytic - finite_diff).max(axis=(-2, -1)) / np.maximum(np.abs(analytic).max(axis=(-2, -1)), 1e-300)
+    """Largest relative error per item of two stacks, items along the first axis (matrices or
+    columns), nan if any error is nan."""
+    item = tuple(range(1, np.ndim(analytic)))
+    err = np.abs(analytic - finite_diff).max(axis=item) / np.maximum(np.abs(analytic).max(axis=item), 1e-300)
     return float(err.max())
 
 
@@ -159,9 +161,9 @@ def cmd_validate(args) -> int:
         failures += 0 if ok else 1
 
     lin = linearize(scn)
-    steering_fd, rx_fd = rx_derivatives_fd(scn)
-    for axis, fd in zip(("bearing", "range"), steering_fd):
-        err = _max_rel_err(steering_derivatives(lin, axis), fd)
+    cols_fd, rx_fd = rx_derivatives_fd(scn)
+    for axis, cols, fd in zip(("bearing", "range"), (lin.bearing_cols, lin.range_cols), cols_fd):
+        err = _max_rel_err(cols.T, fd.T)  # per source
         check(f"steering derivatives ({axis})", err <= 1e-6, f"max rel err {err:.3e} (tol 1e-06)")
 
     err = _max_rel_err(lin.derivs, rx_fd)
@@ -185,10 +187,8 @@ def cmd_validate(args) -> int:
     if polar_axes(scn)[1] is not None:  # a reconstruction residual: pairwise input
         powers, _ = _native_powers(scn)
         smax2 = max(abs(sig.amplitude) ** 2 for sig in scn.signals)
-        ok = True
-        for k in range(scn.num_sensors):
-            bound = smax2 * gf_objective(phase_terms(scn, k))
-            ok &= powers[k] <= bound * (1 + 1e-12)
+        bounds = smax2 * gf_objective([phase_terms(scn, k) for k in range(scn.num_sensors)])
+        ok = bool(np.all(powers <= bounds * (1 + 1e-12)))
         check("per-element power bound", ok, "power_k <= max|amp|^2 * phase objective, all elements")
 
     print(f"\n{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s) on {sf.name}")

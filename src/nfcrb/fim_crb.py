@@ -17,10 +17,12 @@ layout, as R = eta I + a a^H.  A closed-form block assembly, whose
 covariance-entry blocks read the same basis table as the other two, is kept as
 a cross-check of a given generic matrix (run by ``validate`` and the tests, not
 by reports) that reports its per-block deviation.  Finite-difference oracles
-for the steering and covariance derivatives back them: ``rx_derivatives_fd``
-takes a polar or pairwise scenario as given, steps the polar axes ``linearize``
-steers (``geometry.polar_axes``, converted once per pairwise table), and reads
-both oracles off one stacked steering pass of every stepped constellation.
+for the steering derivative columns and the covariance derivatives back them:
+``rx_derivatives_fd`` takes a polar or pairwise scenario as given, steps the
+polar axes ``linearize`` steers (``geometry.polar_axes``, converted once per
+pairwise table) by FD_REL_STEP, and reads both oracles off one stacked steering
+pass of every stepped constellation: the (2, M, N) columns, shaped as
+``linearize``'s, and the (P, M, M) covariance derivatives.
 
 ``fim_rank_one`` takes a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
@@ -254,11 +256,12 @@ def fim_generic(array_cov: np.ndarray, derivs, snapshots: int) -> FimMatrix:
 
 def _covariance_stack(scenario, *constellations) -> tuple[np.ndarray, ...]:
     """The trace form's stacked pass: (K, M, N) steering matrices and bearing and range derivative
-    columns, the covariances and the (K, P, M, M) derivative stacks of K constellations, given as
-    ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
+    columns, the (N, N) source and (K, M, M) array covariances and the (K, P, M, M) derivative stacks
+    of K constellations, given as ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
     *_, A, cols_b, cols_r = _steering_columns(*constellations)
-    covset = covariances(A, scenario.signals, scenario.noise_variance)
-    return A, cols_b, cols_r, covset, _covariance_derivatives(A, cols_b, cols_r, covset.source_cov)
+    s = amplitude_vector(scenario.signals)
+    Rs, R = np.outer(s, s.conj()), covariances(A, scenario.signals, scenario.noise_variance)
+    return A, cols_b, cols_r, Rs, R, _covariance_derivatives(A, cols_b, cols_r, Rs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,23 +280,8 @@ class Linearization:
 
 def linearize(scenario) -> Linearization:
     """The kernel at K = 1 on one polar or pairwise scenario (its polar form)."""
-    A, cols_b, cols_r, covset, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
-    return Linearization(A[0], cols_b[0], cols_r[0], covset.source_cov, covset.array_cov[0], dR[0])
-
-
-def steering_derivatives(lin: Linearization, axis: str) -> np.ndarray:
-    """Analytic steering derivatives of a ``linearize`` pass, one (M, N) matrix per source, as an (N, M, N) stack.
-
-    The matrix for source n is zero except in column n, which equals
-    -j 2 pi f_n (d tau / d axis) A[:, n].
-    """
-    if axis not in ("bearing", "range"):
-        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    cols = lin.bearing_cols if axis == "bearing" else lin.range_cols
-    n = np.arange(cols.shape[1])
-    out = np.zeros((len(n), *cols.shape), dtype=complex)
-    out[n, :, n] = cols.T
-    return out
+    A, cols_b, cols_r, Rs, R, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
+    return Linearization(A[0], cols_b[0], cols_r[0], Rs, R[0], dR[0])
 
 
 def fim_for_scenario(scenario) -> FimMatrix:
@@ -466,53 +454,38 @@ def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
     return [CrbReport(*row, k, size, k < size) for *row, k in rows]
 
 
-def _stepped_steering(scenario, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(4N + 1, M, N) steering matrices of a polar or pairwise scenario's polar axes (``polar_axes``,
-    which ``linearize`` steers) from one stacked pass, and the (2, N) bearing and range steps:
-    ``rel_step`` radians and ``rel_step`` of each range.  Rows 0..2N step each source up, then down,
-    along bearing, rows 2N..4N the same along range, and the last row is the unstepped constellation.
+FD_REL_STEP = 1e-6
+"""Relative step of the finite-difference oracles: radians for a bearing, a fraction of the range
+for a range, and of max(|s|^2, 1) and of eta for the covariance-entry and noise parameters."""
 
-    A stepped source's bearing is reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0
-    wraps, and every value equals that of the stepped polar Scenario bit for bit.
+
+def rx_derivatives_fd(scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Central finite differences of a polar or pairwise scenario's steering derivative columns, a
+    (2, M, N) bearing and range stack shaped as ``Linearization.bearing_cols``/``range_cols``, and of
+    its array covariance over the full parameter vector, a (P, M, M) stack.
+
+    One stacked steering pass of its polar axes (``polar_axes``, which ``linearize`` steers) holds
+    4N + 1 constellations: each source stepped up, then down, along bearing by FD_REL_STEP radians,
+    the same along range by FD_REL_STEP of its range, and the unstepped one.  A stepped bearing is
+    reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0 wraps, and every value equals
+    that of the stepped polar Scenario bit for bit.  A source's steps move only its own column, whose
+    difference is its derivative column.  Every stepped covariance A (s s^H + shift) A^H + eta I, up
+    and down, is one slice of one stacked product: the bearing and range steps take their stepped
+    steering matrices, and the covariance-entry and noise steps share the unstepped one.
     """
     (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
-    N = len(ranges)
-    h = np.stack([np.full(N, rel_step), rel_step * ranges])
-    ranges, bearings = (np.tile(a, (4 * N + 1, 1)) for a in (ranges, bearings))
-    rows, n = np.arange(4 * N), np.tile(np.arange(N), 4)
-    bearings[rows[: 2 * N], n[: 2 * N]] += np.concatenate([h[0], -h[0]])
-    ranges[rows[2 * N :], n[2 * N :]] += np.concatenate([h[1], -h[1]])
-    bearings[rows, n] %= TWO_PI
-    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
-    return steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals)), h
-
-
-def steering_derivatives_fd(scenario, axis: str, rel_step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the steering matrix of a polar or pairwise scenario, one
-    (M, N) matrix per source, as an (N, M, N) stack: those ``rx_derivatives_fd`` reads off its pass.
-
-    Steps are 1e-6 radians for bearings and 1e-6 of each range for ranges.
-    """
-    if axis not in ("bearing", "range"):
-        raise ValidationError(f"axis must be 'bearing' or 'range', got {axis!r}")
-    return rx_derivatives_fd(scenario, rel_step)[0][int(axis == "range")]
-
-
-def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite differences of a polar or pairwise scenario's steering matrix along each
-    source's bearing and range, a (2, N, M, N) stack, and of its array covariance over the full
-    parameter vector, a (P, M, M) stack.
-
-    Both read one steering pass (``_stepped_steering``).  Every stepped covariance
-    A (s s^H + shift) A^H + eta I, up and down, is one slice of one stacked product: the bearing
-    and range steps take their stepped steering matrices, and the covariance-entry and noise
-    steps share the unstepped one.
-    """
-    M, N = scenario.num_sensors, scenario.num_sources
+    M, N = len(radii), len(ranges)
     s, eta0 = amplitude_vector(scenario.signals), scenario.noise_variance
     base_rs, bases = np.outer(s, s.conj()), ParameterIndex(N).cov_entry_bases()
-    h_cov, h_eta = rel_step * max(float(np.abs(s).max()) ** 2, 1.0), rel_step * eta0
-    A_all, h_axes = _stepped_steering(scenario, rel_step)
+    h_axes = np.stack([np.full(N, FD_REL_STEP), FD_REL_STEP * ranges])
+    h_cov, h_eta = FD_REL_STEP * max(float(np.abs(s).max()) ** 2, 1.0), FD_REL_STEP * eta0
+    ranges, bearings = (np.tile(a, (4 * N + 1, 1)) for a in (ranges, bearings))
+    rows, n = np.arange(4 * N), np.tile(np.arange(N), 4)
+    bearings[rows[: 2 * N], n[: 2 * N]] += np.concatenate([h_axes[0], -h_axes[0]])
+    ranges[rows[2 * N :], n[2 * N :]] += np.concatenate([h_axes[1], -h_axes[1]])
+    bearings[rows, n] %= TWO_PI
+    d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
+    A_all = steering_matrix(d / scenario.velocity_mps, frequency_vector(scenario.signals))
     up, down = A_all[:-1].reshape(2, 2, N, M, N).swapaxes(0, 1)  # (bearing, range) each
     A0 = np.repeat(A_all[-1:], N * N + 1, axis=0)
     A = np.concatenate([*up, A0, *down, A0])
@@ -521,7 +494,8 @@ def rx_derivatives_fd(scenario, rel_step: float = 1e-6) -> tuple[np.ndarray, np.
     eta = np.array([eta0] * (2 * N + N * N) + [eta0 + h_eta] + [eta0] * (2 * N + N * N) + [eta0 - h_eta])
     R = A @ (base_rs + shifts) @ A.conj().swapaxes(1, 2) + eta[:, None, None] * np.eye(M)
     h = np.concatenate([h_axes.ravel(), np.full(N * N, h_cov), [h_eta]])
+    up_cols, down_cols = (np.diagonal(a, axis1=1, axis2=3) for a in (up, down))  # (2, M, N): source n's column n
     with np.errstate(divide="ignore", invalid="ignore"):  # a step that underflowed to 0 reads nan or inf
         derivs = (R[: len(h)] - R[len(h) :]) / (2.0 * h)[:, None, None]
-        steering = (up - down) / (2.0 * h_axes)[..., None, None]
-    return steering, derivs
+        cols = (up_cols - down_cols) / (2.0 * h_axes)[:, None, :]
+    return cols, derivs

@@ -31,7 +31,7 @@ from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb
                       fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
-from .signal_model import covariances, frequency_vector, received_power, steering_matrix
+from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
     first, (delays, *axes) = rows.scenario, rows.arrays
     A = steering_matrix(delays, axes[4])
     powers, strongest = received_power(A, first.signals)
-    with np.errstate(over="ignore"):  # a determinant beyond the float range reads inf
-        det = np.linalg.det(covariances(A, first.signals, first.noise_variance).array_cov)
+    moduli = det_modulus(A, first.signals, first.noise_variance).tolist()
     # a lone scenario keeps fim_for_scenario's spans for the benchmark's harness; ROADMAP item 6 deletes this branch
     if rows is not targets and len(rows) == 1:
         fims = [fim_for_scenario(first)]
@@ -155,7 +154,6 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
         F, cond = fim_rank_one(first, *axes)
         fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(F, first.num_sources)
-    moduli = np.hypot(det.real, det.imag).tolist()  # Python's abs(complex), as the det scorer takes it
     return [ConstellationEvaluation(*row) for row in zip(moduli, powers, strongest, rows.residuals, fims, crbs)]
 
 

@@ -18,6 +18,8 @@ realizations are provided:
   found with array operations (a line search always includes the current position);
   a chunk computes only the moved element's distances, and ``det`` writes
   its steering row into the fixed elements' rows, steered once per search;
+  ``gf`` scores a chunk with ``gf_objective`` and ``det`` with
+  ``signal_model.det_modulus``, the forms the analytic plan and reports read;
 * plan application, which rewrites the chosen element's pairwise row.
 
 The analytic targets set each phase term independently, so the N solved
@@ -46,7 +48,7 @@ from .geometry import (
     pairwise_form,
     scenario_positions,
 )
-from .signal_model import covariances, frequency_vector, received_power, steering_matrix
+from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
 
 OBJECTIVES = ("gf", "power", "det", "crb_theta", "crb_r")
 BOUND_OBJECTIVES = ("crb_theta", "crb_r")
@@ -149,16 +151,17 @@ def phase_terms(pws: PairwiseScenario, element: int) -> np.ndarray:
     return scale / s
 
 
-def gf_objective(terms) -> float:
-    """Squared coherent sum of unit phasors: (sum cos T)^2 + (sum sin T)^2.
+def gf_objective(terms) -> np.ndarray:
+    """Squared coherent sum of unit phasors: (sum cos T)^2 + (sum sin T)^2 over the last axis.
 
-    ``terms`` is an array of angles T.  Equals |sum_n exp(j T_n)|^2 and is
-    bounded by N^2.
+    ``terms`` is an array of angles T, (N,) or a (..., N) stack.  Equals |sum_n exp(j T_n)|^2
+    and is bounded by N^2.  float_power squares through libm pow, as Python's float ** 2 does;
+    an array's ** 2 is x * x, which rounds differently in the last bit.
     """
     T = np.asarray(terms, dtype=float)
-    if T.size < 1:
+    if T.ndim < 1 or T.shape[-1] < 1:
         raise ValidationError("at least one phase term is required")
-    return float(np.cos(T).sum() ** 2 + np.sin(T).sum() ** 2)
+    return np.float_power(np.cos(T).sum(axis=-1), 2) + np.float_power(np.sin(T).sum(axis=-1), 2)
 
 
 _OUTSIDE = "planned arrival angles must lie strictly inside (0, pi)"
@@ -253,8 +256,8 @@ def analytic_reposition(scn, element: int, m: int | str = "auto", branches=None)
             note = f"{label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
         notes.append(f"source {n + 1}: {note}")
 
-    after = gf_objective(2.0 * np.pi * freqs * pws.geometry.vertical_m[element] / (c * np.sin(new_arrival)))
-    before = gf_objective(phase_terms(pws, element))
+    moved = 2.0 * np.pi * freqs * pws.geometry.vertical_m[element] / (c * np.sin(new_arrival))
+    before, after = gf_objective([phase_terms(pws, element), moved]).tolist()
     return RepositionPlan(element, "analytic", new_arrival, None, "gf", before, after, tuple(notes))
 
 
@@ -307,8 +310,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             row = steering_matrix(moved_distances(chunk) / scn.velocity_mps, freqs)  # raises if fixed_rows is None
             A = np.repeat(fixed_rows[None], len(chunk), axis=0)
             A[:, element] = row
-            det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
-            return np.hypot(det.real, det.imag)  # Python's abs(complex), bit for bit; np.abs rounds differently
+            return det_modulus(A, scn.signals, scn.noise_variance)
 
         per_candidate = num_sensors * max(num_sensors, num_sources)
         return determinants, max(1, PHASE_CHUNK_VALUES // per_candidate)
@@ -321,10 +323,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             # rounds differently from the matrix kernel of an (M, N) product
             A = steering_matrix(np.repeat(tau, 2, axis=0) if len(tau) == 1 else tau, freqs)
             return received_power(A, scn.signals)[0][: len(tau)]
-        T = 2.0 * np.pi * freqs * tau
-        # float_power squares through libm pow, as gf_objective's scalar ** 2 does;
-        # an array's ** 2 is x * x, which rounds differently in the last bit
-        return np.float_power(np.cos(T).sum(axis=1), 2) + np.float_power(np.sin(T).sum(axis=1), 2)
+        return gf_objective(2.0 * np.pi * freqs * tau)
 
     return element_values, max(1, PHASE_CHUNK_VALUES // num_sources)
 

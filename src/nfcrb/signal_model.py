@@ -1,8 +1,8 @@
 """Frequency-domain narrowband signal model.
 
-Steering phases, source/noise/array covariances, snapshot synthesis, the
-sample covariance estimator, and per-element received power with
-strongest-element selection.
+Steering phases, the array covariance and the one form of its determinant's
+modulus |det R_x|, snapshot synthesis, the sample covariance estimator, and
+per-element received power with strongest-element selection.
 
 Source amplitudes are deterministic complex constants, identical across
 snapshots, so the source covariance is the rank-one outer product of the
@@ -56,31 +56,29 @@ def steering_matrix(delays, freqs) -> np.ndarray:
     return np.exp(-2j * np.pi * freqs[..., None, :] * delays)
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceSet:
-    """Source covariance (N x N), noise variance, and array covariance (M x M, or K x M x M)."""
-
-    source_cov: np.ndarray
-    noise_variance: float
-    array_cov: np.ndarray
-
-
-def covariances(A: np.ndarray, signals, noise_variance: float) -> CovarianceSet:
-    """Covariance structure for deterministic amplitudes and white noise.
-
-    The source covariance is s s^H (rank one); the array covariance is
-    A s s^H A^H + noise_variance * I, one per steering matrix when ``A`` is a
-    (K, M, N) stack.
-    """
+def covariances(A: np.ndarray, signals, noise_variance: float) -> np.ndarray:
+    """Array covariance A s s^H A^H + noise_variance * I for deterministic amplitudes s and
+    white noise: (M, M), or (K, M, M) when ``A`` is a (K, M, N) stack."""
     if not noise_variance > 0:
         raise ValidationError(f"noise variance must be positive, got {noise_variance}")
     A = np.asarray(A, dtype=complex)
     s = amplitude_vector(signals)
     if A.ndim not in (2, 3) or A.shape[-1] != s.shape[0]:
         raise ValidationError(f"steering matrix {A.shape} does not match {s.shape[0]} signals")
-    source_cov = np.outer(s, s.conj())
-    array_cov = A @ source_cov @ A.conj().swapaxes(-1, -2) + noise_variance * np.eye(A.shape[-2])
-    return CovarianceSet(source_cov, float(noise_variance), array_cov)
+    return A @ np.outer(s, s.conj()) @ A.conj().swapaxes(-1, -2) + noise_variance * np.eye(A.shape[-2])
+
+
+def det_modulus(A: np.ndarray, signals, noise_variance: float) -> np.ndarray:
+    """|det R_x| of the ``covariances`` of an (M, N) steering matrix or a (K, M, N) stack.
+
+    One LU per covariance; the modulus is np.hypot(det.real, det.imag), which is Python's
+    abs(complex) bit for bit (both call libm hypot), where np.abs rounds differently.  A
+    determinant beyond the float range reads inf, without a warning (the LU's complex product
+    of a real covariance then overflows to inf + nan j).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(covariances(A, signals, noise_variance))
+        return np.hypot(det.real, det.imag)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nfcrb import ValidationError, geometry, load_scenario, runtime_scenario
-from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, steering_matrix
+from nfcrb.signal_model import SourceSignal, amplitude_vector, covariances, frequency_vector, steering_matrix
 from nfcrb.geometry import (
     PairwiseGeometry,
     PairwiseScenario,
@@ -18,7 +18,7 @@ from nfcrb.geometry import (
     SourceGeom,
     native_delays,
 )
-from nfcrb.fim_crb import ParameterIndex, linearize, steering_derivatives
+from nfcrb.fim_crb import ParameterIndex, linearize
 
 
 def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
@@ -125,16 +125,17 @@ def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0,
 def trace_loop_fim(scn: Scenario) -> np.ndarray:
     """Reference information matrix: dense derivative products and one trace per entry."""
     A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
-    covset = covariances(A, scn.signals, scn.noise_variance)
-    Rs, Ah = covset.source_cov, A.conj().T
-    derivs = [
-        D @ Rs @ Ah + A @ Rs @ D.conj().T
-        for axis in ("bearing", "range")
-        for D in steering_derivatives(linearize(scn), axis)
-    ]
+    s = amplitude_vector(scn.signals)
+    Rs, Ah = np.outer(s, s.conj()), A.conj().T
+    lin, derivs = linearize(scn), []
+    for cols in (lin.bearing_cols, lin.range_cols):
+        for n in range(scn.num_sources):
+            D = np.zeros_like(cols)  # source n's steering derivative: its column, zeros elsewhere
+            D[:, n] = cols[:, n]
+            derivs.append(D @ Rs @ Ah + A @ Rs @ D.conj().T)
     derivs += [A @ E @ Ah for E in ParameterIndex(scn.num_sources).cov_entry_bases()]
     derivs.append(np.eye(scn.num_sensors, dtype=complex))
-    Rinv = np.linalg.inv(covset.array_cov)
+    Rinv = np.linalg.inv(covariances(A, scn.signals, scn.noise_variance))
     half = [Rinv @ D for D in derivs]
     F = np.array([[np.real(np.trace(a @ b)) for b in half] for a in half])
     return scn.snapshots * F

@@ -31,8 +31,6 @@ from nfcrb.fim_crb import (
     fim_generic,
     linearize,
     rx_derivatives_fd,
-    steering_derivatives,
-    steering_derivatives_fd,
 )
 from nfcrb.reposition import analytic_reposition, gf_objective, phase_terms
 from nfcrb.optimizer import SweepSpec, sweep
@@ -52,12 +50,11 @@ def test_criterion_1_steering_derivative_oracle():
     for _ in range(100):
         scn = random_scenario(rng)
         lin = linearize(scn)
-        for axis in ("bearing", "range"):
-            ana = steering_derivatives(lin, axis)
-            fd = steering_derivatives_fd(scn, axis)
-            err = max(
+        fd_cols = rx_derivatives_fd(scn)[0]
+        for ana, fd in zip((lin.bearing_cols, lin.range_cols), fd_cols):
+            err = max(  # per source: column n of each
                 float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
-                for a, f in zip(ana, fd)
+                for a, f in zip(ana.T, fd.T)
             )
             worst = max(worst, err)
         # variant with the squared-bracket exponent 3/2 (divide by the cubed
@@ -66,10 +63,10 @@ def test_criterion_1_steering_derivative_oracle():
             source_positions(scn)[None, :, :] - sensor_positions(scn)[:, None, :], axis=2
         )
         variant_cols = lin.bearing_cols / d**2
-        fd_b = steering_derivatives_fd(scn, "bearing")
+        fd_b = fd_cols[0]
         err_var = max(
-            float(np.abs(variant_cols[:, [n]] - fd_b[n][:, [n]]).max()
-                  / max(np.abs(fd_b[n][:, [n]]).max(), 1e-300))
+            float(np.abs(variant_cols[:, [n]] - fd_b[:, [n]]).max()
+                  / max(np.abs(fd_b[:, [n]]).max(), 1e-300))
             for n in range(scn.num_sources)
         )
         worst_variant = min(worst_variant, err_var)
@@ -267,13 +264,13 @@ def test_criterion_8_grid_oracle_dominates_analytic(scenario_a, scenario_b):
 def test_criterion_9_sample_covariance_convergence(scenario_a):
     freqs = np.array([s.freq_hz for s in scenario_a.signals])
     A = steering_matrix(native_delays(scenario_a), freqs)
-    covset = covariances(A, scenario_a.signals, 1.0)
+    R = covariances(A, scenario_a.signals, 1.0)
     ratios = []
     for seed in range(20):
         errs = []
         for count in (200, 800):
             batch = synthesize_snapshots(A, scenario_a.signals, 1.0, count, seed=seed)
-            errs.append(np.linalg.norm(sample_covariance(batch) - covset.array_cov))
+            errs.append(np.linalg.norm(sample_covariance(batch) - R))
         ratios.append(errs[1] / errs[0])
     mean_ratio = float(np.mean(ratios))
     ok = abs(mean_ratio - 0.5) <= 0.15

@@ -24,8 +24,6 @@ from nfcrb.fim_crb import (
     fim_generic,
     linearize,
     rx_derivatives_fd,
-    steering_derivatives,
-    steering_derivatives_fd,
 )
 from conftest import pinv_totals, polar_form, random_scenario, random_upper_half_scenario, trace_loop_fim
 
@@ -42,8 +40,8 @@ def layout_fims(scn, radii, azimuths):
     """The trace form of (K, M) sensor layouts around the scenario's own sources: the (K, P, P)
     matrices of its stacked pass (``linearize``'s at K = 1) and the (K,) condition numbers."""
     sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
-    *_, covset, dR = fim_crb._covariance_stack(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
-    F, cond, _ = fim_crb._trace_form(covset.array_cov, dR)
+    *_, R, dR = fim_crb._covariance_stack(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    F, cond, _ = fim_crb._trace_form(R, dR)
     return scn.snapshots * F, cond
 
 
@@ -56,7 +54,7 @@ def _layouts(rng, scn, k):
 
 
 def _max_rel(analytic, numeric):
-    """Largest per-matrix relative error; nan if any is nan, so a nan oracle cannot pass."""
+    """Largest relative error per item (matrix or column); nan if any is nan, so a nan oracle cannot pass."""
     return float(np.max([
         float(np.abs(a - f).max() / max(np.abs(a).max(), 1e-300))
         for a, f in zip(analytic, numeric)
@@ -75,7 +73,8 @@ def _stepped_scenarios(scn, axis, rel_step=1e-6):
 
 
 def steering_fd_reference(scn, axis):
-    """``steering_derivatives_fd`` steering one stepped Scenario at a time."""
+    """Per source, the central difference of the whole (M, N) steering matrix along one axis, steering
+    one stepped Scenario at a time: ``rx_derivatives_fd``'s columns are column n of the n-th."""
     freqs = frequency_vector(scn.signals)
     return [(steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
             for hi, lo, h in _stepped_scenarios(scn, axis)]
@@ -151,27 +150,17 @@ class TestSteeringDerivatives:
             noise_variance=1.0,
             snapshots=1,
         )
-        D = steering_derivatives(linearize(scn), "bearing")[0]
-        assert abs(D[0, 0]) < 1e-25
-        assert abs(D[1, 0]) > 0
-
-    def test_other_columns_are_zero(self):
-        rng = np.random.default_rng(4)
-        scn = random_scenario(rng, m=5, n=3)
-        for axis in ("bearing", "range"):
-            for n, D in enumerate(steering_derivatives(linearize(scn), axis)):
-                mask = np.ones(3, dtype=bool)
-                mask[n] = False
-                assert np.all(D[:, mask] == 0)
+        cols = linearize(scn).bearing_cols
+        assert abs(cols[0, 0]) < 1e-25
+        assert abs(cols[1, 0]) > 0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             scn = random_scenario(rng)
-            for axis in ("bearing", "range"):
-                err = _max_rel(
-                    steering_derivatives(linearize(scn), axis), steering_derivatives_fd(scn, axis)
-                )
+            lin = linearize(scn)
+            for cols, fd in zip((lin.bearing_cols, lin.range_cols), rx_derivatives_fd(scn)[0]):
+                err = _max_rel(cols.T, fd.T)  # per source
                 assert err < 1e-6
 
 
@@ -239,21 +228,24 @@ class TestRxDerivatives:
 
 class TestFiniteDifferenceOracles:
     @settings(max_examples=60, deadline=None)
-    @given(scn=polar_scenarios())
+    @given(scn=polar_scenarios() | pairwise_scenarios())
     def test_equal_one_stepped_scenario_at_a_time(self, scn):
-        for axis in ("bearing", "range"):
-            assert np.array_equal(steering_derivatives_fd(scn, axis), steering_fd_reference(scn, axis))
-        steering, derivs = rx_derivatives_fd(scn)
-        assert np.array_equal(steering, [steering_fd_reference(scn, axis) for axis in ("bearing", "range")])
-        assert np.array_equal(derivs, rx_fd_reference(scn))
+        # a pairwise table's reference steps its polar form, whose values its polar axes are
+        polar, _ = polar_form(scn)
+        cols, derivs = rx_derivatives_fd(scn)
+        n = np.arange(scn.num_sources)
+        for axis, fd in zip(("bearing", "range"), cols):
+            reference = np.array(steering_fd_reference(polar, axis))
+            assert np.array_equal(fd, reference[n, :, n].T)  # column n of source n's difference
+            reference[n, :, n] = 0
+            assert not reference.any()  # the other columns do not move
+        assert np.array_equal(derivs, rx_fd_reference(polar))
 
     @settings(max_examples=60, deadline=None)
     @given(pws=pairwise_scenarios())
     def test_pairwise_input_equals_its_polar_form(self, pws):
         # the oracles step a pairwise table's polar axes, which are its polar form's values
         polar, _ = polar_form(pws)
-        for axis in ("bearing", "range"):
-            assert np.array_equal(steering_derivatives_fd(pws, axis), steering_derivatives_fd(polar, axis))
         for pairwise, own in zip(rx_derivatives_fd(pws), rx_derivatives_fd(polar)):
             assert np.array_equal(pairwise, own)
 

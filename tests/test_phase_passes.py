@@ -84,7 +84,7 @@ def test_det_steers_the_fixed_rows_once_and_the_moved_row_per_chunk(scenario_a, 
         layouts = np.repeat(sensors_xy[None], len(positions), axis=0)
         layouts[:, 1] = positions
         A = steering_matrix(distances(layouts, sources_xy) / scn.velocity_mps, frequency_vector(scn.signals))
-        det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)
+        det = np.linalg.det(covariances(A, scn.signals, scn.noise_variance))
         with mock.patch.object(reposition, "steering_matrix", wraps=steering_matrix) as steer:
             values, errors = score_candidates("det", 1, sensors_xy, sources_xy, scn, positions)
         assert errors == {} and hexes(values) == [abs(v).hex() for v in det.tolist()]

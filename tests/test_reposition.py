@@ -56,7 +56,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
         powers, _ = received_power(A, scn.signals)
         return float(powers[element])
     if objective == "det":
-        return float(abs(np.linalg.det(covariances(A, scn.signals, scn.noise_variance).array_cov)))
+        return float(abs(np.linalg.det(covariances(A, scn.signals, scn.noise_variance))))
     # the rank-one kernel at K = 1, on the axes of a polar Scenario of the layout
     polar = scenario_from_positions(
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots

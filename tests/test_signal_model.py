@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nfcrb.signal_model import (
     SourceSignal,
     amplitude_vector,
     covariances,
+    det_modulus,
     frequency_vector,
     received_power,
     sample_covariance,
@@ -42,21 +45,22 @@ class TestSteeringMatrix:
 
 class TestCovariances:
     def test_rank_one_source_cov(self):
+        # with A = I the array covariance is the source covariance s s^H plus the noise
         signals = (SourceSignal(1e5, 2 + 2j), SourceSignal(1e5, 1 + 3j))
-        cs = covariances(np.ones((3, 2)), signals, 1.0)
+        R = covariances(np.eye(2), signals, 1.0)
         expected = np.array([[8.0, 8.0 - 4.0j], [8.0 + 4.0j, 10.0]])
-        assert np.allclose(cs.source_cov, expected, atol=1e-14)
+        assert np.allclose(R - np.eye(2), expected, atol=1e-14)
 
     def test_single_sensor_sum(self):
         signals = (SourceSignal(1e5, 2 + 2j), SourceSignal(1e5, 1 + 3j))
-        cs = covariances(np.ones((1, 2)), signals, 1.0)
-        assert cs.array_cov.shape == (1, 1)
-        assert cs.array_cov[0, 0] == pytest.approx(35.0, rel=1e-14)
+        R = covariances(np.ones((1, 2)), signals, 1.0)
+        assert R.shape == (1, 1)
+        assert R[0, 0] == pytest.approx(35.0, rel=1e-14)
 
     def test_zero_amplitudes_leave_noise(self):
         signals = (SourceSignal(1e5, 0j), SourceSignal(2e5, 0j))
-        cs = covariances(np.exp(1j * np.ones((3, 2))), signals, 5.0)
-        assert np.allclose(cs.array_cov, 5.0 * np.eye(3), atol=1e-14)
+        R = covariances(np.exp(1j * np.ones((3, 2))), signals, 5.0)
+        assert np.allclose(R, 5.0 * np.eye(3), atol=1e-14)
 
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValidationError):
@@ -67,9 +71,30 @@ class TestCovariances:
         for _ in range(20):
             scn = random_scenario(rng)
             A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
-            cs = covariances(A, scn.signals, scn.noise_variance)
-            w = np.linalg.eigvalsh(cs.array_cov)
+            w = np.linalg.eigvalsh(covariances(A, scn.signals, scn.noise_variance))
             assert w.min() >= scn.noise_variance - 1e-10
+
+
+class TestDetModulus:
+    def test_equals_python_abs_of_each_determinant(self):
+        # bit for bit, on (K, M, N) stacks and on one (M, N) matrix
+        rng = np.random.default_rng(23)
+        for m, n in [(1, 1), (2, 1), (3, 2), (4, 3), (6, 4), (8, 5)]:
+            A = np.exp(1j * rng.uniform(0, 2 * np.pi, (16, m, n)))
+            signals = tuple(SourceSignal(1e5, complex(*rng.uniform(-3, 3, 2))) for _ in range(n))
+            eta = float(rng.uniform(0.1, 2.0))
+            moduli = det_modulus(A, signals, eta)
+            expected = [abs(complex(np.linalg.det(R))) for R in covariances(A, signals, eta)]
+            assert [v.hex() for v in moduli.tolist()] == [v.hex() for v in expected]
+            assert det_modulus(A[0], signals, eta).hex() == expected[0].hex()
+
+    def test_an_overflowing_determinant_reads_inf_without_a_warning(self):
+        signals = (SourceSignal(1e5, 1 + 1j),)
+        A = np.ones((2, 4, 1), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moduli = det_modulus(A, signals, 1e100)  # eta^4 = 1e400
+        assert moduli.tolist() == [np.inf, np.inf]
 
 
 class TestSnapshots:
@@ -113,13 +138,13 @@ class TestSnapshots:
 
     def test_error_halving_with_quadrupled_count(self, scenario_a):
         A = _steering_for(scenario_a)
-        cs = covariances(A, scenario_a.signals, 1.0)
+        R = covariances(A, scenario_a.signals, 1.0)
         ratios = []
         for seed in range(8):
             errs = []
             for count in (100, 400):
                 batch = synthesize_snapshots(A, scenario_a.signals, 1.0, count, seed=seed)
-                errs.append(np.linalg.norm(sample_covariance(batch) - cs.array_cov))
+                errs.append(np.linalg.norm(sample_covariance(batch) - R))
             ratios.append(errs[1] / errs[0])
         assert abs(np.mean(ratios) - 0.5) < 0.2
 

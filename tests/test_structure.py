@@ -199,6 +199,22 @@ def test_readme_library_example_runs_as_written(capsys):
     assert "ComparisonReport(" in out
 
 
+def test_one_form_per_covariance_quantity():
+    # |det R_x| is taken by one helper (one LU and one modulus rule), which reports and the det
+    # scorer share; the array covariance is built there and in the trace form's stacked pass only
+    assert callers_of("det") == [("signal_model.py", "det_modulus")]
+    assert callers_of("covariances") == [("fim_crb.py", "_covariance_stack"), ("signal_model.py", "det_modulus")]
+    assert users_of("det_modulus") == [("optimizer.py", "_evaluate"), ("reposition.py", "determinants")]
+
+
+def test_one_form_of_the_phase_objective():
+    # the gf scorer's chunks and the analytic plan square the phasor sums in gf_objective alone
+    assert set(callers_of("float_power")) == {("reposition.py", "gf_objective")}  # its cos and its sin sum
+    assert users_of("gf_objective") == [
+        ("cli.py", "cmd_validate"), ("reposition.py", "analytic_reposition"), ("reposition.py", "element_values")
+    ]
+
+
 def test_one_covariance_stack_behind_both_fim_entries():
     # the trace form's stacked pass runs only in linearize, behind a lone report and validate
     assert callers_of("_covariance_stack") == [("fim_crb.py", "linearize")]

@@ -478,8 +478,8 @@ def test_rows_match_the_trace_form(name):
     scn, spec = (_scenario(name), SWEEPS[name]) if name in SWEEPS else (POLAR_SWEEPS[name][0](), POLAR_SWEEPS[name][1])
     for *_, target, _ in _planned_rows(scn, spec):
         ev = _alone(target)
-        *_, covset, dR = fim_crb._covariance_stack(scn, *target.arrays[1:])
-        F, cond, _ = fim_crb._trace_form(covset.array_cov, dR)
+        *_, R, dR = fim_crb._covariance_stack(scn, *target.arrays[1:])
+        F, cond, _ = fim_crb._trace_form(R, dR)
         F = scn.snapshots * F
         assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
         assert ev.crb.rank == fim_crb.crb_reports(F, scn.num_sources)[0].rank

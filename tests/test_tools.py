@@ -1,6 +1,6 @@
 """The comparison tools refuse a comparison in which nothing changes, and report every
-end-to-end metric against its benchmark bound; ``bench_pairs`` records each run's CPU time
-and host steal, and merges a re-run into its file seed by seed."""
+end-to-end metric against its benchmark bound; ``bench_pairs`` records each run's CPU time,
+host steal and operations per CPU second, and merges a re-run into its file seed by seed."""
 
 import json
 import os
@@ -49,13 +49,16 @@ def metric(parent: float, change: float, better: str) -> dict:
 
 def test_verdict_lines_flag_a_metric_worse_than_its_bound():
     bound = bench_pairs.BOUNDS
-    result = {"pairs": 4, "failed": {"parent": 0, "change": 1}, "metrics": {
+    result = {"pairs": 4, "failed": {"parent": 0, "change": 1}, "ops_per_cpu_s": metric(50.0, 80.0, "higher"),
+              "metrics": {
         "ops_per_s": metric(100.0, 100.0 * (1 - bound["ops_per_s"]) - 1, "higher"),
         "peak_rss_mb": metric(40.0, 40.0 * (1 + bound["peak_rss_mb"]) - 0.1, "lower"),
         "latency_p50_ms": metric(2.0, 2.0 * (1 + bound["latency_p50_ms"]) + 0.1, "lower"),
     }}
     head, *lines = bench_pairs.verdict_lines("search_phase", "seed0", result)
     assert head == "search_phase seed0: failed operations 0 -> 1"
+    # operations per CPU second follow ops/s, with no bound to be worse than
+    assert lines.pop(1) == "search_phase seed0 ops_per_cpu_s: 50 -> 80 (ratio 1.6), change won 3/4, parent IQR 0.5, no bound"
     assert [line.split(": ")[0] for line in lines] == [f"search_phase seed0 {m}" for m in result["metrics"]]
     assert [line.endswith("bound") and "WORSE THAN" in line for line in lines] == [True, False, True]
     assert "change won 3/4, parent IQR 0.5" in lines[0]
@@ -94,6 +97,15 @@ def test_cpu_per_wall_is_stored_and_printed_per_side(tmp_path, monkeypatch, caps
     assert {side: q["runs"] for side, q in seed0["cpu_per_wall"].items()} == {"parent": [0.98] * 2, "change": [1.31] * 2}
     assert {side: q["median"] for side, q in aa["cpu_per_wall"].items()} == {"parent": 0.98, "parent_copy": 0.97}
     printed = capsys.readouterr().out.splitlines()
+    # ops/s (1.0 in every run) over CPU/wall: the work of one CPU second, stored and printed next to ops/s
+    ops = seed0["ops_per_cpu_s"]
+    assert (ops["parent"]["runs"], ops["change"]["runs"]) == ([1.0204] * 2, [0.7634] * 2)
+    assert (ops["change_wins"], ops["ratio"]) == (0, 0.7481)
+    assert aa["ops_per_cpu_s"]["parent_copy"]["median"] == 1.0309
+    ops_line = printed.index("search_bound seed0 ops_per_s: 1 -> 1 (ratio 1.0), change won 0/2, parent IQR 0, "
+                             "within its 0.25 bound") + 1
+    assert printed[ops_line] == ("search_bound seed0 ops_per_cpu_s: 1.0204 -> 0.7634 (ratio 0.7481), change won 0/2, "
+                                 "parent IQR 0, no bound")
     assert {side: q["median"] for side, q in seed0["steal"].items()} == {"parent": 0.004, "change": 0.0312}
     assert "search_bound seed0 CPU/wall: 0.98 -> 1.31, host steal: 0.40% -> 3.12%" in printed
     assert printed[-1] == f"runs may use {report['cpus_usable']} CPUs; wrote {out}"

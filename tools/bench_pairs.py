@@ -16,20 +16,24 @@ two copies of one commit is the directory or the machine, not the code
 Writes ``BENCH_<tag>.json`` in the repository root (or ``--out``): per workload
 and seed, each end-to-end metric's runs, medians and inclusive quartiles per
 side, how many pairs the head won, the median change and the base's
-interquartile range, each side's CPU seconds per wall second, and the same for
-the A/A control; and how many CPUs the runs may use.  A run's CPU seconds are
-the user and system time of its process (a ``getrusage`` delta of this
-script's children): above 1 per wall second the run used a second CPU, well
-below 1 it waited for a busy machine.  Each run also records the host's steal
-share over the run, the ``steal`` delta over the total of ``/proc/stat``'s
-``cpu`` line (read only; ``null`` where the file is missing): CPU time the
-hypervisor gave to others, which a threaded run on a busy host loses.  An
+interquartile range, each side's CPU seconds per wall second and operations per
+CPU second, and the same for the A/A control; and how many CPUs the runs may
+use.  A run's CPU seconds are the user and system time of its process (a
+``getrusage`` delta of this script's children): above 1 per wall second the run
+used a second CPU, well below 1 it waited for a busy machine.  Its operations per
+CPU second are its ops/s over its CPU seconds per wall second: the work one CPU
+second buys, which a second thread raises only if it is not paid for in CPU.
+Each run also records the host's steal share over the run, the ``steal`` delta
+over the total of ``/proc/stat``'s ``cpu`` line (read only; ``null`` where the
+file is missing): CPU time the hypervisor gave to others, which a threaded run
+on a busy host loses.  An
 existing file keeps every workload and seed this run does not measure, so
 workloads and seeds can be run with different pair counts into one file.  Then
 prints, per workload and seed of this run, the failed operations, one line per
 end-to-end metric (both medians, the ratio, the change's wins, the parent's IQR
-and whether the change is worse than the metric's ``BENCHMARK.json`` bound)
-and both sides' median CPU seconds per wall second and steal share.
+and whether the change is worse than the metric's ``BENCHMARK.json`` bound),
+after ops/s the same for operations per CPU second (which has no bound), and
+both sides' median CPU seconds per wall second and steal share.
 
 Exits 2, measuring nothing, if the base and head checkouts hold byte-identical
 files (the change is already committed and ``--base`` defaults to HEAD: pass
@@ -141,10 +145,33 @@ def quartiles(runs: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "runs": [round(r, 4) for r in runs]}
 
 
+def compared(a: list[float], b: list[float], better: str, names: tuple[str, str]) -> dict:
+    """Both sides' quartiles of one reading, the second side's wins, the median change, the first side's IQR
+    and the ratio of the medians."""
+    first, second = names
+    qa, qb = quartiles(a), quartiles(b)
+    wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
+    return {
+        first: qa,
+        second: qb,
+        "better": better,
+        f"{second}_wins": wins,
+        f"{first}_iqr": round(qa["q3"] - qa["q1"], 4),
+        "median_change": round(qb["median"] - qa["median"], 4),
+        "ratio": round(qb["median"] / qa["median"], 4) if qa["median"] else None,
+    }
+
+
+def ops_per_cpu_s(run: dict) -> float:
+    """A run's ops/s over its CPU seconds per wall second."""
+    return run["metrics"]["ops_per_s"]["value"] * run["wall_s"] / run["cpu_s"]
+
+
 def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
     """Per metric: both sides' quartiles, the second side's wins, the median change and the first side's IQR;
-    and each side's CPU seconds per wall second and host steal share (null if a run's is unknown)."""
-    first, second = names
+    the same for operations per CPU second; and each side's CPU seconds per wall second and host steal share
+    (null if a run's is unknown)."""
+    ops_a, ops_b = ([ops_per_cpu_s(p[i]) for p in pairs] for i in (0, 1))
     out = {
         "pairs": len(pairs),
         "attempted": {name: sum(p[i]["attempted"] for p in pairs) for i, name in enumerate(names)},
@@ -152,36 +179,33 @@ def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
         "cpu_per_wall": {name: quartiles([p[i]["cpu_s"] / p[i]["wall_s"] for p in pairs]) for i, name in enumerate(names)},
         "steal": {name: None if None in (steals := [p[i]["steal"] for p in pairs]) else quartiles(steals)
                   for i, name in enumerate(names)},
+        "ops_per_cpu_s": compared(ops_a, ops_b, "higher", names),
         "metrics": {},
     }
     for metric, better in METRICS.items():
-        a = [p[0]["metrics"][metric]["value"] for p in pairs]
-        b = [p[1]["metrics"][metric]["value"] for p in pairs]
-        qa, qb = quartiles(a), quartiles(b)
-        wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
-        out["metrics"][metric] = {
-            first: qa,
-            second: qb,
-            "better": better,
-            f"{second}_wins": wins,
-            f"{first}_iqr": round(qa["q3"] - qa["q1"], 4),
-            "median_change": round(qb["median"] - qa["median"], 4),
-            "ratio": round(qb["median"] / qa["median"], 4) if qa["median"] else None,
-        }
+        a, b = ([p[i]["metrics"][metric]["value"] for p in pairs] for i in (0, 1))
+        out["metrics"][metric] = compared(a, b, better, names)
     return out
 
 
 def verdict_lines(workload: str, seed_key: str, result: dict) -> list[str]:
     """One line per end-to-end metric of a parent/change comparison: both medians, the ratio,
     the change's wins, the parent's IQR and whether the change is worse than the metric's bound
-    (a relative change, as ``BENCHMARK.json`` gives it)."""
+    (a relative change, as ``BENCHMARK.json`` gives it); after ops/s, the same for operations per
+    CPU second, which has no bound."""
     lines = [f"{workload} {seed_key}: failed operations {result['failed']['parent']} -> {result['failed']['change']}"]
+
+    def line(name: str, m: dict) -> str:
+        return (f"{workload} {seed_key} {name}: {m['parent']['median']:g} -> {m['change']['median']:g} "
+                f"(ratio {m['ratio']}), change won {m['change_wins']}/{result['pairs']}, "
+                f"parent IQR {m['parent_iqr']:g}")
+
     for metric, m in result["metrics"].items():
         parent, change, bound = m["parent"]["median"], m["change"]["median"], BOUNDS[metric]
         worse = change < parent * (1 - bound) if m["better"] == "higher" else change > parent * (1 + bound)
-        lines.append(f"{workload} {seed_key} {metric}: {parent:g} -> {change:g} (ratio {m['ratio']}), "
-                     f"change won {m['change_wins']}/{result['pairs']}, parent IQR {m['parent_iqr']:g}, "
-                     f"{'WORSE THAN' if worse else 'within'} its {bound:g} bound")
+        lines.append(f"{line(metric, m)}, {'WORSE THAN' if worse else 'within'} its {bound:g} bound")
+        if metric == "ops_per_s":
+            lines.append(f"{line('ops_per_cpu_s', result['ops_per_cpu_s'])}, no bound")
     return lines
 
 
