@@ -24,10 +24,11 @@ pairwise table) by FD_REL_STEP, and reads both oracles off one stacked steering
 pass of every stepped constellation: the (2, M, N) columns, shaped as
 ``linearize``'s, and the (P, M, M) covariance derivatives.
 
-``fim_rank_one`` takes a leading batch axis of K constellations:
+``_steering_columns`` steers a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
-velocity (K,), or sources, frequencies and velocity shared by all K, with
-shared amplitudes, noise and snapshots; ``batch_chunk`` sizes its batches.  The
+velocity (K,), or sources, frequencies and velocity shared by all K.
+``fim_rank_one`` takes its (K, M, N) steering matrices and derivative columns,
+with shared amplitudes, noise and snapshots; ``batch_chunk`` sizes its batches.  The
 trace form's stacked pass (``_covariance_stack``: the steering, the rank-two
 covariance derivatives, then all traces as one matmul) runs at K = 1 in
 ``linearize``: one scenario's steering matrix, derivative columns, covariances
@@ -155,7 +156,7 @@ def _kernel_axes(scenario) -> list[np.ndarray]:
 
 
 def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tuple[np.ndarray, ...]:
-    """(K, M, N) distances d, delay gradients, steering matrices and derivative columns.
+    """(K, M, N) steering matrices and bearing and range derivative columns.
 
     Takes the axes of ``_kernel_axes``, stacked over K; sources, frequencies and velocity may
     instead be (N,) arrays and a scalar shared by all K constellations.  The
@@ -169,7 +170,7 @@ def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tup
     dtau_b, dtau_r = rho * r * np.sin(diff) / (c * d), (r - rho * np.cos(diff)) / (c * d)
     A = steering_matrix(d / c, freqs)
     w = 2.0 * np.pi * freqs[..., None, :]
-    return d, dtau_b, dtau_r, A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
+    return A, -1j * w * dtau_b * A, -1j * w * dtau_r * A
 
 
 def _covariance_derivatives(
@@ -258,7 +259,7 @@ def _covariance_stack(scenario, *constellations) -> tuple[np.ndarray, ...]:
     """The trace form's stacked pass: (K, M, N) steering matrices and bearing and range derivative
     columns, the (N, N) source and (K, M, M) array covariances and the (K, P, M, M) derivative stacks
     of K constellations, given as ``_steering_columns`` takes them; amplitudes and noise from ``scenario``."""
-    *_, A, cols_b, cols_r = _steering_columns(*constellations)
+    A, cols_b, cols_r = _steering_columns(*constellations)
     s = amplitude_vector(scenario.signals)
     Rs, R = np.outer(s, s.conj()), covariances(A, scenario.signals, scenario.noise_variance)
     return A, cols_b, cols_r, Rs, R, _covariance_derivatives(A, cols_b, cols_r, Rs)
@@ -290,17 +291,17 @@ def fim_for_scenario(scenario) -> FimMatrix:
     return fim_generic(lin.array_cov, lin.derivs, scenario.snapshots)
 
 
-def fim_rank_one(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, P, P) information matrices and (K,) condition numbers of R of K constellations, as ``_steering_columns``
-    takes them, with the scenario's amplitudes, noise and snapshots, in one call (keep K within ``batch_chunk``): the
-    trace form's, to rounding, with no M x M matrix.  R = eta I + a a^H (a = A s) has eigenvalues eta and eta + |a|^2,
-    R^-1 = (I - d a a^H) / eta and R^-2 = (I - d^2 (2 eta + |a|^2) a a^H) / eta^2, d = 1 / (eta + |a|^2), so every
-    trace comes from the Gram matrix of Z = [A, U, a], where U holds the u = s_n dA/d(axis)_n of the source-axis
-    derivatives u a^H + a u^H.  Blocks: 2 Re(alpha alpha^T) + 2 gamma Re(U^H R^-1 U) (alpha = a^H R^-1 U, gamma =
-    a^H R^-1 a); 2 Re(beta^H E xi) (beta = A^H R^-1 U, xi = A^H R^-1 a) and Re tr(E Gamma E' Gamma) (Gamma = A^H R^-1 A)
-    over the bases E; tr(R^-2 dR) for the noise.  Raises as the trace form does, but names eta as the least
-    eigenvalue of a singular R (eta < 1e-15 (eta + |a|^2))."""
-    *_, A, cols_b, cols_r = _steering_columns(*axes)
+def fim_rank_one(scenario, A, cols_b, cols_r) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, P, P) information matrices and (K,) condition numbers of R of K constellations, given as the (K, M, N)
+    steering matrices and bearing and range derivative columns of ``_steering_columns`` (a bound scan writes its moved
+    element's into the fixed elements'), with the scenario's amplitudes, noise and snapshots, in one call (keep K within
+    ``batch_chunk``): the trace form's, to rounding, with no M x M matrix.  R = eta I + a a^H (a = A s) has eigenvalues
+    eta and eta + |a|^2, R^-1 = (I - d a a^H) / eta and R^-2 = (I - d^2 (2 eta + |a|^2) a a^H) / eta^2, d = 1 / (eta +
+    |a|^2), so every trace comes from the Gram matrix of Z = [A, U, a], where U holds the u = s_n dA/d(axis)_n of the
+    source-axis derivatives u a^H + a u^H.  Blocks: 2 Re(alpha alpha^T) + 2 gamma Re(U^H R^-1 U) (alpha = a^H R^-1 U,
+    gamma = a^H R^-1 a); 2 Re(beta^H E xi) (beta = A^H R^-1 U, xi = A^H R^-1 a) and Re tr(E Gamma E' Gamma) (Gamma =
+    A^H R^-1 A) over the bases E; tr(R^-2 dR) for the noise, with R^-2 formed only at the two blocks it enters.  Raises
+    as the trace form does, but names eta as the least eigenvalue of a singular R (eta < 1e-15 (eta + |a|^2))."""
     eta, s = np.float64(scenario.noise_variance), amplitude_vector(scenario.signals)
     with np.errstate(over="ignore"):  # an eta**2 beyond the float range reads inf, so R^-2 reads 0
         eta2 = eta**2
@@ -313,15 +314,17 @@ def fim_rank_one(scenario, *axes) -> tuple[np.ndarray, np.ndarray]:
     if np.any(eta < 1e-15 * (eta + power)):
         raise SingularCovarianceError(f"array covariance is numerically singular; smallest eigenvalue {eta:.6e}")
     d, outer = 1.0 / (eta + power), H[:, :, -1:] * H[:, -1:, :]  # Z^H a a^H Z
-    G, G2 = (H - d * outer) / eta, (H - d**2 * (2.0 * eta + power) * outer) / eta2
+    G, d2 = (H - d * outer) / eta, d**2 * (2.0 * eta + power)
     Gamma, U, alpha = G[:, :N, :N], slice(N, 3 * N), G[:, -1:, N : 3 * N]
+    G2_Ua = (H[:, U, -1:] - d2 * outer[:, U, -1:]) / eta2  # Z^H R^-2 Z, only at the blocks the FIM reads
+    G2_AA = (H[:, :N, :N] - d2 * outer[:, :N, :N]) / eta2
     bases = ParameterIndex(N).cov_entry_bases().reshape(N * N, -1).T  # sum(E * T) = T_flat @ bases
     axes_axes = 2.0 * (alpha.swapaxes(1, 2) * alpha).real + 2.0 * G[:, -1:, -1:].real * G[:, U, U].real
     axes_cov = 2.0 * ((G[:, U, :N, None] * G[:, None, None, :N, -1]).reshape(K, 2 * N, -1) @ bases).real
     X = Gamma[:, None, :, :, None] * Gamma.swapaxes(1, 2)[:, :, None, None, :]  # Gamma[q, r] Gamma[t, p]
     cov_cov = (bases.T @ X.reshape(K, N * N, N * N) @ bases).real
-    axes_noise = 2.0 * G2[:, U, -1:].real
-    cov_noise = (G2[:, :N, :N].swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
+    axes_noise = 2.0 * G2_Ua.real
+    cov_noise = (G2_AA.swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
     blocks = ([axes_axes, axes_cov, axes_noise], [axes_cov.swapaxes(1, 2), cov_cov, cov_noise],
               [axes_noise.swapaxes(1, 2), cov_noise.swapaxes(1, 2), (M - 1) / eta2 + d**2])
     F = np.concatenate([np.concatenate(row, axis=2) for row in blocks], axis=1)

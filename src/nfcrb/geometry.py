@@ -253,12 +253,11 @@ def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
 
 
 def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
-    """(..., M, N) sensor-to-source distances of (..., M, 2) sensors and (..., N, 2) sources.
-
-    Raises SingularGeometryError naming the first (1-based) sensor that
-    coincides with a source.
-    """
-    d = np.linalg.norm(sources_xy[..., None, :, :] - sensors_xy[..., :, None, :], axis=-1)
+    """(..., M, N) sensor-to-source distances of (..., M, 2) sensors and (..., N, 2) sources: sqrt(dx dx + dy dy)
+    of the coordinate differences, np.linalg.norm's bit for bit without its difference array, conjugate copy and
+    reduction.  Raises SingularGeometryError naming the first (1-based) sensor that coincides with a source."""
+    dx, dy = (sources_xy[..., None, :, i] - sensors_xy[..., :, None, i] for i in (0, 1))
+    d = np.sqrt(dx * dx + dy * dy)
     if not d.all():  # a zero distance; NaN entries count as nonzero
         *_, k, n = np.argwhere(d == 0)[0]
         raise SingularGeometryError(f"sensor {k + 1} coincides with source {n + 1}")

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, batch_or_each, kept, map_on_cpus
-from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, batch_chunk, crb_reports, fim_for_scenario,
-                      fim_rank_one)
+from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, _steering_columns, batch_chunk, crb_reports,
+                      fim_for_scenario, fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
 from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
@@ -151,7 +151,7 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
         fims = [fim_for_scenario(first)]
         F = fims[0].entries[None]
     else:
-        F, cond = fim_rank_one(first, *axes)
+        F, cond = fim_rank_one(first, *_steering_columns(*axes))
         fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
     crbs = crb_reports(F, first.num_sources)
     return [ConstellationEvaluation(*row) for row in zip(moduli, powers, strongest, rows.residuals, fims, crbs)]

@@ -17,7 +17,8 @@ realizations are provided:
   ``errors.map_on_cpus`` if two CPUs are usable), and keeps the first minimum,
   found with array operations (a line search always includes the current position);
   a chunk computes only the moved element's distances, and ``det`` writes
-  its steering row into the fixed elements' rows, steered once per search;
+  its steering row (a bound scan its steering and derivative columns) into
+  the fixed elements' rows, steered once per search;
   ``gf`` scores a chunk with ``gf_objective`` and ``det`` with
   ``signal_model.det_modulus``, the forms the analytic plan and reports read;
 * plan application, which rewrites the chosen element's pairwise row.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError, batch_or_each, kept, map_on_cpus
-from .fim_crb import PHASE_CHUNK_VALUES, batch_chunk, crb_totals, fim_rank_one
+from .fim_crb import PHASE_CHUNK_VALUES, _steering_columns, batch_chunk, crb_totals, fim_rank_one
 from .geometry import (
     PairwiseGeometry,
     PairwiseScenario,
@@ -265,8 +266,8 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     """A function scoring a (K, 2) chunk of element positions in one array pass, and its K.
 
     The function gives a (K,) float array or raises ValidationError if any position of the
-    chunk fails.  The fixed sensors' distances (and det's steering rows) and the layout's polar
-    axes (bounds) run once here; a chunk adds the moved element's and raises a failure of either.
+    chunk fails.  The fixed sensors' distances (and det's steering rows, the bounds' polar axes and columns)
+    run once here; a chunk adds the moved element's and raises a failure of either as its whole layouts name it.
     """
     num_sensors, num_sources = len(sensors_xy), len(sources_xy)
     freqs = frequency_vector(scn.signals)
@@ -290,14 +291,28 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
     if objective in BOUND_OBJECTIVES:
         axes = kept(axes_from_positions, sensors_xy, sources_xy)
 
+        def steered(radii, azimuths):  # (K, M', N) steering matrices and derivative columns of (K, M') sensors
+            return _steering_columns(radii, azimuths, *axes[2:], freqs, scn.velocity_mps)
+
+        if not isinstance(axes, ValidationError):  # every candidate's fixed elements, steered once (the moved one NaN)
+            radii, azimuths = (np.where(np.arange(num_sensors) == element, np.nan, a)[None] for a in axes[:2])
+            fixed_columns = kept(steered, radii, azimuths)
+
         def bound_totals(chunk):
             moved_distances(chunk)  # rejects a sensor on a source
             if isinstance(axes, ValidationError):
                 raise axes
-            radii, azimuths, ranges, bearings = axes
-            radii, azimuths = (np.repeat(a[None], len(chunk), axis=0) for a in (radii, azimuths))
-            radii[:, element], azimuths[:, element], *_ = axes_from_positions(chunk, sources_xy)
-            F, _ = fim_rank_one(scn, radii, azimuths, ranges, bearings, freqs, scn.velocity_mps)
+            radii, azimuths, *_ = axes_from_positions(chunk, sources_xy)
+            moved = kept(steered, radii[:, None], azimuths[:, None])  # a chunk steers only the moved element
+            if isinstance(fixed_columns, ValidationError) or isinstance(moved, ValidationError):
+                # a sensor on a source of the polar form: steering the whole layouts raises, naming the first one
+                layouts = [np.repeat(a[None], len(chunk), axis=0) for a in axes[:2]]
+                layouts[0][:, element], layouts[1][:, element] = radii, azimuths
+                steered(*layouts)
+            columns = [np.repeat(f, len(chunk), axis=0) for f in fixed_columns]
+            for whole, part in zip(columns, moved):
+                whole[:, element] = part[:, 0]
+            F, _ = fim_rank_one(scn, *columns)
             return crb_totals(F, num_sources)[BOUND_OBJECTIVES.index(objective)]
 
         return bound_totals, batch_chunk(num_sources)
@@ -335,7 +350,8 @@ def score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
     ValidationError that rejected each failed candidate.  Candidates are scored a chunk
     per array pass: bound totals through the rank-one kernel ``fim_rank_one`` and the
     pseudo-inverse SVD (each layout as the polar axes ``axes_from_positions`` gives, with the
-    sources shared, and no Scenario; ``batch_chunk`` layouts a pass), gf and power from the
+    sources shared, and no Scenario; ``batch_chunk`` layouts a pass) from the fixed elements'
+    steering and derivative columns, steered once, and the moved element's, gf and power from the
     moved element's delays alone, det from covariances of the fixed elements' steering rows,
     steered once, and the moved element's row.  A chunk in which any candidate fails is scored
     again in halves, down to the failing candidates, through the same function, so only they

@@ -48,8 +48,10 @@ def parse_number(value, path: str, kind: type = float):
     """A finite number from a scenario-file field or a command-line string.
 
     With ``kind=int`` the number must also be whole.  Errors name ``path``,
-    the offending field or option.
+    the offending field or option.  A JSON boolean is not a number, although float() reads it as 1 or 0.
     """
+    if isinstance(value, bool):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -388,7 +388,8 @@ def rank_one_fims(scn, radii, azimuths, cond=False):
     """``fim_rank_one`` of (K, M) sensor layouts around the scenario's own sources: its (K, P, P)
     matrices, and with ``cond`` its (K,) condition numbers too."""
     sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
-    F, conds = fim_crb.fim_rank_one(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    columns = fim_crb._steering_columns(np.asarray(radii, float), np.asarray(azimuths, float), *sources)
+    F, conds = fim_crb.fim_rank_one(scn, *columns)
     return (F, conds) if cond else F
 
 

@@ -97,6 +97,33 @@ class TestDistances:
         with pytest.raises(SingularGeometryError, match="^sensor 3 coincides with source 2$"):
             distances(np.stack([sensors + 1.0, sensors]), sources)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 5), nan_row=st.booleans(),
+           batches=st.sampled_from([((), ()), ((1,), ()), ((5,), ()), ((2, 3), ()), ((), (4,)), ((4,), (4,))]),
+           coincide=st.booleans())
+    def test_equals_numpy_norm_bit_for_bit(self, seed, m, n, nan_row, batches, coincide):
+        # coordinates of either sign from 1e-150 to 1e150, batch axes on either side, the scorers' NaN moved
+        # row, and a coincidence whose error names the first zero in the same order
+        rng = np.random.default_rng(seed)
+
+        def points(shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+
+        sensors, sources = points((*batches[0], m, 2)), points((*batches[1], n, 2))
+        if nan_row:
+            sensors[..., rng.integers(m), :] = np.nan
+        if coincide:
+            sources[..., rng.integers(n), :] = sensors.reshape(-1, m, 2)[-1, rng.integers(m)]
+        norm = np.linalg.norm(sources[..., None, :, :] - sensors[..., :, None, :], axis=-1)
+        if not norm.all():
+            *_, k, j = np.argwhere(norm == 0)[0]
+            with pytest.raises(SingularGeometryError, match=f"^sensor {k + 1} coincides with source {j + 1}$"):
+                distances(sensors, sources)
+        else:
+            d = distances(sensors, sources)
+            assert d.shape == norm.shape and np.array_equal(d, norm, equal_nan=True)
+            assert [v.hex() for v in d.ravel().tolist()] == [v.hex() for v in norm.ravel().tolist()]
+
 
 class TestDelayFromPairwise:
     def test_table_entry(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nfcrb import (
     BoxGrid,
     DisplacementGrid,
+    SingularGeometryError,
     ValidationError,
     apply_reposition,
     grid_search,
@@ -21,11 +22,12 @@ from nfcrb import (
 )
 from nfcrb import optimizer, reposition
 from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, steering_matrix
-from nfcrb.geometry import distances, scenario_positions
+from nfcrb.geometry import axes_from_positions, distances, polar_to_cartesian, scenario_positions
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
-from conftest import random_upper_half_scenario, scenario_from_positions
+from nfcrb.fim_crb import _steering_columns, batch_chunk, crb_totals, fim_rank_one
+from conftest import cpus, random_upper_half_scenario, scenario_from_positions
 
 PHASE_OBJECTIVES = ("gf", "power", "det")
 
@@ -92,6 +94,66 @@ def test_det_steers_the_fixed_rows_once_and_the_moved_row_per_chunk(scenario_a, 
         assert shapes[0] == sensors_xy.shape[:1] + sources_xy.shape[:1]
         assert all(len(shape) == 2 and shape[1] == len(sources_xy) for shape in shapes[1:])
         assert sum(shape[0] for shape in shapes[1:]) == len(positions)
+
+
+def whole_layout_totals(scn, element, sensors_xy, sources_xy, chunk):
+    """The bound totals of the layouts with the element at each row of ``chunk``, every element steered."""
+    radii, azimuths, ranges, bearings = axes_from_positions(sensors_xy, sources_xy)
+    layouts = [np.repeat(a[None], len(chunk), axis=0) for a in (radii, azimuths)]
+    layouts[0][:, element], layouts[1][:, element], *_ = axes_from_positions(chunk, sources_xy)
+    columns = _steering_columns(*layouts, ranges, bearings, frequency_vector(scn.signals), scn.velocity_mps)
+    return crb_totals(fim_rank_one(scn, *columns)[0], scn.num_sources)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_bounds_steer_the_fixed_elements_once_and_the_moved_one_per_chunk(count, scenario_a, scenario_b):
+    # the bound totals equal those of the whole steered layouts, a chunk at a time, bit for bit, while
+    # the fixed elements are steered once per search and a chunk steers only the moved element
+    scenarios = [scenario_a, scenario_b] + [random_upper_half_scenario(np.random.default_rng(s)) for s in range(3)]
+    for scn in scenarios:
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        x0, y0 = sensors_xy[1]
+        line = np.column_stack([x0 + DisplacementGrid(-200.0, 200.0, 101).values(), np.full(101, y0)])
+        positions = np.vstack([sensors_xy[1], line, BoxGrid(x0 - 50.0, x0 + 50.0, 5, y0 - 5.0, y0 + 5.0, 5).points()])
+        step = batch_chunk(scn.num_sources)
+        totals = [whole_layout_totals(scn, 1, sensors_xy, sources_xy, positions[lo : lo + step])
+                  for lo in range(0, len(positions), step)]
+        for i, objective in enumerate(("crb_theta", "crb_r")):
+            with cpus(count), mock.patch.object(reposition, "_steering_columns", wraps=_steering_columns) as steer:
+                values, errors = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+            assert errors == {} and hexes(values) == hexes(np.concatenate([t[i] for t in totals]))
+            shapes = [call.args[0].shape for call in steer.call_args_list]
+            assert shapes[0] == (1, scn.num_sensors)
+            assert all(len(shape) == 2 and shape[1] == 1 for shape in shapes[1:])
+            assert sorted(shape[0] for shape in shapes[1:]) == sorted(len(t[i]) for t in totals)
+
+
+@pytest.mark.parametrize("fixed_on_source", [False, True])
+def test_bounds_of_a_sensor_on_a_source_of_the_polar_form_fail_as_the_whole_layout(fixed_on_source):
+    # one ulp from a source a point is apart in Cartesian coordinates, but often meets it in the polar form:
+    # the bound scorer then rejects the candidate naming the sensor and source the whole layout's steering names
+    scn = random_upper_half_scenario(np.random.default_rng(5))
+    sensors_xy, sources_xy, _ = scenario_positions(scn)
+
+    def polar_point(xy):
+        radius, azimuth, *_ = axes_from_positions(xy[None], sources_xy)
+        return polar_to_cartesian(radius, azimuth)
+
+    near = [np.array([np.nextafter(x, np.inf), y]) for x, y in sources_xy]
+    near = [p for p, q in zip(near, sources_xy) if np.array_equal(polar_point(p), polar_point(q))]
+    assert near, "no source has a polar-coincident neighbour"
+    if fixed_on_source:
+        sensors_xy[2] = near[0]
+    positions = np.vstack([sensors_xy[1], near[0], sensors_xy[1] + [5.0, 0.0]])
+    for i, objective in enumerate(("crb_theta", "crb_r")):
+        values, errors = score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)
+        for k, row in enumerate(positions):
+            try:
+                expected = hexes(whole_layout_totals(scn, 1, sensors_xy, sources_xy, row[None])[i])
+            except SingularGeometryError as exc:
+                expected = str(exc)
+            assert (str(errors[k]) if k in errors else hexes(values[k])) == expected
+        assert len(errors) == (3 if fixed_on_source else 1)
 
 
 class TestArraySquaring:

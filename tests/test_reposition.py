@@ -30,7 +30,7 @@ from nfcrb.geometry import (
     pairwise_form,
     scenario_positions,
 )
-from nfcrb.fim_crb import crb_reports, fim_rank_one
+from nfcrb.fim_crb import _steering_columns, crb_reports, fim_rank_one
 from nfcrb import reposition
 from nfcrb.reposition import (
     OBJECTIVES,
@@ -62,7 +62,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
     axes = polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings(), freqs
-    F, _ = fim_rank_one(polar, *(a[None] for a in axes), np.array([polar.velocity_mps]))
+    F, _ = fim_rank_one(polar, *_steering_columns(*(a[None] for a in axes), np.array([polar.velocity_mps])))
     report = crb_reports(F, polar.num_sources)[0]
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 

@@ -339,6 +339,22 @@ MALFORMED_FILES = {
         r"polar.sources\[0\].bearing_deg: expected a finite number",
     ),
     "source entry not an object": (polar_doc, [*SOURCES, 1], 5, r"polar.sources\[1\]: must be an object"),
+    # JSON booleans, which float() would read as 1 and 0, one field of each kind
+    "boolean velocity": (
+        polar_doc, ["velocity_mps"], True, r"^error: scenario.velocity_mps: expected a number, got True$"
+    ),
+    "boolean snapshots": (polar_doc, ["snapshots"], True, r"^error: scenario.snapshots: expected a number, got True$"),
+    "boolean noise variance": (
+        polar_doc, ["noise_variance"], True, r"^error: scenario.noise_variance: expected a number, got True$"
+    ),
+    "boolean amplitude": (
+        polar_doc, ["signals", 0, "amplitude", 1], False,
+        r"^error: scenario.signals\[0\].amplitude\[1\]: expected a number, got False$",
+    ),
+    "boolean pairwise entry": (
+        _pairwise_doc, ["geometry", "pairwise", "vertical_m", 1, 2], True,
+        r"^error: scenario.geometry.pairwise.vertical_m\[1\]\[2\]: expected a number, got True$",
+    ),
     "arrival angle out of range": (
         _pairwise_doc, ["geometry", "pairwise", "arrival_deg", 1, 2], 190,
         r"scenario.geometry.pairwise.arrival_deg\[1\]\[2\]: must lie strictly inside \(0, 180\) degrees, got 190.0",

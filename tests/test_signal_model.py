@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfcrb import ValidationError
 from nfcrb.signal_model import (
@@ -73,6 +75,23 @@ class TestCovariances:
             A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
             w = np.linalg.eigvalsh(covariances(A, scn.signals, scn.noise_variance))
             assert w.min() >= scn.noise_variance - 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80), m=st.integers(1, 8), n=st.integers(1, 5))
+    def test_stack_equals_each_layout_bit_for_bit(self, seed, k, m, n):
+        # the flattened A Rs product of a (K, M, N) stack against A s s^H A^H + eta I per layout, and the
+        # |det R_x| of the stack against that of the batched A @ Rs @ A^H it replaced, hex for hex
+        rng = np.random.default_rng(seed)
+        A = np.exp(-2j * np.pi * rng.uniform(0, 1, (k, m, n)))
+        signals = tuple(SourceSignal(1e5, complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3))) for _ in range(n))
+        eta = float(10.0 ** rng.uniform(-3, 3))
+        s = amplitude_vector(signals)
+        R = covariances(A, signals, eta)
+        each = [a @ np.outer(s, s.conj()) @ a.conj().T + eta * np.eye(m) for a in A]
+        assert [r.tobytes() for r in R] == [r.tobytes() for r in each]
+        det = np.linalg.det(A @ np.outer(s, s.conj()) @ A.conj().swapaxes(1, 2) + eta * np.eye(m))
+        moduli, expected = det_modulus(A, signals, eta).tolist(), np.hypot(det.real, det.imag).tolist()
+        assert [v.hex() for v in moduli] == [v.hex() for v in expected]
 
 
 class TestDetModulus:

@@ -130,6 +130,10 @@ def _refusing_the_trace_form():
 def test_bound_searches_score_with_the_rank_one_kernel():
     # the bound scorer's chunks and the batched evaluations, and nothing else, take the rank-one kernel
     assert callers_of("fim_rank_one") == [("optimizer.py", "_evaluate"), ("reposition.py", "bound_totals")]
+    # which take their steering and derivative columns from the one stacked steering pass, as the trace form does
+    assert callers_of("_steering_columns") == [
+        ("fim_crb.py", "_covariance_stack"), ("optimizer.py", "_evaluate"), ("reposition.py", "steered")
+    ]
     # and a bound search builds no dR stack, trace form or eigenvalue decomposition
     scn, _ = nfcrb.runtime_scenario(nfcrb.load_scenario("scenario_a"))
     with _refusing_the_trace_form():

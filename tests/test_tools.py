@@ -107,7 +107,11 @@ def test_cpu_per_wall_is_stored_and_printed_per_side(tmp_path, monkeypatch, caps
     assert printed[ops_line] == ("search_bound seed0 ops_per_cpu_s: 1.0204 -> 0.7634 (ratio 0.7481), change won 0/2, "
                                  "parent IQR 0, no bound")
     assert {side: q["median"] for side, q in seed0["steal"].items()} == {"parent": 0.004, "change": 0.0312}
-    assert "search_bound seed0 CPU/wall: 0.98 -> 1.31, host steal: 0.40% -> 3.12%" in printed
+    # the parent's runs (CPU/wall 0.98) had no second CPU for search_bound's worker thread
+    assert seed0["one_cpu_runs"] == {"parent": 2, "change": 0}
+    assert aa["one_cpu_runs"] == {"parent": 2, "parent_copy": 2}
+    assert ("search_bound seed0 CPU/wall: 0.98 -> 1.31, host steal: 0.40% -> 3.12%, "
+            "one-CPU runs (CPU/wall < 1.15): 2/2 -> 0/2") in printed
     assert printed[-1] == f"runs may use {report['cpus_usable']} CPUs; wrote {out}"
 
 
@@ -121,6 +125,24 @@ def test_a_run_without_proc_stat_records_an_unknown_steal(tmp_path, monkeypatch,
     assert bench_pairs.main(argv) == 0
     assert json.loads(out.read_text())["sweep"]["seed0"]["steal"] == {"parent": None, "change": None}
     assert "sweep seed0 CPU/wall: 1.00 -> 1.00, host steal: unknown -> unknown" in capsys.readouterr().out
+
+
+def test_one_cpu_runs_are_counted_for_threaded_workloads_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: checkout(dest, {"src/a.py": ref}))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    out = tmp_path / "b.json"
+    argv = ["--tag", "t", "--workload", "sweep", "report", "--pairs", "1", "--aa-pairs", "0",
+            "--base", "parent", "--head", "change", "--out", str(out)]
+    # just below and at the threshold
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 1.149, "aacp": 1.0, "head": 1.15}))
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["sweep"]["seed0"]["one_cpu_runs"] == {"parent": 1, "change": 0}
+    assert report["report"]["seed0"]["one_cpu_runs"] == {"parent": None, "change": None}
+    printed = capsys.readouterr().out.splitlines()
+    assert "sweep seed0 CPU/wall: 1.15 -> 1.15, host steal: unknown -> unknown, one-CPU runs (CPU/wall < 1.15): " \
+           "1/1 -> 0/1" in printed
+    assert "report seed0 CPU/wall: 1.15 -> 1.15, host steal: unknown -> unknown" in printed
 
 
 # the aggregate line first, then one per CPU; the eighth number is steal

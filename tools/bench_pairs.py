@@ -26,14 +26,17 @@ second buys, which a second thread raises only if it is not paid for in CPU.
 Each run also records the host's steal share over the run, the ``steal`` delta
 over the total of ``/proc/stat``'s ``cpu`` line (read only; ``null`` where the
 file is missing): CPU time the hypervisor gave to others, which a threaded run
-on a busy host loses.  An
+on a busy host loses.  A ``search_bound`` or ``sweep`` run (a worker thread shares its chunks when
+two CPUs are usable) below ``ONE_CPU_BELOW`` CPU seconds per wall second is counted per side as a
+one-CPU run: its worker thread got no second CPU, so a pair holding one may set a one-CPU run
+against a two-CPU one.  An
 existing file keeps every workload and seed this run does not measure, so
 workloads and seeds can be run with different pair counts into one file.  Then
 prints, per workload and seed of this run, the failed operations, one line per
 end-to-end metric (both medians, the ratio, the change's wins, the parent's IQR
 and whether the change is worse than the metric's ``BENCHMARK.json`` bound),
 after ops/s the same for operations per CPU second (which has no bound), and
-both sides' median CPU seconds per wall second and steal share.
+both sides' median CPU seconds per wall second and steal share, with their one-CPU runs.
 
 Exits 2, measuring nothing, if the base and head checkouts hold byte-identical
 files (the change is already committed and ``--base`` defaults to HEAD: pass
@@ -60,6 +63,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+THREADED = ("search_bound", "sweep")
+ONE_CPU_BELOW = 1.15
+"""A run of a ``THREADED`` workload (a worker thread shares its chunks) below this many CPU seconds per wall
+second got no second CPU: a fixed two-thread numpy loop read 1.12 or less on a busy two-CPU host."""
 
 
 def git(*args: str) -> str:
@@ -167,16 +174,20 @@ def ops_per_cpu_s(run: dict) -> float:
     return run["metrics"]["ops_per_s"]["value"] * run["wall_s"] / run["cpu_s"]
 
 
-def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str]) -> dict:
+def compare(pairs: list[tuple[dict, dict]], names: tuple[str, str], threaded: bool = False) -> dict:
     """Per metric: both sides' quartiles, the second side's wins, the median change and the first side's IQR;
-    the same for operations per CPU second; and each side's CPU seconds per wall second and host steal share
-    (null if a run's is unknown)."""
+    the same for operations per CPU second; each side's CPU seconds per wall second and host steal share
+    (null if a run's is unknown); and, for a ``threaded`` workload, each side's count of one-CPU runs
+    (below ``ONE_CPU_BELOW``; null otherwise)."""
     ops_a, ops_b = ([ops_per_cpu_s(p[i]) for p in pairs] for i in (0, 1))
+    cpu_per_wall = [[p[i]["cpu_s"] / p[i]["wall_s"] for p in pairs] for i in (0, 1)]
     out = {
         "pairs": len(pairs),
         "attempted": {name: sum(p[i]["attempted"] for p in pairs) for i, name in enumerate(names)},
         "failed": {name: sum(p[i]["failed"] for p in pairs) for i, name in enumerate(names)},
-        "cpu_per_wall": {name: quartiles([p[i]["cpu_s"] / p[i]["wall_s"] for p in pairs]) for i, name in enumerate(names)},
+        "cpu_per_wall": {name: quartiles(cpu_per_wall[i]) for i, name in enumerate(names)},
+        "one_cpu_runs": {name: sum(r < ONE_CPU_BELOW for r in cpu_per_wall[i]) if threaded else None
+                         for i, name in enumerate(names)},
         "steal": {name: None if None in (steals := [p[i]["steal"] for p in pairs]) else quartiles(steals)
                   for i, name in enumerate(names)},
         "ops_per_cpu_s": compared(ops_a, ops_b, "higher", names),
@@ -210,11 +221,16 @@ def verdict_lines(workload: str, seed_key: str, result: dict) -> list[str]:
 
 
 def cpu_line(workload: str, seed_key: str, result: dict) -> str:
-    """Both sides' median CPU seconds per wall second and host steal share of a parent/change comparison."""
+    """Both sides' median CPU seconds per wall second and host steal share of a parent/change comparison, and for a
+    threaded workload both sides' one-CPU runs out of the pairs: such runs compare a one-CPU side with a two-CPU one."""
     parent, change = (result["cpu_per_wall"][side]["median"] for side in ("parent", "change"))
     steal = [result["steal"][side] for side in ("parent", "change")]
     steal = " -> ".join("unknown" if q is None else f"{q['median']:.2%}" for q in steal)
-    return f"{workload} {seed_key} CPU/wall: {parent:.2f} -> {change:.2f}, host steal: {steal}"
+    line = f"{workload} {seed_key} CPU/wall: {parent:.2f} -> {change:.2f}, host steal: {steal}"
+    one_cpu, n = result["one_cpu_runs"], result["pairs"]
+    if one_cpu["parent"] is not None:
+        line += f", one-CPU runs (CPU/wall < {ONE_CPU_BELOW:g}): {one_cpu['parent']}/{n} -> {one_cpu['change']}/{n}"
+    return line
 
 
 def interleave(left: Path, right: Path, workload: str, seed: int, pairs: int, seconds: float, label: str) -> list:
@@ -276,11 +292,11 @@ def main(argv=None) -> int:
             report[workload] = recorded.get(workload, {})
             for seed in args.seeds:
                 pairs = interleave(base, head, workload, seed, args.pairs, args.seconds, "A/B")
-                report[workload][f"seed{seed}"] = compare(pairs, ("parent", "change"))
+                report[workload][f"seed{seed}"] = compare(pairs, ("parent", "change"), workload in THREADED)
             if args.aa_pairs:
                 seed = args.seeds[0]
                 pairs = interleave(base, copy, workload, seed, args.aa_pairs, args.seconds, "A/A")
-                report[workload][f"aa_seed{seed}"] = compare(pairs, ("parent", "parent_copy"))
+                report[workload][f"aa_seed{seed}"] = compare(pairs, ("parent", "parent_copy"), workload in THREADED)
     report = {**recorded, **report}
     out.write_text(json.dumps(report, indent=1) + "\n")
     for workload in args.workload:
