@@ -40,6 +40,10 @@ def _load_runtime(args):
     return sf, scn, defaults
 
 
+UNDERFLOW_FLOOR = np.finfo(float).tiny
+"""Least normal float: below it every gated information entry has underflowed, so ``validate`` fails the closed form."""
+
+
 def _resolve_element(scn, spec: str) -> int:
     if spec == "auto":
         return _native_powers(scn)[1]
@@ -173,10 +177,13 @@ def cmd_validate(args) -> int:
     _, deviations = fim_closed_form(lin, generic)
     gated = ("bearing-bearing", "bearing-range", "range-range", "noise-noise")
     worst_gated = max(deviations[k] for k in gated)
+    n = scn.num_sources  # both forms underflow to 0 together, where a deviation of 0 checks nothing
+    largest = float(max(np.abs(generic.entries[: 2 * n, : 2 * n]).max(initial=0.0), abs(generic.entries[-1, -1])))
     check(
         "closed-form information matrix (bearing/range/noise blocks)",
-        worst_gated <= 1e-8,
-        f"max rel deviation {worst_gated:.3e} (tol 1e-08)",
+        worst_gated <= 1e-8 and largest >= UNDERFLOW_FLOOR,
+        f"max rel deviation {worst_gated:.3e} (tol 1e-08)" if largest >= UNDERFLOW_FLOOR
+        else f"information matrix underflows: largest gated |entry| {largest:.3e} < {UNDERFLOW_FLOOR:.3e}",
     )
     cov_blocks = {k: v for k, v in deviations.items() if "cov" in k}
     print(

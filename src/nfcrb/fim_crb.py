@@ -443,18 +443,13 @@ def crb_totals(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndar
     return diag[:, :n_sources].sum(axis=1), diag[:, n_sources : 2 * n_sources].sum(axis=1)
 
 
-def crb_reports(entries: np.ndarray, n_sources: int) -> list[CrbReport]:
-    """Diagonal bounds of each matrix of a (K, P, P) stack from its pseudo-inverse, one batched SVD.
-
-    Rank deficiency (singular values at or below PINV_RTOL of the largest) is
-    flagged, not raised; the pseudo-inverse is used either way.  Totals are
-    the sums of the per-source diagonal entries of each block.
-    """
+def crb_bounds(entries: np.ndarray, n_sources: int) -> tuple:
+    """Diagonal bounds of each matrix of a (K, P, P) stack from its pseudo-inverse, one batched SVD, in ``CrbReport``'s
+    order: the (K, N) bearing and range blocks, then per matrix as lists their totals, condition number and rank.  Rank
+    deficiency (singular values at or below PINV_RTOL of the largest) is flagged by the report, not raised."""
     diag, rank, cond = _pinv_diagonals(entries)
-    size = entries.shape[-1]
-    theta, r = diag[:, :n_sources].copy(), diag[:, n_sources : 2 * n_sources].copy()
-    rows = zip(theta, r, theta.sum(axis=1).tolist(), r.sum(axis=1).tolist(), cond.tolist(), rank.tolist())
-    return [CrbReport(*row, k, size, k < size) for *row, k in rows]
+    theta, r = diag[:, :n_sources], diag[:, n_sources : 2 * n_sources]
+    return theta, r, theta.sum(axis=1).tolist(), r.sum(axis=1).tolist(), cond.tolist(), rank.tolist()
 
 
 FD_REL_STEP = 1e-6

@@ -4,8 +4,9 @@
 matrix (``fim_rank_one``; a lone scenario's the trace form) and bounds of K
 constellations, one stacked pass each, and re-evaluates a failing batch in halves
 (``batch_or_each``, the fallback search scoring uses too); ``evaluate_constellation``
-is its K = 1 case.  Run reports, CSV rows, sweep rows and comparisons all read
-that one ``ConstellationEvaluation``.
+is its K = 1 case.  Each constellation gets one record, a tuple of the scalars a
+sweep row reads and the pass's arrays; a report wraps its record as a
+``ConstellationEvaluation``, which run reports, CSV rows and comparisons read.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, a chunk of rows at a time; each chunk
 reaches the evaluation as stacked arrays (two chunks at once on two CPUs,
@@ -23,11 +24,12 @@ displacement grid or a 2-D box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ValidationError, batch_or_each, kept, map_on_cpus
-from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, _steering_columns, batch_chunk, crb_reports,
+from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, _steering_columns, batch_chunk, crb_bounds,
                       fim_for_scenario, fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
@@ -104,6 +106,13 @@ class ConstellationEvaluation:
     fim: FimMatrix
     crb: CrbReport
 
+    @classmethod
+    def from_record(cls, record) -> "ConstellationEvaluation":
+        """The evaluation of an ``_evaluate`` record, read off its pass's arrays: a report's."""
+        det, _, _, residual, rank, size, i, (scn, powers, strongest, F, cond, bounds) = record
+        crb = CrbReport(*(column[i] for column in bounds), size, rank < size)
+        return cls(det, powers[i], strongest[i], residual, FimMatrix(F[i], scn.snapshots, float(cond[i])), crb)
+
 
 def _native_powers(scn) -> tuple[np.ndarray, int]:
     """Per-element received powers at the scenario's native delays, and the strongest element."""
@@ -136,9 +145,10 @@ def _rows_of(scenarios) -> _Rows:
     return _Rows(scenarios[0], tuple(map(np.array, zip(*per_row))), list(residuals), [None] * len(scenarios))
 
 
-def _evaluate(targets) -> list[ConstellationEvaluation]:
-    """Evaluations of constellations (scenarios or ``_Rows``) sharing M, N, amplitudes, noise and
-    snapshots: one stacked steering pass for powers and dets, one kernel and one SVD call."""
+def _evaluate(targets) -> list[tuple]:
+    """Per constellation (scenarios or ``_Rows`` sharing M, N, amplitudes, noise and snapshots) a record: det, bound
+    totals, residual, FIM rank and size, its index into the pass's arrays and those arrays (which
+    ``ConstellationEvaluation.from_record`` reads), from one steering pass for powers and dets, one kernel, one SVD."""
     rows = targets if isinstance(targets, _Rows) else _rows_of(targets)
     if held := next(filter(None, rows.held), None):  # a held conversion error, or a sweep row it failed
         raise held.with_traceback(None)
@@ -148,17 +158,17 @@ def _evaluate(targets) -> list[ConstellationEvaluation]:
     moduli = det_modulus(A, first.signals, first.noise_variance).tolist()
     # a lone scenario keeps fim_for_scenario's spans for the benchmark's harness; ROADMAP item 6 deletes this branch
     if rows is not targets and len(rows) == 1:
-        fims = [fim_for_scenario(first)]
-        F = fims[0].entries[None]
+        fim = fim_for_scenario(first)
+        F, cond = fim.entries[None], [fim.array_cov_condition]
     else:
         F, cond = fim_rank_one(first, *_steering_columns(*axes))
-        fims = [FimMatrix(f, first.snapshots, c) for f, c in zip(F, cond.tolist())]
-    crbs = crb_reports(F, first.num_sources)
-    return [ConstellationEvaluation(*row) for row in zip(moduli, powers, strongest, rows.residuals, fims, crbs)]
+    bounds = crb_bounds(F, first.num_sources)
+    arrays = repeat((first, powers, strongest, F, cond, bounds))
+    return list(zip(moduli, *bounds[2:4], rows.residuals, bounds[5], repeat(F.shape[-1]), range(len(rows)), arrays))
 
 
 def evaluate_constellations(targets) -> list:
-    """Per target, its ConstellationEvaluation or the ValidationError that rejected it, from
+    """Per target, its ``_evaluate`` record or the ValidationError that rejected it, from
     one ``_evaluate`` batch of targets sharing M, N, amplitudes, noise and snapshots (keep
     it within ``batch_chunk``); a failing batch is evaluated again in halves."""
     return batch_or_each(_evaluate, targets)
@@ -166,21 +176,21 @@ def evaluate_constellations(targets) -> list:
 
 def evaluate_constellation(scn) -> ConstellationEvaluation:
     """|det R_x|, per-element received powers, information matrix and bounds of a scenario."""
-    return _evaluate([scn])[0]
+    return ConstellationEvaluation.from_record(_evaluate([scn])[0])
 
 
-def _notes(ev: ConstellationEvaluation) -> list[str]:
+def _notes(residual: float | None, rank: int, size: int) -> list[str]:
     """Sweep-row notes: the reconstruction residual of pairwise input and rank deficiency."""
-    notes = [] if ev.residual is None else [f"reconstruction residual {ev.residual:.6e} m"]
-    if ev.crb.rank_deficient:
-        notes.append(f"information matrix rank deficient ({ev.crb.rank}/{ev.crb.size})")
+    notes = [] if residual is None else [f"reconstruction residual {residual:.6e} m"]
+    if rank < size:
+        notes.append(f"information matrix rank deficient ({rank}/{size})")
     return notes
 
 
 def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]]:
     """The evaluation of a polar or pairwise scenario, with its notes for a sweep row."""
     ev = evaluate_constellation(scn)
-    return ev, tuple(_notes(ev))
+    return ev, tuple(_notes(ev.residual, ev.crb.rank, ev.crb.size))
 
 
 def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
@@ -258,9 +268,9 @@ def sweep(scn, spec: SweepSpec) -> list[SweepRow]:
             if isinstance(ev, ValidationError):
                 row_notes.append(f"evaluation failed: {ev}")
                 values = (float("nan"),) * 3
-            else:
-                row_notes.extend(_notes(ev))
-                values = (ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)
+            else:  # a record: det, the two bound totals, then the residual, rank and size its notes read
+                row_notes.extend(_notes(*ev[3:6]))
+                values = ev[:3]
             rows.append(SweepRow(point, mode, *values, "; ".join(row_notes)))
         return rows
 

@@ -274,7 +274,8 @@ def run_reports(named, defaults: tuple[str, ...]) -> list[RunReport]:
     evaluations = evaluate_constellations(scenarios)
     if failed := [ev for ev in evaluations if isinstance(ev, ValidationError)]:
         raise failed[0]
-    return [RunReport(name, scn, defaults, ev) for name, scn, ev in zip(names, scenarios, evaluations)]
+    return [RunReport(name, scn, defaults, ConstellationEvaluation.from_record(record))
+            for name, scn, record in zip(names, scenarios, evaluations)]
 
 
 def run_report(scn, name: str, defaults: tuple[str, ...]) -> RunReport:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from nfcrb import ValidationError, geometry, load_scenario, runtime_scenario
+from nfcrb import ValidationError, geometry, load_scenario, optimizer, runtime_scenario
 from nfcrb.signal_model import SourceSignal, amplitude_vector, covariances, frequency_vector, steering_matrix
 from nfcrb.geometry import (
     PairwiseGeometry,
@@ -18,7 +19,7 @@ from nfcrb.geometry import (
     SourceGeom,
     native_delays,
 )
-from nfcrb.fim_crb import ParameterIndex, linearize
+from nfcrb.fim_crb import CrbReport, FimMatrix, ParameterIndex, crb_bounds, linearize
 
 
 def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
@@ -147,10 +148,34 @@ def cpus(count: int):
     return mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)))
 
 
+@contextlib.contextmanager
+def counted_report_objects():
+    """Counts, by class name, the FimMatrix, CrbReport and ConstellationEvaluation objects built inside."""
+    classes = (FimMatrix, CrbReport, optimizer.ConstellationEvaluation)
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+
+    def counted(init):
+        def built(self, *args, **kwargs):
+            counts[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+        return built
+
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            stack.enter_context(mock.patch.object(cls, "__init__", counted(cls.__init__)))
+        yield counts
+
+
 def pinv_totals(F: np.ndarray, n_sources: int) -> tuple[float, float]:
     """Reference bearing and range bound totals from np.linalg.pinv."""
     diag = np.diag(np.linalg.pinv(F, rtol=1e-12))
     return float(diag[:n_sources].sum()), float(diag[n_sources : 2 * n_sources].sum())
+
+
+def crb_report(entries: np.ndarray, n_sources: int) -> CrbReport:
+    """The bounds of the first matrix of a (K, P, P) stack as a report holds them, from its ``crb_bounds``."""
+    bounds, size = crb_bounds(entries, n_sources), entries.shape[-1]
+    return CrbReport(*(column[0] for column in bounds), size, bounds[5][0] < size)
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,6 @@ from nfcrb.signal_model import (
 )
 from nfcrb.geometry import native_delays, sensor_positions, source_positions
 from nfcrb.fim_crb import (
-    crb_reports,
     fim_closed_form,
     fim_generic,
     linearize,
@@ -35,7 +34,7 @@ from nfcrb.fim_crb import (
 from nfcrb.reposition import analytic_reposition, gf_objective, phase_terms
 from nfcrb.optimizer import SweepSpec, sweep
 from nfcrb.cli import main as cli_main
-from conftest import hadamard_bound, polar_form, random_scenario
+from conftest import crb_report, hadamard_bound, polar_form, random_scenario
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -132,7 +131,7 @@ def test_criterion_4_crb_snapshot_scaling():
         scn = random_scenario(rng)
         lin = linearize(scn)
         r1, r2 = (
-            crb_reports(fim_generic(lin.array_cov, lin.derivs, k).entries[None], scn.num_sources)[0]
+            crb_report(fim_generic(lin.array_cov, lin.derivs, k).entries[None], scn.num_sources)
             for k in (7, 14)
         )
         for a, b in ((r1.crb_theta, r2.crb_theta), (r1.crb_r, r2.crb_r)):

@@ -125,3 +125,19 @@ def test_an_underflowed_noise_step_fails_its_check(capsys):
         "FAIL  array covariance derivatives: max rel err nan (tol 1e-05)\n"
     )
     assert err == "error: array covariance is numerically singular; smallest eigenvalue -1.555140e-14\n"
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_an_underflowed_information_matrix_fails_the_closed_form_check(name, capsys):
+    # the entries scale as 1 / eta^2: at eta = 1e200 both forms underflow to 0, and a deviation of
+    # 0 between them checks nothing, so the check fails and names the underflow; at 1e150 they do not
+    closed = "closed-form information matrix (bearing/range/noise blocks)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--scenario", name, "--eta", "1e200"]) == 1
+        underflowed = capsys.readouterr().out
+        main(["validate", "--scenario", name, "--eta", "1e150"])
+        finite = capsys.readouterr().out
+    underflow = f"FAIL  {closed}: information matrix underflows: largest gated |entry| 0.000e+00 < 2.225e-308"
+    assert [line for line in underflowed.splitlines() if closed in line] == [underflow]
+    assert [line[:4] for line in finite.splitlines() if closed in line] == ["PASS"]

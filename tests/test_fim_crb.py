@@ -17,7 +17,6 @@ from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
     batch_chunk,
-    crb_reports,
     crb_totals,
     fim_closed_form,
     fim_for_scenario,
@@ -25,7 +24,7 @@ from nfcrb.fim_crb import (
     linearize,
     rx_derivatives_fd,
 )
-from conftest import pinv_totals, polar_form, random_scenario, random_upper_half_scenario, trace_loop_fim
+from conftest import crb_report, pinv_totals, polar_form, random_scenario, random_upper_half_scenario, trace_loop_fim
 
 
 def _own_layout(scn):
@@ -548,16 +547,17 @@ class TestFimClosedForm:
 
 
 class TestCrbFromFim:
-    """Bounds from the pseudo-inverse of an information matrix: ``crb_reports`` of a one-matrix stack."""
+    """Bounds from the pseudo-inverse of an information matrix: ``crb_bounds`` of a one-matrix stack,
+    as a report holds them."""
 
     def test_two_parameter_diagonal(self):
-        report = crb_reports(np.diag([4.0, 8.0])[None], 1)[0]
+        report = crb_report(np.diag([4.0, 8.0])[None], 1)
         assert report.crb_theta[0] == pytest.approx(0.25, rel=1e-12)
         assert report.crb_r[0] == pytest.approx(0.125, rel=1e-12)
         assert not report.rank_deficient
 
     def test_rank_deficiency_flagged_not_raised(self):
-        report = crb_reports(np.diag([4.0, 0.0, 1.0, 1.0])[None], 1)[0]
+        report = crb_report(np.diag([4.0, 0.0, 1.0, 1.0])[None], 1)
         assert report.rank_deficient
         assert report.rank == 3
         assert report.crb_theta[0] == pytest.approx(0.25, rel=1e-12)
@@ -566,7 +566,7 @@ class TestCrbFromFim:
         # coherent (rank-one) sources leave the information matrix rank
         # deficient; the pseudo-inverse totals are pinned as regression values
         polar, _ = polar_form(scenario_a)
-        report = crb_reports(fim_for_scenario(polar).entries[None], 3)[0]
+        report = crb_report(fim_for_scenario(polar).entries[None], 3)
         assert report.rank_deficient
         assert report.rank == 12 and report.size == 16
         assert report.crb_theta_total == pytest.approx(1372.1902563655324, rel=1e-6)
@@ -574,10 +574,10 @@ class TestCrbFromFim:
 
     def test_cutoff_is_strict_like_pinv(self):
         # a singular value exactly at 1e-12 of the largest is dropped, as in pinv
-        at = crb_reports(np.diag([1.0, 1e-12])[None], 1)[0]
+        at = crb_report(np.diag([1.0, 1e-12])[None], 1)
         assert at.rank == 1 and at.rank_deficient
         assert at.crb_r[0] == 0.0
-        above = crb_reports(np.diag([1.0, 1.5e-12])[None], 1)[0]
+        above = crb_report(np.diag([1.0, 1.5e-12])[None], 1)
         assert above.rank == 2 and not above.rank_deficient
         assert above.condition_number == pytest.approx(1 / 1.5e-12, rel=1e-12)
 
@@ -586,7 +586,7 @@ class TestCrbFromFim:
         for _ in range(50):
             scn = random_scenario(rng)
             fim = fim_for_scenario(scn)
-            report = crb_reports(fim.entries[None], scn.num_sources)[0]
+            report = crb_report(fim.entries[None], scn.num_sources)
             sv = np.linalg.svd(fim.entries, compute_uv=False)
             assert report.rank == int(np.sum(sv > 1e-12 * sv[0]))
             theta, r = pinv_totals(fim.entries, scn.num_sources)
@@ -600,18 +600,18 @@ class TestCrbFromFim:
         F, _ = layout_fims(scn, radii, azimuths)
         theta, r = crb_totals(F, 3)
         for k in range(6):
-            report = crb_reports(F[k : k + 1], 3)[0]
+            report = crb_report(F[k : k + 1], 3)
             assert theta[k] == report.crb_theta_total
             assert r[k] == report.crb_r_total
 
     def test_empty_matrix(self):
-        report = crb_reports(fim_generic(np.eye(3, dtype=complex), [], 1).entries[None], 0)[0]
+        report = crb_report(fim_generic(np.eye(3, dtype=complex), [], 1).entries[None], 0)
         assert report.size == 0 and report.rank == 0 and not report.rank_deficient
         assert report.crb_theta_total == 0.0 and report.condition_number == np.inf
 
     def test_snapshot_scaling_halves_bounds(self):
         rng = np.random.default_rng(29)
         lin = linearize(random_scenario(rng, m=5, n=2))
-        r1, r2 = (crb_reports(fim_generic(lin.array_cov, lin.derivs, k).entries[None], 2)[0] for k in (2, 4))
+        r1, r2 = (crb_report(fim_generic(lin.array_cov, lin.derivs, k).entries[None], 2) for k in (2, 4))
         assert np.allclose(r2.crb_theta, 0.5 * r1.crb_theta, rtol=1e-12)
         assert np.allclose(r2.crb_r, 0.5 * r1.crb_r, rtol=1e-12)

@@ -13,10 +13,10 @@ from nfcrb import (
     grid_search,
 )
 from nfcrb.signal_model import SourceSignal
-from nfcrb.fim_crb import crb_reports, fim_for_scenario
+from nfcrb.fim_crb import fim_for_scenario
 from nfcrb.reposition import analytic_reposition
 from nfcrb.optimizer import SweepSpec, sweep
-from conftest import scenario_from_positions
+from conftest import crb_report, scenario_from_positions
 
 
 def symmetric_toy():
@@ -35,7 +35,7 @@ def crb_theta_at(scn, d):
     moved = scenario_from_positions(
         sensors, sources, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    return crb_reports(fim_for_scenario(moved).entries[None], 2)[0].crb_theta_total
+    return crb_report(fim_for_scenario(moved).entries[None], 2).crb_theta_total
 
 
 class TestGridSearch:
@@ -86,7 +86,7 @@ def crb_theta_at_xy(scn, x, y):
     moved = scenario_from_positions(
         sensors, sources, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    return crb_reports(fim_for_scenario(moved).entries[None], 2)[0].crb_theta_total
+    return crb_report(fim_for_scenario(moved).entries[None], 2).crb_theta_total
 
 
 class TestSweep:

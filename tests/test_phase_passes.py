@@ -27,7 +27,7 @@ from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
 from nfcrb.fim_crb import _steering_columns, batch_chunk, crb_totals, fim_rank_one
-from conftest import cpus, random_upper_half_scenario, scenario_from_positions
+from conftest import counted_report_objects, cpus, random_upper_half_scenario, scenario_from_positions
 
 PHASE_OBJECTIVES = ("gf", "power", "det")
 
@@ -297,11 +297,14 @@ def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, c
         mock.patch.object(optimizer, "_evaluate", evaluate),
         mock.patch.object(optimizer, "fim_rank_one", kernel),
         mock.patch("nfcrb.cli.run_reports", recorded_reports),
+        counted_report_objects() as built,
     ):
         argv = ["reposition", "--scenario", name, "--mode", mode, "--objective", objective]
         assert cli_main(argv + ["--grid=-200:200:2001"]) == 0
     capsys.readouterr()
     assert batches == [2] and kernels == [2]
+    # the two reports, wrapped from that batch's records, are the only report objects built
+    assert built == {"FimMatrix": 2, "CrbReport": 2, "ConstellationEvaluation": 2}
 
     scn = reports[0].scenario
     element = reports[0].evaluation.strongest_element
@@ -311,7 +314,8 @@ def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, c
         search = line_search_reposition if mode == "linesearch" else grid_search
         plan = search(scn, element, objective, DisplacementGrid(-200, 200, 2001))
     # each report equals its constellation's rank-one evaluation alone, a batch of one
-    alone = [optimizer._evaluate(optimizer._rows_of([t]))[0] for t in (scn, apply_reposition(scn, plan))]
+    alone = [optimizer.ConstellationEvaluation.from_record(optimizer._evaluate(optimizer._rows_of([t]))[0])
+             for t in (scn, apply_reposition(scn, plan))]
     assert [evaluation_hexes(r.evaluation) for r in reports] == [evaluation_hexes(ev) for ev in alone]
 
 

@@ -30,7 +30,7 @@ from nfcrb.geometry import (
     pairwise_form,
     scenario_positions,
 )
-from nfcrb.fim_crb import _steering_columns, crb_reports, fim_rank_one
+from nfcrb.fim_crb import _steering_columns, fim_rank_one
 from nfcrb import reposition
 from nfcrb.reposition import (
     OBJECTIVES,
@@ -41,7 +41,7 @@ from nfcrb.reposition import (
     score_candidates,
 )
 from nfcrb.cli import main as cli_main
-from conftest import (cpus, hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
+from conftest import (cpus, crb_report, hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
                       scenario_from_positions, trace_loop_fim)
 
 
@@ -63,7 +63,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
     )
     axes = polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings(), freqs
     F, _ = fim_rank_one(polar, *_steering_columns(*(a[None] for a in axes), np.array([polar.velocity_mps])))
-    report = crb_reports(F, polar.num_sources)[0]
+    report = crb_report(F, polar.num_sources)
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
 
 

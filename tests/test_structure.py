@@ -83,7 +83,8 @@ def test_one_chunk_scorer_per_search():
 
 
 def test_one_fallback_for_candidates_and_sweep_rows():
-    # a failing batch is run again in halves by one helper (which recurses)
+    # a failing batch is run again in halves by one helper (which recurses), so each failing
+    # candidate, sweep row or report gets its own error in place of its score or record
     assert users_of("batch_or_each") == [
         ("errors.py", "batch_or_each"),
         ("optimizer.py", "evaluate_constellations"),
@@ -112,6 +113,12 @@ def test_one_evaluation_per_report_and_sweep_row():
     assert users_of("evaluated") == [("optimizer.py", "sweep")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
     assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
+    # its records become ConstellationEvaluations only where a report is built; a sweep row reads
+    # the record's scalars, and its notes and constellation_metrics' read one helper
+    assert callers_of("from_record") == [("optimizer.py", "evaluate_constellation"), ("scenario_io.py", "run_reports")]
+    assert callers_of("_notes") == [("optimizer.py", "constellation_metrics"), ("optimizer.py", "evaluated")]
+    # one batched SVD per pass gives every record's bounds
+    assert callers_of("crb_bounds") == [("optimizer.py", "_evaluate")]
     # every batch takes the rank-one kernel; a lone scenario the trace form
     assert callers_of("fim_for_scenario") == [("optimizer.py", "_evaluate")]
 

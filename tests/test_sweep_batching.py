@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import cpus, polar_form, random_scenario, random_upper_half_scenario
+from conftest import counted_report_objects, cpus, crb_report, polar_form, random_scenario, random_upper_half_scenario
 
 from nfcrb import (
     SingularGeometryError,
@@ -73,7 +73,7 @@ def _planned_rows(scn, spec):
 
 def _alone(target):
     """The evaluation of a one-row stack, raising as a lone evaluation does."""
-    return optimizer._evaluate(target)[0]
+    return optimizer.ConstellationEvaluation.from_record(optimizer._evaluate(target)[0])
 
 
 def _force_chunk(monkeypatch, scn, rows_per_chunk):
@@ -144,6 +144,20 @@ def test_failing_row_falls_back_without_touching_its_neighbours(default_rows, mo
             assert _row_hexes(got) == _row_hexes(want) and got.diagnostics == want.diagnostics, i
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_rows_build_no_report_objects(count, default_rows):
+    # a sweep row reads its record's scalars: no FimMatrix, CrbReport or ConstellationEvaluation per row
+    scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
+    with cpus(count), counted_report_objects() as built:
+        rows = sweep(scn, spec)
+    assert built == {"FimMatrix": 0, "CrbReport": 0, "ConstellationEvaluation": 0}
+    assert [(_row_hexes(row), row.diagnostics) for row in rows] == [
+        (_row_hexes(row), row.diagnostics) for row in default_rows["scenario_a"]]
+    with counted_report_objects() as built:  # the counter sees a lone report's: the trace form's matrix, then its own
+        optimizer.evaluate_constellation(scn)
+    assert built == {"FimMatrix": 2, "CrbReport": 1, "ConstellationEvaluation": 1}
+
+
 def test_one_kernel_call_per_chunk(monkeypatch):
     scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
     calls = []
@@ -170,7 +184,7 @@ def test_powers_and_strongest_element_match_alone(scenario_b):
     step = fim_crb.batch_chunk(scenario_b.num_sources)
     _, targets, _ = next(_planned_chunks(scenario_b, spec, step))
     batch = optimizer.evaluate_constellations(targets[:9])
-    for i, ev in enumerate(batch):
+    for i, ev in enumerate(map(optimizer.ConstellationEvaluation.from_record, batch)):
         one = _alone(targets[i : i + 1])
         assert np.array_equal(ev.received_powers, one.received_powers)
         assert ev.strongest_element == one.strongest_element
@@ -215,7 +229,7 @@ def _rows_point_by_point(scn, spec):
             except ValidationError as exc:
                 out.append((_hexes([math.nan] * 3), "; ".join([*notes, f"evaluation failed: {exc}"])))
                 continue
-            notes += optimizer._notes(ev)
+            notes += optimizer._notes(ev.residual, ev.crb.rank, ev.crb.size)
             out.append((_hexes((ev.det, ev.crb.crb_theta_total, ev.crb.crb_r_total)), "; ".join(notes)))
     return out
 
@@ -482,7 +496,7 @@ def test_rows_match_the_trace_form(name):
         F, cond, _ = fim_crb._trace_form(R, dR)
         F = scn.snapshots * F
         assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
-        assert ev.crb.rank == fim_crb.crb_reports(F, scn.num_sources)[0].rank
+        assert ev.crb.rank == crb_report(F, scn.num_sources).rank
         assert abs(ev.fim.array_cov_condition - cond[0]) <= 1e-12 * cond[0]
 
 
