@@ -465,8 +465,8 @@ def rx_derivatives_fd(scenario) -> tuple[np.ndarray, np.ndarray]:
     One stacked steering pass of its polar axes (``polar_axes``, which ``linearize`` steers) holds
     4N + 1 constellations: each source stepped up, then down, along bearing by FD_REL_STEP radians,
     the same along range by FD_REL_STEP of its range, and the unstepped one.  A stepped bearing is
-    reduced % TWO_PI as ``SourceGeom`` reduces it, so a step across 0 wraps, and every value equals
-    that of the stepped polar Scenario bit for bit.  A source's steps move only its own column, whose
+    reduced % TWO_PI as ``PolarGeometry`` reduces it, so a step across 0 wraps, and every value equals
+    that of the stepped ``PolarGeometry`` bit for bit.  A source's steps move only its own column, whose
     difference is its derivative column.  Every stepped covariance A (s s^H + shift) A^H + eta I, up
     and down, is one slice of one stacked product: the bearing and range steps take their stepped
     steering matrices, and the covariance-entry and noise steps share the unstepped one.

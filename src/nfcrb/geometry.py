@@ -1,10 +1,10 @@
 """Planar source/sensor geometry.
 
-Two interchangeable representations are supported:
+A ``Scenario`` holds its constellation in one of two encodings, its ``geometry`` field:
 
-* polar: every sensor (radius, azimuth) and every source (range, bearing)
-  about a common origin;
-* pairwise: per (sensor, source) pair, the vertical distance H (the y-offset
+* ``PolarGeometry``: every sensor (radius, azimuth) and every source (range, bearing)
+  about a common origin, as four read-only arrays;
+* ``PairwiseGeometry``: per (sensor, source) pair, the vertical distance H (the y-offset
   of the source above the horizontal line through the sensor) and the arrival
   angle (measured from the +x reference axis to the sensor-to-source line of
   sight, in (0, pi)).
@@ -17,18 +17,19 @@ recovering positions is a least-squares fit, one coordinate at a time, whose
 root-mean-square inconsistency (meters) is always reported.  The y half reads
 H alone, so tables differing only in arrival angles share it (``refit_positions``).
 
-This module is the only one that branches on the encoding: ``polar_axes``, ``pairwise_form``,
-``delay_geometry`` and ``scenario_positions`` take either, ``distances`` is the one
-sensor-to-source distance kernel, ``polar_to_cartesian`` the one polar-to-Cartesian
-conversion and ``axes_from_positions`` (behind ``polar_axes``) gives the kernel's polar axes
-of Cartesian points.  No polar Scenario is built from positions: the kernel and the
+Each encoding answers what the front doors ``polar_axes``, ``pairwise_form``, ``delay_geometry``
+and ``scenario_positions`` ask, so none branches on it: its kernel polar axes and residual, its
+read-only Cartesian positions, its delays as a function of the velocity and its pairwise table.
+``distances`` is the one sensor-to-source distance kernel, ``polar_to_cartesian`` the one
+polar-to-Cartesian conversion and ``axes_from_positions`` gives the kernel's polar axes of
+Cartesian points.  Only scenario files build a ``PolarGeometry``: the kernel and the
 finite-difference oracles read a pairwise table's fitted positions as those axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -39,91 +40,75 @@ from .signal_model import SourceSignal
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SourceGeom:
-    """Emitter position: range in meters, bearing in radians (normalized to [0, 2 pi))."""
-
-    range_m: float
-    bearing_rad: float
-
-    def __post_init__(self) -> None:
-        if not self.range_m > 0:
-            raise ValidationError(f"source range must be positive, got {self.range_m}")
-        object.__setattr__(self, "range_m", float(self.range_m))
-        object.__setattr__(self, "bearing_rad", float(self.bearing_rad) % TWO_PI)
+def _same_arrays(self, other) -> bool:
+    """``__eq__`` of a geometry: the same class and bit-equal arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-@dataclass(frozen=True)
-class SensorGeom:
-    """Array element position: radius in meters (>= 0), azimuth in radians."""
+@dataclass(frozen=True, eq=False)
+class PolarGeometry:
+    """(M,) sensor radii (m, >= 0) and azimuths (rad) and (N,) source ranges (m, > 0) and bearings
+    (rad) about one origin, read-only; the angles are reduced % TWO_PI here, once."""
 
-    radius_m: float
-    azimuth_rad: float
+    radii_m: np.ndarray
+    azimuths_rad: np.ndarray
+    ranges_m: np.ndarray
+    bearings_rad: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.radius_m < 0:
-            raise ValidationError(f"sensor radius must be nonnegative, got {self.radius_m}")
-        object.__setattr__(self, "radius_m", float(self.radius_m))
-        object.__setattr__(self, "azimuth_rad", float(self.azimuth_rad) % TWO_PI)
+        radii, azimuths, ranges, bearings = (np.array(a, dtype=float) for a in self.axes)
+        if radii.ndim != 1 or azimuths.shape != radii.shape or ranges.ndim != 1 or bearings.shape != ranges.shape:
+            raise ValidationError(f"sensor radii {radii.shape} and azimuths {azimuths.shape}, source ranges "
+                                  f"{ranges.shape} and bearings {bearings.shape} must be vectors of matching lengths")
+        if (radii < 0).any():
+            raise ValidationError(f"sensor radius must be nonnegative, got {radii[radii < 0][0]}")
+        if not (ranges > 0).all():
+            raise ValidationError(f"source range must be positive, got {ranges[~(ranges > 0)][0]}")
+        for f, a in zip(fields(self), (radii, azimuths % TWO_PI, ranges, bearings % TWO_PI)):
+            a.flags.writeable = False
+            object.__setattr__(self, f.name, a)
 
-
-def _check_instance(scn) -> None:
-    """Checks both encodings share: 0 < N < M, one signal per source, positive c and eta, K >= 1."""
-    M, N = scn.num_sensors, scn.num_sources
-    if N < 1:
-        raise ValidationError("scenario needs at least one source")
-    if N >= M:
-        raise ValidationError(f"{M} sensors can separate at most {M - 1} sources; got {N}")
-    if len(scn.signals) != N:
-        raise ValidationError(f"{len(scn.signals)} signals for {N} sources")
-    if not scn.velocity_mps > 0:
-        raise ValidationError(f"propagation velocity must be positive, got {scn.velocity_mps}")
-    if not scn.noise_variance > 0:
-        raise ValidationError(f"noise variance must be positive, got {scn.noise_variance}")
-    if scn.snapshots < 1:
-        raise ValidationError(f"snapshot count must be >= 1, got {scn.snapshots}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete polar-form problem instance.
-
-    An array of M sensors can separate at most M - 1 sources, so N < M is
-    enforced here.
-    """
-
-    sources: tuple[SourceGeom, ...]
-    sensors: tuple[SensorGeom, ...]
-    velocity_mps: float
-    signals: tuple[SourceSignal, ...]
-    noise_variance: float
-    snapshots: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        object.__setattr__(self, "signals", tuple(self.signals))
-        _check_instance(self)
+    __eq__ = _same_arrays
 
     @property
     def num_sensors(self) -> int:
-        return len(self.sensors)
+        return len(self.radii_m)
 
     @property
     def num_sources(self) -> int:
-        return len(self.sources)
+        return len(self.ranges_m)
 
-    def source_ranges(self) -> np.ndarray:
-        return np.array([s.range_m for s in self.sources])
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The kernel's polar axes: the four arrays themselves."""
+        return self.radii_m, self.azimuths_rad, self.ranges_m, self.bearings_rad
 
-    def source_bearings(self) -> np.ndarray:
-        return np.array([s.bearing_rad for s in self.sources])
+    residual = None  # polar input is exact
 
-    def sensor_radii(self) -> np.ndarray:
-        return np.array([s.radius_m for s in self.sensors])
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Cartesian (M, 2) sensors and (N, 2) sources, converted once (read-only), and residual 0."""
+        sensors, sources = polar_to_cartesian(*self.axes[:2]), polar_to_cartesian(*self.axes[2:])
+        sensors.flags.writeable = sources.flags.writeable = False
+        return sensors, sources, 0.0
 
-    def sensor_azimuths(self) -> np.ndarray:
-        return np.array([s.azimuth_rad for s in self.sensors])
+    def delay_geometry(self):
+        """The delays as a function of the velocity c: distance / c, the distances taken once."""
+        d = distances(*self.positions[:2])
+        return lambda c: d / c
+
+    def pairwise(self) -> PairwiseGeometry:
+        """The pairwise table of these points, exact; every source must lie strictly above every
+        sensor's horizontal line, or the positive-vertical table does not exist."""
+        sx, px, _ = self.positions
+        horizontal, vertical = (px[None, :, i] - sx[:, None, i] for i in (0, 1))
+        if np.any(vertical <= 0):
+            k, n = np.argwhere(vertical <= 0)[0]
+            raise SingularGeometryError(f"source {n + 1} is not strictly above the horizontal line through sensor "
+                                        f"{k + 1}; the pairwise form requires positive vertical offsets")
+        return PairwiseGeometry(vertical, np.arctan2(vertical, horizontal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +133,7 @@ class PairwiseGeometry:
         object.__setattr__(self, "vertical_m", v)
         object.__setattr__(self, "arrival_rad", a)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairwiseGeometry):
-            return NotImplemented
-        return np.array_equal(self.vertical_m, other.vertical_m) and np.array_equal(
-            self.arrival_rad, other.arrival_rad
-        )
+    __eq__ = _same_arrays
 
     @property
     def num_sensors(self) -> int:
@@ -185,12 +165,27 @@ class PairwiseGeometry:
             a.flags.writeable = False
         return axes
 
+    @property
+    def residual(self) -> float:
+        """The fit's root-mean-square inconsistency in meters."""
+        return self.positions[2]
+
+    def delay_geometry(self):
+        """The delays as a function of the velocity c: H / (c sin(arrival)), the sines taken once."""
+        vertical, sines = self.vertical_m, np.sin(self.arrival_rad)
+        return lambda c: vertical / (c * sines)
+
+    def pairwise(self) -> PairwiseGeometry:
+        return self
+
 
 @dataclass(frozen=True)
-class PairwiseScenario:
-    """Problem instance whose geometry is given pairwise (as loaded from tables)."""
+class Scenario:
+    """Complete problem instance: a constellation in either encoding, its propagation velocity, one
+    signal per source, noise variance and snapshot count.  An array of M sensors can separate at
+    most M - 1 sources, so N < M is enforced here."""
 
-    geometry: PairwiseGeometry
+    geometry: PolarGeometry | PairwiseGeometry
     velocity_mps: float
     signals: tuple[SourceSignal, ...]
     noise_variance: float
@@ -198,7 +193,19 @@ class PairwiseScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signals", tuple(self.signals))
-        _check_instance(self)
+        M, N = self.num_sensors, self.num_sources
+        if N < 1:
+            raise ValidationError("scenario needs at least one source")
+        if N >= M:
+            raise ValidationError(f"{M} sensors can separate at most {M - 1} sources; got {N}")
+        if len(self.signals) != N:
+            raise ValidationError(f"{len(self.signals)} signals for {N} sources")
+        if not self.velocity_mps > 0:
+            raise ValidationError(f"propagation velocity must be positive, got {self.velocity_mps}")
+        if not self.noise_variance > 0:
+            raise ValidationError(f"noise variance must be positive, got {self.noise_variance}")
+        if self.snapshots < 1:
+            raise ValidationError(f"snapshot count must be >= 1, got {self.snapshots}")
 
     @property
     def num_sensors(self) -> int:
@@ -212,16 +219,6 @@ class PairwiseScenario:
 def polar_to_cartesian(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """(..., 2) Cartesian coordinates of points at the given radii and angles."""
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
-
-
-def sensor_positions(scenario: Scenario) -> np.ndarray:
-    """Cartesian (M, 2) sensor coordinates."""
-    return polar_to_cartesian(scenario.sensor_radii(), scenario.sensor_azimuths())
-
-
-def source_positions(scenario: Scenario) -> np.ndarray:
-    """Cartesian (N, 2) source coordinates."""
-    return polar_to_cartesian(scenario.source_ranges(), scenario.source_bearings())
 
 
 def _polar_coordinates(sensors_xy, sources_xy) -> tuple:
@@ -243,8 +240,8 @@ def _polar_coordinates(sensors_xy, sources_xy) -> tuple:
 
 def axes_from_positions(sensors_xy, sources_xy) -> tuple[np.ndarray, ...]:
     """(M,) radii and azimuths of (M, 2) Cartesian sensors and (N,) ranges and bearings of (N, 2)
-    sources, as the kernel takes them: angles reduced % TWO_PI once, as SensorGeom and SourceGeom
-    reduce them, so a polar Scenario of these points would hold the same values bit for bit.  A
+    sources, as the kernel takes them: angles reduced % TWO_PI once, as ``PolarGeometry`` reduces
+    them, so a PolarGeometry of these points would hold the same values bit for bit.  A
     source at the frame origin is rejected."""
     radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors_xy, sources_xy)
     if at_origin[0]:
@@ -328,54 +325,34 @@ def refit_axes(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[tup
 
 
 def _require_scenario(scn) -> None:
-    if not isinstance(scn, (Scenario, PairwiseScenario)):
+    if not isinstance(scn, Scenario):
         raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
 
 
 def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
     """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
-    form, and its reconstruction residual in meters (None for polar input): a polar scenario's
-    own values, or a pairwise table's ``PairwiseGeometry.axes``, converted once per table."""
+    form, and its reconstruction residual in meters (None for polar input): a ``PolarGeometry``'s
+    own arrays, or a pairwise table's ``PairwiseGeometry.axes``, converted once per table."""
     _require_scenario(scn)
-    if isinstance(scn, Scenario):
-        return (scn.sensor_radii(), scn.sensor_azimuths(), scn.source_ranges(), scn.source_bearings()), None
-    return scn.geometry.axes, scn.geometry.positions[2]
+    return scn.geometry.axes, scn.geometry.residual
 
 
-def pairwise_form(scn) -> PairwiseScenario:
+def pairwise_form(scn) -> Scenario:
     """Pairwise form of a scenario; polar input converts exactly.
 
     Requires every source strictly above every sensor's horizontal line;
     otherwise the positive-vertical representation does not exist.
     """
     _require_scenario(scn)
-    if isinstance(scn, PairwiseScenario):
-        return scn
-    sx = sensor_positions(scn)
-    px = source_positions(scn)
-    vertical = px[None, :, 1] - sx[:, None, 1]
-    horizontal = px[None, :, 0] - sx[:, None, 0]
-    if np.any(vertical <= 0):
-        k, n = np.argwhere(vertical <= 0)[0]
-        raise SingularGeometryError(
-            f"source {n + 1} is not strictly above the horizontal line through sensor "
-            f"{k + 1}; the pairwise form requires positive vertical offsets"
-        )
-    geometry = PairwiseGeometry(vertical, np.arctan2(vertical, horizontal))
-    return PairwiseScenario(
-        geometry, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
-    )
+    table = scn.geometry.pairwise()
+    return scn if table is scn.geometry else replace(scn, geometry=table)
 
 
 def delay_geometry(scn):
     """The scenario's native delays as a function of the velocity c, with the velocity-free
     part computed once: H / (c sin(arrival)) for a pairwise table, distance / c for polar input."""
     _require_scenario(scn)
-    if isinstance(scn, PairwiseScenario):
-        vertical, sines = scn.geometry.vertical_m, np.sin(scn.geometry.arrival_rad)
-        return lambda c: vertical / (c * sines)
-    d = distances(sensor_positions(scn), source_positions(scn))
-    return lambda c: d / c
+    return scn.geometry.delay_geometry()
 
 
 def native_delays(scn) -> np.ndarray:
@@ -384,14 +361,10 @@ def native_delays(scn) -> np.ndarray:
 
 
 def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cartesian sensors/sources of a polar or pairwise scenario.
+    """Cartesian sensors/sources of a polar or pairwise scenario, read-only and converted once.
 
     Polar input converts exactly (residual 0); pairwise input goes through the
-    least-squares reconstruction, fitted once per table, and reports its
-    residual (its arrays are then read-only).
+    least-squares reconstruction, fitted once per table, and reports its residual.
     """
     _require_scenario(scn)
-    if isinstance(scn, Scenario):
-        return sensor_positions(scn), source_positions(scn), 0.0
     return scn.geometry.positions
-

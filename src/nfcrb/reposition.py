@@ -43,7 +43,7 @@ from .errors import SingularGeometryError, ValidationError, batch_or_each, kept,
 from .fim_crb import PHASE_CHUNK_VALUES, _steering_columns, batch_chunk, crb_totals, fim_rank_one
 from .geometry import (
     PairwiseGeometry,
-    PairwiseScenario,
+    Scenario,
     axes_from_positions,
     distances,
     pairwise_form,
@@ -136,7 +136,7 @@ def _check_element(element: int, num_sensors: int) -> None:
         raise ValidationError(f"element {element} outside 0..{num_sensors - 1}")
 
 
-def phase_terms(pws: PairwiseScenario, element: int) -> np.ndarray:
+def phase_terms(pws: Scenario, element: int) -> np.ndarray:
     """(N,) steering phases of the given element toward each source.
 
     term_n = 2 pi f_n H_n / (c sin(arrival_n)), which equals 2 pi f_n times
@@ -441,7 +441,7 @@ def line_search_reposition(scn, element: int, objective: str, grid: Displacement
     return _scan(scn, element, objective, grid, "linesearch")
 
 
-def apply_reposition(scn, plan: RepositionPlan) -> PairwiseScenario:
+def apply_reposition(scn, plan: RepositionPlan) -> Scenario:
     """Rewrite the planned element's pairwise row; all other rows are untouched.
 
     Axis-preserving plans keep the row's vertical distances and replace its

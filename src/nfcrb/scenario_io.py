@@ -7,9 +7,10 @@ Scenario files are JSON with exactly one geometry encoding:
 * ``pairwise``: (vertical_m, arrival_deg) matrices with one row per element
   and one column per source.
 
-Angles in files are degrees; everything downstream is radians.  Noise
-variance (default 1.0) and snapshot count (default 1) may be omitted; every
-applied default is recorded and echoed in reports, never silent.
+Either is parsed into one ``geometry.Scenario`` whose ``geometry`` is a ``PolarGeometry`` (nothing
+else builds one) or a ``PairwiseGeometry``.  Angles in files are degrees; everything downstream is
+radians.  Noise variance (default 1.0) and snapshot count (default 1) may be omitted; every applied
+default is recorded and echoed in reports, never silent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import PairwiseGeometry, PairwiseScenario, Scenario, SensorGeom, SourceGeom
+from .geometry import PairwiseGeometry, PolarGeometry, Scenario
 from .optimizer import ConstellationEvaluation, SweepRow, evaluate_constellations
 from .signal_model import SourceSignal
 
@@ -40,7 +41,7 @@ class ScenarioFile:
 
     name: str
     description: str
-    scenario: Scenario | PairwiseScenario
+    scenario: Scenario
     defaults_applied: tuple[str, ...] = field(compare=False, default=())
 
 
@@ -116,6 +117,13 @@ def _matrix(obj, key: str, path: str) -> np.ndarray:
     )
 
 
+def _polar_entries(entries, radial: str, check, angle: str, path: str) -> tuple[list, list]:
+    """Each polar entry's checked radial value and its angle in radians, read entry by entry."""
+    pairs = [(check(e, radial, f"{path}[{i}]"), math.radians(_number(e, angle, f"{path}[{i}]")))
+             for i, e in enumerate(entries)]
+    return [r for r, _ in pairs], [a for _, a in pairs]
+
+
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate scenario JSON; errors carry the offending field path."""
     try:
@@ -174,26 +182,14 @@ def parse_scenario(text: str) -> ScenarioFile:
         sen_raw = _list(geom["polar"], "sensors", path)
         if len(src_raw) != N:
             raise ValidationError(f"{path}.sources: {len(src_raw)} entries for {N} signals")
-        sources = tuple(
-            SourceGeom(
-                _positive(e, "range_m", f"{path}.sources[{i}]"),
-                math.radians(_number(e, "bearing_deg", f"{path}.sources[{i}]")),
-            )
-            for i, e in enumerate(src_raw)
-        )
-        sensors = tuple(
-            SensorGeom(
-                _nonnegative(e, "radius_m", f"{path}.sensors[{i}]"),
-                math.radians(_number(e, "azimuth_deg", f"{path}.sensors[{i}]")),
-            )
-            for i, e in enumerate(sen_raw)
-        )
-        if N >= len(sensors):
+        ranges, bearings = _polar_entries(src_raw, "range_m", _positive, "bearing_deg", f"{path}.sources")
+        radii, azimuths = _polar_entries(sen_raw, "radius_m", _nonnegative, "azimuth_deg", f"{path}.sensors")
+        if N >= len(radii):
             raise ValidationError(
-                f"scenario.geometry: {len(sensors)} sensors can separate at most "
-                f"{len(sensors) - 1} sources; got {N}"
+                f"scenario.geometry: {len(radii)} sensors can separate at most "
+                f"{len(radii) - 1} sources; got {N}"
             )
-        scenario = Scenario(sources, sensors, velocity, signals, noise, snapshots)
+        geometry = PolarGeometry(radii, azimuths, ranges, bearings)
     else:
         vert = _matrix(geom["pairwise"], "vertical_m", "scenario.geometry.pairwise")
         adeg = _matrix(geom["pairwise"], "arrival_deg", "scenario.geometry.pairwise")
@@ -217,8 +213,8 @@ def parse_scenario(text: str) -> ScenarioFile:
             adeg, (arrival > 0) & (arrival < math.pi), f"{path}.arrival_deg",
             "must lie strictly inside (0, 180) degrees",
         )
-        scenario = PairwiseScenario(PairwiseGeometry(vert, arrival), velocity, signals, noise, snapshots)
-    return ScenarioFile(name, description, scenario, tuple(defaults))
+        geometry = PairwiseGeometry(vert, arrival)
+    return ScenarioFile(name, description, Scenario(geometry, velocity, signals, noise, snapshots), tuple(defaults))
 
 
 def load_scenario(path_or_name: str) -> ScenarioFile:
@@ -245,7 +241,7 @@ def runtime_scenario(
     sf: ScenarioFile,
     noise_variance: float | None = None,
     snapshots: int | None = None,
-) -> tuple[Scenario | PairwiseScenario, tuple[str, ...]]:
+) -> tuple[Scenario, tuple[str, ...]]:
     """The file's scenario with any noise-variance and snapshot overrides applied (the scenario's
     own checks reject a bad value), and the defaults that remain in force."""
     changes = {}
@@ -262,7 +258,7 @@ class RunReport:
     """A named constellation's evaluation, with the defaults its scenario left in force."""
 
     scenario_name: str
-    scenario: Scenario | PairwiseScenario
+    scenario: Scenario
     defaults_applied: tuple[str, ...]
     evaluation: ConstellationEvaluation
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,38 +12,45 @@ import pytest
 
 from nfcrb import ValidationError, geometry, load_scenario, optimizer, runtime_scenario
 from nfcrb.signal_model import SourceSignal, amplitude_vector, covariances, frequency_vector, steering_matrix
-from nfcrb.geometry import (
-    PairwiseGeometry,
-    PairwiseScenario,
-    Scenario,
-    SensorGeom,
-    SourceGeom,
-    native_delays,
-)
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario, native_delays
 from nfcrb.fim_crb import CrbReport, FimMatrix, ParameterIndex, crb_bounds, linearize
 
 
 def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals, noise_variance: float,
                             snapshots: int) -> Scenario:
     """Build a polar Scenario from (M, 2) Cartesian sensors and (N, 2) sources."""
-    radii, azimuths, ranges, bearings, at_origin = geometry._polar_coordinates(sensors_xy, sources_xy)
+    *axes, at_origin = geometry._polar_coordinates(sensors_xy, sources_xy)
     if at_origin[0]:
         raise at_origin[0]
-    sensors = tuple(map(SensorGeom, radii.tolist(), azimuths.tolist()))
-    sources = tuple(map(SourceGeom, ranges.tolist(), bearings.tolist()))
-    return Scenario(sources, sensors, velocity_mps, signals, noise_variance, snapshots)
+    return Scenario(PolarGeometry(*axes), velocity_mps, signals, noise_variance, snapshots)
 
 
 def polar_form(scn) -> tuple[Scenario, float | None]:
     """Polar form of a scenario and its reconstruction residual in meters (None for polar input):
     the Scenario whose values ``geometry.polar_axes`` gives as arrays."""
-    if isinstance(scn, Scenario):
+    if isinstance(scn.geometry, PolarGeometry):
         return scn, None
     sensors_xy, sources_xy, residual = scn.geometry.positions
     polar = scenario_from_positions(
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
     return polar, residual
+
+
+def reducing_to(angles: np.ndarray) -> np.ndarray:
+    """Angles that a PolarGeometry stores as ``angles`` bit for bit.  Its % TWO_PI leaves every
+    stored angle as it is but 2 pi (the reduction of a tiny negative angle), which it maps to 0,
+    so a stored 2 pi is passed as a tiny negative angle."""
+    return np.where(angles == geometry.TWO_PI, -5e-324, angles)
+
+
+def with_polar(scn, **arrays) -> Scenario:
+    """The polar scenario with the named PolarGeometry arrays replaced (reduced as PolarGeometry
+    reduces them) and its other arrays kept bit for bit."""
+    g = scn.geometry
+    kept = dict(radii_m=g.radii_m, azimuths_rad=reducing_to(g.azimuths_rad), ranges_m=g.ranges_m,
+                bearings_rad=reducing_to(g.bearings_rad))
+    return replace(scn, geometry=PolarGeometry(**{**kept, **arrays}))
 
 
 def hadamard_bound(matrix) -> float:
@@ -62,14 +70,8 @@ def random_scenario(rng: np.random.Generator, m: int | None = None, n: int | Non
         m = int(rng.integers(3, 7))
     if n is None:
         n = int(rng.integers(1, min(m, 4)))
-    sensors = tuple(
-        SensorGeom(float(rng.uniform(2.0, 50.0)), float(rng.uniform(0.0, 2.0 * np.pi)))
-        for _ in range(m)
-    )
-    sources = tuple(
-        SourceGeom(float(rng.uniform(100.0, 400.0)), float(rng.uniform(0.0, 2.0 * np.pi)))
-        for _ in range(n)
-    )
+    sensors = [(float(rng.uniform(2.0, 50.0)), float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(m)]
+    sources = [(float(rng.uniform(100.0, 400.0)), float(rng.uniform(0.0, 2.0 * np.pi))) for _ in range(n)]
     signals = tuple(
         SourceSignal(
             float(rng.uniform(1e5, 2e6)),
@@ -78,8 +80,7 @@ def random_scenario(rng: np.random.Generator, m: int | None = None, n: int | Non
         for _ in range(n)
     )
     return Scenario(
-        sources=sources,
-        sensors=sensors,
+        geometry=PolarGeometry(*zip(*sensors), *zip(*sources)),
         velocity_mps=3e8,
         signals=signals,
         noise_variance=float(rng.uniform(0.5, 2.0)),
@@ -100,8 +101,6 @@ def random_upper_half_scenario(
     source_xy = np.stack(
         [rng.uniform(-150.0, 150.0, size=n), rng.uniform(100.0, 400.0, size=n)], axis=1
     )
-    sensors = tuple(SensorGeom(float(np.hypot(x, y)), float(np.arctan2(y, x))) for x, y in sensor_xy)
-    sources = tuple(SourceGeom(float(np.hypot(x, y)), float(np.arctan2(y, x))) for x, y in source_xy)
     signals = tuple(
         SourceSignal(
             float(rng.uniform(1e5, 2e6)),
@@ -109,12 +108,14 @@ def random_upper_half_scenario(
         )
         for _ in range(n)
     )
-    return Scenario(sources, sensors, 3e8, signals, 1.0, 1)
+    sensors = [(float(np.hypot(x, y)), float(np.arctan2(y, x))) for x, y in sensor_xy]
+    sources = [(float(np.hypot(x, y)), float(np.arctan2(y, x))) for x, y in source_xy]
+    return Scenario(PolarGeometry(*zip(*sensors), *zip(*sources)), 3e8, signals, 1.0, 1)
 
 
-def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0, snapshots=1) -> PairwiseScenario:
+def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0, snapshots=1) -> Scenario:
     signals = tuple(SourceSignal(f, a) for f, a in zip(freqs, amps))
-    return PairwiseScenario(
+    return Scenario(
         PairwiseGeometry(np.asarray(vertical, float), np.asarray(arrival_rad, float)),
         velocity,
         signals,
@@ -179,12 +180,12 @@ def crb_report(entries: np.ndarray, n_sources: int) -> CrbReport:
 
 
 @pytest.fixture(scope="session")
-def scenario_a() -> PairwiseScenario:
+def scenario_a() -> Scenario:
     scn, _ = runtime_scenario(load_scenario("scenario_a"))
     return scn
 
 
 @pytest.fixture(scope="session")
-def scenario_b() -> PairwiseScenario:
+def scenario_b() -> Scenario:
     scn, _ = runtime_scenario(load_scenario("scenario_b"))
     return scn

@@ -24,7 +24,7 @@ from nfcrb.signal_model import (
     steering_matrix,
     synthesize_snapshots,
 )
-from nfcrb.geometry import native_delays, sensor_positions, source_positions
+from nfcrb.geometry import native_delays, scenario_positions
 from nfcrb.fim_crb import (
     fim_closed_form,
     fim_generic,
@@ -58,9 +58,8 @@ def test_criterion_1_steering_derivative_oracle():
             worst = max(worst, err)
         # variant with the squared-bracket exponent 3/2 (divide by the cubed
         # distance instead of the distance): recorded as failing the oracle
-        d = np.linalg.norm(
-            source_positions(scn)[None, :, :] - sensor_positions(scn)[:, None, :], axis=2
-        )
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        d = np.linalg.norm(sources_xy[None, :, :] - sensors_xy[:, None, :], axis=2)
         variant_cols = lin.bearing_cols / d**2
         fd_b = fd_cols[0]
         err_var = max(

@@ -11,8 +11,7 @@ from nfcrb import fim_crb, geometry, reposition
 from nfcrb.cli import main
 from nfcrb.errors import kept
 from nfcrb.signal_model import SourceSignal, amplitude_vector, frequency_vector, steering_matrix
-from nfcrb.geometry import (PairwiseGeometry, Scenario, SensorGeom, SourceGeom, native_delays, pairwise_form,
-                            scenario_positions)
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario, native_delays, pairwise_form, scenario_positions
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
@@ -24,21 +23,22 @@ from nfcrb.fim_crb import (
     linearize,
     rx_derivatives_fd,
 )
-from conftest import crb_report, pinv_totals, polar_form, random_scenario, random_upper_half_scenario, trace_loop_fim
+from conftest import (crb_report, pinv_totals, polar_form, random_scenario, random_upper_half_scenario, reducing_to,
+                      trace_loop_fim, with_polar)
 
 
 def _own_layout(scn):
-    return scn.sensor_radii()[None], scn.sensor_azimuths()[None]
+    return scn.geometry.radii_m[None], scn.geometry.azimuths_rad[None]
 
 
 def _with_layout(scn, radii, azimuths):
-    return replace(scn, sensors=tuple(SensorGeom(r, a) for r, a in zip(radii, azimuths)))
+    return with_polar(scn, radii_m=radii, azimuths_rad=azimuths)
 
 
 def layout_fims(scn, radii, azimuths):
     """The trace form of (K, M) sensor layouts around the scenario's own sources: the (K, P, P)
     matrices of its stacked pass (``linearize``'s at K = 1) and the (K,) condition numbers."""
-    sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
+    sources = scn.geometry.ranges_m, scn.geometry.bearings_rad, frequency_vector(scn.signals), scn.velocity_mps
     *_, R, dR = fim_crb._covariance_stack(scn, np.asarray(radii, float), np.asarray(azimuths, float), *sources)
     F, cond, _ = fim_crb._trace_form(R, dR)
     return scn.snapshots * F, cond
@@ -47,9 +47,9 @@ def layout_fims(scn, radii, azimuths):
 def _layouts(rng, scn, k):
     """The scenario's own sensor layout followed by k - 1 perturbed copies."""
     m = scn.num_sensors
-    radii = scn.sensor_radii() + np.vstack([np.zeros(m), rng.uniform(0, 5, (k - 1, m))])
+    radii = scn.geometry.radii_m + np.vstack([np.zeros(m), rng.uniform(0, 5, (k - 1, m))])
     turns = np.vstack([np.zeros(m), rng.uniform(-0.3, 0.3, (k - 1, m))])
-    return radii, (scn.sensor_azimuths() + turns) % (2 * np.pi)
+    return radii, (scn.geometry.azimuths_rad + turns) % (2 * np.pi)
 
 
 def _max_rel(analytic, numeric):
@@ -61,14 +61,20 @@ def _max_rel(analytic, numeric):
 
 
 def _stepped_scenarios(scn, axis, rel_step=1e-6):
-    """Per source, the scenario with that source stepped up and down, each a Scenario, and the step."""
-    field = "bearing_rad" if axis == "bearing" else "range_m"
-    for n, src in enumerate(scn.sources):
-        h = rel_step if axis == "bearing" else rel_step * src.range_m
-        hi, lo = (replace(scn, sources=(*scn.sources[:n], replace(src, **{field: getattr(src, field) + step}),
-                                        *scn.sources[n + 1 :]))
-                  for step in (h, -h))
-        yield hi, lo, h
+    """Per source, the scenario with that source stepped up and down, each a Scenario, and the step.
+    The stepped source is set anew, so its bearing is reduced again; the others are kept bit for bit."""
+    g = scn.geometry
+    for n, r in enumerate(g.ranges_m.tolist()):
+        h = rel_step if axis == "bearing" else rel_step * r
+        stepped = []
+        for step in (h, -h):
+            ranges, bearings = g.ranges_m.copy(), reducing_to(g.bearings_rad)
+            if axis == "bearing":
+                bearings[n] = g.bearings_rad[n] + step
+            else:
+                ranges[n], bearings[n] = g.ranges_m[n] + step, g.bearings_rad[n]
+            stepped.append(with_polar(scn, ranges_m=ranges, bearings_rad=bearings))
+        yield *stepped, h
 
 
 def steering_fd_reference(scn, axis):
@@ -108,7 +114,7 @@ def polar_scenarios(draw):
     scn = random_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, n)
     near_zero = draw(st.none() | st.floats(-1e-6, 1e-6))
     if near_zero is not None:
-        scn = replace(scn, sources=(SourceGeom(scn.sources[0].range_m, near_zero), *scn.sources[1:]))
+        scn = with_polar(scn, bearings_rad=[near_zero, *scn.geometry.bearings_rad[1:]])
     return scn
 
 
@@ -142,8 +148,7 @@ class TestSteeringDerivatives:
     def test_aligned_pair_has_zero_bearing_sensitivity(self):
         # source bearing equal to a sensor azimuth zeroes that entry
         scn = Scenario(
-            sources=(SourceGeom(200.0, 0.8),),
-            sensors=(SensorGeom(10.0, 0.8), SensorGeom(20.0, 2.0)),
+            geometry=PolarGeometry(radii_m=[10.0, 20.0], azimuths_rad=[0.8, 2.0], ranges_m=[200.0], bearings_rad=[0.8]),
             velocity_mps=3e8,
             signals=(SourceSignal(1e6, 1 + 1j),),
             noise_variance=1.0,
@@ -321,8 +326,7 @@ class TestFimBatch:
 
     def test_failing_layout_fails_the_call(self):
         scn = Scenario(
-            sources=(SourceGeom(100.0, 0.0),),
-            sensors=(SensorGeom(10.0, 0.0), SensorGeom(20.0, 1.0)),
+            geometry=PolarGeometry(radii_m=[10.0, 20.0], azimuths_rad=[0.0, 1.0], ranges_m=[100.0], bearings_rad=[0.0]),
             velocity_mps=3e8,
             signals=(SourceSignal(1e6, 1 + 1j),),
             noise_variance=1.0,
@@ -362,11 +366,8 @@ class TestKernelProperties:
     def test_rotation_invariant(self, seed, angle):
         rng = np.random.default_rng(seed)
         scn = random_scenario(rng)
-        turned = replace(
-            scn,
-            sensors=tuple(SensorGeom(s.radius_m, s.azimuth_rad + angle) for s in scn.sensors),
-            sources=tuple(SourceGeom(s.range_m, s.bearing_rad + angle) for s in scn.sources),
-        )
+        g = scn.geometry
+        turned = with_polar(scn, azimuths_rad=g.azimuths_rad + angle, bearings_rad=g.bearings_rad + angle)
         F = layout_fims(scn, *_own_layout(scn))[0][0]
         G = layout_fims(turned, *_own_layout(turned))[0][0]
         assert np.abs(F - G).max() <= 1e-9 * np.abs(F).max()
@@ -386,7 +387,7 @@ class TestKernelProperties:
 def rank_one_fims(scn, radii, azimuths, cond=False):
     """``fim_rank_one`` of (K, M) sensor layouts around the scenario's own sources: its (K, P, P)
     matrices, and with ``cond`` its (K,) condition numbers too."""
-    sources = scn.source_ranges(), scn.source_bearings(), frequency_vector(scn.signals), scn.velocity_mps
+    sources = scn.geometry.ranges_m, scn.geometry.bearings_rad, frequency_vector(scn.signals), scn.velocity_mps
     columns = fim_crb._steering_columns(np.asarray(radii, float), np.asarray(azimuths, float), *sources)
     F, conds = fim_crb.fim_rank_one(scn, *columns)
     return (F, conds) if cond else F
@@ -456,7 +457,7 @@ class TestRankOneKernel:
             scn = replace(scn, noise_variance=float(rng.choice([1e-17, 1e-30])))
         elif fault == "sensor on a source":
             n = int(rng.integers(scn.num_sources))
-            radii[k, m], azimuths[k, m] = scn.sources[n].range_m, scn.sources[n].bearing_rad
+            radii[k, m], azimuths[k, m] = scn.geometry.ranges_m[n], scn.geometry.bearings_rad[n]
         else:
             radii[k, m] = math.nan if fault == "nan radius" else math.inf
         with np.errstate(all="ignore"):
@@ -497,8 +498,8 @@ class TestFimClosedForm:
         # all sensors on the reference ray and the source on it too: every
         # bearing sensitivity vanishes, so the bearing/noise coupling is zero
         scn = Scenario(
-            sources=(SourceGeom(300.0, 0.0),),
-            sensors=(SensorGeom(5.0, 0.0), SensorGeom(15.0, 0.0), SensorGeom(30.0, 0.0)),
+            geometry=PolarGeometry(radii_m=[5.0, 15.0, 30.0], azimuths_rad=[0.0, 0.0, 0.0], ranges_m=[300.0],
+                                   bearings_rad=[0.0]),
             velocity_mps=3e8,
             signals=(SourceSignal(1e6, 2 + 1j),),
             noise_variance=1.0,

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from nfcrb import DegenerateGeometryError, SingularGeometryError, ValidationError, geometry
 from nfcrb.signal_model import SourceSignal
 from nfcrb.geometry import (
+    TWO_PI,
     PairwiseGeometry,
-    PairwiseScenario,
+    PolarGeometry,
     Scenario,
-    SensorGeom,
-    SourceGeom,
     delay_geometry,
     distances,
     native_delays,
@@ -29,35 +28,37 @@ from conftest import polar_form, random_upper_half_scenario
 C = 3e8
 
 
-def polar_delay(sensor: SensorGeom, source: SourceGeom, velocity_mps: float = C) -> float:
-    """Delay of one sensor/source pair; a second sensor at the origin makes the scenario valid."""
-    scn = Scenario((source,), (sensor, SensorGeom(0.0, 0.0)), velocity_mps, (SourceSignal(1e5, 1),), 1.0, 1)
+def polar_delay(sensor: tuple, source: tuple, velocity_mps: float = C) -> float:
+    """Delay of one sensor (radius, azimuth) and source (range, bearing) pair; a second sensor at
+    the origin makes the scenario valid."""
+    geometry = PolarGeometry([sensor[0], 0.0], [sensor[1], 0.0], [source[0]], [source[1]])
+    scn = Scenario(geometry, velocity_mps, (SourceSignal(1e5, 1),), 1.0, 1)
     return native_delays(scn)[0, 0]
 
 
 def pairwise_delay(vertical_m: float, arrival_rad: float, velocity_mps: float = C) -> float:
     """Delay of one pairwise table entry, duplicated into a two-sensor table."""
     geometry = PairwiseGeometry(np.full((2, 1), vertical_m), np.full((2, 1), arrival_rad))
-    pws = PairwiseScenario(geometry, velocity_mps, (SourceSignal(1e5, 1),), 1.0, 1)
+    pws = Scenario(geometry, velocity_mps, (SourceSignal(1e5, 1),), 1.0, 1)
     return native_delays(pws)[0, 0]
 
 
 class TestDelay:
     def test_sensor_at_origin(self):
         # tau = r / c when the sensor sits at the origin
-        t = polar_delay(SensorGeom(0.0, 0.0), SourceGeom(300.0, 1.2))
+        t = polar_delay((0.0, 0.0), (300.0, 1.2))
         assert t == pytest.approx(1e-6, rel=1e-12)
 
     def test_collinear(self):
         # same bearing and azimuth: tau = (r - rho) / c
-        t = polar_delay(SensorGeom(40.0, 0.7), SourceGeom(100.0, 0.7))
+        t = polar_delay((40.0, 0.7), (100.0, 0.7))
         assert t == pytest.approx(2e-7, rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
-            polar_delay(SensorGeom(1.0, 0.0), SourceGeom(10.0, 0.0), 0.0)
+            polar_delay((1.0, 0.0), (10.0, 0.0), 0.0)
         with pytest.raises(ValidationError):
-            SourceGeom(-5.0, 0.0)
+            polar_delay((1.0, 0.0), (-5.0, 0.0))
         with pytest.raises(ValidationError, match="expected a scenario, got str"):
             native_delays("scenario_a")
 
@@ -66,8 +67,8 @@ class TestDelay:
         for _ in range(300):
             rho = rng.uniform(0.0, 200.0)
             r = rng.uniform(1e-3, 500.0)
-            sensor = SensorGeom(rho, rng.uniform(0, 2 * np.pi))
-            source = SourceGeom(r, rng.uniform(0, 2 * np.pi))
+            sensor = rho, rng.uniform(0, 2 * np.pi)
+            source = r, rng.uniform(0, 2 * np.pi)
             t = polar_delay(sensor, source)
             assert abs(r - rho) / C - 1e-18 <= t <= (r + rho) / C + 1e-18
 
@@ -159,8 +160,8 @@ class TestPairwiseFromPolar:
     def _one_sensor_scn(self, src_xy):
         # second sensor far below so every vertical offset stays positive
         return Scenario(
-            sources=(SourceGeom(np.hypot(*src_xy), np.arctan2(src_xy[1], src_xy[0])),),
-            sensors=(SensorGeom(0.0, 0.0), SensorGeom(1000.0, -np.pi / 2)),
+            geometry=PolarGeometry(radii_m=[0.0, 1000.0], azimuths_rad=[0.0, -np.pi / 2], ranges_m=[np.hypot(*src_xy)],
+                                   bearings_rad=[np.arctan2(src_xy[1], src_xy[0])]),
             velocity_mps=C,
             signals=(SourceSignal(1e5, 1 + 1j),),
             noise_variance=1.0,
@@ -178,9 +179,8 @@ class TestPairwiseFromPolar:
         assert pw.arrival_rad[0, 0] == pytest.approx(math.pi / 4)
 
     def test_collinear_source_rejected(self):
-        scn = Scenario(
-            sources=(SourceGeom(50.0, 0.0),),  # on the x-axis through sensor 1
-            sensors=(SensorGeom(0.0, 0.0), SensorGeom(5.0, np.pi / 2)),
+        scn = Scenario(  # the source on the x-axis through sensor 1
+            geometry=PolarGeometry(radii_m=[0.0, 5.0], azimuths_rad=[0.0, np.pi / 2], ranges_m=[50.0], bearings_rad=[0.0]),
             velocity_mps=C,
             signals=(SourceSignal(1e5, 1 + 0j),),
             noise_variance=1.0,
@@ -222,18 +222,9 @@ class TestReconstruct:
         # shifting the generating frame leaves H and the arrival angles alone,
         # so the residual cannot change; check via a rebuilt shifted scenario
         sens, srcs, _ = scenario_positions(scn)
-        shifted = Scenario(
-            sources=tuple(
-                SourceGeom(np.hypot(x + 30, y + 40), np.arctan2(y + 40, x + 30)) for x, y in srcs
-            ),
-            sensors=tuple(
-                SensorGeom(np.hypot(x + 30, y + 40), np.arctan2(y + 40, x + 30)) for x, y in sens
-            ),
-            velocity_mps=scn.velocity_mps,
-            signals=scn.signals,
-            noise_variance=scn.noise_variance,
-            snapshots=scn.snapshots,
-        )
+        radii, angles = zip(*[(np.hypot(x + 30, y + 40), np.arctan2(y + 40, x + 30)) for x, y in (*sens, *srcs)])
+        M = len(sens)
+        shifted = replace(scn, geometry=PolarGeometry(radii[:M], angles[:M], radii[M:], angles[M:]))
         _, _, res1 = reconstruct_positions(pairwise_form(shifted).geometry)
         assert res1 == pytest.approx(res0, abs=1e-9)
 
@@ -278,7 +269,7 @@ class TestReconstruct:
         rec, residual = polar_form(scenario_a)
         assert rec.num_sensors == 4 and rec.num_sources == 3
         assert residual > 0
-        assert rec.sensors[0].radius_m == 0.0
+        assert rec.geometry.radii_m[0] == 0.0
 
 
 def _same_fit(got, want) -> bool:
@@ -319,7 +310,8 @@ class TestPolarAxes:
 
     @staticmethod
     def _scenario_axes(polar):
-        return polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings()
+        g = polar.geometry
+        return g.radii_m, g.azimuths_rad, g.ranges_m, g.bearings_rad
 
     def test_pairwise_tables_match_polar_form(self):
         rng = np.random.default_rng(12)
@@ -333,14 +325,14 @@ class TestPolarAxes:
 
     def test_sensors_on_the_reference_axis(self):
         # a linear array along x: fitted y coordinates are rounding noise of either
-        # sign, so an azimuth just below zero maps to 2 pi once, as SensorGeom does
+        # sign, so an azimuth just below zero maps to 2 pi once, as PolarGeometry does
         xs = np.array([0.0, 3.0, 7.5, 12.0, 20.0])
         for seed in range(20):
             rng = np.random.default_rng(seed)
             src = np.column_stack([rng.uniform(-80, 80, 2), rng.uniform(50, 300, 2)])
             vertical = src[None, :, 1] - np.zeros((len(xs), 1))
             arrival = np.arctan2(vertical, src[None, :, 0] - xs[:, None])
-            pws = PairwiseScenario(PairwiseGeometry(vertical, arrival), C, (SourceSignal(1e6, 1), SourceSignal(2e6, 1j)), 1.0, 1)
+            pws = Scenario(PairwiseGeometry(vertical, arrival), C, (SourceSignal(1e6, 1), SourceSignal(2e6, 1j)), 1.0, 1)
             for got, want in zip(polar_axes(pws)[0], self._scenario_axes(polar_form(pws)[0])):
                 assert got.tobytes() == want.tobytes()
 
@@ -373,8 +365,7 @@ class TestScenarioValidation:
     def test_too_many_sources(self):
         with pytest.raises(ValidationError):
             Scenario(
-                sources=(SourceGeom(100, 0.1), SourceGeom(120, 0.2)),
-                sensors=(SensorGeom(1, 0), SensorGeom(2, 0)),
+                geometry=PolarGeometry(radii_m=[1, 2], azimuths_rad=[0, 0], ranges_m=[100, 120], bearings_rad=[0.1, 0.2]),
                 velocity_mps=C,
                 signals=(SourceSignal(1e5, 1), SourceSignal(1e5, 1)),
                 noise_variance=1.0,
@@ -383,9 +374,9 @@ class TestScenarioValidation:
 
     def test_both_encodings_need_a_source(self):
         with pytest.raises(ValidationError, match="scenario needs at least one source"):
-            Scenario((), (SensorGeom(1, 0), SensorGeom(2, 0)), C, (), 1.0, 1)
+            Scenario(PolarGeometry([1, 2], [0, 0], [], []), C, (), 1.0, 1)
         with pytest.raises(ValidationError, match="scenario needs at least one source"):
-            PairwiseScenario(PairwiseGeometry(np.ones((2, 0)), np.ones((2, 0))), C, (), 1.0, 1)
+            Scenario(PairwiseGeometry(np.ones((2, 0)), np.ones((2, 0))), C, (), 1.0, 1)
 
     def test_pairwise_type_rejects_bad_angles(self):
         with pytest.raises(ValidationError):
@@ -401,3 +392,53 @@ class TestScenarioValidation:
         sens, srcs, residual = reconstruct_positions(pw)
         assert residual == pytest.approx(0.0, abs=1e-12)
         assert isinstance(DegenerateGeometryError(), ValidationError)
+
+
+class TestPolarGeometry:
+    angles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, TWO_PI, -TWO_PI, math.pi, 1e300, -1e300]
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 5))
+    def test_stores_each_angle_reduced_as_a_python_float(self, data, m, n):
+        azimuths = data.draw(st.lists(self.angles, min_size=m, max_size=m))
+        bearings = data.draw(st.lists(self.angles, min_size=n, max_size=n))
+        g = PolarGeometry([1.0] * m, azimuths, [100.0] * n, bearings)
+        for stored, given_angles in ((g.azimuths_rad, azimuths), (g.bearings_rad, bearings)):
+            assert [v.hex() for v in stored.tolist()] == [(float(x) % TWO_PI).hex() for x in given_angles]
+        assert all(a.dtype == float and not a.flags.writeable for a in g.axes)
+        with pytest.raises(ValueError):
+            g.bearings_rad[0] = 0.0
+
+    def test_copies_its_inputs(self):
+        radii = np.array([0.0, 5.0])
+        g = PolarGeometry(radii, [0.0, 1.0], [50.0], [0.5])
+        radii[1] = 7.0
+        assert g.radii_m.tolist() == [0.0, 5.0] and radii.flags.writeable
+
+    def test_rejects_bad_radii_ranges_and_shapes(self):
+        with pytest.raises(ValidationError, match="sensor radius must be nonnegative, got -1.0"):
+            PolarGeometry([0.0, -1.0], [0.0, 1.0], [50.0], [0.5])
+        for bad in (0.0, -5.0, math.nan):
+            with pytest.raises(ValidationError, match="source range must be positive"):
+                PolarGeometry([0.0, 1.0], [0.0, 1.0], [50.0, bad], [0.5, 1.0])
+        with pytest.raises(ValidationError, match="must be vectors of matching lengths"):
+            PolarGeometry([0.0, 1.0], [0.0], [50.0], [0.5])
+        with pytest.raises(ValidationError, match="must be vectors of matching lengths"):
+            PolarGeometry([[0.0, 1.0]], [[0.0, 1.0]], [50.0], [0.5])
+
+    def test_equality_reads_the_arrays(self):
+        g = PolarGeometry([0.0, 1.0], [0.0, 1.0], [50.0], [0.5])
+        assert g == PolarGeometry([0.0, 1.0], [0.0, 1.0], [50.0], [0.5])
+        assert g != PolarGeometry([0.0, 1.0], [0.0, 1.0], [50.0], [0.6])
+        assert g != PairwiseGeometry(np.full((2, 1), 50.0), np.full((2, 1), 1.0))
+
+    def test_positions_are_converted_once_and_read_only(self, scenario_b):
+        polar = polar_form(scenario_b)[0]
+        sensors, sources, residual = scenario_positions(polar)
+        assert scenario_positions(polar)[0] is sensors and residual == 0.0
+        assert not sensors.flags.writeable and not sources.flags.writeable
+        g = polar.geometry
+        assert np.array_equal(sensors, geometry.polar_to_cartesian(g.radii_m, g.azimuths_rad))
+        assert np.array_equal(sources, geometry.polar_to_cartesian(g.ranges_m, g.bearings_rad))

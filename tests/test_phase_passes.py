@@ -134,6 +134,7 @@ def test_bounds_of_a_sensor_on_a_source_of_the_polar_form_fail_as_the_whole_layo
     # the bound scorer then rejects the candidate naming the sensor and source the whole layout's steering names
     scn = random_upper_half_scenario(np.random.default_rng(5))
     sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy = sensors_xy.copy()  # a scenario's positions are read-only
 
     def polar_point(xy):
         radius, azimuth, *_ = axes_from_positions(xy[None], sources_xy)

@@ -22,9 +22,8 @@ from nfcrb import (
 )
 from nfcrb.signal_model import SourceSignal, covariances, received_power, steering_matrix
 from nfcrb.geometry import (
+    PolarGeometry,
     Scenario,
-    SensorGeom,
-    SourceGeom,
     distances,
     native_delays,
     pairwise_form,
@@ -61,7 +60,7 @@ def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
     polar = scenario_from_positions(
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
-    axes = polar.sensor_radii(), polar.sensor_azimuths(), polar.source_ranges(), polar.source_bearings(), freqs
+    axes = *polar.geometry.axes, freqs
     F, _ = fim_rank_one(polar, *_steering_columns(*(a[None] for a in axes), np.array([polar.velocity_mps])))
     report = crb_report(F, polar.num_sources)
     return report.crb_theta_total if objective == "crb_theta" else report.crb_r_total
@@ -319,8 +318,8 @@ class TestBatchedBoundSearch:
         # the element sits at (10, 0) and source 1 at (110, 0): a candidate
         # at (110, 0) puts them on top of each other
         return Scenario(
-            sources=(SourceGeom(110.0, 0.0), SourceGeom(150.0, 1.2)),
-            sensors=(SensorGeom(0.0, 0.0), SensorGeom(10.0, 0.0), SensorGeom(30.0, 2.0)),
+            geometry=PolarGeometry(radii_m=[0.0, 10.0, 30.0], azimuths_rad=[0.0, 0.0, 2.0], ranges_m=[110.0, 150.0],
+                                   bearings_rad=[0.0, 1.2]),
             velocity_mps=3e8,
             signals=(SourceSignal(1e6, 1 + 1j), SourceSignal(2e6, 0.5 - 1j)),
             noise_variance=1.0,
@@ -434,6 +433,7 @@ class TestBatchedPhaseSearch:
     def test_fixed_sensor_on_a_source_fails_every_candidate(self, objective):
         scn = TestBatchedBoundSearch._coinciding_scenario()
         sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy = sensors_xy.copy()  # a scenario's positions are read-only
         sensors_xy[0] = sources_xy[0]
         positions = np.column_stack([np.linspace(5.0, 15.0, 11), np.ones(11)])
         values = scored(objective, 1, sensors_xy, sources_xy, scn, positions)
@@ -917,8 +917,8 @@ class TestOneScan:
         # element 2 sits on source 1: a box gives NaN before and a note, while a
         # slide keeps that source on the element's own line and raises
         scn = Scenario(
-            sources=(SourceGeom(110.0, 0.0), SourceGeom(150.0, 1.2)),
-            sensors=(SensorGeom(0.0, 0.0), SensorGeom(110.0, 0.0), SensorGeom(30.0, 2.0)),
+            geometry=PolarGeometry(radii_m=[0.0, 110.0, 30.0], azimuths_rad=[0.0, 0.0, 2.0], ranges_m=[110.0, 150.0],
+                                   bearings_rad=[0.0, 1.2]),
             velocity_mps=3e8,
             signals=(SourceSignal(1e6, 1 + 1j), SourceSignal(2e6, 0.5 - 1j)),
             noise_variance=1.0,

@@ -16,7 +16,7 @@ from nfcrb import (
     run_report,
     runtime_scenario,
 )
-from nfcrb.geometry import PairwiseScenario, Scenario
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry
 from nfcrb.optimizer import SweepRow
 from nfcrb.scenario_io import CSV_HEADER, sweep_rows_to_csv, write_reports
 from nfcrb.cli import main
@@ -60,21 +60,21 @@ def polar_doc():
 class TestParseScenario:
     def test_bundled_scenario_a(self):
         sf = load_scenario("scenario_a")
-        assert isinstance(sf.scenario, PairwiseScenario)
+        assert isinstance(sf.scenario.geometry, PairwiseGeometry)
         assert sf.scenario.num_sensors == 4 and sf.scenario.num_sources == 3
         assert sf.defaults_applied == ("noise_variance=1.0", "snapshots=1")
         scn, defaults = runtime_scenario(sf)
-        assert isinstance(scn, PairwiseScenario)
+        assert isinstance(scn.geometry, PairwiseGeometry)
         assert scn.noise_variance == 1.0 and scn.snapshots == 1
         assert defaults == ("noise_variance=1.0", "snapshots=1")
 
     def test_polar_document(self):
         sf = parse_scenario(json.dumps(polar_doc()))
-        assert isinstance(sf.scenario, Scenario)
+        assert isinstance(sf.scenario.geometry, PolarGeometry)
         scn, defaults = runtime_scenario(sf)
-        assert isinstance(scn, Scenario)
+        assert isinstance(scn.geometry, PolarGeometry)
         assert defaults == ()
-        assert scn.sources[0].bearing_rad == pytest.approx(math.radians(80.0))
+        assert scn.geometry.bearings_rad[0] == pytest.approx(math.radians(80.0))
 
     def test_both_encodings_rejected(self):
         doc = polar_doc()

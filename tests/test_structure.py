@@ -39,17 +39,26 @@ def calls_by_function(tree):
     ]
 
 
+FRONT_DOORS = {"polar_axes", "pairwise_form", "delay_geometry", "native_delays", "scenario_positions"}
+
+
 def test_only_geometry_branches_on_the_encoding():
-    encodings = {"Scenario", "PairwiseScenario"}
+    # each encoding answers for itself: no isinstance names one outside geometry, and the front
+    # doors, which take either, do not name one at all
+    encodings = {"PolarGeometry", "PairwiseGeometry"}
     branching = {
-        name
+        (name, owner)
         for name, tree in MODULES.items()
-        for node in ast.walk(tree)
+        for owner, node in nodes_by_function(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "isinstance"
         and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & encodings
     }
-    assert branching == {"geometry.py"}
+    assert {name for name, _ in branching} <= {"geometry.py"}
+    assert not {owner for _, owner in branching} & FRONT_DOORS
+    doors = [node for node in MODULES["geometry.py"].body if isinstance(node, ast.FunctionDef) and node.name in FRONT_DOORS]
+    assert len(doors) == len(FRONT_DOORS)
+    assert not {n.id for door in doors for n in ast.walk(door) if isinstance(n, ast.Name)} & encodings
 
 
 def callers_of(name):
@@ -240,7 +249,7 @@ def test_one_kernel_pass_per_single_constellation():
 
 def test_scenario_files_construct_scenarios_only_when_parsed():
     # runtime_scenario applies overrides to the parsed scenario with dataclasses.replace
-    built = {"Scenario", "PairwiseScenario", "PairwiseGeometry"}
+    built = {"Scenario", "PolarGeometry", "PairwiseGeometry"}
     owners = {owner for owner, called in calls_by_function(MODULES["scenario_io.py"]) if called in built}
     assert owners == {"parse_scenario"}
 
@@ -248,6 +257,11 @@ def test_scenario_files_construct_scenarios_only_when_parsed():
 def test_polar_scenarios_are_built_only_when_parsed():
     # searches, sweeps and validate take a pairwise table's polar axes as arrays, without a Scenario
     assert callers_of("Scenario") == [("scenario_io.py", "parse_scenario")]
+
+
+def test_polar_geometries_are_built_only_when_parsed():
+    # a pairwise table's polar axes are arrays (PairwiseGeometry.axes), never a PolarGeometry
+    assert callers_of("PolarGeometry") == [("scenario_io.py", "parse_scenario")]
 
 
 def test_one_cartesian_to_polar_conversion():

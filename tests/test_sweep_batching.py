@@ -320,11 +320,11 @@ def _counting(monkeypatch, module, name, counts):
 
 
 def test_pairwise_sweep_fits_its_table_once(monkeypatch):
-    counts, built = {}, []
+    counts, built, scn = {}, [], _scenario("scenario_b")
     _counting(monkeypatch, geometry, "reconstruct_positions", counts)
-    init = geometry.Scenario.__post_init__
-    monkeypatch.setattr(geometry.Scenario, "__post_init__", lambda self: (built.append(self), init(self)))
-    rows = sweep(_scenario("scenario_b"), SweepSpec("velocity", 1e8, 6e8, 100))
+    for cls in (geometry.PolarGeometry, geometry.Scenario):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: (built.append(self), init(self)))
+    rows = sweep(scn, SweepSpec("velocity", 1e8, 6e8, 100))
     assert len(rows) == 100 and all(row.mode == "primary" for row in rows)
     assert counts == {"reconstruct_positions": 1} and built == []
 
@@ -334,9 +334,9 @@ def _planned(rows):
 
 
 def _count_builds(monkeypatch, counts):
-    """Count lstsq solves and every PairwiseGeometry, PairwiseScenario and Scenario built."""
+    """Count lstsq solves and every PairwiseGeometry, PolarGeometry and Scenario built."""
     _counting(monkeypatch, np.linalg, "lstsq", counts)
-    for cls in (geometry.PairwiseGeometry, geometry.PairwiseScenario, geometry.Scenario):
+    for cls in (geometry.PairwiseGeometry, geometry.PolarGeometry, geometry.Scenario):
 
         def counted_init(self, init=cls.__post_init__, name=cls.__name__):
             counts[name] = counts.get(name, 0) + 1
@@ -366,7 +366,7 @@ def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
     assert len(rows) == 200 and _planned(rows) > 0
     # the pairwise form's y fit once, then x once per planned row; no table per row
     expected = {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1, "lstsq": 1 + _planned(rows)}
-    assert counts == {**expected, "PairwiseGeometry": 1, "PairwiseScenario": 1}
+    assert counts == {**expected, "PairwiseGeometry": 1, "Scenario": 1}
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))

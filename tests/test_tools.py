@@ -1,9 +1,11 @@
 """The comparison tools refuse a comparison in which nothing changes, and report every
 end-to-end metric against its benchmark bound; ``bench_pairs`` records each run's CPU time,
-host steal and operations per CPU second, and merges a re-run into its file seed by seed."""
+host steal and operations per CPU second, and merges a re-run into its file seed by seed; ``reach``
+lists the package functions that no benchmark operation calls."""
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,3 +199,12 @@ def test_a_file_of_other_commits_exits_2_before_any_run(recorded, tmp_path, monk
     assert json.loads(out.read_text()) == {**recorded, "sweep": {"seed0": {}}}
     assert "pass another --tag or --out" in capsys.readouterr().err
 
+
+
+def test_reach_lists_what_no_operation_calls(tmp_path):
+    # a phase search scores candidates but never plans the analytic move
+    tool = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
+    argv = [sys.executable, str(tool), "--workload", "search_phase", "--seeds", "0", "--work", str(tmp_path)]
+    unreached = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
+    assert "reposition.analytic_reposition" in unreached
+    assert "reposition.score_candidates" not in unreached
