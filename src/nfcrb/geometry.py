@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DegenerateGeometryError, SingularGeometryError, ValidationError
 from .signal_model import SourceSignal
@@ -277,10 +278,19 @@ def _incidence(M: int, N: int) -> np.ndarray:
     return rows
 
 
+def _no_convergence(*_) -> None:
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _solve(rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One coordinate of the fit: its least-squares solution and squared residual terms."""
-    solution, *_ = np.linalg.lstsq(rows, b, rcond=None)
-    return solution, (rows @ solution - b) ** 2
+    """The package's one least-squares call: for (..., m) right-hand sides b, the (..., n) solutions and
+    (..., m) squared residual terms of ``rows @ x - b``.  Each b is its own nrhs = 1 column of one call of
+    the gufunc ``np.linalg.lstsq`` itself calls (one LAPACK gelsd per b, ``rows`` broadcast at stride 0), with
+    its rcond and errstate, so every row equals ``np.linalg.lstsq(rows, b, rcond=None)`` bit for bit."""
+    m, n = rows.shape
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(rows, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")[0]
+    return x[..., 0], ((rows @ x)[..., 0] - b) ** 2
 
 
 def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.ndarray, float]:
@@ -299,17 +309,17 @@ def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray):
     """``reconstruct_positions`` of the table with its (M, N) arrival angles replaced, bit for bit,
     or of each of a (K, M, N) stack (then (K, M, 2) sensors, (K, N, 2) sources and K residuals).
     The y equations read H alone, so the table's y half (``vertical_fit``, solved once) is reused
-    and x is solved alone, one ``lstsq`` per table: a move along the reference axis keeps every H."""
+    and x is solved alone, every table in one stacked ``_solve``: a move along the reference axis keeps every H."""
     H = pairwise.vertical_m
     M, N = H.shape
     s = np.sin(arrival_rad)
     if (s <= 0).any():
         raise SingularGeometryError("arrival angles at 0 or pi cannot place a source")
     soly, ry = pairwise.vertical_fit
-    fits = [_solve(_incidence(M, N), b) for b in (H * np.cos(arrival_rad) / s).reshape(-1, M * N)]
-    xy = np.zeros((len(fits), M + N, 2))  # sensor 1 stays at the origin
-    xy[:, 1:, 0], xy[:, 1:, 1] = np.reshape([x for x, _ in fits], (len(fits), M + N - 1)), soly
-    residuals = np.sqrt((np.reshape([r for _, r in fits], (len(fits), M * N)) + ry).mean(axis=1)).tolist()
+    solx, rx = _solve(_incidence(M, N), (H * np.cos(arrival_rad) / s).reshape(-1, M * N))
+    xy = np.zeros((len(solx), M + N, 2))  # sensor 1 stays at the origin
+    xy[:, 1:, 0], xy[:, 1:, 1] = solx, soly
+    residuals = np.sqrt((rx + ry).mean(axis=1)).tolist()
     if np.ndim(arrival_rad) == 2:
         return xy[0, :M], xy[0, M:], residuals[0]
     return xy[:, :M], xy[:, M:], residuals

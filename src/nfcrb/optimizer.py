@@ -13,9 +13,9 @@ reaches the evaluation as stacked arrays (two chunks at once on two CPUs,
 through ``errors.map_on_cpus``).  Reposition rows are planned in one array
 pass per window of whole chunks: one steering pass picks their strongest
 elements, one ``reposition.plan_moves`` call their moves and one
-``geometry.refit_axes`` call the polar axes of the rewritten tables.  Only
-each rewritten table's x ``lstsq`` stays per row: one multi-right-hand-side
-solve rounds the fit, and so the residual notes, differently in the last bits.
+``geometry.refit_axes`` call the polar axes of the rewritten tables, whose x
+fits are one stacked ``geometry._solve`` call of one right-hand side per table
+(one multi-right-hand-side solve would round the residual notes differently).
 ``compare_report`` gives the before/after ratios of two evaluations.
 ``grid_search`` runs the exhaustive scan of ``reposition`` over a
 displacement grid or a 2-D box.

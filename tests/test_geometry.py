@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -303,6 +304,42 @@ class TestRefit:
         arrival[1, 0] = 0.0
         with pytest.raises(SingularGeometryError, match="arrival angles at 0 or pi cannot place a source"):
             refit_positions(scenario_b.geometry, arrival)
+
+
+class TestSolve:
+    """``_solve`` stacks single-right-hand-side solves in one call: each row must equal
+    ``np.linalg.lstsq`` of its right-hand side alone, bit for bit."""
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 9) for n in range(1, 6)])  # _incidence takes each
+    def test_stacked_rows_equal_per_table_lstsq(self, m, n):
+        rows = geometry._incidence(m, n)
+        for k in (0, 1, 2, 37):
+            b = np.random.default_rng([m, n, k]).standard_normal((k, m * n)) * np.logspace(-3, 6, k)[:, None]
+            solutions, squares = geometry._solve(rows, b)
+            assert solutions.shape == (k, m - 1 + n) and squares.shape == (k, m * n)
+            for x, r, rhs in zip(solutions, squares, b):
+                want = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+                assert x.tobytes() == want.tobytes()
+                assert r.tobytes() == ((rows @ want - rhs) ** 2).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_nan_or_inf_right_hand_side_reads_nan_alone(self, bad):
+        rows, b = geometry._incidence(4, 3), np.random.default_rng(7).standard_normal((3, 12))
+        clean = geometry._solve(rows, b)
+        b[1, 5] = bad
+        with np.errstate(all="raise"):  # as np.linalg.lstsq, the solve sets its own errstate
+            solutions, squares = geometry._solve(rows, b)
+        assert np.isnan(squares[1]).all()
+        assert np.isnan(solutions[1]).all() and np.isnan(np.linalg.lstsq(rows, b[1], rcond=None)[0]).all()
+        for got, kept in zip((solutions, squares), clean):
+            assert got[[0, 2]].tobytes() == kept[[0, 2]].tobytes()
+
+    def test_a_solve_that_fails_raises_inside_an_ignoring_errstate(self, monkeypatch):
+        # LAPACK's non-convergence reaches numpy as the invalid flag; a sweep ignores every flag
+        failing = SimpleNamespace(lstsq=lambda *_, **__: (np.subtract(np.inf, np.inf),))
+        monkeypatch.setattr(geometry, "_umath_linalg", failing)
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            geometry._solve(geometry._incidence(2, 1), np.ones((3, 2)))
 
 
 class TestPolarAxes:

@@ -264,6 +264,17 @@ def test_polar_geometries_are_built_only_when_parsed():
     assert callers_of("PolarGeometry") == [("scenario_io.py", "parse_scenario")]
 
 
+def test_one_least_squares_call():
+    # every fit, a sweep window's stack of x refits too, is one call of the gufunc np.linalg.lstsq calls
+    calls = sorted(
+        (module, owner)
+        for module, tree in MODULES.items()
+        for owner, called in calls_by_function(tree)
+        if "lstsq" in (called or "")
+    )
+    assert calls == [("geometry.py", "_solve")]
+
+
 def test_one_cartesian_to_polar_conversion():
     atan2 = sorted(
         (module, owner)

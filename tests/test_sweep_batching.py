@@ -333,9 +333,25 @@ def _planned(rows):
     return sum("reposition skipped" not in row.diagnostics for row in rows if row.mode == "reposition")
 
 
+def _window_solves(scn, rows):
+    """Rows of each planning window's one x solve: its planned reposition rows (a window of whole
+    chunks, as ``_planned_chunks`` cuts them, refits only if it holds a reposition row)."""
+    step = fim_crb.batch_chunk(scn.num_sources)
+    window = step * max(1, optimizer.PHASE_CHUNK_VALUES // (step * scn.num_sensors * scn.num_sources))
+    parts = [rows[lo : lo + window] for lo in range(0, len(rows), window)]
+    return [_planned(part) for part in parts if any(row.mode == "reposition" for row in part)]
+
+
 def _count_builds(monkeypatch, counts):
-    """Count lstsq solves and every PairwiseGeometry, PolarGeometry and Scenario built."""
-    _counting(monkeypatch, np.linalg, "lstsq", counts)
+    """List the rows each least-squares solve solves, and count every PairwiseGeometry, PolarGeometry
+    and Scenario built."""
+    solve = geometry._solve
+
+    def counted_solve(rows, b):
+        counts.setdefault("_solve", []).append(math.prod(np.shape(b)[:-1]))
+        return solve(rows, b)
+
+    monkeypatch.setattr(geometry, "_solve", counted_solve)
     for cls in (geometry.PairwiseGeometry, geometry.PolarGeometry, geometry.Scenario):
 
         def counted_init(self, init=cls.__post_init__, name=cls.__name__):
@@ -352,8 +368,9 @@ def test_reposition_rows_fit_their_own_tables_and_build_no_scenario(monkeypatch)
     _count_builds(monkeypatch, counts)
     rows = sweep(scn, SWEEPS["scenario_a"])
     assert 0 < _planned(rows) <= 100
-    # the base table is fitted once (x and y); a planned row refits its rewritten table's x only
-    assert counts == {"reconstruct_positions": 1, "lstsq": 2 + _planned(rows)}
+    # the base table is fitted once (y, then x); a planned row refits its rewritten table's x only,
+    # in one solve per planning window
+    assert counts == {"reconstruct_positions": 1, "_solve": [1, 1, *_window_solves(scn, rows)]}
 
 
 def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
@@ -364,8 +381,8 @@ def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
     _count_builds(monkeypatch, counts)
     rows = sweep(scn, POLAR_SWEEPS["polar_b-velocity"][1])
     assert len(rows) == 200 and _planned(rows) > 0
-    # the pairwise form's y fit once, then x once per planned row; no table per row
-    expected = {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1, "lstsq": 1 + _planned(rows)}
+    # the pairwise form's y fit once, then the planned rows' x in one solve per window; no table per row
+    expected = {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1, "_solve": [1, *_window_solves(scn, rows)]}
     assert counts == {**expected, "PairwiseGeometry": 1, "Scenario": 1}
 
 
@@ -387,14 +404,16 @@ def test_one_planning_pass_per_window(name, chunks_per_window, monkeypatch):
     monkeypatch.setattr(optimizer, "steering_matrix", counted)
     _counting(monkeypatch, optimizer, "plan_moves", counts)
     _counting(monkeypatch, geometry, "_polar_coordinates", counts)
+    _counting(monkeypatch, geometry, "_solve", counts)
     for count in (1, 2):
         calls.clear(), counts.clear()
         with cpus(count):
             rows = sweep(_scenario(name), spec)  # a new scenario: its polar axes are converted once and kept
         windows = [rows[lo : lo + window] for lo in range(0, len(rows), window)]
         # per window of whole chunks one planning steering pass over its reposition rows' points and
-        # one plan of all of them, whose refitted tables are converted to polar axes together; then
-        # one evaluation pass per chunk; and the table's own polar axes once per sweep
+        # one plan of all of them, whose rewritten tables are refitted in one solve and converted to
+        # polar axes together; then one evaluation pass per chunk; and the table's own fit (y, then x)
+        # and polar axes once per sweep
         expected = [(caller, n) for part in windows for caller, n in (
             ("_planned_chunks", sum(row.mode == "reposition" for row in part)),
             *(("_evaluate", len(part[at : at + step])) for at in range(0, len(part), step)))]
@@ -403,7 +422,7 @@ def test_one_planning_pass_per_window(name, chunks_per_window, monkeypatch):
             assert [call for call in calls if call[0] == "_planned_chunks"] == planning
             calls, expected = sorted(calls), sorted(expected)
         assert calls == expected
-        assert counts == {"plan_moves": len(windows), "_polar_coordinates": 1 + len(windows)}
+        assert counts == {"plan_moves": len(windows), "_polar_coordinates": 1 + len(windows), "_solve": 2 + len(windows)}
         assert len(windows) == {1: math.ceil(200 / step), 3: math.ceil(200 / (3 * step)), None: 1}[chunks_per_window]
 
 
