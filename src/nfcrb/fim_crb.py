@@ -415,41 +415,24 @@ PINV_RTOL = 1e-12
 """Singular values at or below this fraction of the largest are treated as zero."""
 
 
-def _pinv_diagonals(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudo-inverse diagonals, ranks and condition numbers of a (K, P, P) stack.
-
-    One SVD per matrix serves all three.  As in np.linalg.pinv, a singular
-    value counts (toward the rank, and inverted in the pseudo-inverse) only if
-    it is strictly greater than PINV_RTOL times the largest; diag(V S^+ U^T)
-    is the row sum of U * V weighted by the inverted singular values.
-    Rank-deficient and empty matrices get an infinite condition number.
-    """
-    u, s, vt = np.linalg.svd(F)
+def crb_bounds(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, ...]:
+    """Diagonal bounds of each matrix of a (K, P, P) stack from one batched SVD of it, in ``CrbReport``'s order: the (K, N)
+    bearing and range blocks, then the (K,) bearing and range totals, condition numbers and ranks.  As in np.linalg.pinv,
+    a singular value counts (toward the rank, and inverted) only if it is strictly greater than PINV_RTOL times the
+    largest; diag(V S^+ U^T) is the row sum of U * V weighted by the inverted singular values.  Rank deficiency is
+    flagged by the report, not raised; rank-deficient and empty matrices get an infinite condition number."""
+    u, s, vt = np.linalg.svd(entries)
     kept = s > PINV_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
     with np.errstate(over="ignore"):  # a subnormal singular value inverts to inf: an inf bound, not a warning
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
     diag = ((u * vt.swapaxes(-1, -2)) @ inv[..., None])[..., 0]
     rank = kept.sum(axis=-1)
     cond = np.full(s.shape[:-1], np.inf)
-    if F.shape[-1]:
-        full = rank == F.shape[-1]
+    if entries.shape[-1]:
+        full = rank == entries.shape[-1]
         cond[full] = s[full, 0] / s[full, -1]
-    return diag, rank, cond
-
-
-def crb_totals(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bearing and range bound totals of a (K, P, P) stack of information matrices."""
-    diag, _, _ = _pinv_diagonals(np.asarray(entries, dtype=float))
-    return diag[:, :n_sources].sum(axis=1), diag[:, n_sources : 2 * n_sources].sum(axis=1)
-
-
-def crb_bounds(entries: np.ndarray, n_sources: int) -> tuple:
-    """Diagonal bounds of each matrix of a (K, P, P) stack from its pseudo-inverse, one batched SVD, in ``CrbReport``'s
-    order: the (K, N) bearing and range blocks, then per matrix as lists their totals, condition number and rank.  Rank
-    deficiency (singular values at or below PINV_RTOL of the largest) is flagged by the report, not raised."""
-    diag, rank, cond = _pinv_diagonals(entries)
     theta, r = diag[:, :n_sources], diag[:, n_sources : 2 * n_sources]
-    return theta, r, theta.sum(axis=1).tolist(), r.sum(axis=1).tolist(), cond.tolist(), rank.tolist()
+    return theta, r, theta.sum(axis=1), r.sum(axis=1), cond, rank
 
 
 FD_REL_STEP = 1e-6

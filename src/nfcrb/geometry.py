@@ -14,8 +14,9 @@ reconstruction frame and the reference axis is the x-axis.  The pairwise form
 therefore requires every source to lie strictly above every sensor's
 horizontal line.  Pairwise tables over-determine a planar layout, so
 recovering positions is a least-squares fit, one coordinate at a time, whose
-root-mean-square inconsistency (meters) is always reported.  The y half reads
-H alone, so tables differing only in arrival angles share it (``refit_positions``).
+root-mean-square inconsistency (meters) is always reported.  ``refit_positions`` is
+the one fit, of a stack of arrival tables: the y half reads H alone, so tables
+differing only in arrival angles share it, and a table's own fit is the stack of one.
 
 Each encoding answers what the front doors ``polar_axes``, ``pairwise_form``, ``delay_geometry``
 and ``scenario_positions`` ask, so none branches on it: its kernel polar axes and residual, its
@@ -146,15 +147,15 @@ class PairwiseGeometry:
 
     @cached_property
     def vertical_fit(self) -> tuple[np.ndarray, np.ndarray]:
-        """The y half of ``reconstruct_positions``: solution and squared residual terms of H, read-only."""
+        """The y half of every fit of this table: solution and squared residual terms of H, read-only."""
         solution, squares = _solve(_incidence(self.num_sensors, self.num_sources), self.vertical_m.ravel())
         solution.flags.writeable = squares.flags.writeable = False
         return solution, squares
 
     @cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``reconstruct_positions`` of this table, fitted once; the arrays are read-only."""
-        sensors, sources, residual = reconstruct_positions(self)
+        """``refit_positions`` of this table alone, fitted once; the arrays are read-only."""
+        (sensors,), (sources,), (residual,) = refit_positions(self, self.arrival_rad[None])
         sensors.flags.writeable = sources.flags.writeable = False
         return sensors, sources, residual
 
@@ -264,7 +265,7 @@ def distances(sensors_xy: np.ndarray, sources_xy: np.ndarray) -> np.ndarray:
 
 @cache
 def _incidence(M: int, N: int) -> np.ndarray:
-    """Read-only (M N, M - 1 + N) least-squares system of ``reconstruct_positions``: row
+    """Read-only (M N, M - 1 + N) least-squares system of ``refit_positions``: row
     k N + n says source n minus sensor k (sensor 1 pinned at the origin)."""
     rows = np.zeros((M * N, M - 1 + N))
     k, n = np.divmod(np.arange(M * N), N)
@@ -293,23 +294,12 @@ def _solve(rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[..., 0], ((rows @ x)[..., 0] - b) ** 2
 
 
-def reconstruct_positions(pairwise: PairwiseGeometry) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares positions consistent with pairwise data.
-
-    Sensor 1 is pinned at the origin with the x-axis as reference.  Each pair
-    contributes two linear equations (source minus sensor equals the offset
-    implied by H and the arrival angle); the stacked system is solved per
-    coordinate.  Returns (sensors_xy, sources_xy, rms residual in meters); a
-    single-sensor table is reproduced exactly with zero residual.
-    """
-    return refit_positions(pairwise, pairwise.arrival_rad)
-
-
-def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray):
-    """``reconstruct_positions`` of the table with its (M, N) arrival angles replaced, bit for bit,
-    or of each of a (K, M, N) stack (then (K, M, 2) sensors, (K, N, 2) sources and K residuals).
-    The y equations read H alone, so the table's y half (``vertical_fit``, solved once) is reused
-    and x is solved alone, every table in one stacked ``_solve``: a move along the reference axis keeps every H."""
+def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Least-squares positions of the table with its arrival angles replaced by each of a (K, M, N) stack: (K, M, 2)
+    sensors, (K, N, 2) sources and the K rms residuals (m).  Sensor 1 is pinned at the origin, the x-axis the reference;
+    each pair gives two linear equations (source minus sensor is the offset H and the arrival angle imply), solved per
+    coordinate, so a single-sensor table is reproduced exactly.  The y equations read H alone, so the table's y half
+    (``vertical_fit``, solved once) is reused and x is solved alone, every table in one stacked ``_solve``."""
     H = pairwise.vertical_m
     M, N = H.shape
     s = np.sin(arrival_rad)
@@ -319,10 +309,7 @@ def refit_positions(pairwise: PairwiseGeometry, arrival_rad: np.ndarray):
     solx, rx = _solve(_incidence(M, N), (H * np.cos(arrival_rad) / s).reshape(-1, M * N))
     xy = np.zeros((len(solx), M + N, 2))  # sensor 1 stays at the origin
     xy[:, 1:, 0], xy[:, 1:, 1] = solx, soly
-    residuals = np.sqrt((rx + ry).mean(axis=1)).tolist()
-    if np.ndim(arrival_rad) == 2:
-        return xy[0, :M], xy[0, M:], residuals[0]
-    return xy[:, :M], xy[:, M:], residuals
+    return xy[:, :M], xy[:, M:], np.sqrt((rx + ry).mean(axis=1)).tolist()
 
 
 def refit_axes(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[tuple[np.ndarray, ...], list, list]:

@@ -3,10 +3,12 @@
 ``evaluate_constellations`` computes the det(R_x), received powers, information
 matrix (``fim_rank_one``; a lone scenario's the trace form) and bounds of K
 constellations, one stacked pass each, and re-evaluates a failing batch in halves
-(``batch_or_each``, the fallback search scoring uses too); ``evaluate_constellation``
+(``batch_or_each``, the fallback search scoring uses too); ``constellation_metrics``
 is its K = 1 case.  Each constellation gets one record, a tuple of the scalars a
 sweep row reads and the pass's arrays; a report wraps its record as a
-``ConstellationEvaluation``, which run reports, CSV rows and comparisons read.
+``ConstellationEvaluation`` (its information matrix an array, so only a lone
+report's trace form builds a ``FimMatrix``), which run reports, CSV rows and
+comparisons read.
 ``sweep`` re-evaluates a scenario over a frequency or velocity grid,
 optionally repositioning per point, a chunk of rows at a time; each chunk
 reaches the evaluation as stacked arrays (two chunks at once on two CPUs,
@@ -29,8 +31,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ValidationError, batch_or_each, kept, map_on_cpus
-from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, FimMatrix, _steering_columns, batch_chunk, crb_bounds,
-                      fim_for_scenario, fim_rank_one)
+from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, _steering_columns, batch_chunk, crb_bounds, fim_for_scenario,
+                      fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
 from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
 from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
@@ -93,7 +95,7 @@ class ComparisonReport:
 
 @dataclass(frozen=True, eq=False)
 class ConstellationEvaluation:
-    """One constellation's det, received powers, information matrix and bounds.
+    """One constellation's det, received powers, (P, P) information matrix, cond(R_x) and bounds.
 
     det and powers use the scenario's native delays, the bounds its polar form;
     ``residual`` is the reconstruction residual in meters, None for polar input.
@@ -103,15 +105,16 @@ class ConstellationEvaluation:
     received_powers: np.ndarray
     strongest_element: int
     residual: float | None
-    fim: FimMatrix
+    fim: np.ndarray
+    array_cov_condition: float
     crb: CrbReport
 
     @classmethod
     def from_record(cls, record) -> "ConstellationEvaluation":
         """The evaluation of an ``_evaluate`` record, read off its pass's arrays: a report's."""
-        det, _, _, residual, rank, size, i, (scn, powers, strongest, F, cond, bounds) = record
+        det, _, _, residual, rank, size, i, (powers, strongest, F, cond, bounds) = record
         crb = CrbReport(*(column[i] for column in bounds), size, rank < size)
-        return cls(det, powers[i], strongest[i], residual, FimMatrix(F[i], scn.snapshots, float(cond[i])), crb)
+        return cls(det, powers[i], strongest[i], residual, F[i], float(cond[i]), crb)
 
 
 def _native_powers(scn) -> tuple[np.ndarray, int]:
@@ -162,8 +165,9 @@ def _evaluate(targets) -> list[tuple]:
         F, cond = fim.entries[None], [fim.array_cov_condition]
     else:
         F, cond = fim_rank_one(first, *_steering_columns(*axes))
-    bounds = crb_bounds(F, first.num_sources)
-    arrays = repeat((first, powers, strongest, F, cond, bounds))
+    theta, r, *scalars = crb_bounds(F, first.num_sources)
+    bounds = (theta, r, *(a.tolist() for a in scalars))
+    arrays = repeat((powers, strongest, F, cond, bounds))
     return list(zip(moduli, *bounds[2:4], rows.residuals, bounds[5], repeat(F.shape[-1]), range(len(rows)), arrays))
 
 
@@ -172,11 +176,6 @@ def evaluate_constellations(targets) -> list:
     one ``_evaluate`` batch of targets sharing M, N, amplitudes, noise and snapshots (keep
     it within ``batch_chunk``); a failing batch is evaluated again in halves."""
     return batch_or_each(_evaluate, targets)
-
-
-def evaluate_constellation(scn) -> ConstellationEvaluation:
-    """|det R_x|, per-element received powers, information matrix and bounds of a scenario."""
-    return ConstellationEvaluation.from_record(_evaluate([scn])[0])
 
 
 def _notes(residual: float | None, rank: int, size: int) -> list[str]:
@@ -188,8 +187,9 @@ def _notes(residual: float | None, rank: int, size: int) -> list[str]:
 
 
 def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]]:
-    """The evaluation of a polar or pairwise scenario, with its notes for a sweep row."""
-    ev = evaluate_constellation(scn)
+    """|det R_x|, per-element received powers, information matrix and bounds of a polar or pairwise
+    scenario (``_evaluate`` at K = 1), with its notes for a sweep row."""
+    ev = ConstellationEvaluation.from_record(_evaluate([scn])[0])
     return ev, tuple(_notes(ev.residual, ev.crb.rank, ev.crb.size))
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularGeometryError, ValidationError, batch_or_each, kept, map_on_cpus
-from .fim_crb import PHASE_CHUNK_VALUES, _steering_columns, batch_chunk, crb_totals, fim_rank_one
+from .fim_crb import PHASE_CHUNK_VALUES, _steering_columns, batch_chunk, crb_bounds, fim_rank_one
 from .geometry import (
     PairwiseGeometry,
     Scenario,
@@ -313,7 +313,7 @@ def _chunk_scorer(objective, element, sensors_xy, sources_xy, scn):
             for whole, part in zip(columns, moved):
                 whole[:, element] = part[:, 0]
             F, _ = fim_rank_one(scn, *columns)
-            return crb_totals(F, num_sources)[BOUND_OBJECTIVES.index(objective)]
+            return crb_bounds(F, num_sources)[2 + BOUND_OBJECTIVES.index(objective)]  # an array: see ``scored``
 
         return bound_totals, batch_chunk(num_sources)
 

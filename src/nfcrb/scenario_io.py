@@ -309,7 +309,7 @@ def format_run_report(report: RunReport) -> str:
         + f"], total {_sci(crb.crb_r_total)}",
         f"FIM rank: {crb.rank}/{crb.size}"
         + (" (rank deficient, pseudo-inverse used)" if crb.rank_deficient else ""),
-        f"cond(R_x): {_sci(ev.fim.array_cov_condition)}",
+        f"cond(R_x): {_sci(ev.array_cov_condition)}",
     ]
     return "\n".join(lines)
 

@@ -174,9 +174,10 @@ def pinv_totals(F: np.ndarray, n_sources: int) -> tuple[float, float]:
 
 
 def crb_report(entries: np.ndarray, n_sources: int) -> CrbReport:
-    """The bounds of the first matrix of a (K, P, P) stack as a report holds them, from its ``crb_bounds``."""
-    bounds, size = crb_bounds(entries, n_sources), entries.shape[-1]
-    return CrbReport(*(column[0] for column in bounds), size, bounds[5][0] < size)
+    """The bounds of the first matrix of a (K, P, P) stack as a report holds them, from its ``crb_bounds`` arrays."""
+    theta, r, *scalars = crb_bounds(entries, n_sources)
+    theta_total, r_total, cond, rank = (a.tolist()[0] for a in scalars)
+    return CrbReport(theta[0], r[0], theta_total, r_total, cond, rank, entries.shape[-1], rank < entries.shape[-1])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
     batch_chunk,
-    crb_totals,
+    crb_bounds,
     fim_closed_form,
     fim_for_scenario,
     fim_generic,
@@ -599,7 +599,7 @@ class TestCrbFromFim:
         scn = random_scenario(rng, m=5, n=3)
         radii, azimuths = _layouts(rng, scn, 6)
         F, _ = layout_fims(scn, radii, azimuths)
-        theta, r = crb_totals(F, 3)
+        theta, r = crb_bounds(F, 3)[2:4]
         for k in range(6):
             report = crb_report(F[k : k + 1], 3)
             assert theta[k] == report.crb_theta_total

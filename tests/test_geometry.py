@@ -20,7 +20,6 @@ from nfcrb.geometry import (
     native_delays,
     pairwise_form,
     polar_axes,
-    reconstruct_positions,
     refit_positions,
     scenario_positions,
 )
@@ -219,21 +218,21 @@ class TestReconstruct:
         rng = np.random.default_rng(34)
         scn = random_upper_half_scenario(rng, m=4, n=2)
         pw = pairwise_form(scn).geometry
-        _, _, res0 = reconstruct_positions(pw)
+        _, _, res0 = pw.positions
         # shifting the generating frame leaves H and the arrival angles alone,
         # so the residual cannot change; check via a rebuilt shifted scenario
         sens, srcs, _ = scenario_positions(scn)
         radii, angles = zip(*[(np.hypot(x + 30, y + 40), np.arctan2(y + 40, x + 30)) for x, y in (*sens, *srcs)])
         M = len(sens)
         shifted = replace(scn, geometry=PolarGeometry(radii[:M], angles[:M], radii[M:], angles[M:]))
-        _, _, res1 = reconstruct_positions(pairwise_form(shifted).geometry)
+        _, _, res1 = pairwise_form(shifted).geometry.positions
         assert res1 == pytest.approx(res0, abs=1e-9)
 
     def test_single_sensor_exact(self):
         pw = PairwiseGeometry(
             np.array([[50.0, 80.0]]), np.array([[math.pi / 3, math.pi / 4]])
         )
-        sens, srcs, residual = reconstruct_positions(pw)
+        sens, srcs, residual = pw.positions
         assert residual == 0.0
         assert np.allclose(sens, [[0.0, 0.0]])
         assert np.allclose(srcs[:, 1], [50.0, 80.0])
@@ -241,21 +240,21 @@ class TestReconstruct:
     def test_scenario_a_residual_pinned(self, scenario_a):
         # the bundled tables are integers, hence mutually inconsistent; the
         # least-squares misfit is stable and pinned as a regression value
-        _, _, residual = reconstruct_positions(scenario_a.geometry)
+        _, _, residual = scenario_a.geometry.positions
         assert residual == pytest.approx(0.5116517825356056, rel=1e-9)
 
     def test_scenario_b_residual_pinned(self, scenario_b):
-        _, _, residual = reconstruct_positions(scenario_b.geometry)
+        _, _, residual = scenario_b.geometry.positions
         assert residual == pytest.approx(0.3400631190147472, rel=1e-9)
 
     def test_pairwise_table_is_fitted_once(self):
         pws = pairwise_form(random_upper_half_scenario(np.random.default_rng(35)))
-        with mock.patch.object(geometry, "reconstruct_positions", wraps=reconstruct_positions) as fit:
+        with mock.patch.object(geometry, "refit_positions", wraps=refit_positions) as fit:
             _, residual = polar_form(pws)
             sens, srcs, residual_again = scenario_positions(pws)
             polar_form(replace(pws, velocity_mps=2e8))  # same table, other speed
             assert fit.call_count == 1
-        ref_sens, ref_srcs, ref_residual = reconstruct_positions(pws.geometry)
+        (ref_sens,), (ref_srcs,), (ref_residual,) = refit_positions(pws.geometry, pws.geometry.arrival_rad[None])
         assert np.array_equal(sens, ref_sens) and np.array_equal(srcs, ref_srcs)
         assert residual == residual_again == ref_residual
         assert not sens.flags.writeable and not srcs.flags.writeable
@@ -264,7 +263,8 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             sens[0, 0] = 1.0
         # the public fit stays uncached and returns fresh, writable arrays
-        assert ref_sens.flags.writeable and reconstruct_positions(pws.geometry)[0] is not ref_sens
+        assert ref_sens.flags.writeable
+        assert refit_positions(pws.geometry, pws.geometry.arrival_rad[None])[0][0] is not ref_sens
 
     def test_polar_form_rebuilds_scenario(self, scenario_a):
         rec, residual = polar_form(scenario_a)
@@ -280,8 +280,8 @@ def _same_fit(got, want) -> bool:
 
 
 class TestRefit:
-    """A move along the reference axis keeps every vertical distance, so refitting x alone
-    must give ``reconstruct_positions`` of the rewritten table bit for bit."""
+    """A move along the reference axis keeps every vertical distance, so refitting x alone, a stack
+    of tables in one call, must give each rewritten table's own fit (its ``positions``) bit for bit."""
 
     angle = st.floats(1e-6, math.pi - 1e-6)
 
@@ -292,18 +292,19 @@ class TestRefit:
         arrival = np.array(data.draw(st.lists(self.angle, min_size=m * n, max_size=m * n))).reshape(m, n)
         table = PairwiseGeometry(H, arrival)
         if fitted_first:
-            assert _same_fit(table.positions, reconstruct_positions(PairwiseGeometry(H, arrival)))
+            assert _same_fit(table.positions, PairwiseGeometry(H, arrival).positions)
+        rewritten = np.repeat(arrival[None], m, axis=0)
         for element in range(m):
-            rewritten = arrival.copy()
-            rewritten[element] = data.draw(st.lists(self.angle, min_size=n, max_size=n))
-            want = reconstruct_positions(PairwiseGeometry(H, rewritten))
-            assert _same_fit(refit_positions(table, rewritten), want)
+            rewritten[element, element] = data.draw(st.lists(self.angle, min_size=n, max_size=n))
+        sensors, sources, residuals = refit_positions(table, rewritten)
+        for k in range(m):
+            assert _same_fit((sensors[k], sources[k], residuals[k]), PairwiseGeometry(H, rewritten[k]).positions)
 
     def test_refit_rejects_an_angle_at_zero(self, scenario_b):
         arrival = scenario_b.geometry.arrival_rad.copy()
         arrival[1, 0] = 0.0
         with pytest.raises(SingularGeometryError, match="arrival angles at 0 or pi cannot place a source"):
-            refit_positions(scenario_b.geometry, arrival)
+            refit_positions(scenario_b.geometry, arrival[None])
 
 
 class TestSolve:
@@ -426,7 +427,7 @@ class TestScenarioValidation:
         # shapes, so the guard is only reachable through malformed internals;
         # here we just confirm valid input does not trip it
         pw = PairwiseGeometry(np.full((2, 1), 50.0), np.full((2, 1), math.pi / 2))
-        sens, srcs, residual = reconstruct_positions(pw)
+        sens, srcs, residual = pw.positions
         assert residual == pytest.approx(0.0, abs=1e-12)
         assert isinstance(DegenerateGeometryError(), ValidationError)
 

@@ -26,7 +26,7 @@ from nfcrb.geometry import axes_from_positions, distances, polar_to_cartesian, s
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
-from nfcrb.fim_crb import _steering_columns, batch_chunk, crb_totals, fim_rank_one
+from nfcrb.fim_crb import _steering_columns, batch_chunk, crb_bounds, fim_rank_one
 from conftest import counted_report_objects, cpus, random_upper_half_scenario, scenario_from_positions
 
 PHASE_OBJECTIVES = ("gf", "power", "det")
@@ -102,7 +102,7 @@ def whole_layout_totals(scn, element, sensors_xy, sources_xy, chunk):
     layouts = [np.repeat(a[None], len(chunk), axis=0) for a in (radii, azimuths)]
     layouts[0][:, element], layouts[1][:, element], *_ = axes_from_positions(chunk, sources_xy)
     columns = _steering_columns(*layouts, ranges, bearings, frequency_vector(scn.signals), scn.velocity_mps)
-    return crb_totals(fim_rank_one(scn, *columns)[0], scn.num_sources)
+    return crb_bounds(fim_rank_one(scn, *columns)[0], scn.num_sources)[2:4]
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -271,8 +271,8 @@ class TestArrayMinimum:
 def evaluation_hexes(ev) -> tuple:
     """Every number of a ConstellationEvaluation, as float.hex strings."""
     crb = ev.crb
-    scalars = [ev.det, ev.fim.array_cov_condition, crb.crb_theta_total, crb.crb_r_total, crb.condition_number]
-    arrays = [ev.received_powers, ev.fim.entries, crb.crb_theta, crb.crb_r]
+    scalars = [ev.det, ev.array_cov_condition, crb.crb_theta_total, crb.crb_r_total, crb.condition_number]
+    arrays = [ev.received_powers, ev.fim, crb.crb_theta, crb.crb_r]
     return (*hexes(scalars), *(tuple(hexes(a)) for a in arrays), ev.strongest_element, ev.residual, crb.rank)
 
 
@@ -304,8 +304,9 @@ def test_reposition_evaluates_both_reports_in_one_batch(name, mode, objective, c
         assert cli_main(argv + ["--grid=-200:200:2001"]) == 0
     capsys.readouterr()
     assert batches == [2] and kernels == [2]
-    # the two reports, wrapped from that batch's records, are the only report objects built
-    assert built == {"FimMatrix": 2, "CrbReport": 2, "ConstellationEvaluation": 2}
+    # the two reports, wrapped from that batch's records, are the only report objects built; they hold
+    # the batch's information matrices as arrays, so no FimMatrix is built
+    assert built == {"FimMatrix": 0, "CrbReport": 2, "ConstellationEvaluation": 2}
 
     scn = reports[0].scenario
     element = reports[0].evaluation.strongest_element

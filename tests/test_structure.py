@@ -113,23 +113,33 @@ def test_one_evaluation_per_report_and_sweep_row():
     # batch, a lone report at K = 1 (a failing batch in halves, through
     # batch_or_each, which is handed _evaluate)
     assert users_of("_evaluate") == [
-        ("optimizer.py", "evaluate_constellation"),
+        ("optimizer.py", "constellation_metrics"),
         ("optimizer.py", "evaluate_constellations"),
     ]
-    assert callers_of("_evaluate") == [("optimizer.py", "evaluate_constellation")]
+    assert callers_of("_evaluate") == [("optimizer.py", "constellation_metrics")]
     # sweep's chunk function, run by either thread of a sweep
     assert callers_of("evaluate_constellations") == [("optimizer.py", "evaluated"), ("scenario_io.py", "run_reports")]
     assert users_of("evaluated") == [("optimizer.py", "sweep")]
     assert callers_of("run_reports") == [("cli.py", "cmd_reposition"), ("scenario_io.py", "run_report")]
-    assert callers_of("evaluate_constellation") == [("optimizer.py", "constellation_metrics")]
     # its records become ConstellationEvaluations only where a report is built; a sweep row reads
     # the record's scalars, and its notes and constellation_metrics' read one helper
-    assert callers_of("from_record") == [("optimizer.py", "evaluate_constellation"), ("scenario_io.py", "run_reports")]
+    assert callers_of("from_record") == [("optimizer.py", "constellation_metrics"), ("scenario_io.py", "run_reports")]
     assert callers_of("_notes") == [("optimizer.py", "constellation_metrics"), ("optimizer.py", "evaluated")]
-    # one batched SVD per pass gives every record's bounds
-    assert callers_of("crb_bounds") == [("optimizer.py", "_evaluate")]
     # every batch takes the rank-one kernel; a lone scenario the trace form
     assert callers_of("fim_for_scenario") == [("optimizer.py", "_evaluate")]
+
+
+def test_one_entry_point_per_result():
+    # a second entry point that only forwards to the first is gone: one fit, one bound reader, one lone evaluation
+    gone = {"reconstruct_positions", "crb_totals", "_pinv_diagonals", "evaluate_constellation"}
+    for tree in MODULES.values():  # defined, imported, read or called
+        for node in ast.walk(tree):
+            assert not {getattr(node, key, None) for key in ("name", "id", "attr")} & gone
+    # the bounds of every stack, a batch's records and a bound chunk's totals, come from one batched SVD
+    assert callers_of("svd") == [("fim_crb.py", "crb_bounds")]
+    assert callers_of("crb_bounds") == [("optimizer.py", "_evaluate"), ("reposition.py", "bound_totals")]
+    # a table's own fit is the stack of one, so every position fit is one refit_positions call
+    assert callers_of("refit_positions") == [("geometry.py", "positions"), ("geometry.py", "refit_axes")]
 
 
 @contextlib.contextmanager

@@ -153,9 +153,9 @@ def test_rows_build_no_report_objects(count, default_rows):
     assert built == {"FimMatrix": 0, "CrbReport": 0, "ConstellationEvaluation": 0}
     assert [(_row_hexes(row), row.diagnostics) for row in rows] == [
         (_row_hexes(row), row.diagnostics) for row in default_rows["scenario_a"]]
-    with counted_report_objects() as built:  # the counter sees a lone report's: the trace form's matrix, then its own
-        optimizer.evaluate_constellation(scn)
-    assert built == {"FimMatrix": 2, "CrbReport": 1, "ConstellationEvaluation": 1}
+    with counted_report_objects() as built:  # the counter sees a lone report's: the trace form's matrix alone
+        optimizer.constellation_metrics(scn)
+    assert built == {"FimMatrix": 1, "CrbReport": 1, "ConstellationEvaluation": 1}
 
 
 def test_one_kernel_call_per_chunk(monkeypatch):
@@ -188,8 +188,8 @@ def test_powers_and_strongest_element_match_alone(scenario_b):
         one = _alone(targets[i : i + 1])
         assert np.array_equal(ev.received_powers, one.received_powers)
         assert ev.strongest_element == one.strongest_element
-        assert np.array_equal(ev.fim.entries, one.fim.entries)
-        assert ev.fim.array_cov_condition == one.fim.array_cov_condition
+        assert np.array_equal(ev.fim, one.fim)
+        assert ev.array_cov_condition == one.array_cov_condition
         assert np.array_equal(ev.crb.crb_theta, one.crb.crb_theta) and ev.crb.rank == one.crb.rank
 
 
@@ -321,12 +321,12 @@ def _counting(monkeypatch, module, name, counts):
 
 def test_pairwise_sweep_fits_its_table_once(monkeypatch):
     counts, built, scn = {}, [], _scenario("scenario_b")
-    _counting(monkeypatch, geometry, "reconstruct_positions", counts)
+    _counting(monkeypatch, geometry, "refit_positions", counts)
     for cls in (geometry.PolarGeometry, geometry.Scenario):
         monkeypatch.setattr(cls, "__post_init__", lambda self, init=cls.__post_init__: (built.append(self), init(self)))
     rows = sweep(scn, SweepSpec("velocity", 1e8, 6e8, 100))
     assert len(rows) == 100 and all(row.mode == "primary" for row in rows)
-    assert counts == {"reconstruct_positions": 1} and built == []
+    assert counts == {"refit_positions": 1} and built == []
 
 
 def _planned(rows):
@@ -364,13 +364,14 @@ def _count_builds(monkeypatch, counts):
 def test_reposition_rows_fit_their_own_tables_and_build_no_scenario(monkeypatch):
     counts = {}
     scn = _scenario("scenario_a")
-    _counting(monkeypatch, geometry, "reconstruct_positions", counts)
+    _counting(monkeypatch, geometry, "refit_positions", counts)
     _count_builds(monkeypatch, counts)
     rows = sweep(scn, SWEEPS["scenario_a"])
     assert 0 < _planned(rows) <= 100
     # the base table is fitted once (y, then x); a planned row refits its rewritten table's x only,
-    # in one solve per planning window
-    assert counts == {"reconstruct_positions": 1, "_solve": [1, 1, *_window_solves(scn, rows)]}
+    # in one fit and one solve per planning window
+    windows = _window_solves(scn, rows)
+    assert counts == {"refit_positions": 1 + len(windows), "_solve": [1, 1, *windows]}
 
 
 def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
@@ -514,9 +515,9 @@ def test_rows_match_the_trace_form(name):
         *_, R, dR = fim_crb._covariance_stack(scn, *target.arrays[1:])
         F, cond, _ = fim_crb._trace_form(R, dR)
         F = scn.snapshots * F
-        assert np.abs(ev.fim.entries - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
+        assert np.abs(ev.fim - F[0]).max() <= 1e-12 * np.abs(F[0]).max()
         assert ev.crb.rank == crb_report(F, scn.num_sources).rank
-        assert abs(ev.fim.array_cov_condition - cond[0]) <= 1e-12 * cond[0]
+        assert abs(ev.array_cov_condition - cond[0]) <= 1e-12 * cond[0]
 
 
 def threaded_evaluations(calls, worker_evaluates=lambda targets: True):
