@@ -130,8 +130,8 @@ class CrbReport:
     rank_deficient: bool
 
 
-DR_CHUNK_VALUES = 8192
-"""Most values one batch's (K, P, P) information matrices may hold (K P^2 <= 8192, 64 KB): the
+DR_CHUNK_VALUES = 16384
+"""Most values one batch's (K, P, P) information matrices may hold (K P^2 <= 16384, 128 KB): the
 batch size of sweep rows and bound searches, ``batch_chunk``."""
 
 PHASE_CHUNK_VALUES = 4096
@@ -305,32 +305,32 @@ def fim_rank_one(scenario, A, cols_b, cols_r) -> tuple[np.ndarray, np.ndarray]:
     eta, s = np.float64(scenario.noise_variance), amplitude_vector(scenario.signals)
     with np.errstate(over="ignore"):  # an eta**2 beyond the float range reads inf, so R^-2 reads 0
         eta2 = eta**2
-    K, M, N = A.shape
+    (K, M, N), index = A.shape, ParameterIndex(A.shape[2])
     Z = np.concatenate([A, s * cols_b, s * cols_r, A @ s[:, None]], axis=2)
     H = Z.conj().swapaxes(1, 2) @ Z
-    power = H[:, -1:, -1:].real
+    del Z  # each large array goes once read, and G takes outer's buffer, which keeps a chunk's transient memory low
+    power = H[:, -1:, -1:].real.copy()
     if not np.isfinite(power).all():
         raise SingularCovarianceError("array covariance has non-finite entries")
     if np.any(eta < 1e-15 * (eta + power)):
         raise SingularCovarianceError(f"array covariance is numerically singular; smallest eigenvalue {eta:.6e}")
     d, outer = 1.0 / (eta + power), H[:, :, -1:] * H[:, -1:, :]  # Z^H a a^H Z
-    G, d2 = (H - d * outer) / eta, d**2 * (2.0 * eta + power)
-    Gamma, U, alpha = G[:, :N, :N], slice(N, 3 * N), G[:, -1:, N : 3 * N]
-    G2_Ua = (H[:, U, -1:] - d2 * outer[:, U, -1:]) / eta2  # Z^H R^-2 Z, only at the blocks the FIM reads
-    G2_AA = (H[:, :N, :N] - d2 * outer[:, :N, :N]) / eta2
-    bases = ParameterIndex(N).cov_entry_bases().reshape(N * N, -1).T  # sum(E * T) = T_flat @ bases
-    axes_axes = 2.0 * (alpha.swapaxes(1, 2) * alpha).real + 2.0 * G[:, -1:, -1:].real * G[:, U, U].real
-    axes_cov = 2.0 * ((G[:, U, :N, None] * G[:, None, None, :N, -1]).reshape(K, 2 * N, -1) @ bases).real
-    X = Gamma[:, None, :, :, None] * Gamma.swapaxes(1, 2)[:, :, None, None, :]  # Gamma[q, r] Gamma[t, p]
-    cov_cov = (bases.T @ X.reshape(K, N * N, N * N) @ bases).real
-    axes_noise = 2.0 * G2_Ua.real
-    cov_noise = (G2_AA.swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
-    blocks = ([axes_axes, axes_cov, axes_noise], [axes_cov.swapaxes(1, 2), cov_cov, cov_noise],
-              [axes_noise.swapaxes(1, 2), cov_noise.swapaxes(1, 2), (M - 1) / eta2 + d**2])
-    F = np.concatenate([np.concatenate(row, axis=2) for row in blocks], axis=1)
+    d2, U, axes, cov = d**2 * (2.0 * eta + power), slice(N, 3 * N), slice(0, 2 * N), index.cov_entries
+    G2_Ua, G2_AA = (H[:, U, -1:] - d2 * outer[:, U, -1:]) / eta2, (H[:, :N, :N] - d2 * outer[:, :N, :N]) / eta2
+    G = np.divide(np.subtract(H, np.multiply(d, outer, out=outer), out=outer), eta, out=outer)  # (H - d outer) / eta
+    del H, outer
+    F, Gamma, alpha = np.empty((K, index.size, index.size)), G[:, :N, :N], G[:, -1:, U]
+    bases = index.cov_entry_bases().reshape(N * N, -1).T  # sum(E * T) = T_flat @ bases
+    F[:, axes, axes] = 2.0 * (alpha.swapaxes(1, 2) * alpha).real + 2.0 * G[:, -1:, -1:].real * G[:, U, U].real
+    F[:, axes, cov] = 2.0 * ((G[:, U, :N, None] * G[:, None, None, :N, -1]).reshape(K, 2 * N, -1) @ bases).real
+    X = bases.T @ (Gamma[:, None, ..., None] * Gamma.mT[:, :, None, None]).reshape(K, N * N, -1)  # Gamma_qr Gamma_tp
+    F[:, cov, cov], F[:, axes, -1:], F[:, -1:, -1:] = (X @ bases).real, 2.0 * G2_Ua.real, (M - 1) / eta2 + d**2
+    F[:, cov, -1:] = (G2_AA.swapaxes(1, 2).reshape(K, 1, -1) @ bases).real.swapaxes(1, 2)
+    F[:, cov, axes], F[:, -1:, :-1] = F[:, axes, cov].swapaxes(1, 2), F[:, :-1, -1:].swapaxes(1, 2)
     if not np.isfinite(F).all():
         raise ValidationError("information matrix has non-finite entries")
-    return scenario.snapshots * (0.5 * (F + F.swapaxes(1, 2))), ((eta + power) / eta)[:, 0, 0]
+    np.multiply(np.add(F, F.swapaxes(1, 2), out=F), 0.5, out=F)  # symmetrized, then scaled, in place
+    return np.multiply(F, scenario.snapshots, out=F), ((eta + power) / eta)[:, 0, 0]
 
 
 def fim_closed_form(lin: Linearization, generic: FimMatrix) -> tuple[FimMatrix, dict[str, float]]:
@@ -425,7 +425,7 @@ def crb_bounds(entries: np.ndarray, n_sources: int) -> tuple[np.ndarray, ...]:
     kept = s > PINV_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
     with np.errstate(over="ignore"):  # a subnormal singular value inverts to inf: an inf bound, not a warning
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    diag = ((u * vt.swapaxes(-1, -2)) @ inv[..., None])[..., 0]
+    diag = (np.multiply(u, vt.swapaxes(-1, -2), out=u) @ inv[..., None])[..., 0]
     rank = kept.sum(axis=-1)
     cond = np.full(s.shape[:-1], np.inf)
     if entries.shape[-1]:

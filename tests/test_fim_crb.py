@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -395,6 +396,27 @@ def rank_one_fims(scn, radii, azimuths, cond=False):
 
 class TestRankOneKernel:
     """The bound searches' kernel against the trace form, which stays the oracle."""
+
+    # the (M, N) strata of the benchmark's search_bound and sweep workloads
+    @pytest.mark.parametrize("m, n", [(3, 1), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (5, 3), (6, 3), (7, 3),
+                                      (5, 4), (6, 4), (7, 4), (8, 5)])
+    def test_chunk_transient_memory(self, m, n):
+        # the traced peak of one kernel call on batch_chunk(N) layouts and of its bounds, in units of its (K, P, P)
+        # stack: 6.14 is reached at N = 1, whose (K, M, 4) Z and (K, 4, 4) Gram matrix outweigh its P^2 = 16
+        # values a layout, and at most 4.46 at N >= 2; each ceiling leaves about 6 % over that
+        rng = np.random.default_rng(10 * m + n)
+        scn = random_upper_half_scenario(rng, m, n)
+        sources = scn.geometry.ranges_m, scn.geometry.bearings_rad, frequency_vector(scn.signals), scn.velocity_mps
+        columns = fim_crb._steering_columns(*_layouts(rng, scn, batch_chunk(n)), *sources)
+        fim_crb.fim_rank_one(scn, *columns)  # caches the basis table
+        tracemalloc.start()
+        try:
+            F, _ = fim_crb.fim_rank_one(scn, *columns)
+            crb_bounds(F, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.shape[0] == batch_chunk(n) and peak <= (6.5 if n == 1 else 4.75) * F.nbytes
 
     @settings(max_examples=40, deadline=None)
     @given(scn=polar_scenarios(), seed=st.integers(0, 2**32 - 1))

@@ -30,7 +30,7 @@ from nfcrb.geometry import (
     scenario_positions,
 )
 from nfcrb.fim_crb import _steering_columns, fim_rank_one
-from nfcrb import reposition
+from nfcrb import fim_crb, reposition
 from nfcrb.reposition import (
     OBJECTIVES,
     RepositionPlan,
@@ -610,6 +610,20 @@ class TestBatchedScorerProperties:
                 default = batched_values(objective, scn, element, positions)
                 with mock.patch.object(reposition, "_chunk_scorer", with_chunk):
                     assert batched_values(objective, scn, element, positions) == default
+
+    @pytest.mark.parametrize("fixture, steps", [("scenario_a", (32, 64)), ("scenario_b", (101, 202))])
+    def test_line_scan_bytes_equal_at_both_chunk_budgets(self, fixture, steps, request):
+        # a 401-point crb_theta line scan in the chunks of the old budget (8192 values) and of the new (16384)
+        scn = request.getfixturevalue(fixture)
+        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        line, _ = candidate_positions(scn, 0, DisplacementGrid(-200, 200, 401), 40.0, 4)
+        outcomes = []
+        for budget, step in zip((8192, 16384), steps):
+            with mock.patch.object(fim_crb, "DR_CHUNK_VALUES", budget):
+                assert fim_crb.batch_chunk(scn.num_sources) == step
+                values, errors = score_candidates("crb_theta", 0, sensors_xy, sources_xy, scn, line)
+            outcomes.append((values.tobytes(), {i: (type(e), str(e)) for i, e in errors.items()}))
+        assert outcomes[0] == outcomes[1] and np.isfinite(np.frombuffer(outcomes[0][0])).all()
 
 
 def chunked_scorer(step, calls, worker_scores=None):

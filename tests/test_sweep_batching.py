@@ -617,6 +617,7 @@ class TestThreadedSweep:
         # one chunk per window; the caller is interrupted while the worker evaluates its first chunk,
         # which the worker finishes once the caller waits at the join
         scn, spec = _scenario("scenario_a"), SWEEPS["scenario_a"]
+        _force_chunk(monkeypatch, scn, 32)
         step = fim_crb.batch_chunk(scn.num_sources)
         monkeypatch.setattr(optimizer, "PHASE_CHUNK_VALUES", step * scn.num_sensors * scn.num_sources)
         counts, calls, busy, joining = {}, [], threading.Event(), threading.Event()

@@ -186,6 +186,29 @@ def test_a_rerun_keeps_the_other_seeds_and_the_aa_control(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_a_rerun_in_the_same_work_directory_starts_from_fresh_checkouts(tmp_path, monkeypatch, capsys):
+    # a two-commit repository; the first run leaves its checkouts, and a stray file in one of them, under --work
+    repo, work, out = tmp_path / "repo", tmp_path / "work", tmp_path / "b.json"
+    checkout(repo, {"src/a.py": "x = 1\n"})
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    for step in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "parent"]):
+        subprocess.run([*git, *step], check=True)
+    (repo / "src/a.py").write_text("x = 2\n")
+    subprocess.run([*git, "commit", "-qam", "change"], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run({"base": 1.0, "aacp": 1.0, "head": 1.0}))
+    argv = ["--tag", "t", "--workload", "report", "--pairs", "1", "--aa-pairs", "0",
+            "--base", "HEAD~1", "--head", "HEAD", "--work", str(work), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    (work / "base" / "stray.py").write_text("")
+    assert bench_pairs.main([*argv, "--seeds", "3"]) == 0
+    assert sorted(json.loads(out.read_text())["report"]) == ["seed0", "seed3"]
+    assert not (work / "base" / "stray.py").exists()
+    assert [(work / side / "src/a.py").read_text() for side in ("base", "aacp", "head")] == ["x = 1\n", "x = 1\n",
+                                                                                           "x = 2\n"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("recorded", [{"parent_commit": "other", "change_commit": "change"},
                                       {"parent_commit": "parent", "change_commit": "working tree"}])
 def test_a_file_of_other_commits_exits_2_before_any_run(recorded, tmp_path, monkeypatch, capsys):

@@ -6,7 +6,8 @@
 Three checkouts are made in sibling directories of equal depth under ``--work``:
 ``base`` and ``aacp`` hold the ``--base`` commit (``git archive``), ``head`` holds
 ``--head`` or, by default, the working tree's tracked and untracked files (what
-``git add -A`` would commit).  Each pair runs ``perfbench/run.py`` once on the
+``git add -A`` would commit).  Each run replaces the checkouts an earlier run left
+under the same ``--work``.  Each pair runs ``perfbench/run.py`` once on the
 base and once on the head, the side that runs first alternating from pair to
 pair, so slow drift of the machine falls on both sides alike.  The A/A control
 runs the base against its own copy in the same way: a reading that moves between
@@ -51,6 +52,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -272,6 +274,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         work = args.work or Path(tmp)
         base, copy, head = (work / name for name in ("base", "aacp", "head"))  # equal depth and name length
+        for checkout in (base, copy, head):
+            if checkout.exists():
+                shutil.rmtree(checkout)
         export_commit(args.base, base)
         export_commit(args.base, copy)
         if args.head:
