@@ -10,8 +10,8 @@ from .errors import (
     SingularGeometryError,
     ValidationError,
 )
-from .optimizer import compare_report, constellation_metrics, grid_search
-from .reposition import BoxGrid, DisplacementGrid, apply_reposition, line_search_reposition
+from .optimizer import compare_report, constellation_metrics
+from .reposition import BoxGrid, DisplacementGrid, apply_reposition, grid_search, line_search_reposition
 from .scenario_io import format_run_report, load_scenario, parse_scenario, run_report, runtime_scenario
 
 __all__ = [

@@ -9,8 +9,9 @@ Subcommands:
                  finite-difference pass, closed-form cross-check, per-element
                  power bound on pairwise input); nonzero exit on any failure.
 
-Element and source numbers on the command line are 1-based, matching the
-scenario-file row/column order.
+Every command takes ``--scenario``, ``--eta`` and ``--snapshots`` from one parent parser;
+``main`` loads the scenario and hands it to the command's ``cmd_*`` function.  Element and
+source numbers on the command line are 1-based, matching the scenario-file row/column order.
 """
 
 from __future__ import annotations
@@ -25,23 +26,18 @@ import numpy as np
 from .errors import ValidationError
 from .fim_crb import fim_closed_form, fim_generic, linearize, rx_derivatives_fd
 from .geometry import polar_axes
-from .optimizer import SweepSpec, _native_powers, compare_report, grid_search, sweep
-from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, line_search_reposition,
-                         phase_terms)
+from .optimizer import SweepSpec, _native_powers, compare_report, sweep
+from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, grid_search,
+                         line_search_reposition, phase_terms)
 from .scenario_io import (format_run_report, load_scenario, parse_number, run_report, run_report_row, run_reports,
                           runtime_scenario, write_reports)
 
 
-def _load_runtime(args):
-    sf = load_scenario(args.scenario)
-    eta = None if args.eta is None else parse_number(args.eta, "--eta")
-    snaps = None if args.snapshots is None else parse_number(args.snapshots, "--snapshots", int)
-    scn, defaults = runtime_scenario(sf, eta, snaps)
-    return sf, scn, defaults
-
-
 UNDERFLOW_FLOOR = np.finfo(float).tiny
 """Least normal float: below it every gated information entry has underflowed, so ``validate`` fails the closed form."""
+
+VARY_FORMS = {"frequency": "frequency:<source>:<start>:<stop>:<steps>", "velocity": "velocity:<start>:<stop>:<steps>"}
+"""The ``--vary`` forms of ``sweep``, by kind, as its help and its errors spell them."""
 
 
 def _resolve_element(scn, spec: str) -> int:
@@ -72,8 +68,7 @@ def _parse_grid(text: str) -> DisplacementGrid:
     )
 
 
-def cmd_compute(args) -> int:
-    sf, scn, defaults = _load_runtime(args)
+def cmd_compute(args, sf, scn, defaults) -> int:
     report = run_report(scn, sf.name, defaults)
     print(format_run_report(report))
     if args.out:
@@ -82,8 +77,7 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def cmd_reposition(args) -> int:
-    sf, scn, defaults = _load_runtime(args)
+def cmd_reposition(args, sf, scn, defaults) -> int:
     element = _resolve_element(scn, args.element)
     if args.mode == "analytic":
         m = args.m if args.m == "auto" else parse_number(args.m, "--m", int)
@@ -123,29 +117,23 @@ def cmd_reposition(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    sf, scn, _ = _load_runtime(args)
-    parts = args.vary.split(":")
-    if parts[0] == "frequency":
-        if len(parts) != 5:
-            raise ValidationError("frequency sweep must be frequency:<source>:<start>:<stop>:<steps>")
-        source = parse_number(parts[1], "--vary source", int) - 1
+def cmd_sweep(args, sf, scn, defaults) -> int:
+    kind, *parts = args.vary.split(":")
+    if kind not in VARY_FORMS:
+        raise ValidationError(f"unknown sweep kind {kind!r}")
+    if len(parts) != VARY_FORMS[kind].count(":"):
+        raise ValidationError(f"{kind} sweep must be {VARY_FORMS[kind]}")
+    source = None
+    if kind == "frequency":
+        source = parse_number(parts.pop(0), "--vary source", int) - 1
         if not 0 <= source < scn.num_sources:
             raise ValidationError(f"--vary source: {source + 1} outside 1..{scn.num_sources}")
-        bounds = parts[2:]
-    elif parts[0] == "velocity":
-        if len(parts) != 4:
-            raise ValidationError("velocity sweep must be velocity:<start>:<stop>:<steps>")
-        source = None
-        bounds = parts[1:]
-    else:
-        raise ValidationError(f"unknown sweep kind {parts[0]!r}")
     spec = SweepSpec(
-        vary=parts[0],
+        vary=kind,
         source=source,
-        start=parse_number(bounds[0], "--vary start"),
-        stop=parse_number(bounds[1], "--vary stop"),
-        steps=parse_number(bounds[2], "--vary steps", int),
+        start=parse_number(parts[0], "--vary start"),
+        stop=parse_number(parts[1], "--vary stop"),
+        steps=parse_number(parts[2], "--vary steps", int),
         modes=tuple(args.modes.split(",")),
     )
     rows = sweep(scn, spec)
@@ -155,8 +143,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    sf, scn, _ = _load_runtime(args)
+def cmd_validate(args, sf, scn, defaults) -> int:
     failures = 0
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -202,59 +189,47 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--scenario", required=True, help="path or bundled name (scenario_a, scenario_b)")
+    shared.add_argument("--eta", default=None, help="override noise variance")
+    shared.add_argument("--snapshots", default=None, help="override snapshot count")
+
     parser = argparse.ArgumentParser(
         prog="nfcrb",
         description="Bearing/range bound computation and single-element array optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="bound report for a scenario")
-    p.add_argument("--scenario", required=True, help="path or bundled name (scenario_a, scenario_b)")
-    p.add_argument("--eta", default=None, help="override noise variance")
-    p.add_argument("--snapshots", default=None, help="override snapshot count")
+    p = sub.add_parser("compute", parents=[shared], help="bound report for a scenario")
     p.add_argument("--out", default=None, help="optional CSV destination")
 
-    p = sub.add_parser("reposition", help="move one element and compare bounds")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("reposition", parents=[shared], help="move one element and compare bounds")
     p.add_argument("--mode", required=True, choices=["analytic", "linesearch", "grid"])
     p.add_argument("--element", default="auto", help="1-based element number or 'auto' (strongest)")
     p.add_argument("--objective", default="gf", choices=["gf", "det", "crb_theta", "crb_r"])
     p.add_argument("--m", default="auto", help="phase divisor for the analytic mode ('auto' or integer)")
     p.add_argument("--grid", default="-200:200:401", help="displacement grid min:max:steps (meters)")
-    p.add_argument("--eta", default=None)
-    p.add_argument("--snapshots", default=None)
 
-    p = sub.add_parser("sweep", help="frequency or velocity sweep to CSV")
-    p.add_argument("--scenario", required=True)
-    p.add_argument(
-        "--vary",
-        required=True,
-        help="frequency:<source>:<start>:<stop>:<steps> or velocity:<start>:<stop>:<steps>",
-    )
+    p = sub.add_parser("sweep", parents=[shared], help="frequency or velocity sweep to CSV")
+    p.add_argument("--vary", required=True, help=" or ".join(VARY_FORMS.values()))
     p.add_argument("--modes", default="primary", help="comma-separated: primary,reposition")
     p.add_argument("--out", required=True, help="CSV destination")
-    p.add_argument("--eta", default=None)
-    p.add_argument("--snapshots", default=None)
 
-    p = sub.add_parser("validate", help="run self-checks; nonzero exit on failure")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--snapshots", default=None)
-
+    sub.add_parser("validate", parents=[shared], help="run self-checks; nonzero exit on failure")
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        sf = load_scenario(args.scenario)
+        eta = None if args.eta is None else parse_number(args.eta, "--eta")
+        snaps = None if args.snapshots is None else parse_number(args.snapshots, "--snapshots", int)
+        scn, defaults = runtime_scenario(sf, eta, snaps)
         # looked up at call time, so a rebound cmd_* function is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        return globals()[f"cmd_{args.command}"](args, sf, scn, defaults)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

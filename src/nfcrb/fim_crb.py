@@ -147,21 +147,13 @@ def batch_chunk(num_sources: int) -> int:
     return max(1, DR_CHUNK_VALUES // ParameterIndex(num_sources).size ** 2)
 
 
-def _kernel_axes(scenario) -> list[np.ndarray]:
-    """The kernel's axes of one scenario's polar form, with a batch axis of one: sensor radii
-    and azimuths (1, M), source ranges, bearings and frequencies (1, N), and velocity (1,)."""
-    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
-    axes = radii, azimuths, ranges, bearings, frequency_vector(scenario.signals), scenario.velocity_mps
-    return [np.asarray(a, dtype=float)[None] for a in axes]
-
-
 def _steering_columns(radii, azimuths, ranges, bearings, freqs, velocity) -> tuple[np.ndarray, ...]:
     """(K, M, N) steering matrices and bearing and range derivative columns.
 
-    Takes the axes of ``_kernel_axes``, stacked over K; sources, frequencies and velocity may
-    instead be (N,) arrays and a scalar shared by all K constellations.  The
-    law-of-cosines distance gives d tau / d bearing = rho r sin(bearing -
-    azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) /
+    Takes (K, M) sensor radii and azimuths, (K, N) source ranges, bearings and frequencies and
+    (K,) velocities; sources, frequencies and velocity may instead be (N,) arrays and a scalar
+    shared by all K constellations.  The law-of-cosines distance gives d tau / d bearing =
+    rho r sin(bearing - azimuth) / (c d) and d tau / d range = (r - rho cos(bearing - azimuth)) /
     (c d); column n of a derivative matrix is -j 2 pi f_n (d tau / d axis) A[:, n].
     """
     d = distances(polar_to_cartesian(radii, azimuths), polar_to_cartesian(ranges, bearings))
@@ -280,8 +272,10 @@ class Linearization:
 
 
 def linearize(scenario) -> Linearization:
-    """The kernel at K = 1 on one polar or pairwise scenario (its polar form)."""
-    A, cols_b, cols_r, Rs, R, dR = _covariance_stack(scenario, *_kernel_axes(scenario))
+    """The kernel at K = 1 on one polar or pairwise scenario (its polar form), its axes given a batch axis of one."""
+    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
+    axes = radii, azimuths, ranges, bearings, frequency_vector(scenario.signals), scenario.velocity_mps
+    A, cols_b, cols_r, Rs, R, dR = _covariance_stack(scenario, *(np.asarray(a, dtype=float)[None] for a in axes))
     return Linearization(A[0], cols_b[0], cols_r[0], Rs, R[0], dR[0])
 
 

@@ -19,8 +19,6 @@ elements, one ``reposition.plan_moves`` call their moves and one
 fits are one stacked ``geometry._solve`` call of one right-hand side per table
 (one multi-right-hand-side solve would round the residual notes differently).
 ``compare_report`` gives the before/after ratios of two evaluations.
-``grid_search`` runs the exhaustive scan of ``reposition`` over a
-displacement grid or a 2-D box.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .errors import ValidationError, batch_or_each, kept, map_on_cpus
 from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, _steering_columns, batch_chunk, crb_bounds, fim_for_scenario,
                       fim_rank_one)
 from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
-from .reposition import RepositionPlan, _check_axis, _scan, plan_moves
+from .reposition import _check_axis, plan_moves
 from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
 
 
@@ -191,16 +189,6 @@ def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]
     scenario (``_evaluate`` at K = 1), with its notes for a sweep row."""
     ev = ConstellationEvaluation.from_record(_evaluate([scn])[0])
     return ev, tuple(_notes(ev.residual, ev.crb.rank, ev.crb.size))
-
-
-def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
-    """Exhaustive search over a displacement grid or a 2-D box of positions.
-
-    Returns the global grid minimizer (ties to the lowest candidate in scan
-    order).  Unlike the line search, the original position competes only if
-    the region contains it, so a single-point grid returns that point.
-    """
-    return _scan(scn, element, objective, region, "grid")
 
 
 def _planned_chunks(scn, spec: SweepSpec, step: int):

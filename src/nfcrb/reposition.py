@@ -10,7 +10,7 @@ realizations are provided:
   plans K such moves in one array pass (a sweep's window of chunks, or
   K = 1), the arcsines as the scalar ``math.asin`` over a flat list
   (``np.arcsin`` rounds about 8 % of arguments differently in the last bit);
-* one search scan behind the line search and ``optimizer.grid_search``: it
+* one search scan behind ``line_search_reposition`` and ``grid_search``: it
   scores the element at every position of a ``DisplacementGrid`` or
   ``BoxGrid`` in one batch with its current position, in chunks of array
   passes that give float arrays (a bound scan's on two threads of
@@ -439,6 +439,16 @@ def line_search_reposition(scn, element: int, objective: str, grid: Displacement
     always a candidate, so objective_after <= objective_before.
     """
     return _scan(scn, element, objective, grid, "linesearch")
+
+
+def grid_search(scn, element: int, objective: str, region) -> RepositionPlan:
+    """Exhaustive search over a displacement grid or a 2-D box of positions.
+
+    Returns the global grid minimizer (ties to the lowest candidate in scan
+    order).  Unlike the line search, the original position competes only if
+    the region contains it, so a single-point grid returns that point.
+    """
+    return _scan(scn, element, objective, region, "grid")
 
 
 def apply_reposition(scn, plan: RepositionPlan) -> Scenario:

@@ -212,8 +212,28 @@ class TestCli:
         from nfcrb import cli
 
         assert main(["compute", "--scenario", "scenario_a"]) == 0
-        monkeypatch.setattr(cli, "cmd_compute", lambda args: 7)
+        monkeypatch.setattr(cli, "cmd_compute", lambda *_: 7)
         assert main(["compute", "--scenario", "scenario_a"]) == 7
+
+    @pytest.mark.parametrize("command, rest", [
+        ("compute", []),
+        ("reposition", ["--mode", "analytic"]),
+        ("sweep", ["--vary", "velocity:1:2:3", "--out", "rows.csv"]),
+        ("validate", []),
+    ])
+    def test_every_command_takes_the_shared_options(self, command, rest, monkeypatch, capsys):
+        from nfcrb.cli import build_parser
+
+        args = build_parser().parse_args([command, "--scenario", "X", "--eta", "0.5", "--snapshots", "4", *rest])
+        assert (args.scenario, args.eta, args.snapshots) == ("X", "0.5", "4")
+        monkeypatch.setenv("COLUMNS", "200")  # one help entry per line
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for shown in ("path or bundled name (scenario_a, scenario_b)", "override noise variance",
+                      "override snapshot count"):
+            assert shown in out
 
     def test_compute_csv_out(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

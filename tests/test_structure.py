@@ -86,6 +86,28 @@ def test_one_scan_scores_candidates():
     assert callers_of("score_candidates") == [("reposition.py", "_scan")]
 
 
+def test_one_command_front_end():
+    # the options every command takes are added once, to one parent parser, and main alone loads the scenario
+    cli = MODULES["cli.py"]
+    added = [node.args[0].value for node in ast.walk(cli)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"]
+    assert [added.count(option) for option in ("--scenario", "--eta", "--snapshots")] == [1, 1, 1]
+    loaders = {"load_scenario", "runtime_scenario"}
+    loads = sorted((called, owner) for owner, called in calls_by_function(cli) if called in loaders)
+    assert loads == [("load_scenario", "main"), ("runtime_scenario", "main")]
+    # the parser is built once per process, cached where it is built, with no forwarder in front of it
+    assert nfcrb.cli.build_parser() is nfcrb.cli.build_parser()
+    assert not {getattr(node, "name", None) for node in ast.walk(cli)} & {"_parser", "_load_runtime"}
+
+
+def test_both_searches_are_one_scan():
+    # the line search and the grid search are the one scan with a mode, and nothing outside reposition reaches it
+    assert users_of("_scan") == [("reposition.py", "grid_search"), ("reposition.py", "line_search_reposition")]
+    imported = {alias.name for tree in MODULES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_scan" not in imported
+
+
 def test_one_chunk_scorer_per_search():
     # every candidate, a failing one too, is scored by the function _chunk_scorer builds
     assert users_of("_chunk_scorer") == [("reposition.py", "score_candidates")]

@@ -231,3 +231,11 @@ def test_reach_lists_what_no_operation_calls(tmp_path):
     unreached = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
     assert "reposition.analytic_reposition" in unreached
     assert "reposition.score_candidates" not in unreached
+    # by line: both searches run, and no candidate fails, so no skip note is written
+    argv[-1] = str(tmp_path / "lines")
+    lines = subprocess.run([*argv, "--lines"], capture_output=True, text=True, check=True).stdout.splitlines()
+    where = {line.split(": ", 1)[0].rsplit(":", 1)[0] for line in lines}
+    assert {"reposition.analytic_reposition", "reposition._scan"} <= where
+    assert not where & {"reposition.grid_search", "reposition.line_search_reposition"}
+    assert any(line.startswith("reposition._scan:") and line.endswith('notes.append(f"{where} skipped: {exc}")')
+               for line in lines)
