@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .fim_crb import fim_closed_form, fim_generic, linearize, rx_derivatives_fd
-from .geometry import polar_axes
 from .optimizer import SweepSpec, _native_powers, compare_report, sweep
 from .reposition import (DisplacementGrid, analytic_reposition, apply_reposition, gf_objective, grid_search,
                          line_search_reposition, phase_terms)
 from .scenario_io import (format_run_report, load_scenario, parse_number, run_report, run_report_row, run_reports,
                           runtime_scenario, write_reports)
+from .signal_model import frequency_vector
 
 
 UNDERFLOW_FLOOR = np.finfo(float).tiny
@@ -178,10 +178,12 @@ def cmd_validate(args, sf, scn, defaults) -> int:
         + ", ".join(f"{k}={v:.3e}" for k, v in sorted(cov_blocks.items()))
     )
 
-    if polar_axes(scn)[1] is not None:  # a reconstruction residual: pairwise input
+    if scn.geometry.residual is not None:  # a reconstruction residual: pairwise input
         powers, _ = _native_powers(scn)
         smax2 = max(abs(sig.amplitude) ** 2 for sig in scn.signals)
-        bounds = smax2 * gf_objective([phase_terms(scn, k) for k in range(scn.num_sensors)])
+        freqs = frequency_vector(scn.signals)
+        bounds = smax2 * gf_objective([phase_terms(scn.geometry, k, freqs, scn.velocity_mps)
+                                       for k in range(scn.num_sensors)])
         ok = bool(np.all(powers <= bounds * (1 + 1e-12)))
         check("per-element power bound", ok, "power_k <= max|amp|^2 * phase objective, all elements")
 

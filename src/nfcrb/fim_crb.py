@@ -19,10 +19,11 @@ a cross-check of a given generic matrix (run by ``validate`` and the tests, not
 by reports) that reports its per-block deviation.  Finite-difference oracles
 for the steering derivative columns and the covariance derivatives back them:
 ``rx_derivatives_fd`` takes a polar or pairwise scenario as given, steps the
-polar axes ``linearize`` steers (``geometry.polar_axes``, converted once per
-pairwise table) by FD_REL_STEP, and reads both oracles off one stacked steering
-pass of every stepped constellation: the (2, M, N) columns, shaped as
-``linearize``'s, and the (P, M, M) covariance derivatives.
+polar axes ``linearize`` steers (its encoding's ``axes``, which
+``geometry.PairwiseGeometry.axes`` converts once per table) by FD_REL_STEP, and
+reads both oracles off one stacked steering pass of every stepped
+constellation: the (2, M, N) columns, shaped as ``linearize``'s, and the
+(P, M, M) covariance derivatives.
 
 ``_steering_columns`` steers a leading batch axis of K constellations:
 per-constellation sensors (K, M), sources and frequencies (K, N) and
@@ -46,7 +47,7 @@ from functools import cache
 import numpy as np
 
 from .errors import SingularCovarianceError, ValidationError
-from .geometry import TWO_PI, distances, polar_axes, polar_to_cartesian
+from .geometry import TWO_PI, distances, polar_to_cartesian
 from .signal_model import amplitude_vector, covariances, frequency_vector, steering_matrix
 
 
@@ -273,8 +274,7 @@ class Linearization:
 
 def linearize(scenario) -> Linearization:
     """The kernel at K = 1 on one polar or pairwise scenario (its polar form), its axes given a batch axis of one."""
-    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
-    axes = radii, azimuths, ranges, bearings, frequency_vector(scenario.signals), scenario.velocity_mps
+    axes = *scenario.geometry.axes, frequency_vector(scenario.signals), scenario.velocity_mps
     A, cols_b, cols_r, Rs, R, dR = _covariance_stack(scenario, *(np.asarray(a, dtype=float)[None] for a in axes))
     return Linearization(A[0], cols_b[0], cols_r[0], Rs, R[0], dR[0])
 
@@ -439,8 +439,8 @@ def rx_derivatives_fd(scenario) -> tuple[np.ndarray, np.ndarray]:
     (2, M, N) bearing and range stack shaped as ``Linearization.bearing_cols``/``range_cols``, and of
     its array covariance over the full parameter vector, a (P, M, M) stack.
 
-    One stacked steering pass of its polar axes (``polar_axes``, which ``linearize`` steers) holds
-    4N + 1 constellations: each source stepped up, then down, along bearing by FD_REL_STEP radians,
+    One stacked steering pass of its polar axes (its encoding's ``axes``, which ``linearize`` steers)
+    holds 4N + 1 constellations: each source stepped up, then down, along bearing by FD_REL_STEP radians,
     the same along range by FD_REL_STEP of its range, and the unstepped one.  A stepped bearing is
     reduced % TWO_PI as ``PolarGeometry`` reduces it, so a step across 0 wraps, and every value equals
     that of the stepped ``PolarGeometry`` bit for bit.  A source's steps move only its own column, whose
@@ -448,7 +448,7 @@ def rx_derivatives_fd(scenario) -> tuple[np.ndarray, np.ndarray]:
     and down, is one slice of one stacked product: the bearing and range steps take their stepped
     steering matrices, and the covariance-entry and noise steps share the unstepped one.
     """
-    (radii, azimuths, ranges, bearings), _ = polar_axes(scenario)
+    radii, azimuths, ranges, bearings = scenario.geometry.axes
     M, N = len(radii), len(ranges)
     s, eta0 = amplitude_vector(scenario.signals), scenario.noise_variance
     base_rs, bases = np.outer(s, s.conj()), ParameterIndex(N).cov_entry_bases()

@@ -18,9 +18,10 @@ root-mean-square inconsistency (meters) is always reported.  ``refit_positions``
 the one fit, of a stack of arrival tables: the y half reads H alone, so tables
 differing only in arrival angles share it, and a table's own fit is the stack of one.
 
-Each encoding answers what the front doors ``polar_axes``, ``pairwise_form``, ``delay_geometry``
-and ``scenario_positions`` ask, so none branches on it: its kernel polar axes and residual, its
-read-only Cartesian positions, its delays as a function of the velocity and its pairwise table.
+Each encoding answers for itself, so callers read ``scn.geometry`` and none branches on it:
+``axes`` and ``residual`` (its kernel polar axes and fit residual), ``positions`` (its read-only
+Cartesian points), ``delay_geometry()`` (its delays as a function of the velocity) and
+``pairwise()`` (its pairwise table).  Both reject non-finite entries.
 ``distances`` is the one sensor-to-source distance kernel, ``polar_to_cartesian`` the one
 polar-to-Cartesian conversion and ``axes_from_positions`` gives the kernel's polar axes of
 Cartesian points.  Only scenario files build a ``PolarGeometry``: the kernel and the
@@ -30,7 +31,7 @@ finite-difference oracles read a pairwise table's fitted positions as those axes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
@@ -68,6 +69,10 @@ class PolarGeometry:
             raise ValidationError(f"sensor radius must be nonnegative, got {radii[radii < 0][0]}")
         if not (ranges > 0).all():
             raise ValidationError(f"source range must be positive, got {ranges[~(ranges > 0)][0]}")
+        for name, a in zip(("sensor radius", "sensor azimuth", "source range", "source bearing"),
+                           (radii, azimuths, ranges, bearings)):
+            if not np.isfinite(a).all():
+                raise ValidationError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
         for f, a in zip(fields(self), (radii, azimuths % TWO_PI, ranges, bearings % TWO_PI)):
             a.flags.writeable = False
             object.__setattr__(self, f.name, a)
@@ -131,6 +136,9 @@ class PairwiseGeometry:
             raise ValidationError("vertical distances must be positive")
         if np.any(a <= 0) or np.any(a >= math.pi):
             raise ValidationError("arrival angles must lie strictly inside (0, pi)")
+        for name, m in (("vertical distances", v), ("arrival angles", a)):
+            if not np.isfinite(m).all():
+                raise ValidationError(f"{name} must be finite, got {m[~np.isfinite(m)][0]}")
         v.flags.writeable = a.flags.writeable = False  # so the cached fit cannot go stale
         object.__setattr__(self, "vertical_m", v)
         object.__setattr__(self, "arrival_rad", a)
@@ -319,49 +327,3 @@ def refit_axes(pairwise: PairwiseGeometry, arrival_rad: np.ndarray) -> tuple[tup
     sensors, sources, residuals = refit_positions(pairwise, arrival_rad)
     radii, azimuths, ranges, bearings, at_origin = _polar_coordinates(sensors, sources)
     return (radii, azimuths % TWO_PI, ranges, bearings % TWO_PI), residuals, at_origin
-
-
-def _require_scenario(scn) -> None:
-    if not isinstance(scn, Scenario):
-        raise ValidationError(f"expected a scenario, got {type(scn).__name__}")
-
-
-def polar_axes(scn) -> tuple[tuple[np.ndarray, ...], float | None]:
-    """(M,) sensor radii and azimuths and (N,) source ranges and bearings of a scenario's polar
-    form, and its reconstruction residual in meters (None for polar input): a ``PolarGeometry``'s
-    own arrays, or a pairwise table's ``PairwiseGeometry.axes``, converted once per table."""
-    _require_scenario(scn)
-    return scn.geometry.axes, scn.geometry.residual
-
-
-def pairwise_form(scn) -> Scenario:
-    """Pairwise form of a scenario; polar input converts exactly.
-
-    Requires every source strictly above every sensor's horizontal line;
-    otherwise the positive-vertical representation does not exist.
-    """
-    _require_scenario(scn)
-    table = scn.geometry.pairwise()
-    return scn if table is scn.geometry else replace(scn, geometry=table)
-
-
-def delay_geometry(scn):
-    """The scenario's native delays as a function of the velocity c, with the velocity-free
-    part computed once: H / (c sin(arrival)) for a pairwise table, distance / c for polar input."""
-    _require_scenario(scn)
-    return scn.geometry.delay_geometry()
-
-
-def native_delays(scn) -> np.ndarray:
-    """(M, N) delays in the scenario's own encoding (see ``delay_geometry``)."""
-    return delay_geometry(scn)(scn.velocity_mps)
-
-
-def scenario_positions(scn) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cartesian sensors/sources of a polar or pairwise scenario, read-only and converted once.
-
-    Polar input converts exactly (residual 0); pairwise input goes through the
-    least-squares reconstruction, fitted once per table, and reports its residual.
-    """
-    _require_scenario(scn)
-    return scn.geometry.positions

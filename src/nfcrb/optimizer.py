@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ValidationError, batch_or_each, kept, map_on_cpus
 from .fim_crb import (PHASE_CHUNK_VALUES, CrbReport, _steering_columns, batch_chunk, crb_bounds, fim_for_scenario,
                       fim_rank_one)
-from .geometry import delay_geometry, native_delays, pairwise_form, polar_axes, refit_axes
+from .geometry import refit_axes
 from .reposition import _check_axis, plan_moves
 from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
 
@@ -117,7 +117,7 @@ class ConstellationEvaluation:
 
 def _native_powers(scn) -> tuple[np.ndarray, int]:
     """Per-element received powers at the scenario's native delays, and the strongest element."""
-    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+    A = steering_matrix(scn.geometry.delay_geometry()(scn.velocity_mps), frequency_vector(scn.signals))
     return received_power(A, scn.signals)
 
 
@@ -141,9 +141,11 @@ class _Rows:
 
 def _rows_of(scenarios) -> _Rows:
     """The ``_Rows`` of scenarios sharing M, N, amplitudes, noise and snapshots."""
-    axes, residuals = zip(*map(polar_axes, scenarios))
-    per_row = [(native_delays(s), *a, frequency_vector(s.signals), s.velocity_mps) for s, a in zip(scenarios, axes)]
-    return _Rows(scenarios[0], tuple(map(np.array, zip(*per_row))), list(residuals), [None] * len(scenarios))
+    axes = [s.geometry.axes for s in scenarios]  # every fit, then every delay
+    per_row = [(s.geometry.delay_geometry()(s.velocity_mps), *a, frequency_vector(s.signals), s.velocity_mps)
+               for s, a in zip(scenarios, axes)]
+    residuals = [s.geometry.residual for s in scenarios]
+    return _Rows(scenarios[0], tuple(map(np.array, zip(*per_row))), residuals, [None] * len(scenarios))
 
 
 def _evaluate(targets) -> list[tuple]:
@@ -193,13 +195,15 @@ def constellation_metrics(scn) -> tuple[ConstellationEvaluation, tuple[str, ...]
 
 def _planned_chunks(scn, spec: SweepSpec, step: int):
     """Per chunk of ``step`` rows in sweep order: its (point, mode) rows, their ``_Rows`` and each
-    row's notes so far.  Only one frequency or the velocity varies, so the polar axes, pairwise form
+    row's notes so far.  Only one frequency or the velocity varies, so the polar axes, pairwise table
     and delay geometry are converted once (a failure is held to fail each row that needs it); the
     reposition rows of as many whole chunks as one PHASE_CHUNK_VALUES steering pass holds are planned together."""
-    polar, pws, delays_at = (kept(convert, scn) for convert in (polar_axes, pairwise_form, delay_geometry))
+    geometry = scn.geometry
+    axes, table, delays_at = kept(getattr, geometry, "axes"), kept(geometry.pairwise), kept(geometry.delay_geometry)
     M, N = scn.num_sensors, scn.num_sources
-    failed = next((exc for exc in (delays_at, polar) if isinstance(exc, ValidationError)), None)
-    base, residual = ((np.zeros(M), np.zeros(M), np.zeros(N), np.zeros(N)), None) if failed else polar
+    failed = next((exc for exc in (delays_at, axes) if isinstance(exc, ValidationError)), None)
+    base = (np.zeros(M), np.zeros(M), np.zeros(N), np.zeros(N)) if failed else axes
+    residual = None if failed else geometry.residual
     rows = [(point, mode) for point in spec.grid().tolist() for mode in spec.modes]
     frequencies, velocities = np.tile(frequency_vector(scn.signals), (len(rows), 1)), np.array([p for p, _ in rows])
     if spec.vary == "frequency":
@@ -219,14 +223,14 @@ def _planned_chunks(scn, spec: SweepSpec, step: int):
                 notes[i].append(f"reposition skipped: {failed}")
         elif moved:
             strongest = received_power(steering_matrix(delays[moved], f[moved]), scn.signals)[1]
-            errors, infeasible = [pws] * len(moved), [0] * len(moved)
-            if not isinstance(pws, ValidationError):
-                plans = plan_moves(pws.geometry, strongest, f[moved], c[moved])
+            errors, infeasible = [table] * len(moved), [0] * len(moved)
+            if not isinstance(table, ValidationError):
+                plans = plan_moves(table, strongest, f[moved], c[moved])
                 errors, infeasible = plans.errors, (~(plans.arguments <= 1.0)).sum(axis=1).tolist()
                 planned = [i for i, exc in zip(moved, errors) if exc is None]
-                axes, fits, conversions = refit_axes(pws.geometry, plans.tables)
+                refits, fits, conversions = refit_axes(table, plans.tables)
                 # the native delays of each rewritten table, then its kernel axes
-                parts = (pws.geometry.vertical_m / (c[planned, None, None] * np.sin(plans.tables)), *axes)
+                parts = (table.vertical_m / (c[planned, None, None] * np.sin(plans.tables)), *refits)
                 for whole, part in zip(arrays, parts):
                     whole[planned] = part
                 for i, fit, exc in zip(planned, fits, conversions):

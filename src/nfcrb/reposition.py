@@ -41,14 +41,7 @@ import numpy as np
 
 from .errors import SingularGeometryError, ValidationError, batch_or_each, kept, map_on_cpus
 from .fim_crb import PHASE_CHUNK_VALUES, _steering_columns, batch_chunk, crb_bounds, fim_rank_one
-from .geometry import (
-    PairwiseGeometry,
-    Scenario,
-    axes_from_positions,
-    distances,
-    pairwise_form,
-    scenario_positions,
-)
+from .geometry import PairwiseGeometry, Scenario, axes_from_positions, distances
 from .signal_model import det_modulus, frequency_vector, received_power, steering_matrix
 
 OBJECTIVES = ("gf", "power", "det", "crb_theta", "crb_r")
@@ -136,20 +129,18 @@ def _check_element(element: int, num_sensors: int) -> None:
         raise ValidationError(f"element {element} outside 0..{num_sensors - 1}")
 
 
-def phase_terms(pws: Scenario, element: int) -> np.ndarray:
-    """(N,) steering phases of the given element toward each source.
+def phase_terms(table: PairwiseGeometry, element: int, freqs: np.ndarray, c: float) -> np.ndarray:
+    """(N,) steering phases of the given element of a pairwise table toward each source, at
+    frequencies ``freqs`` and velocity ``c``.
 
     term_n = 2 pi f_n H_n / (c sin(arrival_n)), which equals 2 pi f_n times
     the propagation delay of that pair.
     """
-    _check_element(element, pws.num_sensors)
-    H = pws.geometry.vertical_m[element]
-    arrival = pws.geometry.arrival_rad[element]
-    s = np.sin(arrival)
+    _check_element(element, table.num_sensors)
+    H, s = table.vertical_m[element], np.sin(table.arrival_rad[element])
     if np.any(s <= 0):
         raise SingularGeometryError("arrival angle at 0 or pi has no finite phase term")
-    scale = 2.0 * np.pi * frequency_vector(pws.signals) * H / pws.velocity_mps
-    return scale / s
+    return 2.0 * np.pi * freqs * H / c / s
 
 
 def gf_objective(terms) -> np.ndarray:
@@ -239,10 +230,10 @@ def analytic_reposition(scn, element: int, m: int | str = "auto", branches=None)
     both give the same phase objective, so the default is acute.  This is
     ``plan_moves`` at K = 1, and raises the error that rejects its plan.
     """
-    pws = pairwise_form(scn)
-    _check_element(element, pws.num_sensors)
-    freqs, c = frequency_vector(pws.signals), pws.velocity_mps
-    plans = plan_moves(pws.geometry, [element], freqs[None], [c], m, branches)
+    table = scn.geometry.pairwise()
+    _check_element(element, table.num_sensors)
+    freqs, c = frequency_vector(scn.signals), scn.velocity_mps
+    plans = plan_moves(table, [element], freqs[None], [c], m, branches)
     if plans.errors[0]:
         raise plans.errors[0]
     new_arrival, notes = plans.arrival[0], []
@@ -257,8 +248,8 @@ def analytic_reposition(scn, element: int, m: int | str = "auto", branches=None)
             note = f"{label}, {branch} branch, arrival {math.degrees(new_arrival[n]):.3f} deg"
         notes.append(f"source {n + 1}: {note}")
 
-    moved = 2.0 * np.pi * freqs * pws.geometry.vertical_m[element] / (c * np.sin(new_arrival))
-    before, after = gf_objective([phase_terms(pws, element), moved]).tolist()
+    moved = 2.0 * np.pi * freqs * table.vertical_m[element] / (c * np.sin(new_arrival))
+    before, after = gf_objective([phase_terms(table, element, freqs, c), moved]).tolist()
     return RepositionPlan(element, "analytic", new_arrival, None, "gf", before, after, tuple(notes))
 
 
@@ -388,7 +379,7 @@ def _scan(scn, element: int, objective: str, region, mode: str) -> RepositionPla
     position, scored in the same batch, is the baseline (NaN, with a note, if unscorable).
     Failing candidates are skipped and noted; the scan fails only if all of them do.
     """
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     _check_element(element, len(sensors_xy))
     x0, y0 = sensors_xy[element]
     if isinstance(region, DisplacementGrid):
@@ -458,9 +449,9 @@ def apply_reposition(scn, plan: RepositionPlan) -> Scenario:
     arrival angles.  Two-dimensional plans (with ``new_position_m``) recompute
     the row's vertical distances as well, from reconstructed positions.
     """
-    pws = pairwise_form(scn)
-    _check_element(plan.element, pws.num_sensors)
-    vertical, arrival = pws.geometry.vertical_m.copy(), pws.geometry.arrival_rad.copy()
+    table = scn.geometry.pairwise()
+    _check_element(plan.element, table.num_sensors)
+    vertical, arrival = table.vertical_m.copy(), table.arrival_rad.copy()
     if plan.new_position_m is None:
         angles = np.asarray(plan.new_arrival_rad, dtype=float)
         if angles.shape != arrival.shape[1:]:
@@ -469,10 +460,10 @@ def apply_reposition(scn, plan: RepositionPlan) -> Scenario:
             raise ValidationError(_OUTSIDE)
         arrival[plan.element] = angles
     else:
-        _, sources_xy, _ = scenario_positions(pws)
+        _, sources_xy, _ = table.positions
         x, y = plan.new_position_m
         v = sources_xy[:, 1] - y
         if np.any(v <= 0):
             raise SingularGeometryError("planned position puts a source on or below the element's horizontal line")
         vertical[plan.element], arrival[plan.element] = v, np.arctan2(v, sources_xy[:, 0] - x)
-    return replace(pws, geometry=PairwiseGeometry(vertical, arrival))
+    return replace(scn, geometry=PairwiseGeometry(vertical, arrival))

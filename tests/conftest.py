@@ -12,7 +12,7 @@ import pytest
 
 from nfcrb import ValidationError, geometry, load_scenario, optimizer, runtime_scenario
 from nfcrb.signal_model import SourceSignal, amplitude_vector, covariances, frequency_vector, steering_matrix
-from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario, native_delays
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario
 from nfcrb.fim_crb import CrbReport, FimMatrix, ParameterIndex, crb_bounds, linearize
 
 
@@ -27,7 +27,7 @@ def scenario_from_positions(sensors_xy, sources_xy, velocity_mps: float, signals
 
 def polar_form(scn) -> tuple[Scenario, float | None]:
     """Polar form of a scenario and its reconstruction residual in meters (None for polar input):
-    the Scenario whose values ``geometry.polar_axes`` gives as arrays."""
+    the Scenario whose values ``geometry.PairwiseGeometry.axes`` gives as arrays."""
     if isinstance(scn.geometry, PolarGeometry):
         return scn, None
     sensors_xy, sources_xy, residual = scn.geometry.positions
@@ -35,6 +35,11 @@ def polar_form(scn) -> tuple[Scenario, float | None]:
         sensors_xy, sources_xy, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
     )
     return polar, residual
+
+
+def pairwise_of(scn) -> Scenario:
+    """The scenario with its pairwise table as its geometry; polar input converts exactly."""
+    return replace(scn, geometry=scn.geometry.pairwise())
 
 
 def reducing_to(angles: np.ndarray) -> np.ndarray:
@@ -126,7 +131,7 @@ def pairwise_scenario(vertical, arrival_rad, freqs, amps, velocity=3e8, eta=1.0,
 
 def trace_loop_fim(scn: Scenario) -> np.ndarray:
     """Reference information matrix: dense derivative products and one trace per entry."""
-    A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+    A = steering_matrix(scn.geometry.delay_geometry()(scn.velocity_mps), frequency_vector(scn.signals))
     s = amplitude_vector(scn.signals)
     Rs, Ah = np.outer(s, s.conj()), A.conj().T
     lin, derivs = linearize(scn), []

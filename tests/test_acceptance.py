@@ -24,7 +24,6 @@ from nfcrb.signal_model import (
     steering_matrix,
     synthesize_snapshots,
 )
-from nfcrb.geometry import native_delays, scenario_positions
 from nfcrb.fim_crb import (
     fim_closed_form,
     fim_generic,
@@ -58,7 +57,7 @@ def test_criterion_1_steering_derivative_oracle():
             worst = max(worst, err)
         # variant with the squared-bracket exponent 3/2 (divide by the cubed
         # distance instead of the distance): recorded as failing the oracle
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         d = np.linalg.norm(sources_xy[None, :, :] - sensors_xy[:, None, :], axis=2)
         variant_cols = lin.bearing_cols / d**2
         fd_b = fd_cols[0]
@@ -152,11 +151,11 @@ def test_criterion_5_determinant_and_power_bounds(scenario_a, scenario_b):
     margins = []
     for pws in (scenario_a, scenario_b):
         freqs = np.array([s.freq_hz for s in pws.signals])
-        A = steering_matrix(native_delays(pws), freqs)
+        A = steering_matrix(pws.geometry.delay_geometry()(pws.velocity_mps), freqs)
         powers, _ = received_power(A, pws.signals)
         smax2 = max(abs(s.amplitude) ** 2 for s in pws.signals)
         for k in range(pws.num_sensors):
-            bound = smax2 * gf_objective(phase_terms(pws, k))
+            bound = smax2 * gf_objective(phase_terms(pws.geometry, k, freqs, pws.velocity_mps))
             margins.append(bound - powers[k])
     ok = ok_det and all(m >= -1e-9 for m in margins)
     report(5, ok, f"determinant bound held on 1000 random matrices; per-element power bound "
@@ -261,7 +260,7 @@ def test_criterion_8_grid_oracle_dominates_analytic(scenario_a, scenario_b):
 
 def test_criterion_9_sample_covariance_convergence(scenario_a):
     freqs = np.array([s.freq_hz for s in scenario_a.signals])
-    A = steering_matrix(native_delays(scenario_a), freqs)
+    A = steering_matrix(scenario_a.geometry.delay_geometry()(scenario_a.velocity_mps), freqs)
     R = covariances(A, scenario_a.signals, 1.0)
     ratios = []
     for seed in range(20):

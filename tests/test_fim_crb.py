@@ -12,7 +12,7 @@ from nfcrb import fim_crb, geometry, reposition
 from nfcrb.cli import main
 from nfcrb.errors import kept
 from nfcrb.signal_model import SourceSignal, amplitude_vector, frequency_vector, steering_matrix
-from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario, native_delays, pairwise_form, scenario_positions
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry, Scenario
 from nfcrb.fim_crb import (
     DR_CHUNK_VALUES,
     ParameterIndex,
@@ -24,8 +24,8 @@ from nfcrb.fim_crb import (
     linearize,
     rx_derivatives_fd,
 )
-from conftest import (crb_report, pinv_totals, polar_form, random_scenario, random_upper_half_scenario, reducing_to,
-                      trace_loop_fim, with_polar)
+from conftest import (crb_report, pairwise_of, pinv_totals, polar_form, random_scenario, random_upper_half_scenario,
+                      reducing_to, trace_loop_fim, with_polar)
 
 
 def _own_layout(scn):
@@ -82,8 +82,11 @@ def steering_fd_reference(scn, axis):
     """Per source, the central difference of the whole (M, N) steering matrix along one axis, steering
     one stepped Scenario at a time: ``rx_derivatives_fd``'s columns are column n of the n-th."""
     freqs = frequency_vector(scn.signals)
-    return [(steering_matrix(native_delays(hi), freqs) - steering_matrix(native_delays(lo), freqs)) / (2.0 * h)
-            for hi, lo, h in _stepped_scenarios(scn, axis)]
+
+    def steered(stepped):
+        return steering_matrix(stepped.geometry.delay_geometry()(stepped.velocity_mps), freqs)
+
+    return [(steered(hi) - steered(lo)) / (2.0 * h) for hi, lo, h in _stepped_scenarios(scn, axis)]
 
 
 def rx_fd_reference(scn, rel_step=1e-6):
@@ -92,7 +95,7 @@ def rx_fd_reference(scn, rel_step=1e-6):
     base_rs = np.outer(s, s.conj())
 
     def rx_at(stepped, rs_shift, eta):
-        A = steering_matrix(native_delays(stepped), freqs)
+        A = steering_matrix(stepped.geometry.delay_geometry()(stepped.velocity_mps), freqs)
         return A @ (base_rs + rs_shift) @ A.conj().T + eta * np.eye(scn.num_sensors)
 
     zero, eta0 = np.zeros_like(base_rs), scn.noise_variance
@@ -126,7 +129,7 @@ def pairwise_scenarios(draw):
     m = draw(st.integers(2, 6))
     n = draw(st.integers(1, min(m - 1, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pws = pairwise_form(random_upper_half_scenario(rng, m, n))
+    pws = pairwise_of(random_upper_half_scenario(rng, m, n))
     arrival = pws.geometry.arrival_rad + rng.uniform(-1e-3, 1e-3, (m, n))
     return replace(pws, geometry=PairwiseGeometry(pws.geometry.vertical_m, arrival))
 
@@ -497,7 +500,7 @@ class TestRankOneKernel:
         # a bound search scores as many layouts per call as keep its (K, P, P) stacks within the budget
         for n in range(1, 8):
             scn = random_upper_half_scenario(np.random.default_rng(n), n + 3, n)
-            sensors_xy, sources_xy, _ = scenario_positions(scn)
+            sensors_xy, sources_xy, _ = scn.geometry.positions
             _, k = reposition._chunk_scorer("crb_theta", 0, sensors_xy, sources_xy, scn)
             per_layout = ParameterIndex(n).size ** 2
             assert k >= 1

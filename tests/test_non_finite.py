@@ -11,10 +11,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from nfcrb import DisplacementGrid, SingularCovarianceError, ValidationError, grid_search, line_search_reposition
+from nfcrb import (DisplacementGrid, SingularCovarianceError, ValidationError, apply_reposition, grid_search,
+                   line_search_reposition)
 from nfcrb import fim_crb
+from nfcrb.geometry import PairwiseGeometry, PolarGeometry
 from nfcrb.optimizer import SweepSpec, _native_powers, sweep
-from nfcrb.reposition import analytic_reposition
+from nfcrb.reposition import RepositionPlan, analytic_reposition
 from nfcrb.cli import main as cli_main
 
 NON_FINITE_COV = "array covariance has non-finite entries"
@@ -211,3 +213,52 @@ def test_analytic_reposition_rejects_an_overflowing_divisor(scenario_a, tmp_path
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["reposition", "--scenario", str(path), "--mode", "analytic"], capsys)
     assert (code, out, err) == (2, "", f"error: {OVERFLOWING_DIVISOR}\n")
+
+
+POLAR_ARRAYS = ("sensor radius", "sensor azimuth", "source range", "source bearing")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", range(4))
+def test_polar_geometry_rejects_non_finite_entries(index, bad):
+    arrays = [[0.0, 5.0], [0.0, 1.0], [50.0, 80.0], [0.5, 1.0]]
+    arrays[index][1] = bad
+    name = POLAR_ARRAYS[index]
+    # the sign checks come first: a negative radius and a range that is not positive keep their messages
+    if index == 0 and bad < 0:
+        message = f"{name} must be nonnegative, got -inf"
+    elif index == 2 and not bad > 0:
+        message = f"{name} must be positive, got {bad}"
+    else:
+        message = f"{name} must be finite, got {bad}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before an infinite angle is reduced to NaN
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PolarGeometry(*arrays)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["vertical distances", "arrival angles"])
+def test_pairwise_geometry_rejects_non_finite_entries(name, bad):
+    vertical, arrival = np.full((2, 2), 50.0), np.full((2, 2), 1.0)
+    (vertical if name == "vertical distances" else arrival)[1, 0] = bad
+    # the range checks come first: -inf H and infinite angles keep their messages
+    if name == "vertical distances" and bad < 0:
+        message = "vertical distances must be positive"
+    elif name == "arrival angles" and math.isinf(bad):
+        message = "arrival angles must lie strictly inside (0, pi)"
+    else:
+        message = f"{name} must be finite, got {bad}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PairwiseGeometry(vertical, arrival)
+
+
+@pytest.mark.parametrize("move", [{"new_arrival_rad": np.array([1.0, math.nan, 1.0])},
+                                  {"new_arrival_rad": np.ones(3), "new_position_m": (0.0, math.nan)}])
+def test_apply_reposition_rejects_a_non_finite_plan(scenario_a, move):
+    # a NaN angle or position would reach the report as a non-finite covariance; the table names it
+    plan = RepositionPlan(2, "analytic", displacement_m=None, objective="gf", objective_before=1.0,
+                          objective_after=1.0, source_notes=(), **move)
+    wrong = "arrival angles" if "new_position_m" not in move else "vertical distances"
+    with pytest.raises(ValidationError, match=f"^{wrong} must be finite, got nan$"):
+        apply_reposition(scenario_a, plan)

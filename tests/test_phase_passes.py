@@ -22,7 +22,7 @@ from nfcrb import (
 )
 from nfcrb import optimizer, reposition
 from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, steering_matrix
-from nfcrb.geometry import axes_from_positions, distances, polar_to_cartesian, scenario_positions
+from nfcrb.geometry import axes_from_positions, distances, polar_to_cartesian
 from nfcrb.reposition import score_candidates
 from nfcrb.scenario_io import run_reports
 from nfcrb.cli import main as cli_main
@@ -38,7 +38,7 @@ def hexes(values) -> list[str]:
 
 def search_positions(scn, element):
     """A 2001-point line through the element and an 11 x 11 box around it, with its current position first."""
-    sensors_xy, _, _ = scenario_positions(scn)
+    sensors_xy, _, _ = scn.geometry.positions
     x0, y0 = sensors_xy[element]
     disps = np.unique(np.append(DisplacementGrid(-200.0, 200.0, 2001).values(), 0.0))
     line = np.column_stack([x0 + disps, np.full_like(disps, y0)])
@@ -61,11 +61,11 @@ class TestChunkSizes:
         ]
         default = {}
         for i, scn in enumerate(scenarios):
-            sensors_xy, sources_xy, _ = scenario_positions(scn)
+            sensors_xy, sources_xy, _ = scn.geometry.positions
             positions = search_positions(scn, 1)
             default[i] = hexes(score_candidates(objective, 1, sensors_xy, sources_xy, scn, positions)[0])
         for i, scn in enumerate(scenarios):
-            sensors_xy, sources_xy, _ = scenario_positions(scn)
+            sensors_xy, sources_xy, _ = scn.geometry.positions
             if rows is not None:
                 budget = rows * per_candidate(objective, scn)
                 monkeypatch.setattr(reposition, "PHASE_CHUNK_VALUES", budget)
@@ -81,7 +81,7 @@ def test_det_steers_the_fixed_rows_once_and_the_moved_row_per_chunk(scenario_a, 
     # steers only the moved element's (K, N) row
     scenarios = [scenario_a, scenario_b] + [random_upper_half_scenario(np.random.default_rng(seed)) for seed in range(4)]
     for scn in scenarios:
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         positions = search_positions(scn, 1)
         layouts = np.repeat(sensors_xy[None], len(positions), axis=0)
         layouts[:, 1] = positions
@@ -111,7 +111,7 @@ def test_bounds_steer_the_fixed_elements_once_and_the_moved_one_per_chunk(count,
     # the fixed elements are steered once per search and a chunk steers only the moved element
     scenarios = [scenario_a, scenario_b] + [random_upper_half_scenario(np.random.default_rng(s)) for s in range(3)]
     for scn in scenarios:
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         x0, y0 = sensors_xy[1]
         line = np.column_stack([x0 + DisplacementGrid(-200.0, 200.0, 101).values(), np.full(101, y0)])
         positions = np.vstack([sensors_xy[1], line, BoxGrid(x0 - 50.0, x0 + 50.0, 5, y0 - 5.0, y0 + 5.0, 5).points()])
@@ -133,7 +133,7 @@ def test_bounds_of_a_sensor_on_a_source_of_the_polar_form_fail_as_the_whole_layo
     # one ulp from a source a point is apart in Cartesian coordinates, but often meets it in the polar form:
     # the bound scorer then rejects the candidate naming the sensor and source the whole layout's steering names
     scn = random_upper_half_scenario(np.random.default_rng(5))
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     sensors_xy = sensors_xy.copy()  # a scenario's positions are read-only
 
     def polar_point(xy):

@@ -20,15 +20,8 @@ from nfcrb import (
     grid_search,
     line_search_reposition,
 )
-from nfcrb.signal_model import SourceSignal, covariances, received_power, steering_matrix
-from nfcrb.geometry import (
-    PolarGeometry,
-    Scenario,
-    distances,
-    native_delays,
-    pairwise_form,
-    scenario_positions,
-)
+from nfcrb.signal_model import SourceSignal, covariances, frequency_vector, received_power, steering_matrix
+from nfcrb.geometry import PolarGeometry, Scenario, distances
 from nfcrb.fim_crb import _steering_columns, fim_rank_one
 from nfcrb import fim_crb, reposition
 from nfcrb.reposition import (
@@ -40,8 +33,8 @@ from nfcrb.reposition import (
     score_candidates,
 )
 from nfcrb.cli import main as cli_main
-from conftest import (cpus, crb_report, hadamard_bound, pairwise_scenario, pinv_totals, random_upper_half_scenario,
-                      scenario_from_positions, trace_loop_fim)
+from conftest import (cpus, crb_report, hadamard_bound, pairwise_of, pairwise_scenario, pinv_totals,
+                      random_upper_half_scenario, scenario_from_positions, trace_loop_fim)
 
 
 def objective_alone(objective, element, sensors_xy, sources_xy, scn) -> float:
@@ -111,11 +104,11 @@ class TestPhaseTerms:
         pws = pairwise_scenario(
             [[7500.0], [7500.0]], [[math.pi / 2], [math.pi / 2]], [1e4], [1 + 0j]
         )
-        terms = phase_terms(pws, 0)
+        terms = phase_terms(pws.geometry, 0, np.array([1e4]), 3e8)
         assert terms[0] == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_scenario_a_element3_source1(self, scenario_a):
-        terms = phase_terms(scenario_a, 2)
+        terms = phase_terms(scenario_a.geometry, 2, frequency_vector(scenario_a.signals), scenario_a.velocity_mps)
         expected = 2 * math.pi * 1.1787e6 * (62.0 / (3e8 * math.sin(math.radians(66.0))))
         assert terms[0] == pytest.approx(expected, rel=1e-12)
         assert terms[0] == pytest.approx(1.6754189533249544, rel=1e-10)
@@ -123,11 +116,11 @@ class TestPhaseTerms:
     def test_equals_frequency_times_delay(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            pws = pairwise_form(random_upper_half_scenario(rng))
-            tau = native_delays(pws)
+            pws = pairwise_of(random_upper_half_scenario(rng))
+            tau = pws.geometry.delay_geometry()(pws.velocity_mps)
             freqs = np.array([s.freq_hz for s in pws.signals])
             for k in range(pws.num_sensors):
-                terms = phase_terms(pws, k)
+                terms = phase_terms(pws.geometry, k, freqs, pws.velocity_mps)
                 assert np.allclose(terms, 2 * np.pi * freqs * tau[k], rtol=1e-12)
 
 
@@ -220,7 +213,7 @@ class TestAnalyticReposition:
 
     def test_fits_no_positions(self, scenario_a, scenario_b):
         # a plan rewrites arrival angles only; refitting the rewritten table is a sweep's work
-        polar = scenario_from_positions(*scenario_positions(scenario_b)[:2], 3e8, scenario_b.signals, 1.0, 1)
+        polar = scenario_from_positions(*scenario_b.geometry.positions[:2], 3e8, scenario_b.signals, 1.0, 1)
         with mock.patch("nfcrb.geometry._solve", side_effect=AssertionError("least-squares fit")):
             for scn in (scenario_a, scenario_b, polar):
                 analytic_reposition(scn, 2)
@@ -256,7 +249,7 @@ class TestLineSearch:
 
 def per_candidate_bounds(scn, element, displacements) -> dict[float, tuple[float, float]]:
     """Bearing and range bound totals at each displacement, one rebuilt scenario per candidate."""
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     out = {}
     for disp in displacements:
         moved = sensors_xy.copy()
@@ -286,7 +279,7 @@ class TestBatchedBoundSearch:
     @pytest.mark.parametrize("fixture, objective", sorted(PINNED_LINE_SCANS))
     def test_line_scan_bits_are_pinned(self, fixture, objective, request):
         scn = request.getfixturevalue(fixture)
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         x0, y0 = sensors_xy[2]
         disps = DisplacementGrid(-200.0, 200.0, 401).values()
         positions = np.column_stack([x0 + disps, np.full_like(disps, y0)])
@@ -328,7 +321,7 @@ class TestBatchedBoundSearch:
 
     def test_coinciding_candidate_alone_is_skipped(self):
         scn = self._coinciding_scenario()
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         disps = np.linspace(60.0, 140.0, 81)
         positions = np.column_stack([sensors_xy[1, 0] + disps, np.full_like(disps, sensors_xy[1, 1])])
         values = scored("crb_r", 1, sensors_xy, sources_xy, scn, positions)
@@ -347,7 +340,7 @@ class TestBatchedBoundSearch:
         assert [n for n in plan.source_notes if "skipped" in n] == [
             "position (110, 0) skipped: sensor 2 coincides with source 1"
         ]
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
 
         def objective_at(x, y):
             moved = sensors_xy.copy()
@@ -367,7 +360,7 @@ PHASE_OBJECTIVES = ("gf", "power", "det")
 
 def per_candidate_values(objective, scn, element, positions) -> list:
     """The objective at each position, one ``objective_alone`` call per candidate."""
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     out = []
     for position in positions:
         moved = sensors_xy.copy()
@@ -381,7 +374,7 @@ def per_candidate_values(objective, scn, element, positions) -> list:
 
 def candidate_positions(scn, element, grid: DisplacementGrid, box_half: float, box_steps: int):
     """Line positions of a displacement grid (plus the origin) and a box around the element."""
-    sensors_xy, _, _ = scenario_positions(scn)
+    sensors_xy, _, _ = scn.geometry.positions
     x0, y0 = sensors_xy[element]
     disps = np.unique(np.concatenate([grid.values(), [0.0]]))
     line = np.column_stack([x0 + disps, np.full_like(disps, y0)])
@@ -390,7 +383,7 @@ def candidate_positions(scn, element, grid: DisplacementGrid, box_half: float, b
 
 
 def batched_values(objective, scn, element, positions) -> list:
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     values = scored(objective, element, sensors_xy, sources_xy, scn, positions)
     return [str(v) if isinstance(v, ValidationError) else v for v in values]
 
@@ -432,7 +425,7 @@ class TestBatchedPhaseSearch:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_fixed_sensor_on_a_source_fails_every_candidate(self, objective):
         scn = TestBatchedBoundSearch._coinciding_scenario()
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         sensors_xy = sensors_xy.copy()  # a scenario's positions are read-only
         sensors_xy[0] = sources_xy[0]
         positions = np.column_stack([np.linspace(5.0, 15.0, 11), np.ones(11)])
@@ -446,14 +439,14 @@ class TestBatchedPhaseSearch:
         grid = DisplacementGrid(-200, 200, 2001)
         det, power = (grid_search(scn, 2, objective, grid) for objective in ("det", "power"))
         assert det.displacement_m == power.displacement_m == pytest.approx(displacement)
-        x0, y0 = scenario_positions(scn)[0][2]
+        x0, y0 = scn.geometry.positions[0][2]
         box = BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41)
         det, power = (grid_search(scn, 2, objective, box) for objective in ("det", "power"))
         assert det.new_position_m == power.new_position_m
 
     def test_clean_searches_make_no_per_candidate_call(self, scenario_a):
         grid = DisplacementGrid(-200, 200, 2001)
-        x0, y0 = scenario_positions(scenario_a)[0][2]
+        x0, y0 = scenario_a.geometry.positions[0][2]
         box = BoxGrid(x0 - 100, x0 + 100, 41, y0 - 20, y0 + 20, 41)
         line_count = len(np.unique(np.append(grid.values(), 0.0)))
         searches = [
@@ -615,7 +608,7 @@ class TestBatchedScorerProperties:
     def test_line_scan_bytes_equal_at_both_chunk_budgets(self, fixture, steps, request):
         # a 401-point crb_theta line scan in the chunks of the old budget (8192 values) and of the new (16384)
         scn = request.getfixturevalue(fixture)
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         line, _ = candidate_positions(scn, 0, DisplacementGrid(-200, 200, 401), 40.0, 4)
         outcomes = []
         for budget, step in zip((8192, 16384), steps):
@@ -661,7 +654,7 @@ def is_in_order(part, whole):
 def scan_outcome(objective, scn, element, positions, cpu_count, step, worker_scores=None):
     """``score_candidates`` on ``cpu_count`` CPUs in chunks of ``step``: the values' bytes, each error's
     type and reason, and the scored chunks by thread (see ``chunked_scorer``)."""
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     calls = {}
     with cpus(cpu_count), mock.patch.object(reposition, "_chunk_scorer", chunked_scorer(step, calls, worker_scores)):
         values, errors = score_candidates(objective, element, sensors_xy, sources_xy, scn, positions)
@@ -689,7 +682,7 @@ class TestThreadedBoundScan:
     @pytest.mark.parametrize("objective", ["crb_theta", "crb_r"])
     def test_candidate_on_a_source_scored_by_the_worker(self, objective):
         scn = TestBatchedBoundSearch._coinciding_scenario()
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         disps = np.linspace(20.0, 140.0, 121)  # 13 chunks of 10; row 80 lies on source 1
         positions = np.column_stack([sensors_xy[1, 0] + disps, np.full_like(disps, sensors_xy[1, 1])])
         on_source = tuple(positions[80].tolist())
@@ -802,7 +795,7 @@ class TestThreadedBoundScan:
         # three scans at once, each with its worker: six threads on two CPUs, switching every
         # microsecond; both threads of a scan write failures into one dict, and a lost write drops one
         scn = TestBatchedBoundSearch._coinciding_scenario()
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         positions = np.column_stack([np.linspace(60.0, 140.0, 60), np.zeros(60)])
         positions[::3] = sources_xy[0]  # every chunk of 6 holds two candidates on source 1
         expected = scan_outcome("crb_r", scn, 1, positions, 1, 6)[:2]
@@ -886,7 +879,7 @@ class TestGridValidation:
 
 def origin_at_element(scn: Scenario, element: int) -> Scenario:
     """The same constellation in a frame whose origin is the element, so its position is exactly (0, 0)."""
-    sensors_xy, sources_xy, _ = scenario_positions(scn)
+    sensors_xy, sources_xy, _ = scn.geometry.positions
     origin = sensors_xy[element].copy()
     return scenario_from_positions(
         sensors_xy - origin, sources_xy - origin, scn.velocity_mps, scn.signals, scn.noise_variance, scn.snapshots
@@ -909,7 +902,7 @@ class TestOneScan:
         # with the element at (0, 0) both regions hold bit-identical positions
         line_grid = DisplacementGrid(start, start + span, steps)
         row = BoxGrid(start, start + span, steps, 0.0, 0.0, 1)
-        sensors_xy, sources_xy, _ = scenario_positions(scn)
+        sensors_xy, sources_xy, _ = scn.geometry.positions
         for objective in OBJECTIVES:
             along = grid_search(moved_frame, element, objective, line_grid)
             box = grid_search(moved_frame, element, objective, row)
@@ -971,8 +964,9 @@ class TestApplyReposition:
         assert np.array_equal(after.geometry.vertical_m, scenario_a.geometry.vertical_m)
 
     def test_other_rows_delays_bit_identical(self, scenario_a):
-        tau0 = native_delays(scenario_a)
-        tau1 = native_delays(apply_reposition(scenario_a, reference_plan_a()))
+        tau0 = scenario_a.geometry.delay_geometry()(scenario_a.velocity_mps)
+        after = apply_reposition(scenario_a, reference_plan_a())
+        tau1 = after.geometry.delay_geometry()(after.velocity_mps)
         assert np.array_equal(tau0[[0, 1, 3]], tau1[[0, 1, 3]])
         assert not np.array_equal(tau0[2], tau1[2])
 
@@ -996,8 +990,9 @@ class TestPowerBound:
     def test_power_bounded_by_phase_objective(self, fixture, request):
         pws = request.getfixturevalue(fixture)
         freqs = np.array([s.freq_hz for s in pws.signals])
-        A = steering_matrix(native_delays(pws), freqs)
+        A = steering_matrix(pws.geometry.delay_geometry()(pws.velocity_mps), freqs)
         powers, _ = received_power(A, pws.signals)
         smax2 = max(abs(s.amplitude) ** 2 for s in pws.signals)
         for k in range(pws.num_sensors):
-            assert powers[k] <= smax2 * gf_objective(phase_terms(pws, k)) * (1 + 1e-12)
+            terms = phase_terms(pws.geometry, k, freqs, pws.velocity_mps)
+            assert powers[k] <= smax2 * gf_objective(terms) * (1 + 1e-12)

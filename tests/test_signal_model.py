@@ -17,13 +17,12 @@ from nfcrb.signal_model import (
     steering_matrix,
     synthesize_snapshots,
 )
-from nfcrb.geometry import native_delays
 from conftest import random_scenario
 
 
 def _steering_for(pws):
     freqs = np.array([s.freq_hz for s in pws.signals])
-    return steering_matrix(native_delays(pws), freqs)
+    return steering_matrix(pws.geometry.delay_geometry()(pws.velocity_mps), freqs)
 
 
 class TestSteeringMatrix:
@@ -72,7 +71,7 @@ class TestCovariances:
         rng = np.random.default_rng(17)
         for _ in range(20):
             scn = random_scenario(rng)
-            A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+            A = steering_matrix(scn.geometry.delay_geometry()(scn.velocity_mps), frequency_vector(scn.signals))
             w = np.linalg.eigvalsh(covariances(A, scn.signals, scn.noise_variance))
             assert w.min() >= scn.noise_variance - 1e-10
 
@@ -192,7 +191,7 @@ class TestReceivedPower:
     def test_power_equals_quadratic_form(self):
         rng = np.random.default_rng(9)
         scn = random_scenario(rng, m=5, n=3)
-        A = steering_matrix(native_delays(scn), frequency_vector(scn.signals))
+        A = steering_matrix(scn.geometry.delay_geometry()(scn.velocity_mps), frequency_vector(scn.signals))
         powers, _ = received_power(A, scn.signals)
         s = amplitude_vector(scn.signals)
         manual = np.array([abs(np.dot(A[m], s)) ** 2 for m in range(5)])

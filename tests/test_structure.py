@@ -2,6 +2,8 @@
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 from unittest import mock
@@ -39,12 +41,13 @@ def calls_by_function(tree):
     ]
 
 
-FRONT_DOORS = {"polar_axes", "pairwise_form", "delay_geometry", "native_delays", "scenario_positions"}
+FORWARDERS = {"polar_axes", "pairwise_form", "delay_geometry", "native_delays", "scenario_positions",
+              "_require_scenario"}
 
 
 def test_only_geometry_branches_on_the_encoding():
-    # each encoding answers for itself: no isinstance names one outside geometry, and the front
-    # doors, which take either, do not name one at all
+    # each encoding answers for itself: no isinstance names one outside geometry, and callers read
+    # ``scn.geometry`` directly, so no module defines or calls a module-level forwarder to it
     encodings = {"PolarGeometry", "PairwiseGeometry"}
     branching = {
         (name, owner)
@@ -55,10 +58,53 @@ def test_only_geometry_branches_on_the_encoding():
         and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & encodings
     }
     assert {name for name, _ in branching} <= {"geometry.py"}
-    assert not {owner for _, owner in branching} & FRONT_DOORS
-    doors = [node for node in MODULES["geometry.py"].body if isinstance(node, ast.FunctionDef) and node.name in FRONT_DOORS]
-    assert len(doors) == len(FRONT_DOORS)
-    assert not {n.id for door in doors for n in ast.walk(door) if isinstance(n, ast.Name)} & encodings
+    defined = {(name, node.name) for name, tree in MODULES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in FORWARDERS}
+    called = {(name, owner) for name, tree in MODULES.items() for owner, node in nodes_by_function(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in FORWARDERS}
+    assert not defined and not called
+
+
+SUBMODULES = {name.removesuffix(".py") for name in MODULES} - {"__init__"}
+QUOTED = re.compile(r"``?([A-Za-z_]\w*(?:\.\w+)*)(?:\(\))?``?")
+TABLE_ROW = re.compile(r"^\| `(\w+)`\s*\|(.*)$", re.MULTILINE)
+
+
+def quoted_references(text, row_module=None):
+    """(module, attribute path) of each quoted `module.name` or `module.Class.attr` of a package module in
+    ``text``; in a row of README's module table, also each quoted name of that row's module, read as one when
+    its head has an underscore or a capital (``Scenario``, ``refit_axes``, ``PairwiseGeometry.positions``)."""
+    for chain in QUOTED.findall(text):
+        head, *rest = chain.split(".")
+        if head in SUBMODULES and rest:
+            yield head, rest
+        elif row_module and head not in SUBMODULES and ("_" in head or head[0].isupper()):
+            yield row_module, [head, *rest]
+
+
+def resolves(module, path) -> bool:
+    """Whether each name of ``path`` is an attribute of the one before it, from ``nfcrb.<module>``;
+    the last may be a field of a dataclass."""
+    obj = importlib.import_module(f"nfcrb.{module}")
+    for i, name in enumerate(path):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif not (i == len(path) - 1 and dataclasses.is_dataclass(obj)
+                  and name in {f.name for f in dataclasses.fields(obj)}):
+            return False
+    return True
+
+
+def test_docs_name_existing_attributes():
+    # README and the package's docstrings name only attributes that exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    refs = [("README.md", *ref) for ref in quoted_references(TABLE_ROW.sub("", readme))]
+    refs += [("README.md", *ref) for module, row in TABLE_ROW.findall(readme) for ref in quoted_references(row, module)]
+    refs += [(name, *ref) for name, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)
+             for ref in quoted_references(ast.get_docstring(node))]
+    assert {"README.md", "fim_crb.py"} <= {where for where, *_ in refs}
+    assert [f"{where}: {module}.{'.'.join(path)}" for where, module, path in refs if not resolves(module, path)] == []
 
 
 def callers_of(name):
@@ -276,7 +322,7 @@ def test_one_kernel_pass_per_single_constellation():
     # a report's FIM and validate's derivative checks and closed form all read one linearize pass
     assert callers_of("linearize") == [("cli.py", "cmd_validate"), ("fim_crb.py", "fim_for_scenario")]
     cli_calls = {called for _, called in calls_by_function(MODULES["cli.py"])}
-    assert not cli_calls & {"steering_matrix", "covariances", "native_delays"}
+    assert not cli_calls & {"steering_matrix", "covariances", "delay_geometry"}
 
 
 def test_scenario_files_construct_scenarios_only_when_parsed():

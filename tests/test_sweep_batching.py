@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import counted_report_objects, cpus, crb_report, polar_form, random_scenario, random_upper_half_scenario
+from conftest import (counted_report_objects, cpus, crb_report, pairwise_of, polar_form, random_scenario,
+                      random_upper_half_scenario)
 
 from nfcrb import (
     SingularGeometryError,
@@ -25,7 +26,6 @@ from nfcrb import (
     runtime_scenario,
 )
 from nfcrb import fim_crb, geometry, optimizer
-from nfcrb.geometry import pairwise_form
 from nfcrb.fim_crb import ParameterIndex
 from nfcrb.reposition import analytic_reposition
 from nfcrb.optimizer import SweepSpec, _planned_chunks, sweep
@@ -298,7 +298,7 @@ def test_pairwise_sweeps_equal_point_by_point_evaluation(name, default_rows):
 def test_source_below_a_sensor_line_skips_every_reposition(vary):
     scn = random_scenario(np.random.default_rng(0), 5, 2)
     with pytest.raises(SingularGeometryError) as below:
-        pairwise_form(scn)
+        pairwise_of(scn)
     spec = SweepSpec(vary, 1e5 if vary == "frequency" else 1e8, 4e6 if vary == "frequency" else 6e8, 20,
                      source=0 if vary == "frequency" else None, modes=("primary", "reposition"))
     rows = sweep(scn, spec)
@@ -376,15 +376,31 @@ def test_reposition_rows_fit_their_own_tables_and_build_no_scenario(monkeypatch)
 
 def test_polar_sweep_converts_to_pairwise_form_once(monkeypatch):
     counts = {}
-    for name in ("pairwise_form", "delay_geometry", "polar_axes"):
-        _counting(monkeypatch, optimizer, name, counts)
+    for name in ("pairwise", "delay_geometry"):
+        _counting(monkeypatch, geometry.PolarGeometry, name, counts)
     scn = _polar_b()
     _count_builds(monkeypatch, counts)
     rows = sweep(scn, POLAR_SWEEPS["polar_b-velocity"][1])
     assert len(rows) == 200 and _planned(rows) > 0
-    # the pairwise form's y fit once, then the planned rows' x in one solve per window; no table per row
-    expected = {"pairwise_form": 1, "delay_geometry": 1, "polar_axes": 1, "_solve": [1, *_window_solves(scn, rows)]}
-    assert counts == {**expected, "PairwiseGeometry": 1, "Scenario": 1}
+    # the pairwise table's y fit once, then the planned rows' x in one solve per window; no table per row,
+    # and the planner works on the table itself, so no Scenario is built for it
+    expected = {"pairwise": 1, "delay_geometry": 1, "_solve": [1, *_window_solves(scn, rows)]}
+    assert counts == {**expected, "PairwiseGeometry": 1}
+    assert counts.get("Scenario", 0) == 0
+
+
+def test_polar_plans_work_on_the_pairwise_table(monkeypatch):
+    # the analytic plan builds no Scenario, and its application exactly one, its result
+    scn, counts = _polar_b(), {}
+    _count_builds(monkeypatch, counts)
+    plan = analytic_reposition(scn, 1)
+    assert counts.get("Scenario", 0) == 0
+    after = apply_reposition(scn, plan)
+    assert counts["Scenario"] == 1
+    table = scn.geometry.pairwise()
+    arrival = table.arrival_rad.copy()
+    arrival[1] = plan.new_arrival_rad
+    assert after == replace(scn, geometry=geometry.PairwiseGeometry(table.vertical_m, arrival))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -493,7 +509,7 @@ def _outcomes(rows):
 @pytest.mark.parametrize("encoding", ["polar", "pairwise"])
 @pytest.mark.parametrize("rows_per_chunk", [1, 2, 7, None])
 def test_mixed_plans_equal_point_by_point_evaluation(encoding, rows_per_chunk, monkeypatch):
-    scn = _mixed() if encoding == "polar" else pairwise_form(_mixed())
+    scn = _mixed() if encoding == "polar" else pairwise_of(_mixed())
     expected = _rows_point_by_point(scn, MIXED)
     if rows_per_chunk is not None:
         _force_chunk(monkeypatch, scn, rows_per_chunk)
@@ -573,7 +589,7 @@ class TestThreadedSweep:
             scn = runtime_scenario(parse_scenario(json.dumps(_on_source())))[0]
         else:
             scn = random_upper_half_scenario(np.random.default_rng(seed))
-            scn = pairwise_form(scn) if kind == "pairwise" else scn
+            scn = pairwise_of(scn) if kind == "pairwise" else scn
         bounds = (1e5, 4e6) if vary == "frequency" else (1e8, 6e8)
         spec = SweepSpec(vary, *bounds, steps, source=scn.num_sources - 1 if vary == "frequency" else None,
                          modes=("primary", "reposition"))
